@@ -130,6 +130,8 @@ def cmd_encrypt(args) -> int:
         f"[{BACKEND} core]"
     )
     _print_store_summary(store)
+    for failure in stats.failed_files:
+        print(f"error: failed file {failure}", file=sys.stderr)
     return 1 if stats.failed_files else 0
 
 
@@ -187,7 +189,7 @@ def cmd_eval_rdr(args) -> int:
         except ValueError as exc:
             return vid, None, str(exc)
 
-    results = _run_indexed(one, vids, args.workers)
+    results = list(_run_indexed(one, vids, args.workers))
     per_trajectory = {vid: value for vid, value, _ in results if value is not None}
     skipped = {vid: reason for vid, _, reason in results if reason is not None}
     if not per_trajectory:

@@ -17,6 +17,10 @@ _DECIMAL_RE = re.compile(r"^[+-]?(0|[1-9][0-9]*)(\.[0-9]+)?$")
 LON_MAX = 180
 LAT_MAX = 90
 
+# Widest fraction whose value fits the map's u64 field and the uint64 round
+# kernel: 10**19 - 1 < 2**64 <= 10**20 - 1.
+MAX_FRAC_DIGITS = 19
+
 
 class ParseError(ValueError):
     """Raised when a coordinate string is not well-formed decimal text."""

@@ -9,14 +9,17 @@ byte for byte.
 from __future__ import annotations
 
 import datetime
+import itertools
 import logging
 import random
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cipher import CoordinateCipher
 from .coords import (
+    MAX_FRAC_DIGITS,
     DecimalNumber,
     GeoPoint,
     ParseError,
@@ -41,14 +44,20 @@ class TrajectoryRecord:
 
 
 def parse_line(text: str) -> TrajectoryRecord:
-    """Parse one "id,datetime,lon,lat" line; ParseError on malformed input."""
+    """Parse one "id,datetime,lon,lat" line; ParseError on malformed input,
+    including a fraction wider than MAX_FRAC_DIGITS digits."""
     fields = text.rstrip("\r\n").split(",")
     if len(fields) != 4:
         raise ParseError(f"expected 4 comma-separated fields, got {len(fields)}")
     vid, timestamp, lon_text, lat_text = fields
-    return TrajectoryRecord(
-        vid, timestamp, GeoPoint(decompose(lon_text), decompose(lat_text))
-    )
+    point = GeoPoint(decompose(lon_text), decompose(lat_text))
+    for axis, n in (("lon", point.lon), ("lat", point.lat)):
+        if n.frac_digits > MAX_FRAC_DIGITS:
+            raise ParseError(
+                f"{axis} fraction has {n.frac_digits} digits, "
+                f"more than {MAX_FRAC_DIGITS}"
+            )
+    return TrajectoryRecord(vid, timestamp, point)
 
 
 def clean(records) -> tuple[list, int]:
@@ -150,10 +159,20 @@ def _dataset_files(input_dir: Path) -> list[Path]:
 
 
 def _run_indexed(fn, jobs, workers: int):
+    """Yield fn(job) for each job, in job order, with at most ``workers`` jobs
+    in flight at once."""
     if workers <= 1:
-        return [fn(job) for job in jobs]
+        for job in jobs:
+            yield fn(job)
+        return
+    jobs = iter(jobs)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+        pending = deque(pool.submit(fn, job) for job in itertools.islice(jobs, workers))
+        while pending:
+            result = pending.popleft().result()
+            for job in itertools.islice(jobs, 1):  # refill the slot just freed
+                pending.append(pool.submit(fn, job))
+            yield result
 
 
 def _write_sidecar(out_path: Path, errors) -> None:
@@ -162,6 +181,45 @@ def _write_sidecar(out_path: Path, errors) -> None:
     with open(f"{out_path}.errors", "w", encoding="utf-8") as fh:
         for line_no, reason in errors:
             fh.write(f"{line_no}: {reason}\n")
+
+
+@dataclass
+class _EncryptedFile:
+    """One file's ciphertext before coordinate ids are assigned."""
+
+    scan: FileScan
+    bodies: list[str]  # output lines without the coordinate id column
+    parts: list[tuple[str, list[int], list[int], list[int]]]  # kind, enc, orig, d
+    passthrough: int
+
+
+def _encrypt_file(path: Path, cipher: CoordinateCipher) -> _EncryptedFile | str:
+    """Parse and encrypt one file; the reason instead when it cannot be read
+    or decoded."""
+    try:
+        scan = scan_file(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        return str(exc)
+    n = len(scan.records)
+    bodies = [f"{rec.vehicle_id},{rec.timestamp}" for rec in scan.records]
+    parts = []
+    passthrough = 0
+    for axis in ("lon", "lat"):
+        nums = [getattr(rec.point, axis) for rec in scan.records]
+        ints = [num.int_part for num in nums]
+        fracs = [num.frac_value for num in nums]
+        digits = [num.frac_digits for num in nums]
+        enc_ints = cipher.encrypt_batch(f"{axis}_int", ints).tolist()
+        enc_fracs = cipher.encrypt_batch(f"{axis}_frac", fracs, digits).tolist()
+        parts.append((f"{axis}_int", enc_ints, ints, [0] * n))
+        parts.append((f"{axis}_frac", enc_fracs, fracs, digits))
+        passthrough += sum(
+            range_type(v, axis == "lon", True) == RT_PASSTHROUGH for v in ints
+        )
+        for i, num in enumerate(nums):
+            enc = DecimalNumber(num.sign, enc_ints[i], enc_fracs[i], num.frac_digits)
+            bodies[i] += f",{recombine(enc)}"
+    return _EncryptedFile(scan, bodies, parts, passthrough)
 
 
 def encrypt_dataset(
@@ -173,56 +231,37 @@ def encrypt_dataset(
 ) -> EncryptStats:
     """Encrypt every trajectory file under input_dir into out_dir.
 
-    Coordinate ids are sequential over the cleaned records in sorted-filename
-    order, so the output is byte-identical for any worker count.
+    Each file is parsed once and encrypted as a batch by a worker.  Results
+    are taken in sorted-filename order, where coordinate ids are assigned
+    sequentially over the cleaned records, so the output is byte-identical
+    for any worker count.  A file that cannot be read or decoded is listed in
+    ``failed_files`` with its reason and gets no output or ids; the other
+    files are still encrypted.
     """
     input_dir, out_dir = Path(input_dir), Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = _dataset_files(input_dir)
     stats = EncryptStats(files=len(files))
 
-    counts = _run_indexed(lambda p: len(scan_file(p).records), files, workers)
-    offsets = []
-    running = 0
-    for n in counts:
-        offsets.append(running)
-        running += n
-
-    def encrypt_file(job):
-        path, offset = job
-        scan = scan_file(path)
-        lines = []
-        passthrough = 0
-        for i, rec in enumerate(scan.records):
-            cid = offset + i
-            lon, lat = rec.point.lon, rec.point.lat
-            if range_type(lon.int_part, True, True) == RT_PASSTHROUGH:
-                passthrough += 1
-            if range_type(lat.int_part, False, True) == RT_PASSTHROUGH:
-                passthrough += 1
-            enc_lon = cipher.encrypt_number(lon, "lon")
-            enc_lat = cipher.encrypt_number(lat, "lat")
-            store.record("lon_int", cid, enc_lon.int_part, lon.int_part)
-            store.record("lon_frac", cid, enc_lon.frac_value, lon.frac_value, lon.frac_digits)
-            store.record("lat_int", cid, enc_lat.int_part, lat.int_part)
-            store.record("lat_frac", cid, enc_lat.frac_value, lat.frac_value, lat.frac_digits)
-            lines.append(
-                f"{cid},{rec.vehicle_id},{rec.timestamp},"
-                f"{recombine(enc_lon)},{recombine(enc_lat)}\n"
-            )
+    offset = 0
+    jobs = _run_indexed(lambda path: (path, _encrypt_file(path, cipher)), files, workers)
+    for path, result in jobs:
+        if isinstance(result, str):
+            stats.failed_files.append(f"{path.name}: {result}")
+            continue
+        ids = range(offset, offset + len(result.bodies))
+        for kind, enc, orig, digits in result.parts:
+            for cid, e, o, d in zip(ids, enc, orig, digits):
+                store.record(kind, cid, e, o, d)
         out_path = out_dir / path.name
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
-        _write_sidecar(out_path, scan.errors)
-        return scan, passthrough
-
-    for scan, passthrough in _run_indexed(
-        encrypt_file, list(zip(files, offsets)), workers
-    ):
-        stats.records += len(scan.records)
-        stats.dropped += scan.dropped
-        stats.parse_errors += scan.parse_errors
-        stats.passthrough += passthrough
+            fh.writelines(f"{cid},{body}\n" for cid, body in zip(ids, result.bodies))
+        _write_sidecar(out_path, result.scan.errors)
+        offset += len(result.bodies)
+        stats.records += len(result.bodies)
+        stats.dropped += result.scan.dropped
+        stats.parse_errors += result.scan.parse_errors
+        stats.passthrough += result.passthrough
     return stats
 
 

@@ -44,7 +44,10 @@ def range_type(v: int, is_lon: bool, is_int: bool) -> int:
 
 
 def range_constrain(v_prime: int, rt: int) -> int:
-    """Fold a post-cipher integer into the interval selected by ``rt``."""
+    """Fold a post-cipher integer into the interval selected by ``rt``.
+
+    Works elementwise on a numpy array of values.
+    """
     if rt == RT_LON_UNITS or rt == RT_LAT_UNITS:
         return v_prime % 10
     if rt == RT_LON_TENS:
@@ -75,7 +78,8 @@ def mask_width(v: int, is_int: bool, d: int = 0) -> int:
 
 
 def fraction_constrain(v_prime: int, d: int) -> int:
-    """Fold a post-cipher fraction into [0, 10**d); 0 when d == 0."""
-    if d == 0:
-        return 0
+    """Fold a post-cipher fraction into [0, 10**d); 0 when d == 0.
+
+    Works elementwise on a numpy array of values.
+    """
     return v_prime % 10**d

@@ -2,8 +2,10 @@
 
 import hashlib
 import random
-from array import array
+import sys
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,16 +18,14 @@ from geofpe.cipher import (
     decrypt_rounds,
     encrypt_component,
     encrypt_rounds,
+    is_int_part,
+    is_lon,
     key_index,
     shift_amount,
 )
-from geofpe.coords import decompose
+from geofpe.coords import MAX_FRAC_DIGITS, decompose
+from geofpe.ranges import fraction_constrain, mask_width, range_constrain, range_type
 from geofpe.sm4 import derive_round_keys
-
-try:
-    from geofpe import _speedups
-except ImportError:
-    _speedups = None
 
 STD_KEY = bytes.fromhex("0123456789ABCDEFFEDCBA9876543210")
 ZERO_KEY = bytes(16)
@@ -168,21 +168,19 @@ def test_permutation_all_widths():
         assert len(seen) == 1 << w
 
 
-@pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
-def test_backend_parity():
-    buf = array("I", RK)
+def test_batch_kernel_parity():
     rng = random.Random(11)
-    for _ in range(2000):
-        w = rng.randint(1, 63)
-        v = rng.randrange(1 << w)
-        t = rng.randrange(1 << 32)
-        n = rng.randint(0, 12)
-        assert _speedups.encrypt_rounds_raw(v, w, t, buf, n) == (
-            _rounds.encrypt_rounds_raw(v, w, t, RK, n)
+    widths = [w for w in range(1, 65) for _ in range(12)]
+    for n_rounds in range(13):
+        values = [rng.choice((0, (1 << w) - 1, rng.randrange(1 << w))) for w in widths]
+        tweaks = [rng.randrange(1 << 32) for _ in widths]
+        got = _rounds.encrypt_rounds_u64(
+            np.array(values, dtype=np.uint64), widths, tweaks, RK, n_rounds
         )
-        assert _speedups.decrypt_rounds_raw(v, w, t, buf, n) == (
-            _rounds.decrypt_rounds_raw(v, w, t, RK, n)
-        )
+        assert got.tolist() == [
+            _rounds.encrypt_rounds_raw(v, w, t, RK, n_rounds)
+            for v, w, t in zip(values, widths, tweaks)
+        ]
 
 
 def test_tweak_avalanche_smoke():
@@ -251,3 +249,113 @@ def test_cipher_params_validation():
         CoordinateCipher(STD_KEY, n_rounds=0)
     with pytest.raises(DomainError):
         CoordinateCipher(b"short")
+
+
+# ---------------------------------------------------------------------------
+# Batch path and codebook
+
+
+def _scalar_component(value, kind, d):
+    """The component path one value at a time: MD5 tweak, reference rounds,
+    range fold."""
+    int_kind = is_int_part(kind)
+    w = mask_width(value, int_kind, d)
+    t = compute_tweak(kind, str(value), STD_KEY)
+    c = _rounds.encrypt_rounds_raw(value & ((1 << w) - 1), w, t, RK, 8)
+    if int_kind:
+        return range_constrain(c, range_type(value, is_lon(kind), True))
+    return fraction_constrain(c, d)
+
+
+@st.composite
+def _component_batches(draw):
+    kind = draw(st.sampled_from(["lon_int", "lat_int", "lon_frac", "lat_frac"]))
+    d = 0 if is_int_part(kind) else draw(st.integers(0, MAX_FRAC_DIGITS))
+    high = 200 if is_int_part(kind) else 10**d - 1
+    pool = draw(st.lists(st.integers(0, high), min_size=1, max_size=12))
+    values = draw(st.lists(st.sampled_from(pool), max_size=40))
+    return kind, d, values
+
+
+def _encrypt_concurrently(cipher, jobs):
+    """Run each (kind, values, digits) job on its own thread, all released at
+    once; returns the ciphertext lists in job order."""
+    barrier = threading.Barrier(len(jobs))
+    results = [None] * len(jobs)
+
+    def run(i):
+        barrier.wait(timeout=10)
+        results[i] = cipher.encrypt_batch(*jobs[i]).tolist()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=30)
+        assert not th.is_alive()
+    return results
+
+
+@settings(max_examples=150, deadline=None)
+@given(_component_batches())
+def test_batch_matches_scalar_component(batch):
+    kind, d, values = batch
+    expected = [_scalar_component(v, kind, d) for v in values]
+    assert [encrypt_component(v, kind, d, STD_KEY, RK) for v in values] == expected
+
+    cipher = CoordinateCipher(STD_KEY)
+    half = values[: len(values) // 2]
+    assert cipher.encrypt_batch(kind, half, d).tolist() == expected[: len(half)]
+    assert cipher.encrypt_batch(kind, values, d).tolist() == expected  # part warm
+    assert cipher.encrypt_batch(kind, values, d).tolist() == expected  # all warm
+    assert [cipher.encrypt_component(v, kind, d) for v in values] == expected
+
+    fresh = CoordinateCipher(STD_KEY)
+    job = (kind, values, d)
+    assert _encrypt_concurrently(fresh, [job, job]) == [expected, expected]
+
+
+def test_batch_per_value_digits():
+    cipher = CoordinateCipher(STD_KEY)
+    values, digits = [7, 7, 123, 0, 42], [1, 3, 3, 0, 5]
+    assert cipher.encrypt_batch("lat_frac", values, digits).tolist() == [
+        _scalar_component(v, "lat_frac", d) for v, d in zip(values, digits)
+    ]
+
+
+def test_codebook_survives_thread_contention():
+    rng = random.Random(5)
+    jobs = [
+        ("lon_frac", [rng.randrange(2000) for _ in range(300)], 4) for _ in range(8)
+    ]
+    cipher = CoordinateCipher(STD_KEY)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = _encrypt_concurrently(cipher, jobs)
+    finally:
+        sys.setswitchinterval(interval)
+    for (kind, values, d), got in zip(jobs, results):
+        assert got == [_scalar_component(v, kind, d) for v in values]
+    distinct = sorted({v for _, values, _ in jobs for v in values})
+    keys, _ = cipher._codebooks[("lon_frac", 4)]
+    assert keys.tolist() == distinct
+    assert cipher.encrypt_batch("lon_frac", distinct, 4).tolist() == [
+        _scalar_component(v, "lon_frac", 4) for v in distinct
+    ]
+
+
+def test_batch_domain_errors():
+    cipher = CoordinateCipher(STD_KEY)
+    with pytest.raises(DomainError):
+        cipher.encrypt_batch("altitude", [1])
+    with pytest.raises(DomainError):
+        cipher.encrypt_batch("lon_int", [-1])
+    with pytest.raises(DomainError):
+        cipher.encrypt_batch("lon_int", np.array([3, -1]))
+    with pytest.raises(DomainError):
+        cipher.encrypt_batch("lon_frac", [1, 100], 2)
+    with pytest.raises(DomainError):
+        cipher.encrypt_batch("lat_frac", [5], MAX_FRAC_DIGITS + 1)
+    with pytest.raises(DomainError):
+        cipher.encrypt_batch("lat_frac", [5, 5], [1, -1])

@@ -105,6 +105,63 @@ def test_encrypt_empty_dir(tmp_path, capsys, key_file):
     assert "encrypted 0 records" in out
 
 
+def _encrypt_decrypt(capsys, tmp_path, key_file, orig):
+    enc, dec, mp = tmp_path / "enc", tmp_path / "dec", tmp_path / "store.map"
+    enc_result = run(
+        capsys, "encrypt", "--input", str(orig), "--output", str(enc),
+        "--key", key_file, "--map", str(mp),
+    )
+    dec_result = run(
+        capsys, "decrypt", "--input", str(enc), "--output", str(dec),
+        "--key", key_file, "--map", str(mp),
+    )
+    return enc_result, dec_result, enc, dec
+
+
+def test_fraction_width_limit(tmp_path, capsys, key_file):
+    orig = tmp_path / "orig"
+    orig.mkdir()
+    wide19 = "1,t,116.1234567890123456789,39.9999999999999999999\n"
+    wide20 = "1,t,116.12345678901234567890,39.5\n"
+    plain = "1,t,116.5,39.9\n"
+    (orig / "1.txt").write_text(wide19 + wide20 + plain)
+
+    (enc_code, out, _), (dec_code, _, _), enc, dec = _encrypt_decrypt(
+        capsys, tmp_path, key_file, orig
+    )
+    assert enc_code == 0 and dec_code == 0
+    assert "encrypted 2 records" in out
+    reason = (enc / "1.txt.errors").read_text()
+    assert reason.startswith("2: parse error: lon fraction has 20 digits")
+    assert (dec / "1.txt").read_text() == wide19 + plain
+
+
+def test_unreadable_file_is_isolated(tmp_path, capsys, key_file):
+    orig = _synth(capsys, tmp_path)
+    (orig / "4.txt").write_bytes(b"4,t,116.5,39.9\n\xff\xfe\n")
+    total = sum(
+        len(p.read_text().splitlines()) for p in orig.glob("*.txt") if p.name != "4.txt"
+    )
+
+    (enc_code, out, err), (dec_code, _, _), enc, dec = _encrypt_decrypt(
+        capsys, tmp_path, key_file, orig
+    )
+    assert enc_code == 1
+    assert "4.txt" in err and "decode" in err
+    assert f"encrypted {total} records from 8 files" in out
+    assert not (enc / "4.txt").exists()
+    cids = sorted(
+        int(line.split(",", 1)[0])
+        for p in enc.glob("*.txt")
+        for line in p.read_text().splitlines()
+    )
+    assert cids == list(range(total))
+    assert dec_code == 0
+    for path in orig.glob("*.txt"):
+        if path.name != "4.txt":
+            assert (dec / path.name).read_bytes() == path.read_bytes()
+
+
 def test_decrypt_with_wrong_map_fails(tmp_path, capsys, key_file):
     orig = _synth(capsys, tmp_path)
     enc, mp = tmp_path / "enc", tmp_path / "store.map"
