@@ -20,7 +20,13 @@ import numpy as np
 
 from . import _rounds
 from .coords import MAX_FRAC_DIGITS, DecimalNumber
-from .ranges import fraction_constrain, mask_width, range_constrain, range_type
+from .ranges import (
+    INT_MASK_BITS,
+    fraction_constrain,
+    mask_width,
+    range_constrain,
+    range_type,
+)
 
 BACKEND = "numpy"
 
@@ -97,11 +103,11 @@ def decrypt_rounds(c: int, w: int, t: int, rk, n_rounds: int = DEFAULT_ROUNDS) -
     return _rounds.decrypt_rounds_raw(c, w, t & 0xFFFFFFFF, rk, n_rounds)
 
 
-def _check_batch(kind: str, values, digits) -> tuple[np.ndarray, np.ndarray]:
+def _check_batch(kind: str, values, digits) -> tuple[np.ndarray, np.ndarray | None]:
     """The domain checks of one batch of components.
 
-    Returns the values as uint64 and the digit counts (one for the batch or
-    one per value) as an array; integer parts get digit count 0.
+    Returns the values as uint64 and, for fraction parts, the per-value digit
+    counts as int64; integer parts ignore ``digits`` and get None.
     """
     if kind not in KINDS:
         raise DomainError(f"unknown component kind {kind!r}")
@@ -113,15 +119,21 @@ def _check_batch(kind: str, values, digits) -> tuple[np.ndarray, np.ndarray]:
     except OverflowError:
         raise DomainError("component value must be in [0, 2^64)") from None
     if is_int_part(kind):
-        return values, np.asarray(0)
-    digits = np.asarray(digits)
+        if (values >= 1 << INT_MASK_BITS).any():
+            raise DomainError(f"integer part must be below 2^{INT_MASK_BITS}")
+        return values, None
+    if digits is None:
+        raise DomainError("fraction parts need one digit count per value")
+    digits = np.asarray(digits, dtype=np.int64)
+    if digits.shape != values.shape:
+        raise DomainError("fraction parts need one digit count per value")
     if digits.size and not (0 <= digits.min() and digits.max() <= MAX_FRAC_DIGITS):
         raise DomainError(f"fraction digit count must be in [0, {MAX_FRAC_DIGITS}]")
     too_wide = values >= _POW10[digits]
     if too_wide.any():
         i = int(np.argmax(too_wide))
-        d = int(digits if digits.ndim == 0 else digits[i])
-        raise DomainError(f"fraction {int(values[i])} does not fit in {d} digits")
+        v, d = int(values[i]), int(digits[i])
+        raise DomainError(f"fraction {v} does not fit in {d} digits")
     return values, digits
 
 
@@ -162,7 +174,7 @@ def encrypt_component(
     The range type is taken from the plaintext value so a 3-digit longitude
     integer always encrypts to a 3-digit longitude integer.
     """
-    values, _ = _check_batch(kind, [value], d)
+    values, _ = _check_batch(kind, [value], [d])
     if n_rounds < 0:
         raise DomainError(f"round count must be >= 0, got {n_rounds}")
     t = compute_tweak(kind, str(value), key)
@@ -198,16 +210,15 @@ class CoordinateCipher:
     def tweak(self, kind: str, value_text: str) -> int:
         return _tweak(kind, value_text, self._key_hash)
 
-    def encrypt_batch(self, kind: str, values, digits=0) -> np.ndarray:
+    def encrypt_batch(self, kind: str, values, digits=None) -> np.ndarray:
         """Encrypt a batch of one kind's components.
 
-        ``digits`` is the fraction digit count of the whole batch or of each
-        value; integer parts ignore it.  Returns uint64 ciphertexts in input
-        order.
+        ``digits`` holds the fraction digit count of each value; integer
+        parts ignore it.  Returns uint64 ciphertexts in input order.
         """
         values, digits = _check_batch(kind, values, digits)
-        if digits.ndim == 0:
-            return self._encrypt_group(kind, int(digits), values)
+        if digits is None:
+            return self._encrypt_group(kind, 0, values)
         out = np.empty_like(values)
         for d in np.unique(digits).tolist():
             sel = digits == d
@@ -241,7 +252,7 @@ class CoordinateCipher:
             )
 
     def encrypt_component(self, value: int, kind: str, d: int = 0) -> int:
-        return int(self.encrypt_batch(kind, [value], d)[0])
+        return int(self.encrypt_batch(kind, [value], [d])[0])
 
     def encrypt_number(self, n: DecimalNumber, axis: str) -> DecimalNumber:
         """Encrypt one coordinate: sign passes through, parts independently."""

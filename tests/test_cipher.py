@@ -24,7 +24,13 @@ from geofpe.cipher import (
     shift_amount,
 )
 from geofpe.coords import MAX_FRAC_DIGITS, decompose
-from geofpe.ranges import fraction_constrain, mask_width, range_constrain, range_type
+from geofpe.ranges import (
+    INT_MASK_BITS,
+    fraction_constrain,
+    mask_width,
+    range_constrain,
+    range_type,
+)
 from geofpe.sm4 import derive_round_keys
 
 STD_KEY = bytes.fromhex("0123456789ABCDEFFEDCBA9876543210")
@@ -304,14 +310,16 @@ def test_batch_matches_scalar_component(batch):
     assert [encrypt_component(v, kind, d, STD_KEY, RK) for v in values] == expected
 
     cipher = CoordinateCipher(STD_KEY)
-    half = values[: len(values) // 2]
-    assert cipher.encrypt_batch(kind, half, d).tolist() == expected[: len(half)]
-    assert cipher.encrypt_batch(kind, values, d).tolist() == expected  # part warm
-    assert cipher.encrypt_batch(kind, values, d).tolist() == expected  # all warm
+    digits = [d] * len(values)
+    half = len(values) // 2
+    got = cipher.encrypt_batch(kind, values[:half], digits[:half]).tolist()
+    assert got == expected[:half]
+    assert cipher.encrypt_batch(kind, values, digits).tolist() == expected  # part warm
+    assert cipher.encrypt_batch(kind, values, digits).tolist() == expected  # all warm
     assert [cipher.encrypt_component(v, kind, d) for v in values] == expected
 
     fresh = CoordinateCipher(STD_KEY)
-    job = (kind, values, d)
+    job = (kind, values, digits)
     assert _encrypt_concurrently(fresh, [job, job]) == [expected, expected]
 
 
@@ -326,7 +334,8 @@ def test_batch_per_value_digits():
 def test_codebook_survives_thread_contention():
     rng = random.Random(5)
     jobs = [
-        ("lon_frac", [rng.randrange(2000) for _ in range(300)], 4) for _ in range(8)
+        ("lon_frac", [rng.randrange(2000) for _ in range(300)], [4] * 300)
+        for _ in range(8)
     ]
     cipher = CoordinateCipher(STD_KEY)
     interval = sys.getswitchinterval()
@@ -335,14 +344,13 @@ def test_codebook_survives_thread_contention():
         results = _encrypt_concurrently(cipher, jobs)
     finally:
         sys.setswitchinterval(interval)
-    for (kind, values, d), got in zip(jobs, results):
-        assert got == [_scalar_component(v, kind, d) for v in values]
+    for (kind, values, _), got in zip(jobs, results):
+        assert got == [_scalar_component(v, kind, 4) for v in values]
     distinct = sorted({v for _, values, _ in jobs for v in values})
     keys, _ = cipher._codebooks[("lon_frac", 4)]
     assert keys.tolist() == distinct
-    assert cipher.encrypt_batch("lon_frac", distinct, 4).tolist() == [
-        _scalar_component(v, "lon_frac", 4) for v in distinct
-    ]
+    got = cipher.encrypt_batch("lon_frac", distinct, [4] * len(distinct)).tolist()
+    assert got == [_scalar_component(v, "lon_frac", 4) for v in distinct]
 
 
 def test_batch_domain_errors():
@@ -354,8 +362,26 @@ def test_batch_domain_errors():
     with pytest.raises(DomainError):
         cipher.encrypt_batch("lon_int", np.array([3, -1]))
     with pytest.raises(DomainError):
-        cipher.encrypt_batch("lon_frac", [1, 100], 2)
+        cipher.encrypt_batch("lon_int", [1 << INT_MASK_BITS])
     with pytest.raises(DomainError):
-        cipher.encrypt_batch("lat_frac", [5], MAX_FRAC_DIGITS + 1)
+        cipher.encrypt_component(70000, "lon_int")
+    with pytest.raises(DomainError):
+        encrypt_component(70000, "lat_int", 0, STD_KEY, RK)
+    with pytest.raises(DomainError):
+        cipher.encrypt_batch("lon_frac", [1, 100], [2, 2])
+    with pytest.raises(DomainError):
+        cipher.encrypt_batch("lat_frac", [5], [MAX_FRAC_DIGITS + 1])
     with pytest.raises(DomainError):
         cipher.encrypt_batch("lat_frac", [5, 5], [1, -1])
+    with pytest.raises(DomainError):
+        cipher.encrypt_batch("lat_frac", [5, 5], [1])
+    with pytest.raises(DomainError):
+        cipher.encrypt_batch("lat_frac", [5])
+
+
+def test_empty_batches():
+    cipher = CoordinateCipher(STD_KEY)
+    for kind in ("lon_int", "lat_int"):
+        assert cipher.encrypt_batch(kind, []).tolist() == []
+    for kind in ("lon_frac", "lat_frac"):
+        assert cipher.encrypt_batch(kind, [], []).tolist() == []

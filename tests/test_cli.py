@@ -136,6 +136,26 @@ def test_fraction_width_limit(tmp_path, capsys, key_file):
     assert (dec / "1.txt").read_text() == wide19 + plain
 
 
+def test_files_without_accepted_records(tmp_path, capsys, key_file):
+    orig = tmp_path / "orig"
+    orig.mkdir()
+    (orig / "1.txt").write_text("garbage\n1,t,200.5,39.9\n")
+    (orig / "2.txt").write_text("")
+    (orig / "3.txt").write_text("\n\n")
+    plain = "4,t,116.5,39.9\n4,t,116.25,-39.125\n"
+    (orig / "4.txt").write_text(plain)
+
+    (enc_code, out, _), (dec_code, _, _), enc, dec = _encrypt_decrypt(
+        capsys, tmp_path, key_file, orig
+    )
+    assert enc_code == 0 and dec_code == 0
+    assert "encrypted 2 records from 4 files" in out
+    assert (enc / "1.txt").read_text() == ""
+    assert len((enc / "1.txt.errors").read_text().splitlines()) == 2
+    assert (enc / "2.txt").read_text() == ""
+    assert (dec / "4.txt").read_text() == plain
+
+
 def test_unreadable_file_is_isolated(tmp_path, capsys, key_file):
     orig = _synth(capsys, tmp_path)
     (orig / "4.txt").write_bytes(b"4,t,116.5,39.9\n\xff\xfe\n")
