@@ -1,8 +1,8 @@
 """Format-preserving encryption for geographic coordinates.
 
 Encrypts longitude/latitude text while keeping ciphertexts inside valid
-geographic ranges and preserving the decimal format; a composite-key mapping
-store makes the lossy range constraints exactly reversible.  The metrics
+geographic ranges and preserving the decimal format; a mapping store indexed
+by coordinate id makes the lossy range constraints exactly reversible.  The metrics
 subpackage reproduces the privacy evaluation protocols (RDR, DBSCAN hotspot
 disruption, decryption accuracy).
 """
@@ -28,7 +28,7 @@ from .coords import (
     recombine,
     validate_point,
 )
-from .mapstore import Ambiguous, IntegrityError, MapFormatError, MappingStore
+from .mapstore import Ambiguous, MapFormatError, MappingStore
 from .ranges import fraction_constrain, mask_width, range_constrain, range_type
 from .sm4 import derive_round_keys
 
@@ -43,7 +43,6 @@ __all__ = [
     "DecimalNumber",
     "DomainError",
     "GeoPoint",
-    "IntegrityError",
     "MapFormatError",
     "MappingStore",
     "ParseError",

@@ -146,6 +146,8 @@ def cmd_decrypt(args) -> int:
         f"({stats.record_errors} record errors, {stats.fuzzy_restored} fuzzy "
         f"fallbacks) in {elapsed:.2f}s"
     )
+    for failure in stats.failed_files:
+        print(f"error: failed file {failure}", file=sys.stderr)
     return 1 if stats.record_errors or stats.failed_files else 0
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-# Canonical decimal text: optional sign, integer part without leading zeros,
-# optional fraction.  No exponent notation.
-_DECIMAL_RE = re.compile(r"^[+-]?(0|[1-9][0-9]*)(\.[0-9]+)?$")
+# Canonical decimal text: optional minus sign, integer part without leading
+# zeros, optional fraction.  No plus sign (recombine could not restore it) and
+# no exponent notation.
+_DECIMAL_RE = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?")
 
 LON_MAX = 180
 LAT_MAX = 90
@@ -65,14 +66,15 @@ class GeoPoint:
 def decompose(text: str) -> DecimalNumber:
     """Split decimal text into (sign, int part, fraction value, digit count).
 
-    Accepts canonical decimal strings only (no exponent, no leading zeros on
-    the integer part, fraction digits present when a '.' is).  Raises
+    Accepts canonical decimal strings only (no plus sign, no exponent, no
+    leading zeros on the integer part, fraction digits present when a '.'
+    is), so recombine gives the input text back.  Raises
     ParseError naming the offending input otherwise.
     """
-    if not _DECIMAL_RE.match(text):
+    if not _DECIMAL_RE.fullmatch(text):
         raise ParseError(f"malformed decimal text: {text!r}")
     sign = -1 if text[0] == "-" else 1
-    body = text.lstrip("+-")
+    body = text.lstrip("-")
     if "." in body:
         int_text, frac_text = body.split(".", 1)
         return DecimalNumber(sign, int(int_text), int(frac_text), len(frac_text))

@@ -40,7 +40,6 @@ class TrajectoryRecord:
     vehicle_id: str
     timestamp: str  # passed through byte-exactly
     point: GeoPoint
-    coord_id: int | None = None
 
 
 def parse_line(text: str) -> TrajectoryRecord:
@@ -58,12 +57,6 @@ def parse_line(text: str) -> TrajectoryRecord:
                 f"more than {MAX_FRAC_DIGITS}"
             )
     return TrajectoryRecord(vid, timestamp, point)
-
-
-def clean(records) -> tuple[list, int]:
-    """Drop records with out-of-range coordinates; return (kept, drop count)."""
-    kept = [r for r in records if validate_point(r.point) is None]
-    return kept, len(records) - len(kept)
 
 
 @dataclass
@@ -233,31 +226,29 @@ def encrypt_dataset(
 
     Each file is parsed once and encrypted as a batch by a worker.  Results
     are taken in sorted-filename order, where coordinate ids are assigned
-    sequentially over the cleaned records, so the output is byte-identical
-    for any worker count.  A file that cannot be read or decoded is listed in
-    ``failed_files`` with its reason and gets no output or ids; the other
-    files are still encrypted.
+    sequentially over the cleaned records as the store's next rows, so the
+    output is byte-identical for any worker count.  A file that cannot be
+    read or decoded is listed in ``failed_files`` with its reason and gets
+    no output or ids; the other files are still encrypted.
     """
     input_dir, out_dir = Path(input_dir), Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = _dataset_files(input_dir)
     stats = EncryptStats(files=len(files))
 
-    offset = 0
     jobs = _run_indexed(lambda path: (path, _encrypt_file(path, cipher)), files, workers)
     for path, result in jobs:
         if isinstance(result, str):
             stats.failed_files.append(f"{path.name}: {result}")
             continue
-        ids = range(offset, offset + len(result.bodies))
+        start = store.entry_count("lon_int")
+        ids = range(start, start + len(result.bodies))
         for kind, enc, orig, digits in result.parts:
-            for cid, e, o, d in zip(ids, enc, orig, digits):
-                store.record(kind, cid, e, o, d)
+            store.append(kind, enc, orig, digits)
         out_path = out_dir / path.name
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.writelines(f"{cid},{body}\n" for cid, body in zip(ids, result.bodies))
         _write_sidecar(out_path, result.scan.errors)
-        offset += len(result.bodies)
         stats.records += len(result.bodies)
         stats.dropped += result.scan.dropped
         stats.parse_errors += result.scan.parse_errors
@@ -273,10 +264,12 @@ def decrypt_dataset(
 ) -> DecryptStats:
     """Restore original coordinate text from encrypted files via the store.
 
-    An exact composite-key lookup is tried first; on a miss, a fuzzy lookup
-    by encrypted value alone is accepted when unambiguous.  Records that
-    still cannot be resolved are reported in a per-file .errors sidecar; the
-    rest of the file is written regardless.
+    An exact lookup by coordinate id is tried first; on a miss, a fuzzy
+    lookup by encrypted value alone is accepted when unambiguous.  Records
+    that still cannot be resolved are reported in a per-file .errors
+    sidecar; the rest of the file is written regardless.  A file that cannot
+    be read or decoded is listed in ``failed_files`` with its reason and gets
+    no output; the other files are still decrypted.
     """
     enc_dir, out_dir = Path(enc_dir), Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -287,58 +280,66 @@ def decrypt_dataset(
         lines = []
         errors = []
         fuzzy_used = 0
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if line.strip() == "":
-                    continue
-                fields = line.rstrip("\r\n").split(",")
-                if len(fields) != 5:
-                    errors.append((line_no, f"expected 5 fields, got {len(fields)}"))
-                    continue
-                cid_text, vid, timestamp, enc_lon_text, enc_lat_text = fields
-                try:
-                    cid = int(cid_text)
-                    enc_lon = decompose(enc_lon_text)
-                    enc_lat = decompose(enc_lat_text)
-                except (ValueError, ParseError) as exc:
-                    errors.append((line_no, f"parse error: {exc}"))
-                    continue
-                parts = {}
-                failure = None
-                for kind, enc_value in (
-                    ("lon_int", enc_lon.int_part),
-                    ("lon_frac", enc_lon.frac_value),
-                    ("lat_int", enc_lat.int_part),
-                    ("lat_frac", enc_lat.frac_value),
-                ):
-                    orig = store.lookup_exact(kind, cid, enc_value)
-                    if orig is None:
-                        orig = store.lookup_fuzzy(kind, enc_value)
-                        if not isinstance(orig, int):
-                            failure = (
-                                f"no {kind} mapping for coord_id {cid} "
-                                f"(fuzzy: {'ambiguous' if orig else 'not found'})"
-                            )
-                            break
-                        fuzzy_used += 1
-                    parts[kind] = orig
-                if failure is not None:
-                    errors.append((line_no, failure))
-                    continue
-                lon = DecimalNumber(
-                    enc_lon.sign, parts["lon_int"], parts["lon_frac"], enc_lon.frac_digits
-                )
-                lat = DecimalNumber(
-                    enc_lat.sign, parts["lat_int"], parts["lat_frac"], enc_lat.frac_digits
-                )
-                lines.append(f"{vid},{timestamp},{recombine(lon)},{recombine(lat)}\n")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                source = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            return path, str(exc)
+        for line_no, line in enumerate(source, start=1):
+            if line.strip() == "":
+                continue
+            fields = line.rstrip("\r\n").split(",")
+            if len(fields) != 5:
+                errors.append((line_no, f"expected 5 fields, got {len(fields)}"))
+                continue
+            cid_text, vid, timestamp, enc_lon_text, enc_lat_text = fields
+            try:
+                cid = int(cid_text)
+                enc_lon = decompose(enc_lon_text)
+                enc_lat = decompose(enc_lat_text)
+            except (ValueError, ParseError) as exc:
+                errors.append((line_no, f"parse error: {exc}"))
+                continue
+            parts = {}
+            failure = None
+            for kind, enc_value in (
+                ("lon_int", enc_lon.int_part),
+                ("lon_frac", enc_lon.frac_value),
+                ("lat_int", enc_lat.int_part),
+                ("lat_frac", enc_lat.frac_value),
+            ):
+                orig = store.lookup_exact(kind, cid, enc_value)
+                if orig is None:
+                    orig = store.lookup_fuzzy(kind, enc_value)
+                    if not isinstance(orig, int):
+                        failure = (
+                            f"no {kind} mapping for coord_id {cid} "
+                            f"(fuzzy: {'ambiguous' if orig else 'not found'})"
+                        )
+                        break
+                    fuzzy_used += 1
+                parts[kind] = orig
+            if failure is not None:
+                errors.append((line_no, failure))
+                continue
+            lon = DecimalNumber(
+                enc_lon.sign, parts["lon_int"], parts["lon_frac"], enc_lon.frac_digits
+            )
+            lat = DecimalNumber(
+                enc_lat.sign, parts["lat_int"], parts["lat_frac"], enc_lat.frac_digits
+            )
+            lines.append(f"{vid},{timestamp},{recombine(lon)},{recombine(lat)}\n")
         out_path = out_dir / path.name
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
         _write_sidecar(out_path, errors)
-        return len(lines), errors, fuzzy_used
+        return path, (len(lines), errors, fuzzy_used)
 
-    for n_lines, errors, fuzzy_used in _run_indexed(decrypt_file, files, workers):
+    for path, result in _run_indexed(decrypt_file, files, workers):
+        if isinstance(result, str):
+            stats.failed_files.append(f"{path.name}: {result}")
+            continue
+        n_lines, errors, fuzzy_used = result
         stats.records += n_lines
         stats.record_errors += len(errors)
         stats.fuzzy_restored += fuzzy_used
@@ -445,70 +446,32 @@ def generate_synthetic(cfg: SynthConfig, out_dir) -> int:
 # Loaders for the evaluation harness
 
 
+def _plain_file_points(path: Path) -> list[tuple[float, float]]:
+    records = scan_file(path).records
+    return [(r.point.lon.to_float(), r.point.lat.to_float()) for r in records]
+
+
 def load_plain_points(input_dir) -> dict[str, list[tuple[float, float]]]:
     """Cleaned per-vehicle (lon, lat) floats in file order, keyed by file stem."""
-    out = {}
-    for path in _dataset_files(input_dir):
-        scan = scan_file(path)
-        out[path.stem] = [
-            (r.point.lon.to_float(), r.point.lat.to_float()) for r in scan.records
-        ]
-    return out
-
-
-def load_encrypted_points(enc_dir) -> dict[str, list[tuple[float, float]]]:
-    """Per-vehicle (lon, lat) floats from encrypted files, keyed by file stem."""
-    out = {}
-    for path in _dataset_files(enc_dir):
-        points = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip() == "":
-                    continue
-                fields = line.rstrip("\r\n").split(",")
-                if len(fields) != 5:
-                    raise ParseError(f"{path}: expected 5 fields, got {len(fields)}")
-                points.append((float(fields[3]), float(fields[4])))
-        out[path.stem] = points
-    return out
+    return {path.stem: _plain_file_points(path) for path in _dataset_files(input_dir)}
 
 
 def load_points_auto(input_dir) -> dict[str, list[tuple[float, float]]]:
     """Load a directory in either layout, detected per file by column count.
 
-    Five columns means an encrypted file (coordinate id first); four means
-    the plain layout, which gets the usual cleaning.  Lets the identity
-    checks point an eval at a plain tree.
+    Five columns means an encrypted file (coordinate id first), read as is;
+    four means the plain layout, which gets the usual cleaning.  Lets the
+    identity checks point an eval at a plain tree.
     """
-    input_dir = Path(input_dir)
     out = {}
     for path in _dataset_files(input_dir):
-        first = None
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    first = line
-                    break
-        if first is not None and len(first.rstrip("\r\n").split(",")) == 5:
-            out.update(load_encrypted_points_file(path))
-        else:
-            scan = scan_file(path)
-            out[path.stem] = [
-                (r.point.lon.to_float(), r.point.lat.to_float())
-                for r in scan.records
-            ]
-    return out
-
-
-def load_encrypted_points_file(path) -> dict[str, list[tuple[float, float]]]:
-    path = Path(path)
-    points = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip() == "":
-                continue
-            fields = line.rstrip("\r\n").split(",")
+            rows = [line.rstrip("\r\n").split(",") for line in fh if line.strip()]
+        if not rows or len(rows[0]) != 5:
+            out[path.stem] = _plain_file_points(path)
+            continue
+        for fields in rows:
             if len(fields) != 5:
                 raise ParseError(f"{path}: expected 5 fields, got {len(fields)}")
-            points.append((float(fields[3]), float(fields[4])))
-    return {path.stem: points}
+        out[path.stem] = [(float(fields[3]), float(fields[4])) for fields in rows]
+    return out

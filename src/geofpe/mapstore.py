@@ -1,10 +1,11 @@
-"""Composite-key mapping store: (coordinate id, encrypted value) -> original.
+"""Dense columnar mapping store: coordinate id -> (encrypted, original, digits).
 
 The range/fraction constraints are lossy, so decryption is driven by this
 store.  Four independent maps cover the longitude/latitude integer and
-fraction parts; collisions between different originals on the same encrypted
-value are expected, counted, and harmless thanks to the coordinate id in the
-key.
+fraction parts.  Coordinate ids are dense, ``0..N-1``, and every id has one
+entry per kind, so the id is the row of three columns.  Collisions between
+different originals on the same encrypted value are expected, counted, and
+harmless, because the exact lookup also checks the coordinate id.
 """
 
 from __future__ import annotations
@@ -13,22 +14,21 @@ import csv
 import struct
 import threading
 import zlib
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .cipher import KINDS
 
-FRESH = "fresh"
-CONFLICT = "conflict_detected"
-
 _MAGIC = b"GFPEMAP1"
-_REC = struct.Struct("<BQQQB")  # kind, coord_id, enc_value, orig_value, d
+# kind, coord_id, enc_value, orig_value, d: 26 bytes, little-endian, packed
+_RECORD = np.dtype(
+    [("kind", "u1"), ("coord_id", "<u8"), ("enc", "<u8"), ("orig", "<u8"), ("d", "u1")]
+)
 _COUNT = struct.Struct("<Q")
 _KIND_CODE = {kind: i for i, kind in enumerate(KINDS)}
-
-
-class IntegrityError(ValueError):
-    """A composite key was re-recorded with a contradictory original value."""
 
 
 class MapFormatError(ValueError):
@@ -42,51 +42,70 @@ class Ambiguous:
     candidates: int
 
 
-class MappingStore:
-    """Thread-safe store of the four composite-key maps plus conflict counters.
+def _view(col: array) -> np.ndarray:
+    """Zero-copy numpy view of an array column."""
+    return np.frombuffer(col, dtype=col.typecode)
 
-    The conflict counter of a kind counts insertions that attached a new
-    distinct original value to an encrypted value that already had one, which
-    makes counters (and the maps) independent of insertion order.
+
+def _distinct_pairs(enc_col: array, orig_col: array):
+    """The distinct (enc, orig) pairs of one kind, sorted by enc then orig,
+    with the kind's conflict count and conflict rate."""
+    enc, orig = _view(enc_col), _view(orig_col)
+    order = np.lexsort((orig, enc))
+    enc, orig = enc[order], orig[order]
+    new_enc = np.r_[True, enc[1:] != enc[:-1]][: enc.size]
+    new_pair = new_enc | np.r_[True, orig[1:] != orig[:-1]][: enc.size]
+    n_enc, n_pairs = int(new_enc.sum()), int(new_pair.sum())
+    run_sizes = np.diff(np.append(np.flatnonzero(new_enc[new_pair]), n_pairs))
+    rate = Fraction(int((run_sizes >= 2).sum()), n_enc) if n_enc else Fraction(0)
+    return enc[new_pair], orig[new_pair], n_pairs - n_enc, rate
+
+
+class MappingStore:
+    """Per kind, three columns indexed by coordinate id: ``array("Q")``
+    encrypted values, ``array("Q")`` original values and ``array("B")``
+    fraction digit counts.
+
+    ``append`` gives the next ids of a kind one entry each.  ``lookup_fuzzy``,
+    ``conflicts`` and ``conflict_rate`` derive from the distinct (enc, orig)
+    pairs of a kind, built lazily under the lock and dropped on ``append``.
+    The conflict count of a kind is the number of distinct originals beyond
+    the first over all encrypted values, so it does not depend on id order.
     """
 
     def __init__(self) -> None:
-        self._maps: dict[str, dict[tuple[int, int], tuple[int, int]]] = {
-            k: {} for k in KINDS
+        self._cols: dict[str, tuple[array, array, array]] = {
+            k: (array("Q"), array("Q"), array("B")) for k in KINDS
         }
-        self._index: dict[str, dict[int, set[int]]] = {k: {} for k in KINDS}
-        self._conflicts: dict[str, int] = {k: 0 for k in KINDS}
+        self._pairs: dict[str, tuple] = {}  # kind -> _distinct_pairs(...)
         self._lock = threading.Lock()
 
-    def record(
-        self, kind: str, coord_id: int, enc_value: int, orig_value: int, d: int = 0
-    ) -> str:
-        """Store one mapping; returns CONFLICT when enc_value already maps to
-        a different original under this kind.  Never interrupts the flow."""
-        key = (coord_id, enc_value)
+    def append(self, kind: str, enc, orig, d) -> None:
+        """Store one entry per position of the equal-length sequences enc,
+        orig and d under the next coordinate ids of ``kind``."""
+        new = (array("Q", enc), array("Q", orig), array("B", d))
+        if len({len(col) for col in new}) != 1:
+            raise ValueError(f"{kind}: column lengths differ: {[len(c) for c in new]}")
         with self._lock:
-            kmap = self._maps[kind]
-            existing = kmap.get(key)
-            if existing is not None:
-                if existing != (orig_value, d):
-                    raise IntegrityError(
-                        f"{kind} composite key {key} already maps to "
-                        f"{existing[0]} (d={existing[1]}), refusing "
-                        f"{orig_value} (d={d})"
-                    )
-                return FRESH
-            originals = self._index[kind].setdefault(enc_value, set())
-            conflict = bool(originals) and orig_value not in originals
-            kmap[key] = (orig_value, d)
-            originals.add(orig_value)
-            if conflict:
-                self._conflicts[kind] += 1
-                return CONFLICT
-            return FRESH
+            for col, values in zip(self._cols[kind], new):
+                col.extend(values)
+            self._pairs.pop(kind, None)
 
     def lookup_exact(self, kind: str, coord_id: int, enc_value: int) -> int | None:
-        entry = self._maps[kind].get((coord_id, enc_value))
-        return None if entry is None else entry[0]
+        enc_col, orig_col, _ = self._cols[kind]
+        if 0 <= coord_id < len(enc_col) and enc_col[coord_id] == enc_value:
+            return orig_col[coord_id]
+        return None
+
+    def _distinct(self, kind: str) -> tuple:
+        pairs = self._pairs.get(kind)
+        if pairs is None:
+            with self._lock:
+                pairs = self._pairs.get(kind)
+                if pairs is None:
+                    enc_col, orig_col, _ = self._cols[kind]
+                    pairs = self._pairs[kind] = _distinct_pairs(enc_col, orig_col)
+        return pairs
 
     def lookup_fuzzy(self, kind: str, enc_value: int) -> int | Ambiguous | None:
         """Fallback lookup by encrypted value alone.
@@ -95,50 +114,46 @@ class MappingStore:
         enc_value, an Ambiguous marker with the candidate count when several
         do, and None when the value is unknown.
         """
-        originals = self._index[kind].get(enc_value)
-        if not originals:
+        if not 0 <= enc_value < 1 << 64:
             return None
-        if len(originals) > 1:
-            return Ambiguous(len(originals))
-        return next(iter(originals))
+        enc, orig, _, _ = self._distinct(kind)
+        lo, hi = (int(np.searchsorted(enc, np.uint64(enc_value), side))
+                  for side in ("left", "right"))
+        if hi - lo > 1:
+            return Ambiguous(hi - lo)
+        return int(orig[lo]) if hi > lo else None
 
     def conflicts(self, kind: str) -> int:
-        return self._conflicts[kind]
+        return self._distinct(kind)[2]
 
     def conflict_rate(self, kind: str) -> Fraction:
         """Share of distinct encrypted values mapping to >= 2 originals."""
-        index = self._index[kind]
-        if not index:
-            return Fraction(0)
-        colliding = sum(1 for originals in index.values() if len(originals) >= 2)
-        return Fraction(colliding, len(index))
+        return self._distinct(kind)[3]
 
     def entry_count(self, kind: str) -> int:
-        return len(self._maps[kind])
-
-    def _sorted_entries(self, kind: str):
-        return sorted(
-            (coord_id, enc, orig, d)
-            for (coord_id, enc), (orig, d) in self._maps[kind].items()
-        )
+        return len(self._cols[kind][0])
 
     def save(self, path) -> None:
         """Write the store: magic, then per kind an entry count and fixed-width
-        records in canonical order, trailed by a CRC32."""
+        records in coordinate-id order, trailed by a CRC32."""
         buf = bytearray(_MAGIC)
         with self._lock:
             for kind in KINDS:
-                code = _KIND_CODE[kind]
-                entries = self._sorted_entries(kind)
-                buf += _COUNT.pack(len(entries))
-                for coord_id, enc, orig, d in entries:
-                    buf += _REC.pack(code, coord_id, enc, orig, d)
+                cols = [_view(col) for col in self._cols[kind]]
+                n = len(cols[0])
+                records = np.rec.fromarrays(
+                    [np.full(n, _KIND_CODE[kind]), np.arange(n), *cols], dtype=_RECORD
+                )
+                buf += _COUNT.pack(n)
+                buf += records.tobytes()
         buf += struct.pack("<I", zlib.crc32(buf))
         with open(path, "wb") as fh:
             fh.write(buf)
 
     @classmethod
     def load(cls, path) -> "MappingStore":
+        """Read a GFPEMAP1 map.  Each kind's ids must run ``0..count-1`` in
+        order, as ``save`` writes them."""
         with open(path, "rb") as fh:
             data = fh.read()
         if len(data) < len(_MAGIC) + 4:
@@ -148,42 +163,51 @@ class MappingStore:
                 f"{path}: bad magic {data[:8]!r}, expected {_MAGIC!r}"
             )
         (crc_stored,) = struct.unpack("<I", data[-4:])
-        if zlib.crc32(data[:-4]) != crc_stored:
+        if zlib.crc32(memoryview(data)[:-4]) != crc_stored:
             raise MapFormatError(f"{path}: checksum failure")
         store = cls()
         pos = len(_MAGIC)
-        body = data[:-4]
+        end = len(data) - 4
         for kind in KINDS:
-            if pos + _COUNT.size > len(body):
+            if pos + _COUNT.size > end:
                 raise MapFormatError(f"{path}: truncated map file")
-            (count,) = _COUNT.unpack_from(body, pos)
+            (count,) = _COUNT.unpack_from(data, pos)
             pos += _COUNT.size
-            code = _KIND_CODE[kind]
-            for _ in range(count):
-                if pos + _REC.size > len(body):
-                    raise MapFormatError(f"{path}: truncated map file")
-                rec_code, coord_id, enc, orig, d = _REC.unpack_from(body, pos)
-                pos += _REC.size
-                if rec_code != code:
-                    raise MapFormatError(
-                        f"{path}: record kind {rec_code} in {kind} section"
-                    )
-                store.record(kind, coord_id, enc, orig, d)
-        if pos != len(body):
-            raise MapFormatError(f"{path}: {len(body) - pos} trailing bytes")
+            if pos + count * _RECORD.itemsize > end:
+                raise MapFormatError(f"{path}: truncated map file")
+            records = np.frombuffer(data, dtype=_RECORD, count=count, offset=pos)
+            pos += count * _RECORD.itemsize
+            foreign = records["kind"] != _KIND_CODE[kind]
+            if foreign.any():
+                raise MapFormatError(
+                    f"{path}: record kind {records['kind'][foreign][0]} "
+                    f"in {kind} section"
+                )
+            if not np.array_equal(records["coord_id"], np.arange(count, dtype="u8")):
+                raise MapFormatError(
+                    f"{path}: {kind} coordinate ids are not 0..{count - 1} in order"
+                )
+            for col, field in zip(store._cols[kind], ("enc", "orig", "d")):
+                column = np.ascontiguousarray(records[field], col.typecode)
+                col.frombytes(column.view("B"))
+        if pos != end:
+            raise MapFormatError(f"{path}: {end - pos} trailing bytes")
         return store
 
     def export_csv(self, path) -> None:
-        """Diagnostic audit export, canonical order."""
+        """Diagnostic audit export, in coordinate-id order per kind."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["kind", "coord_id", "enc_value", "orig_value"])
             with self._lock:
                 for kind in KINDS:
-                    for coord_id, enc, orig, _d in self._sorted_entries(kind):
-                        writer.writerow([kind, coord_id, enc, orig])
+                    enc_col, orig_col, _ = self._cols[kind]
+                    writer.writerows(
+                        (kind, cid, enc, orig)
+                        for cid, (enc, orig) in enumerate(zip(enc_col, orig_col))
+                    )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MappingStore):
             return NotImplemented
-        return self._maps == other._maps and self._conflicts == other._conflicts
+        return self._cols == other._cols

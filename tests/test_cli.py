@@ -182,6 +182,43 @@ def test_unreadable_file_is_isolated(tmp_path, capsys, key_file):
             assert (dec / path.name).read_bytes() == path.read_bytes()
 
 
+def test_undecodable_encrypted_file_is_isolated(tmp_path, capsys, key_file):
+    orig = tmp_path / "orig"
+    orig.mkdir()
+    for i in (1, 2, 3):
+        (orig / f"{i}.txt").write_text(f"{i},t,116.5,39.9\n{i},t,116.25,-39.125\n")
+    (enc_code, _, _), _, enc, dec = _encrypt_decrypt(capsys, tmp_path, key_file, orig)
+    assert enc_code == 0
+    with open(enc / "2.txt", "ab") as fh:
+        fh.write(b"\xff\xfe")
+
+    code, out, err = run(
+        capsys, "decrypt", "--input", str(enc), "--output", str(tmp_path / "dec2"),
+        "--key", key_file, "--map", str(tmp_path / "store.map"),
+    )
+    assert code == 1
+    assert "decrypted 4 records from 3 files" in out
+    assert err.startswith("error: failed file 2.txt: ") and "decode" in err
+    assert not (tmp_path / "dec2" / "2.txt").exists()
+    for name in ("1.txt", "3.txt"):
+        assert (tmp_path / "dec2" / name).read_bytes() == (orig / name).read_bytes()
+
+
+def test_plus_sign_goes_to_the_sidecar(tmp_path, capsys, key_file):
+    orig = tmp_path / "orig"
+    orig.mkdir()
+    plain = "1,t,116.51172,39.92123\n"
+    (orig / "1.txt").write_text(plain + "1,t,+116.51172,39.92123\n" + plain)
+
+    (enc_code, out, _), (dec_code, _, _), enc, dec = _encrypt_decrypt(
+        capsys, tmp_path, key_file, orig
+    )
+    assert enc_code == 0 and dec_code == 0
+    assert "encrypted 2 records" in out
+    assert (enc / "1.txt.errors").read_text().startswith("2: parse error: malformed")
+    assert (dec / "1.txt").read_text() == plain + plain
+
+
 def test_decrypt_with_wrong_map_fails(tmp_path, capsys, key_file):
     orig = _synth(capsys, tmp_path)
     enc, mp = tmp_path / "enc", tmp_path / "store.map"

@@ -6,12 +6,11 @@ from geofpe.cipher import CoordinateCipher
 from geofpe.coords import ParseError, decompose
 from geofpe.dataset import (
     SynthConfig,
-    clean,
     decrypt_dataset,
     encrypt_dataset,
     generate_synthetic,
-    load_encrypted_points,
     load_plain_points,
+    load_points_auto,
     parse_line,
     scan_file,
     stratified_sample,
@@ -45,22 +44,33 @@ def test_parse_line_bad_decimal():
         parse_line("1,t,abc,39.9")
 
 
-def _records(*pairs):
-    return [parse_line(f"1,t,{lon},{lat}") for lon, lat in pairs]
+def test_scan_file_range_boundaries(tmp_path):
+    path = tmp_path / "1.txt"
+    path.write_text(
+        "1,t,-180,90\n"
+        "1,t,180.000,-90.0\n"
+        "1,t,181,0\n"
+        "1,t,180.00001,0\n"
+        "1,t,0,-90.5\n"
+    )
+    scan = scan_file(path)
+    assert [(r.point.lon, r.point.lat) for r in scan.records] == [
+        (decompose("-180"), decompose("90")),
+        (decompose("180.000"), decompose("-90.0")),
+    ]
+    assert scan.dropped == 3 and scan.parse_errors == 0
+    assert scan.errors == [
+        (3, "out of range: lon"),
+        (4, "out of range: lon"),
+        (5, "out of range: lat"),
+    ]
 
 
-def test_clean_drops_out_of_range():
-    kept, dropped = clean(_records(("116.5", "39.9"), ("181", "0")))
-    assert len(kept) == 1 and dropped == 1
-
-
-def test_clean_keeps_all_valid():
-    kept, dropped = clean(_records(("116.5", "39.9"), ("-180", "90")))
-    assert len(kept) == 2 and dropped == 0
-
-
-def test_clean_empty():
-    assert clean([]) == ([], 0)
+def test_scan_file_empty(tmp_path):
+    path = tmp_path / "1.txt"
+    path.write_text("")
+    scan = scan_file(path)
+    assert scan.records == [] and scan.errors == [] and scan.dropped == 0
 
 
 def test_scan_file_counts_reasons(tmp_path):
@@ -307,8 +317,90 @@ def test_parse_errors_produce_sidecar_not_failure(tmp_path):
     assert sidecar.exists() and "parse error" in sidecar.read_text()
 
 
-def test_load_encrypted_points_matches_written(tmp_path, synth_dir):
+def test_load_points_auto_reads_both_layouts(tmp_path, synth_dir):
     enc_dir, _, _, _, _ = _round_trip(tmp_path, synth_dir)
-    points = load_encrypted_points(enc_dir)
+    points = load_points_auto(enc_dir)
     assert set(points) == {p.stem for p in synth_dir.glob("*.txt")}
     assert all(len(v) == 200 for v in points.values())
+    first = sorted(enc_dir.glob("*.txt"))[0]
+    _cid, _vid, _ts, lon, lat = first.read_text().splitlines()[0].split(",")
+    assert points[first.stem][0] == (float(lon), float(lat))
+    assert load_points_auto(synth_dir) == load_plain_points(synth_dir)
+
+
+def test_load_points_auto_rejects_ragged_encrypted_file(tmp_path):
+    enc_dir = tmp_path / "enc"
+    enc_dir.mkdir()
+    (enc_dir / "1.txt").write_text("0,1,t,116.5,39.9\n1,1,t,116.6\n")
+    with pytest.raises(ParseError, match="expected 5 fields"):
+        load_points_auto(enc_dir)
+
+
+def test_parse_line_rejects_plus_sign(tmp_path):
+    with pytest.raises(ParseError):
+        parse_line("1,t,+116.51172,39.92123")
+    path = tmp_path / "1.txt"
+    path.write_text("1,t,116.5,39.9\n1,t,+116.5,39.9\n1,t,116.5,+39.9\n")
+    scan = scan_file(path)
+    assert len(scan.records) == 1 and scan.parse_errors == 2
+    assert [line_no for line_no, _ in scan.errors] == [2, 3]
+
+
+def test_decrypt_tampered_coord_ids_and_values(tmp_path):
+    # Every component maps enc 5 to two originals, so the fuzzy fallback is
+    # ambiguous and only a correct exact hit can restore a line.
+    store = MappingStore()
+    for kind in ("lon_int", "lat_int"):
+        store.append(kind, [5, 5], [116, 117], [0, 0])
+    for kind in ("lon_frac", "lat_frac"):
+        store.append(kind, [5, 5], [3, 4], [1, 1])
+    enc_dir = tmp_path / "enc"
+    enc_dir.mkdir()
+    (enc_dir / "1.txt").write_text(
+        "0,1,t,5.5,5.5\n"
+        "-1,1,t,5.5,5.5\n"
+        "2,1,t,5.5,5.5\n"
+        f"1,1,t,{2**64}.5,5.5\n"
+        "1,1,t,5.5,5.5\n"
+    )
+    stats = decrypt_dataset(enc_dir, tmp_path / "dec", store)
+    assert stats.records == 2 and stats.record_errors == 3
+    restored = (tmp_path / "dec" / "1.txt").read_text()
+    assert restored == "1,t,116.3,116.3\n1,t,117.4,117.4\n"
+    assert (tmp_path / "dec" / "1.txt.errors").read_text().splitlines() == [
+        "2: no lon_int mapping for coord_id -1 (fuzzy: ambiguous)",
+        "3: no lon_int mapping for coord_id 2 (fuzzy: ambiguous)",
+        "4: no lon_int mapping for coord_id 1 (fuzzy: not found)",
+    ]
+
+
+def test_decrypt_isolates_undecodable_file(tmp_path, synth_dir):
+    enc_dir, _, store, _, _ = _round_trip(tmp_path, synth_dir)
+    names = sorted(p.name for p in enc_dir.glob("*.txt"))
+    with open(enc_dir / names[1], "ab") as fh:
+        fh.write(b"\xff\xfe\n")
+    dec_dir = tmp_path / "dec_bad"
+    stats = decrypt_dataset(enc_dir, dec_dir, store, workers=2)
+    assert len(stats.failed_files) == 1
+    assert stats.failed_files[0].startswith(f"{names[1]}: ")
+    assert "decode" in stats.failed_files[0]
+    assert not (dec_dir / names[1]).exists()
+    for name in names[:1] + names[2:]:
+        assert (dec_dir / name).read_bytes() == (synth_dir / name).read_bytes()
+
+
+def test_second_encrypt_into_one_store_continues_the_ids(tmp_path):
+    store = MappingStore()
+    cipher = CoordinateCipher(KEY)
+    trees = {"a": "1,t,116.5,39.9\n1,t,116.25,-39.125\n", "b": "2,t,1.5,2.5\n"}
+    for name, text in trees.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "1.txt").write_text(text)
+        encrypt_dataset(tmp_path / name, tmp_path / f"{name}_enc", cipher, store)
+    assert (tmp_path / "b_enc" / "1.txt").read_text().startswith("2,")
+    assert store.entry_count("lat_frac") == 3
+    for name, text in trees.items():
+        dec = tmp_path / f"{name}_dec"
+        stats = decrypt_dataset(tmp_path / f"{name}_enc", dec, store)
+        assert stats.fuzzy_restored == 0
+        assert (dec / "1.txt").read_text() == text

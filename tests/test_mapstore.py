@@ -2,175 +2,311 @@
 
 import csv
 import random
+import struct
 import threading
+import zlib
 from fractions import Fraction
 
 import pytest
 
-from geofpe.mapstore import (
-    CONFLICT,
-    FRESH,
-    Ambiguous,
-    IntegrityError,
-    MapFormatError,
-    MappingStore,
-)
+from geofpe.cipher import KINDS
+from geofpe.mapstore import Ambiguous, MapFormatError, MappingStore
+
+
+def _append(store, kind, *entries):
+    """Append (enc, orig[, d]) entries to ``kind`` under its next ids."""
+    enc = [e[0] for e in entries]
+    orig = [e[1] for e in entries]
+    d = [e[2] if len(e) > 2 else 0 for e in entries]
+    store.append(kind, enc, orig, d)
 
 
 def test_record_fresh_then_conflict():
     store = MappingStore()
-    assert store.record("lon_int", 1, 143, 116) == FRESH
-    assert store.record("lon_int", 2, 143, 117) == CONFLICT
-    assert store.conflicts("lon_int") == 1
-
-
-def test_record_idempotent_reinsert():
-    store = MappingStore()
-    store.record("lon_int", 1, 143, 116)
-    store.record("lon_int", 2, 143, 117)
-    assert store.record("lon_int", 1, 143, 116) == FRESH
+    _append(store, "lon_int", (143, 116))
+    assert store.conflicts("lon_int") == 0
+    _append(store, "lon_int", (143, 117))
     assert store.conflicts("lon_int") == 1
 
 
 def test_record_same_original_is_not_a_conflict():
     store = MappingStore()
-    store.record("lat_int", 1, 39, 85)
-    assert store.record("lat_int", 2, 39, 85) == FRESH
+    _append(store, "lat_int", (39, 85), (39, 85))
     assert store.conflicts("lat_int") == 0
 
 
-def test_record_contradiction_is_integrity_error():
+def test_append_gives_the_next_ids():
     store = MappingStore()
-    store.record("lon_int", 1, 143, 116)
-    with pytest.raises(IntegrityError):
-        store.record("lon_int", 1, 143, 999)
+    _append(store, "lon_frac", (10, 20, 5), (11, 21, 5))
+    _append(store, "lon_frac", (12, 22, 5))
+    assert store.entry_count("lon_frac") == 3
+    assert store.entry_count("lat_frac") == 0
+    assert [store.lookup_exact("lon_frac", i, 10 + i) for i in range(3)] == [20, 21, 22]
+
+
+def test_append_rejects_unequal_lengths():
+    store = MappingStore()
+    with pytest.raises(ValueError, match="lengths"):
+        store.append("lon_int", [1, 2], [3], [0, 0])
+    assert store.entry_count("lon_int") == 0
 
 
 def test_lookup_exact_distinguishes_composite_keys():
     store = MappingStore()
-    store.record("lon_int", 1, 143, 116)
-    store.record("lon_int", 2, 143, 117)
-    assert store.lookup_exact("lon_int", 1, 143) == 116
-    assert store.lookup_exact("lon_int", 2, 143) == 117
+    _append(store, "lon_int", (143, 116), (143, 117))
+    assert store.lookup_exact("lon_int", 0, 143) == 116
+    assert store.lookup_exact("lon_int", 1, 143) == 117
+    assert store.lookup_exact("lon_int", 0, 144) is None
     assert store.lookup_exact("lon_int", 99, 143) is None
+
+
+def test_lookup_exact_ids_out_of_range():
+    store = MappingStore()
+    _append(store, "lon_int", (143, 116), (150, 117))
+    # -1 must not wrap round to the last row
+    assert store.lookup_exact("lon_int", -1, 150) is None
+    assert store.lookup_exact("lon_int", 2, 150) is None
+    assert store.lookup_exact("lon_int", 2**64, 150) is None
 
 
 def test_lookup_fuzzy():
     store = MappingStore()
-    store.record("lon_int", 1, 143, 116)
+    _append(store, "lon_int", (143, 116))
     assert store.lookup_fuzzy("lon_int", 143) == 116
-    store.record("lon_int", 2, 143, 117)
+    _append(store, "lon_int", (143, 117))
     assert store.lookup_fuzzy("lon_int", 143) == Ambiguous(2)
     assert store.lookup_fuzzy("lon_int", 999) is None
+    assert store.lookup_fuzzy("lon_int", -1) is None
+    assert store.lookup_fuzzy("lon_int", 2**64 + 143) is None
+    assert store.lookup_fuzzy("lat_int", 143) is None
+
+
+def test_lookup_fuzzy_full_u64_range():
+    store = MappingStore()
+    top = 2**64 - 1
+    _append(store, "lat_frac", (top, top, 19), (0, 1, 19))
+    assert store.lookup_fuzzy("lat_frac", top) == top
+    assert store.lookup_fuzzy("lat_frac", 0) == 1
+    assert store.lookup_exact("lat_frac", 0, top) == top
 
 
 def test_conflict_rate():
     store = MappingStore()
     assert store.conflict_rate("lon_int") == 0
-    store.record("lon_int", 1, 143, 116)
-    store.record("lon_int", 2, 143, 117)
-    store.record("lon_int", 3, 150, 118)
+    _append(store, "lon_int", (143, 116), (143, 117), (150, 118))
     assert store.conflict_rate("lon_int") == Fraction(1, 2)
     assert store.conflict_rate("lat_int") == 0
 
 
 def test_conflict_rate_all_unique():
     store = MappingStore()
-    for i in range(10):
-        store.record("lat_frac", i, 1000 + i, 2000 + i, 5)
+    _append(store, "lat_frac", *[(1000 + i, 2000 + i, 5) for i in range(10)])
     assert store.conflict_rate("lat_frac") == 0
 
 
-def _random_batch(n, seed):
+def _random_columns(n, seed):
+    """Per kind, n random (enc, orig, d) entries with many collisions."""
     rng = random.Random(seed)
-    batch = []
-    for cid in range(n):
-        kind = rng.choice(("lon_int", "lon_frac", "lat_int", "lat_frac"))
-        batch.append((kind, cid, rng.randrange(200), rng.randrange(50), 5))
-    return batch
+    return {
+        kind: [(rng.randrange(200), rng.randrange(50), 5) for _ in range(n)]
+        for kind in KINDS
+    }
+
+
+def _filled(columns):
+    store = MappingStore()
+    for kind, entries in columns.items():
+        _append(store, kind, *entries)
+    return store
+
+
+def test_conflicts_match_incremental_count():
+    # The count derived from the columns equals the number of entries that
+    # attached a new original to an encrypted value already seen.
+    columns = _random_columns(800, seed=13)
+    store = MappingStore()
+    for kind, entries in columns.items():
+        seen: dict[int, set[int]] = {}
+        expected = 0
+        for enc, orig, d in entries:
+            originals = seen.setdefault(enc, set())
+            expected += bool(originals) and orig not in originals
+            originals.add(orig)
+            _append(store, kind, (enc, orig, d))
+            assert store.conflicts(kind) == expected
 
 
 def test_order_independence():
-    batch = _random_batch(4000, seed=5)
+    columns = _random_columns(1000, seed=5)
     stores = []
     for perm_seed in (1, 2, 3):
-        shuffled = batch[:]
-        random.Random(perm_seed).shuffle(shuffled)
-        store = MappingStore()
-        for rec in shuffled:
-            store.record(*rec)
-        stores.append(store)
-    assert stores[0] == stores[1] == stores[2]
-    for kind in ("lon_int", "lon_frac", "lat_int", "lat_frac"):
-        assert stores[0].conflicts(kind) == stores[1].conflicts(kind)
+        shuffled = {}
+        for kind, entries in columns.items():
+            shuffled[kind] = entries[:]
+            random.Random(perm_seed).shuffle(shuffled[kind])
+        stores.append(_filled(shuffled))
+    for kind in KINDS:
+        assert len({s.conflicts(kind) for s in stores}) == 1
+        assert len({s.conflict_rate(kind) for s in stores}) == 1
+        assert len({s.lookup_fuzzy(kind, 7) for s in stores}) == 1
 
 
-def test_concurrent_record_matches_serial():
-    batch = _random_batch(8000, seed=9)
-    serial = MappingStore()
-    for rec in batch:
-        serial.record(*rec)
+def test_concurrent_lookups_match_serial():
+    columns = _random_columns(4000, seed=9)
+    serial = _filled(columns)
+    expected = {
+        kind: [serial.lookup_fuzzy(kind, enc) for enc in range(210)] for kind in KINDS
+    }
+    # eight threads race to build the same kinds' distinct pairs lazily
+    concurrent = _filled(columns)
+    results = {}
+    barrier = threading.Barrier(8)
 
-    concurrent = MappingStore()
-    chunks = [batch[i::8] for i in range(8)]
-    threads = [
-        threading.Thread(target=lambda c=c: [concurrent.record(*r) for r in c])
-        for c in chunks
-    ]
+    def work(i):
+        barrier.wait()
+        kind = KINDS[i % 4]
+        results[i] = [concurrent.lookup_fuzzy(kind, enc) for enc in range(210)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    assert concurrent == serial
-    for kind in ("lon_int", "lon_frac", "lat_int", "lat_frac"):
+    for i in range(8):
+        assert results[i] == expected[KINDS[i % 4]]
+    for kind in KINDS:
         assert concurrent.conflicts(kind) == serial.conflicts(kind)
 
 
-def test_counter_equals_conflict_returns():
+def test_append_refreshes_derived_stats():
     store = MappingStore()
-    returned = sum(
-        store.record(*rec) == CONFLICT for rec in _random_batch(3000, seed=13)
-    )
-    total = sum(store.conflicts(k) for k in ("lon_int", "lon_frac", "lat_int", "lat_frac"))
-    assert returned == total
+    _append(store, "lon_frac", (7, 1, 2))
+    assert store.lookup_fuzzy("lon_frac", 7) == 1
+    assert store.conflict_rate("lon_frac") == 0
+    _append(store, "lon_frac", (7, 2, 2))
+    assert store.lookup_fuzzy("lon_frac", 7) == Ambiguous(2)
+    assert store.conflicts("lon_frac") == 1
+    assert store.conflict_rate("lon_frac") == 1
 
 
-def test_conflict_rate_matches_brute_force_recount():
-    store = MappingStore()
-    for rec in _random_batch(3000, seed=21):
-        store.record(*rec)
-    for kind in ("lon_int", "lon_frac", "lat_int", "lat_frac"):
-        by_enc = {}
-        for (cid, enc), (orig, _d) in store._maps[kind].items():
-            by_enc.setdefault(enc, set()).add(orig)
-        if by_enc:
-            expected = Fraction(
-                sum(1 for s in by_enc.values() if len(s) >= 2), len(by_enc)
-            )
-        else:
-            expected = Fraction(0)
+def test_conflict_rate_matches_brute_force_recount(tmp_path):
+    store = _filled(_random_columns(3000, seed=21))
+    export = tmp_path / "audit.csv"
+    store.export_csv(export)
+    by_kind: dict[str, dict[int, set[int]]] = {k: {} for k in KINDS}
+    with open(export, newline="") as fh:
+        for kind, _cid, enc, orig in list(csv.reader(fh))[1:]:
+            by_kind[kind].setdefault(int(enc), set()).add(int(orig))
+    for kind in KINDS:
+        by_enc = by_kind[kind]
+        expected = Fraction(sum(1 for s in by_enc.values() if len(s) >= 2), len(by_enc))
         assert store.conflict_rate(kind) == expected
+        assert store.conflicts(kind) == sum(len(s) - 1 for s in by_enc.values())
 
 
 # ---------------------------------------------------------------------------
 # Persistence
 
 
+def _map_bytes(sections):
+    """A GFPEMAP1 file laid out by hand: per kind section a count, then
+    (kind, coord_id, enc, orig, d) records, then the CRC32."""
+    body = b"GFPEMAP1"
+    for records in sections:
+        body += struct.pack("<Q", len(records))
+        for record in records:
+            body += struct.pack("<BQQQB", *record)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+_GOLDEN = {
+    "lon_int": [(143, 116, 0), (143, 117, 0), (2, 2, 0)],
+    "lon_frac": [(51172, 92123, 5), (2**64 - 1, 10**19 - 1, 19), (0, 0, 0)],
+    "lat_int": [(39, 39, 0), (40, 39, 0), (0, 90, 0)],
+    "lat_frac": [(7, 3, 1), (7, 3, 1), (12, 1, 2)],
+}
+
+
+def _golden_bytes():
+    return _map_bytes(
+        [
+            [(code, cid, *entry) for cid, entry in enumerate(_GOLDEN[kind])]
+            for code, kind in enumerate(KINDS)
+        ]
+    )
+
+
+def test_save_matches_hand_built_golden_map(tmp_path):
+    store = _filled(_GOLDEN)
+    path = tmp_path / "store.map"
+    store.save(path)
+    assert path.read_bytes() == _golden_bytes()
+
+
+def test_load_reads_hand_built_golden_map(tmp_path):
+    path = tmp_path / "golden.map"
+    path.write_bytes(_golden_bytes())
+    loaded = MappingStore.load(path)
+    assert loaded == _filled(_GOLDEN)
+    assert loaded.lookup_exact("lon_frac", 1, 2**64 - 1) == 10**19 - 1
+    assert loaded.lookup_fuzzy("lon_int", 143) == Ambiguous(2)
+
+
+@pytest.mark.parametrize(
+    "ids", [[1, 2, 3], [0, 2, 3], [0, 1, 1], [1, 0, 2], [0, 1, 2**64 - 1]]
+)
+def test_load_rejects_non_dense_ids(tmp_path, ids):
+    sections = [[] for _ in KINDS]
+    sections[2] = [(2, cid, 5, 6, 0) for cid in ids]
+    path = tmp_path / "sparse.map"
+    path.write_bytes(_map_bytes(sections))
+    with pytest.raises(MapFormatError, match="lat_int coordinate ids are not 0..2"):
+        MappingStore.load(path)
+
+
+def test_load_rejects_foreign_kind_code(tmp_path):
+    sections = [[(code, 0, 5, 6, 0)] for code in range(4)]
+    sections[1] = [(1, 0, 5, 6, 0), (9, 1, 5, 6, 0)]
+    path = tmp_path / "foreign.map"
+    path.write_bytes(_map_bytes(sections))
+    with pytest.raises(MapFormatError, match="record kind 9 in lon_frac section"):
+        MappingStore.load(path)
+
+
+def test_load_rejects_trailing_bytes(tmp_path):
+    body = _golden_bytes()[:-4] + b"\0"
+    path = tmp_path / "trailing.map"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(MapFormatError, match="1 trailing bytes"):
+        MappingStore.load(path)
+
+
 def test_save_load_round_trip_large(tmp_path):
     store = MappingStore()
     rng = random.Random(31)
-    for cid in range(100_000):
-        kind = ("lon_int", "lon_frac", "lat_int", "lat_frac")[cid & 3]
-        store.record(kind, cid, rng.randrange(10**6), rng.randrange(10**6), 5)
+    for kind in KINDS:
+        n = 25_000
+        store.append(
+            kind,
+            [rng.randrange(10**6) for _ in range(n)],
+            [rng.randrange(10**6) for _ in range(n)],
+            [5] * n,
+        )
     path = tmp_path / "store.map"
     store.save(path)
-    assert MappingStore.load(path) == store
+    loaded = MappingStore.load(path)
+    assert loaded == store
+    for kind in KINDS:
+        assert loaded.conflicts(kind) == store.conflicts(kind)
+    loaded.save(tmp_path / "again.map")
+    assert (tmp_path / "again.map").read_bytes() == path.read_bytes()
 
 
 def test_save_load_empty(tmp_path):
     store = MappingStore()
     path = tmp_path / "empty.map"
     store.save(path)
+    assert path.read_bytes() == _map_bytes([[] for _ in KINDS])
     loaded = MappingStore.load(path)
     assert loaded == store
     assert loaded.conflict_rate("lon_int") == 0
@@ -179,7 +315,7 @@ def test_save_load_empty(tmp_path):
 @pytest.mark.parametrize("offset", [-1, -5])
 def test_load_detects_corruption(tmp_path, offset):
     store = MappingStore()
-    store.record("lon_int", 1, 143, 116)
+    _append(store, "lon_int", (143, 116))
     path = tmp_path / "store.map"
     store.save(path)
     data = bytearray(path.read_bytes())
@@ -191,11 +327,20 @@ def test_load_detects_corruption(tmp_path, offset):
 
 def test_load_detects_truncation(tmp_path):
     store = MappingStore()
-    store.record("lon_int", 1, 143, 116)
+    _append(store, "lon_int", (143, 116))
     path = tmp_path / "store.map"
     store.save(path)
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(MapFormatError):
+        MappingStore.load(path)
+
+
+def test_load_detects_truncated_section(tmp_path):
+    # a valid checksum over a section shorter than its count
+    body = _golden_bytes()[:-4 - 26]
+    path = tmp_path / "short.map"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(MapFormatError, match="truncated"):
         MappingStore.load(path)
 
 
@@ -207,12 +352,14 @@ def test_load_rejects_wrong_magic(tmp_path):
 
 
 def test_save_is_canonical_regardless_of_insert_order(tmp_path):
-    batch = _random_batch(500, seed=41)
-    a, b = MappingStore(), MappingStore()
-    for rec in batch:
-        a.record(*rec)
-    for rec in reversed(batch):
-        b.record(*rec)
+    # The kinds may be filled in any order and in any chunks.
+    columns = _random_columns(500, seed=41)
+    a = _filled(columns)
+    b = MappingStore()
+    for kind in reversed(KINDS):
+        entries = columns[kind]
+        for start in range(0, len(entries), 137):
+            _append(b, kind, *entries[start : start + 137])
     a.save(tmp_path / "a.map")
     b.save(tmp_path / "b.map")
     assert (tmp_path / "a.map").read_bytes() == (tmp_path / "b.map").read_bytes()
@@ -220,12 +367,15 @@ def test_save_is_canonical_regardless_of_insert_order(tmp_path):
 
 def test_export_csv(tmp_path):
     store = MappingStore()
-    store.record("lon_int", 1, 143, 116)
-    store.record("lat_frac", 2, 50, 99, 2)
+    _append(store, "lon_int", (143, 116), (150, 117))
+    _append(store, "lat_frac", (50, 99, 2))
     path = tmp_path / "audit.csv"
     store.export_csv(path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["kind", "coord_id", "enc_value", "orig_value"]
-    assert ["lon_int", "1", "143", "116"] in rows
-    assert ["lat_frac", "2", "50", "99"] in rows
+    assert rows == [
+        ["kind", "coord_id", "enc_value", "orig_value"],
+        ["lon_int", "0", "143", "116"],
+        ["lon_int", "1", "150", "117"],
+        ["lat_frac", "0", "50", "99"],
+    ]
