@@ -66,6 +66,20 @@ def test_scan_file_range_boundaries(tmp_path):
     ]
 
 
+def test_clean_drops_out_of_range(tmp_path):
+    path = tmp_path / "1.txt"
+    path.write_text("1,t,116.5,39.9\n1,t,181,0\n")
+    scan = scan_file(path)
+    assert len(scan.records) == 1 and scan.dropped == 1
+
+
+def test_clean_keeps_all_valid(tmp_path):
+    path = tmp_path / "1.txt"
+    path.write_text("1,t,116.5,39.9\n1,t,-180,90\n")
+    scan = scan_file(path)
+    assert len(scan.records) == 2 and scan.dropped == 0
+
+
 def test_scan_file_empty(tmp_path):
     path = tmp_path / "1.txt"
     path.write_text("")
