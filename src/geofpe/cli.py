@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 partial failure, 2 usage error.  All sampling and
 synthesis randomness flows from explicit --seed flags; report files are
-byte-identical across runs and worker counts.
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from pathlib import Path
 from .cipher import BACKEND, DEFAULT_ROUNDS, KINDS, CoordinateCipher
 from .dataset import (
     SynthConfig,
-    _run_indexed,
     decrypt_dataset,
     encrypt_dataset,
     generate_synthetic,
@@ -120,7 +119,7 @@ def cmd_encrypt(args) -> int:
     cipher = CoordinateCipher(key, n_rounds=args.rounds)
     store = MappingStore()
     started = time.perf_counter()
-    stats = encrypt_dataset(args.input, args.output, cipher, store, workers=args.workers)
+    stats = encrypt_dataset(args.input, args.output, cipher, store)
     store.save(args.map)
     elapsed = time.perf_counter() - started
     print(
@@ -139,7 +138,7 @@ def cmd_decrypt(args) -> int:
     load_key(args.key)  # decryption is map-driven; the key is validated only
     store = MappingStore.load(args.map)
     started = time.perf_counter()
-    stats = decrypt_dataset(args.input, args.output, store, workers=args.workers)
+    stats = decrypt_dataset(args.input, args.output, store)
     elapsed = time.perf_counter() - started
     print(
         f"decrypted {stats.records} records from {stats.files} files "
@@ -181,19 +180,15 @@ def _aligned_vehicles(orig, other, other_name: str) -> list[str]:
 def cmd_eval_rdr(args) -> int:
     orig = load_plain_points(args.orig)
     enc = load_points_auto(args.enc)
-    vids = _aligned_vehicles(orig, enc, "encrypted")
-
-    def one(vid: str):
+    per_trajectory = {}
+    skipped = {}
+    for vid in _aligned_vehicles(orig, enc, "encrypted"):
         try:
-            return vid, metrics.rdr_trajectory(
+            per_trajectory[vid] = metrics.rdr_trajectory(
                 orig[vid], enc[vid], n_samples=args.samples, seed=f"{args.seed}:{vid}"
-            ), None
+            )
         except ValueError as exc:
-            return vid, None, str(exc)
-
-    results = list(_run_indexed(one, vids, args.workers))
-    per_trajectory = {vid: value for vid, value, _ in results if value is not None}
-    skipped = {vid: reason for vid, _, reason in results if reason is not None}
+            skipped[vid] = str(exc)
     if not per_trajectory:
         print("error: no usable trajectories", file=sys.stderr)
         return 1
@@ -280,6 +275,8 @@ def cmd_eval_accuracy(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
+_WORKERS_HELP = "ignored; accepted for compatibility (the pipeline is single-threaded)"
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -301,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", required=True, help="key file (.key raw / .hex text)")
     p.add_argument("--map", required=True, help="mapping store output path")
     p.add_argument("--rounds", type=_positive_int, default=DEFAULT_ROUNDS)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
     p.set_defaults(func=cmd_encrypt)
 
     p = sub.add_parser("decrypt", help="decrypt an encrypted dataset")
@@ -309,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="decrypted output directory")
     p.add_argument("--key", required=True)
     p.add_argument("--map", required=True, help="mapping store path")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
     p.set_defaults(func=cmd_decrypt)
 
     p = sub.add_parser("synth", help="generate a synthetic trajectory dataset")
@@ -335,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out", required=True, help="report directory")
     e.add_argument("--samples", type=_positive_int, default=100)
     e.add_argument("--seed", default="0")
-    e.add_argument("--workers", type=_positive_int, default=1)
     e.set_defaults(func=cmd_eval_rdr)
 
     e = esub.add_parser("hotspots", help="DBSCAN hotspot disruption/recovery")

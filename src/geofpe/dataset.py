@@ -3,17 +3,15 @@
 Input files follow the taxi-trace convention "id,datetime,longitude,latitude",
 one file per vehicle named <vehicle_id>.txt.  Encrypted files prepend a
 coordinate id column; decrypted files restore the original four-column layout
-byte for byte.
+byte for byte.  Each accepted line keeps its own terminator ("\n", "\r\n" or
+none on a last line) through encryption and decryption.
 """
 
 from __future__ import annotations
 
 import datetime
-import itertools
 import logging
 import random
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,12 +38,15 @@ class TrajectoryRecord:
     vehicle_id: str
     timestamp: str  # passed through byte-exactly
     point: GeoPoint
+    line_end: str = "\n"  # terminator as read; "" on an unterminated last line
 
 
 def parse_line(text: str) -> TrajectoryRecord:
-    """Parse one "id,datetime,lon,lat" line; ParseError on malformed input,
-    including a fraction wider than MAX_FRAC_DIGITS digits."""
-    fields = text.rstrip("\r\n").split(",")
+    """Parse one "id,datetime,lon,lat" line and keep its terminator;
+    ParseError on malformed input, including a fraction wider than
+    MAX_FRAC_DIGITS digits."""
+    body = text.rstrip("\r\n")
+    fields = body.split(",")
     if len(fields) != 4:
         raise ParseError(f"expected 4 comma-separated fields, got {len(fields)}")
     vid, timestamp, lon_text, lat_text = fields
@@ -56,7 +57,7 @@ def parse_line(text: str) -> TrajectoryRecord:
                 f"{axis} fraction has {n.frac_digits} digits, "
                 f"more than {MAX_FRAC_DIGITS}"
             )
-    return TrajectoryRecord(vid, timestamp, point)
+    return TrajectoryRecord(vid, timestamp, point, text[len(body):])
 
 
 @dataclass
@@ -68,9 +69,10 @@ class FileScan:
 
 
 def scan_file(path: Path) -> FileScan:
-    """Parse and clean one trajectory file, keeping per-line error reasons."""
+    """Parse and clean one trajectory file, keeping per-line error reasons
+    and each accepted line's terminator."""
     scan = FileScan()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.strip() == "":
                 continue
@@ -151,23 +153,6 @@ def _dataset_files(input_dir: Path) -> list[Path]:
     )
 
 
-def _run_indexed(fn, jobs, workers: int):
-    """Yield fn(job) for each job, in job order, with at most ``workers`` jobs
-    in flight at once."""
-    if workers <= 1:
-        for job in jobs:
-            yield fn(job)
-        return
-    jobs = iter(jobs)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque(pool.submit(fn, job) for job in itertools.islice(jobs, workers))
-        while pending:
-            result = pending.popleft().result()
-            for job in itertools.islice(jobs, 1):  # refill the slot just freed
-                pending.append(pool.submit(fn, job))
-            yield result
-
-
 def _write_sidecar(out_path: Path, errors) -> None:
     if not errors:
         return
@@ -176,92 +161,66 @@ def _write_sidecar(out_path: Path, errors) -> None:
             fh.write(f"{line_no}: {reason}\n")
 
 
-@dataclass
-class _EncryptedFile:
-    """One file's ciphertext before coordinate ids are assigned."""
-
-    scan: FileScan
-    bodies: list[str]  # output lines without the coordinate id column
-    parts: list[tuple[str, list[int], list[int], list[int]]]  # kind, enc, orig, d
-    passthrough: int
-
-
-def _encrypt_file(path: Path, cipher: CoordinateCipher) -> _EncryptedFile | str:
-    """Parse and encrypt one file; the reason instead when it cannot be read
-    or decoded."""
-    try:
-        scan = scan_file(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        return str(exc)
-    n = len(scan.records)
-    bodies = [f"{rec.vehicle_id},{rec.timestamp}" for rec in scan.records]
-    parts = []
-    passthrough = 0
-    for axis in ("lon", "lat"):
-        nums = [getattr(rec.point, axis) for rec in scan.records]
-        ints = [num.int_part for num in nums]
-        fracs = [num.frac_value for num in nums]
-        digits = [num.frac_digits for num in nums]
-        enc_ints = cipher.encrypt_batch(f"{axis}_int", ints).tolist()
-        enc_fracs = cipher.encrypt_batch(f"{axis}_frac", fracs, digits).tolist()
-        parts.append((f"{axis}_int", enc_ints, ints, [0] * n))
-        parts.append((f"{axis}_frac", enc_fracs, fracs, digits))
-        passthrough += sum(
-            range_type(v, axis == "lon", True) == RT_PASSTHROUGH for v in ints
-        )
-        for i, num in enumerate(nums):
-            enc = DecimalNumber(num.sign, enc_ints[i], enc_fracs[i], num.frac_digits)
-            bodies[i] += f",{recombine(enc)}"
-    return _EncryptedFile(scan, bodies, parts, passthrough)
-
-
 def encrypt_dataset(
     input_dir,
     out_dir,
     cipher: CoordinateCipher,
     store: MappingStore,
-    workers: int = 1,
 ) -> EncryptStats:
     """Encrypt every trajectory file under input_dir into out_dir.
 
-    Each file is parsed once and encrypted as a batch by a worker.  Results
-    are taken in sorted-filename order, where coordinate ids are assigned
-    sequentially over the cleaned records as the store's next rows, so the
-    output is byte-identical for any worker count.  A file that cannot be
-    read or decoded is listed in ``failed_files`` with its reason and gets
-    no output or ids; the other files are still encrypted.
+    Files are taken in sorted-filename order.  Each is parsed once and its
+    components encrypted as batches; coordinate ids are assigned sequentially
+    over the cleaned records as the store's next rows.  A file that cannot be
+    read or decoded is listed in ``failed_files`` with its reason and gets no
+    output or ids; the other files are still encrypted.
     """
     input_dir, out_dir = Path(input_dir), Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = _dataset_files(input_dir)
     stats = EncryptStats(files=len(files))
 
-    jobs = _run_indexed(lambda path: (path, _encrypt_file(path, cipher)), files, workers)
-    for path, result in jobs:
-        if isinstance(result, str):
-            stats.failed_files.append(f"{path.name}: {result}")
+    for path in files:
+        try:
+            scan = scan_file(path)
+        except (OSError, UnicodeDecodeError) as exc:
+            stats.failed_files.append(f"{path.name}: {exc}")
             continue
+        records = scan.records
         start = store.entry_count("lon_int")
-        ids = range(start, start + len(result.bodies))
-        for kind, enc, orig, digits in result.parts:
-            store.append(kind, enc, orig, digits)
+        lines = [
+            f"{cid},{rec.vehicle_id},{rec.timestamp}"
+            for cid, rec in enumerate(records, start)
+        ]
+        parts = []
+        for axis in ("lon", "lat"):
+            nums = [getattr(rec.point, axis) for rec in records]
+            ints = [num.int_part for num in nums]
+            fracs = [num.frac_value for num in nums]
+            digits = [num.frac_digits for num in nums]
+            enc_ints = cipher.encrypt_batch(f"{axis}_int", ints).tolist()
+            enc_fracs = cipher.encrypt_batch(f"{axis}_frac", fracs, digits).tolist()
+            parts.append((f"{axis}_int", enc_ints, ints, [0] * len(records)))
+            parts.append((f"{axis}_frac", enc_fracs, fracs, digits))
+            stats.passthrough += sum(
+                range_type(v, axis == "lon", True) == RT_PASSTHROUGH for v in ints
+            )
+            for i, num in enumerate(nums):
+                enc = DecimalNumber(num.sign, enc_ints[i], enc_fracs[i], num.frac_digits)
+                lines[i] += f",{recombine(enc)}"
+        for part in parts:
+            store.append(*part)
         out_path = out_dir / path.name
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.writelines(f"{cid},{body}\n" for cid, body in zip(ids, result.bodies))
-        _write_sidecar(out_path, result.scan.errors)
-        stats.records += len(result.bodies)
-        stats.dropped += result.scan.dropped
-        stats.parse_errors += result.scan.parse_errors
-        stats.passthrough += result.passthrough
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(line + rec.line_end for line, rec in zip(lines, records))
+        _write_sidecar(out_path, scan.errors)
+        stats.records += len(records)
+        stats.dropped += scan.dropped
+        stats.parse_errors += scan.parse_errors
     return stats
 
 
-def decrypt_dataset(
-    enc_dir,
-    out_dir,
-    store: MappingStore,
-    workers: int = 1,
-) -> DecryptStats:
+def decrypt_dataset(enc_dir, out_dir, store: MappingStore) -> DecryptStats:
     """Restore original coordinate text from encrypted files via the store.
 
     An exact lookup by coordinate id is tried first; on a miss, a fuzzy
@@ -276,19 +235,20 @@ def decrypt_dataset(
     files = _dataset_files(enc_dir)
     stats = DecryptStats(files=len(files))
 
-    def decrypt_file(path: Path):
-        lines = []
-        errors = []
-        fuzzy_used = 0
+    for path in files:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8", newline="") as fh:
                 source = fh.readlines()
         except (OSError, UnicodeDecodeError) as exc:
-            return path, str(exc)
+            stats.failed_files.append(f"{path.name}: {exc}")
+            continue
+        lines = []
+        errors = []
         for line_no, line in enumerate(source, start=1):
             if line.strip() == "":
                 continue
-            fields = line.rstrip("\r\n").split(",")
+            body = line.rstrip("\r\n")
+            fields = body.split(",")
             if len(fields) != 5:
                 errors.append((line_no, f"expected 5 fields, got {len(fields)}"))
                 continue
@@ -317,7 +277,7 @@ def decrypt_dataset(
                             f"(fuzzy: {'ambiguous' if orig else 'not found'})"
                         )
                         break
-                    fuzzy_used += 1
+                    stats.fuzzy_restored += 1
                 parts[kind] = orig
             if failure is not None:
                 errors.append((line_no, failure))
@@ -328,21 +288,15 @@ def decrypt_dataset(
             lat = DecimalNumber(
                 enc_lat.sign, parts["lat_int"], parts["lat_frac"], enc_lat.frac_digits
             )
-            lines.append(f"{vid},{timestamp},{recombine(lon)},{recombine(lat)}\n")
+            lines.append(
+                f"{vid},{timestamp},{recombine(lon)},{recombine(lat)}{line[len(body):]}"
+            )
         out_path = out_dir / path.name
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(lines)
         _write_sidecar(out_path, errors)
-        return path, (len(lines), errors, fuzzy_used)
-
-    for path, result in _run_indexed(decrypt_file, files, workers):
-        if isinstance(result, str):
-            stats.failed_files.append(f"{path.name}: {result}")
-            continue
-        n_lines, errors, fuzzy_used = result
-        stats.records += n_lines
+        stats.records += len(lines)
         stats.record_errors += len(errors)
-        stats.fuzzy_restored += fuzzy_used
     return stats
 
 
@@ -459,19 +413,17 @@ def load_plain_points(input_dir) -> dict[str, list[tuple[float, float]]]:
 def load_points_auto(input_dir) -> dict[str, list[tuple[float, float]]]:
     """Load a directory in either layout, detected per file by column count.
 
-    Five columns means an encrypted file (coordinate id first), read as is;
-    four means the plain layout, which gets the usual cleaning.  Lets the
-    identity checks point an eval at a plain tree.
+    A file whose every non-blank line has five columns is an encrypted file
+    (coordinate id first), read as is; any other file is read in the plain
+    layout, which gets the usual cleaning.  Lets the identity checks point an
+    eval at a plain tree.
     """
     out = {}
     for path in _dataset_files(input_dir):
         with open(path, encoding="utf-8") as fh:
             rows = [line.rstrip("\r\n").split(",") for line in fh if line.strip()]
-        if not rows or len(rows[0]) != 5:
+        if rows and all(len(fields) == 5 for fields in rows):
+            out[path.stem] = [(float(fields[3]), float(fields[4])) for fields in rows]
+        else:
             out[path.stem] = _plain_file_points(path)
-            continue
-        for fields in rows:
-            if len(fields) != 5:
-                raise ParseError(f"{path}: expected 5 fields, got {len(fields)}")
-        out[path.stem] = [(float(fields[3]), float(fields[4])) for fields in rows]
     return out

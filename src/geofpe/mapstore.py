@@ -11,6 +11,7 @@ harmless, because the exact lookup also checks the coordinate id.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 import threading
 import zlib
@@ -135,7 +136,10 @@ class MappingStore:
 
     def save(self, path) -> None:
         """Write the store: magic, then per kind an entry count and fixed-width
-        records in coordinate-id order, trailed by a CRC32."""
+        records in coordinate-id order, trailed by a CRC32.
+
+        The bytes go to a sibling ``<path>.tmp`` that then replaces ``path``,
+        so a failed save leaves any earlier map at ``path`` untouched."""
         buf = bytearray(_MAGIC)
         with self._lock:
             for kind in KINDS:
@@ -147,8 +151,17 @@ class MappingStore:
                 buf += _COUNT.pack(n)
                 buf += records.tobytes()
         buf += struct.pack("<I", zlib.crc32(buf))
-        with open(path, "wb") as fh:
-            fh.write(buf)
+        tmp = f"{os.fspath(path)}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(buf)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "MappingStore":

@@ -46,7 +46,7 @@ def _report(n: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="session")
 def pipeline(tmp_path_factory):
-    """Synthesize, encrypt (1 worker) and decrypt the acceptance dataset."""
+    """Synthesize, encrypt and decrypt the acceptance dataset."""
     root = tmp_path_factory.mktemp("acceptance")
     dirs = {
         "orig": root / "orig",
@@ -65,11 +65,9 @@ def pipeline(tmp_path_factory):
     started = time.perf_counter()
     total = generate_synthetic(cfg, dirs["orig"])
     store = MappingStore()
-    enc_stats = encrypt_dataset(
-        dirs["orig"], dirs["enc"], CoordinateCipher(KEY), store, workers=1
-    )
+    enc_stats = encrypt_dataset(dirs["orig"], dirs["enc"], CoordinateCipher(KEY), store)
     store.save(dirs["map"])
-    dec_stats = decrypt_dataset(dirs["enc"], dirs["dec"], store, workers=1)
+    dec_stats = decrypt_dataset(dirs["enc"], dirs["dec"], store)
     elapsed = time.perf_counter() - started
     return {
         "dirs": dirs,
@@ -283,29 +281,33 @@ def test_criterion_8_conflict_accounting(tmp_path):
     )
 
 
-def test_criterion_9_concurrency_determinism(pipeline, tmp_path):
-    dirs = pipeline["dirs"]
-    enc8 = tmp_path / "enc8"
-    store8 = MappingStore()
-    encrypt_dataset(dirs["orig"], enc8, CoordinateCipher(KEY), store8, workers=8)
-    map8 = tmp_path / "store8.map"
-    store8.save(map8)
+def _tree_bytes(root):
+    return {path.name: path.read_bytes() for path in sorted(root.iterdir())}
 
-    files1 = sorted(dirs["enc"].glob("*.txt"))
-    files8 = sorted(enc8.glob("*.txt"))
-    assert [p.name for p in files1] == [p.name for p in files8]
-    byte_equal = all(
-        a.read_bytes() == b.read_bytes() for a, b in zip(files1, files8)
-    )
-    map_equal = dirs["map"].read_bytes() == map8.read_bytes()
-    counters_equal = all(
-        pipeline["store"].conflicts(k) == store8.conflicts(k) for k in KINDS
-    )
+
+def test_criterion_9_concurrency_determinism(pipeline, tmp_path):
+    # The pipeline runs on one thread; --workers is accepted and ignored.
+    dirs = pipeline["dirs"]
+    key = tmp_path / "k.key"
+    key.write_bytes(KEY)
+    outputs = {}
+    for workers in ("1", "8"):
+        enc, dec, map_path = (tmp_path / f"{name}{workers}" for name in ("enc", "dec", "map"))
+        for command, src, dst in (("encrypt", dirs["orig"], enc), ("decrypt", enc, dec)):
+            assert cli_main([
+                command, "--input", str(src), "--output", str(dst), "--key", str(key),
+                "--map", str(map_path), "--workers", workers,
+            ]) == 0
+        outputs[workers] = (_tree_bytes(enc), map_path.read_bytes(), _tree_bytes(dec))
+    enc1, map1, dec1 = outputs["1"]
     _report(
         9,
-        byte_equal and map_equal and counters_equal,
-        f"--workers 1 vs 8: {len(files1)} encrypted files byte-identical, "
-        "map stores byte-identical, conflict counters equal",
+        outputs["1"] == outputs["8"]
+        and enc1 == _tree_bytes(dirs["enc"])
+        and map1 == dirs["map"].read_bytes()
+        and dec1 == _tree_bytes(dirs["dec"]),
+        f"CLI --workers 1 vs 8: {len(enc1)} encrypted files, the map and "
+        f"{len(dec1)} decrypted files byte-identical, and equal to the library run",
     )
 
 

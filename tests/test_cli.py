@@ -325,6 +325,16 @@ def test_help_exits_cleanly(argv, capsys):
     assert "--" in capsys.readouterr().out or argv == ["keygen"]
 
 
+def test_workers_flag_only_on_encrypt_and_decrypt(tmp_path, capsys):
+    for command in ("encrypt", "decrypt"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "ignored" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "rdr", "--orig", "o", "--enc", "e", "--out", "r", "--workers", "2"])
+    assert exc.value.code == 2
+
+
 def test_misaligned_eval_inputs_fail(tmp_path, capsys, key_file):
     orig = _synth(capsys, tmp_path)
     other = _synth(capsys, tmp_path / "other", seed=99)

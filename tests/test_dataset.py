@@ -1,9 +1,15 @@
 """Dataset pipeline: parsing, cleaning, sampling, synthesis, round trips."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geofpe.cipher import CoordinateCipher
-from geofpe.coords import ParseError, decompose
+from geofpe.cli import main as cli_main
+from geofpe.coords import MAX_FRAC_DIGITS, ParseError, decompose
 from geofpe.dataset import (
     SynthConfig,
     decrypt_dataset,
@@ -218,14 +224,18 @@ def synth_dir(tmp_path):
     return out
 
 
-def _round_trip(tmp_path, orig_dir, workers=1):
-    enc_dir = tmp_path / f"enc{workers}"
-    dec_dir = tmp_path / f"dec{workers}"
+def _round_trip(tmp_path, orig_dir):
+    enc_dir = tmp_path / "enc"
+    dec_dir = tmp_path / "dec"
     cipher = CoordinateCipher(KEY)
     store = MappingStore()
-    enc_stats = encrypt_dataset(orig_dir, enc_dir, cipher, store, workers=workers)
-    dec_stats = decrypt_dataset(enc_dir, dec_dir, store, workers=workers)
+    enc_stats = encrypt_dataset(orig_dir, enc_dir, cipher, store)
+    dec_stats = decrypt_dataset(enc_dir, dec_dir, store)
     return enc_dir, dec_dir, store, enc_stats, dec_stats
+
+
+def _tree_bytes(root):
+    return {path.name: path.read_bytes() for path in sorted(root.iterdir())}
 
 
 def test_round_trip_byte_identical(tmp_path, synth_dir):
@@ -260,13 +270,20 @@ def test_encrypt_assigns_sequential_coord_ids(tmp_path, synth_dir):
 
 
 def test_worker_count_does_not_change_output(tmp_path, synth_dir):
-    enc1, dec1, store1, _, _ = _round_trip(tmp_path, synth_dir, workers=1)
-    enc8, dec8, store8, _, _ = _round_trip(tmp_path, synth_dir, workers=8)
-    for path in sorted(enc1.glob("*.txt")):
-        assert path.read_bytes() == (enc8 / path.name).read_bytes()
-    for path in sorted(dec1.glob("*.txt")):
-        assert path.read_bytes() == (dec8 / path.name).read_bytes()
-    assert store1 == store8
+    # --workers is accepted for compatibility and has no effect
+    key = tmp_path / "k.key"
+    key.write_bytes(KEY)
+    outputs = {}
+    for workers in ("1", "8"):
+        enc, dec, map_path = (tmp_path / f"{name}{workers}" for name in ("enc", "dec", "map"))
+        for command, src, dst in (("encrypt", synth_dir, enc), ("decrypt", enc, dec)):
+            assert cli_main([
+                command, "--input", str(src), "--output", str(dst), "--key", str(key),
+                "--map", str(map_path), "--workers", workers,
+            ]) == 0
+        outputs[workers] = (_tree_bytes(enc), _tree_bytes(dec), map_path.read_bytes())
+    assert outputs["1"] == outputs["8"]
+    assert outputs["1"][1] == _tree_bytes(synth_dir)
 
 
 def test_decrypt_reports_unknown_enc_values(tmp_path, synth_dir):
@@ -342,12 +359,15 @@ def test_load_points_auto_reads_both_layouts(tmp_path, synth_dir):
     assert load_points_auto(synth_dir) == load_plain_points(synth_dir)
 
 
-def test_load_points_auto_rejects_ragged_encrypted_file(tmp_path):
-    enc_dir = tmp_path / "enc"
-    enc_dir.mkdir()
-    (enc_dir / "1.txt").write_text("0,1,t,116.5,39.9\n1,1,t,116.6\n")
-    with pytest.raises(ParseError, match="expected 5 fields"):
-        load_points_auto(enc_dir)
+def test_load_points_auto_reads_ragged_file_as_plain(tmp_path):
+    # A file is read as encrypted only when every non-blank line has five
+    # fields; a stray 5-field line in a plain file is rejected by the cleaning.
+    tree = tmp_path / "p5"
+    tree.mkdir()
+    (tree / "1.txt").write_text("x,1,t,116.5,39.9\n1,t,116.5,39.9\n1,t,116.25,-39.125\n")
+    (tree / "2.txt").write_text("0,1,t,116.5,39.9\n1,1,t,116.6\n")
+    assert load_points_auto(tree) == load_plain_points(tree)
+    assert load_points_auto(tree)["1"] == [(116.5, 39.9), (116.25, -39.125)]
 
 
 def test_parse_line_rejects_plus_sign(tmp_path):
@@ -394,7 +414,7 @@ def test_decrypt_isolates_undecodable_file(tmp_path, synth_dir):
     with open(enc_dir / names[1], "ab") as fh:
         fh.write(b"\xff\xfe\n")
     dec_dir = tmp_path / "dec_bad"
-    stats = decrypt_dataset(enc_dir, dec_dir, store, workers=2)
+    stats = decrypt_dataset(enc_dir, dec_dir, store)
     assert len(stats.failed_files) == 1
     assert stats.failed_files[0].startswith(f"{names[1]}: ")
     assert "decode" in stats.failed_files[0]
@@ -418,3 +438,117 @@ def test_second_encrypt_into_one_store_continues_the_ids(tmp_path):
         stats = decrypt_dataset(tmp_path / f"{name}_enc", dec, store)
         assert stats.fuzzy_restored == 0
         assert (dec / "1.txt").read_text() == text
+
+
+def test_line_endings_round_trip(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    texts = {
+        "crlf.txt": "1,t,116.5,39.9\r\n1,t,-0.125,-39.0\r\n",
+        "no_final_newline.txt": "2,t,116.5,39.9\n2,t,116.25,-39.125",
+        "mixed.txt": "3,t,1.5,2.5\r\n3,t,181,0\r\n\r\n3,t,1.25,2.75\n3,t,1,2",
+    }
+    for name, text in texts.items():
+        (src / name).write_bytes(text.encode())
+    enc_dir, dec_dir, _, enc_stats, dec_stats = _round_trip(tmp_path, src)
+    assert enc_stats.records == dec_stats.records == 7
+    assert (enc_dir / "crlf.txt").read_bytes().count(b"\r\n") == 2
+    assert not (enc_dir / "no_final_newline.txt").read_bytes().endswith(b"\n")
+    assert (dec_dir / "crlf.txt").read_bytes() == texts["crlf.txt"].encode()
+    assert (dec_dir / "no_final_newline.txt").read_bytes() == (
+        texts["no_final_newline.txt"].encode()
+    )
+    assert (dec_dir / "mixed.txt").read_bytes() == b"3,t,1.5,2.5\r\n3,t,1.25,2.75\n3,t,1,2"
+
+
+# ---------------------------------------------------------------------------
+# Line grammar property
+
+# Vehicle ids and timestamps are passed through as text; anything but the
+# field separator and the line terminators is allowed.
+_FIELD = st.text(
+    st.characters(codec="utf-8", exclude_characters=",\r\n"), max_size=6
+)
+
+
+@st.composite
+def _coordinate(draw, bound):
+    """Canonical decimal text in [-bound, bound] with 0..MAX_FRAC_DIGITS digits."""
+    int_part = draw(st.integers(0, bound))
+    digits = draw(st.integers(0, MAX_FRAC_DIGITS))
+    frac = 0 if int_part == bound else draw(st.integers(0, 10**digits - 1))
+    text = draw(st.sampled_from(["", "-"])) + str(int_part)
+    return f"{text}.{frac:0{digits}d}" if digits else text
+
+
+@st.composite
+def _accepted_line(draw):
+    lon, lat = draw(_coordinate(180)), draw(_coordinate(90))
+    return f"{draw(_FIELD)},{draw(_FIELD)},{lon},{lat}", None
+
+
+@st.composite
+def _rejected_line(draw):
+    """A line the parser must refuse, with the reason its sidecar entry gives."""
+    vid, stamp = draw(_FIELD), draw(_FIELD)
+    lon, lat = draw(_coordinate(180)), draw(_coordinate(90))
+    kind = draw(st.sampled_from(["fields", "malformed", "wide", "lon", "lat"]))
+    if kind == "fields":
+        n = draw(st.sampled_from([2, 3, 5]))
+        return ",".join(draw(st.lists(_FIELD, min_size=n, max_size=n))), "parse error"
+    if kind == "malformed":
+        bad = draw(st.sampled_from(["+1.5", "1e5", "01.5", "1.", ".5", "", "1,5"]))
+        return f"{vid},{stamp},{bad},{lat}", "parse error"
+    if kind == "wide":
+        wide = "1." + "7" * draw(st.integers(MAX_FRAC_DIGITS + 1, MAX_FRAC_DIGITS + 6))
+        return f"{vid},{stamp},{lon},{wide}", "parse error"
+    if kind == "lon":
+        return f"{vid},{stamp},{draw(st.integers(181, 999))}.5,{lat}", "out of range: lon"
+    return f"{vid},{stamp},{lon},-{draw(st.integers(91, 999))}", "out of range: lat"
+
+
+_BLANK_LINE = st.tuples(st.sampled_from(["", " ", "\t "]), st.just(""))
+
+
+@st.composite
+def _trace_file(draw):
+    """(body, terminator, reason) per line: reason is None for an accepted
+    line, "" for a blank one (skipped, no sidecar entry), else the prefix of
+    its sidecar entry.  Only the last line may lack a terminator."""
+    lines = draw(st.lists(
+        st.one_of(_accepted_line(), _rejected_line(), _BLANK_LINE), max_size=12
+    ))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if ends:
+        ends[-1] = draw(st.sampled_from(["\n", "\r\n", ""]))
+    return [(body, end, reason) for (body, reason), end in zip(lines, ends)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_trace_file())
+def test_accepted_lines_round_trip_and_rejected_lines_are_reported(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "src").mkdir()
+        (root / "src" / "1.txt").write_bytes(
+            "".join(body + end for body, end, _ in lines).encode()
+        )
+        _, dec_dir, _, enc_stats, dec_stats = _round_trip(root, root / "src")
+        accepted = [body + end for body, end, reason in lines if reason is None]
+        rejected = {
+            line_no: reason
+            for line_no, (_, _, reason) in enumerate(lines, start=1)
+            if reason
+        }
+        assert enc_stats.failed_files == dec_stats.failed_files == []
+        assert dec_stats.record_errors == 0
+        assert (dec_dir / "1.txt").read_bytes() == "".join(accepted).encode()
+        sidecar = root / "enc" / "1.txt.errors"
+        reported = {}
+        if sidecar.exists():
+            for entry in sidecar.read_text(encoding="utf-8").split("\n")[:-1]:
+                line_no, _, reason = entry.partition(": ")
+                reported[int(line_no)] = reason
+        assert set(reported) == set(rejected)
+        for line_no, reason in rejected.items():
+            assert reported[line_no].startswith(reason)

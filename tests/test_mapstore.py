@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from geofpe.cipher import KINDS
+from geofpe import mapstore
 from geofpe.mapstore import Ambiguous, MapFormatError, MappingStore
 
 
@@ -300,6 +301,40 @@ def test_save_load_round_trip_large(tmp_path):
         assert loaded.conflicts(kind) == store.conflicts(kind)
     loaded.save(tmp_path / "again.map")
     assert (tmp_path / "again.map").read_bytes() == path.read_bytes()
+
+
+def test_failed_save_keeps_the_earlier_map(tmp_path, monkeypatch):
+    path = tmp_path / "store.map"
+    earlier = MappingStore()
+    _append(earlier, "lon_int", (143, 116))
+    earlier.save(path)
+    before = path.read_bytes()
+
+    class HalfWriter:
+        """A file that takes half of a write, then fails as a full disk would."""
+
+        def __init__(self, fh):
+            self._fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+        def write(self, data):
+            self._fh.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(
+        mapstore, "open", lambda *a, **kw: HalfWriter(open(*a, **kw)), raising=False
+    )
+    larger = MappingStore()
+    _append(larger, "lon_int", *[(i, i) for i in range(100)])
+    with pytest.raises(OSError, match="No space"):
+        larger.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["store.map"]
 
 
 def test_save_load_empty(tmp_path):
