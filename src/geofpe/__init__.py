@@ -13,12 +13,6 @@ from .cipher import (
     KINDS,
     CoordinateCipher,
     DomainError,
-    compute_tweak,
-    decrypt_rounds,
-    encrypt_component,
-    encrypt_rounds,
-    key_index,
-    shift_amount,
 )
 from .coords import (
     DecimalNumber,
@@ -46,19 +40,13 @@ __all__ = [
     "MapFormatError",
     "MappingStore",
     "ParseError",
-    "compute_tweak",
     "decompose",
-    "decrypt_rounds",
     "derive_round_keys",
-    "encrypt_component",
-    "encrypt_rounds",
     "fraction_constrain",
-    "key_index",
     "mask_width",
     "range_constrain",
     "range_type",
     "recombine",
-    "shift_amount",
     "validate_point",
     "__version__",
 ]

@@ -19,7 +19,7 @@ import threading
 import numpy as np
 
 from . import _rounds
-from .coords import MAX_FRAC_DIGITS, DecimalNumber
+from .coords import MAX_FRAC_DIGITS
 from .ranges import (
     INT_MASK_BITS,
     fraction_constrain,
@@ -53,54 +53,6 @@ def is_lon(kind: str) -> bool:
 
 def is_int_part(kind: str) -> bool:
     return kind.endswith("_int")
-
-
-def _tweak(kind: str, value_text: str, key_hash: bytes) -> int:
-    digest = hashlib.md5(
-        kind.encode("ascii") + b":" + value_text.encode("ascii") + key_hash
-    ).digest()
-    return int.from_bytes(digest[:4], "big")
-
-
-def compute_tweak(tag: str, value_text: str, key: bytes) -> int:
-    """32-bit tweak: leading four bytes (big-endian) of
-    MD5(tag ':' value_text MD5(key))."""
-    if tag not in KINDS:
-        raise DomainError(f"unknown component tag {tag!r}")
-    if not value_text or not value_text.isascii() or not value_text.isdigit():
-        raise DomainError(f"tweak value text must be ASCII digits, got {value_text!r}")
-    return _tweak(tag, value_text, hashlib.md5(check_key(key)).digest())
-
-
-def key_index(i: int, t: int) -> int:
-    """Round-key index for round i: the tweak's low 5 bits rotate the schedule."""
-    return (i + (t & 31)) & 31
-
-
-def shift_amount(i: int, t: int) -> int:
-    """Rotation amount in [1, 7] from the round number and the tweak's low 3 bits."""
-    return ((i ^ (t & 7)) % 7) + 1
-
-
-def _check_rounds_args(v: int, w: int, n_rounds: int) -> None:
-    if w < 1:
-        raise DomainError(f"mask width must be >= 1, got {w}")
-    if n_rounds < 0:
-        raise DomainError(f"round count must be >= 0, got {n_rounds}")
-    if not 0 <= v < (1 << w):
-        raise DomainError(f"value {v} outside [0, 2^{w})")
-
-
-def encrypt_rounds(v: int, w: int, t: int, rk, n_rounds: int = DEFAULT_ROUNDS) -> int:
-    """Bijective w-bit transform: tweak mix, then n_rounds of XOR + rotate."""
-    _check_rounds_args(v, w, n_rounds)
-    return _rounds.encrypt_rounds_raw(v, w, t & 0xFFFFFFFF, rk, n_rounds)
-
-
-def decrypt_rounds(c: int, w: int, t: int, rk, n_rounds: int = DEFAULT_ROUNDS) -> int:
-    """Exact inverse of encrypt_rounds on the pre-constraint domain."""
-    _check_rounds_args(c, w, n_rounds)
-    return _rounds.decrypt_rounds_raw(c, w, t & 0xFFFFFFFF, rk, n_rounds)
 
 
 def _check_batch(kind: str, values, digits) -> tuple[np.ndarray, np.ndarray | None]:
@@ -161,26 +113,6 @@ def _lookup(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return pos, keys[np.minimum(pos, len(keys) - 1)] == values
 
 
-def encrypt_component(
-    value: int,
-    kind: str,
-    d: int,
-    key: bytes,
-    rk,
-    n_rounds: int = DEFAULT_ROUNDS,
-) -> int:
-    """Encrypt one coordinate part, constrained to its plaintext digit class.
-
-    The range type is taken from the plaintext value so a 3-digit longitude
-    integer always encrypts to a 3-digit longitude integer.
-    """
-    values, _ = _check_batch(kind, [value], [d])
-    if n_rounds < 0:
-        raise DomainError(f"round count must be >= 0, got {n_rounds}")
-    t = compute_tweak(kind, str(value), key)
-    return int(_encrypt_distinct(kind, d, values, [t], rk, n_rounds)[0])
-
-
 class CoordinateCipher:
     """Master key, derived schedule and round count bound together, plus a
     codebook of the components encrypted so far.
@@ -208,7 +140,12 @@ class CoordinateCipher:
         self._merge_lock = threading.Lock()
 
     def tweak(self, kind: str, value_text: str) -> int:
-        return _tweak(kind, value_text, self._key_hash)
+        """32-bit tweak: leading four bytes (big-endian) of
+        MD5(kind ':' value_text MD5(key))."""
+        digest = hashlib.md5(
+            kind.encode("ascii") + b":" + value_text.encode("ascii") + self._key_hash
+        ).digest()
+        return int.from_bytes(digest[:4], "big")
 
     def encrypt_batch(self, kind: str, values, digits=None) -> np.ndarray:
         """Encrypt a batch of one kind's components.
@@ -250,12 +187,3 @@ class CoordinateCipher:
                 np.insert(keys, pos[fresh], new[fresh]),
                 np.insert(encs, pos[fresh], enc[fresh]),
             )
-
-    def encrypt_component(self, value: int, kind: str, d: int = 0) -> int:
-        return int(self.encrypt_batch(kind, [value], [d])[0])
-
-    def encrypt_number(self, n: DecimalNumber, axis: str) -> DecimalNumber:
-        """Encrypt one coordinate: sign passes through, parts independently."""
-        enc_int = self.encrypt_component(n.int_part, f"{axis}_int")
-        enc_frac = self.encrypt_component(n.frac_value, f"{axis}_frac", n.frac_digits)
-        return DecimalNumber(n.sign, enc_int, enc_frac, n.frac_digits)

@@ -124,9 +124,8 @@ def cmd_encrypt(args) -> int:
     elapsed = time.perf_counter() - started
     print(
         f"encrypted {stats.records} records from {stats.files} files "
-        f"({stats.dropped} dropped, {stats.parse_errors} parse errors, "
-        f"{stats.passthrough} passthrough components) in {elapsed:.2f}s "
-        f"[{BACKEND} core]"
+        f"({stats.dropped} dropped, {stats.parse_errors} parse errors) "
+        f"in {elapsed:.2f}s [{BACKEND} core]"
     )
     _print_store_summary(store)
     for failure in stats.failed_files:

@@ -26,7 +26,6 @@ from .coords import (
     validate_point,
 )
 from .mapstore import MappingStore
-from .ranges import RT_PASSTHROUGH, range_type
 
 log = logging.getLogger("geofpe.dataset")
 
@@ -68,6 +67,19 @@ class FileScan:
     dropped: int = 0
 
 
+def check_line(text: str) -> tuple[TrajectoryRecord | None, str]:
+    """Parse and range-check one non-blank line as encrypt does: the record of
+    an accepted line, or None and the reason for its sidecar entry."""
+    try:
+        rec = parse_line(text)
+    except ParseError as exc:
+        return None, f"parse error: {exc}"
+    axis = validate_point(rec.point)
+    if axis is not None:
+        return None, f"out of range: {axis}"
+    return rec, ""
+
+
 def scan_file(path: Path) -> FileScan:
     """Parse and clean one trajectory file, keeping per-line error reasons
     and each accepted line's terminator."""
@@ -76,18 +88,15 @@ def scan_file(path: Path) -> FileScan:
         for line_no, line in enumerate(fh, start=1):
             if line.strip() == "":
                 continue
-            try:
-                rec = parse_line(line)
-            except ParseError as exc:
-                scan.errors.append((line_no, f"parse error: {exc}"))
-                scan.parse_errors += 1
+            rec, reason = check_line(line)
+            if rec is not None:
+                scan.records.append(rec)
                 continue
-            axis = validate_point(rec.point)
-            if axis is not None:
-                scan.errors.append((line_no, f"out of range: {axis}"))
+            scan.errors.append((line_no, reason))
+            if reason.startswith("out of range"):
                 scan.dropped += 1
-                continue
-            scan.records.append(rec)
+            else:
+                scan.parse_errors += 1
     return scan
 
 
@@ -134,7 +143,6 @@ class EncryptStats:
     records: int = 0
     dropped: int = 0
     parse_errors: int = 0
-    passthrough: int = 0
     failed_files: list[str] = field(default_factory=list)
 
 
@@ -202,9 +210,6 @@ def encrypt_dataset(
             enc_fracs = cipher.encrypt_batch(f"{axis}_frac", fracs, digits).tolist()
             parts.append((f"{axis}_int", enc_ints, ints, [0] * len(records)))
             parts.append((f"{axis}_frac", enc_fracs, fracs, digits))
-            stats.passthrough += sum(
-                range_type(v, axis == "lon", True) == RT_PASSTHROUGH for v in ints
-            )
             for i, num in enumerate(nums):
                 enc = DecimalNumber(num.sign, enc_ints[i], enc_fracs[i], num.frac_digits)
                 lines[i] += f",{recombine(enc)}"

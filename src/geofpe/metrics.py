@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import check_line
+
 EARTH_RADIUS_KM = 6371.0
 
 NOISE = -1
@@ -126,12 +128,13 @@ def rdr_summary(values, bin_width: float = 0.02) -> dict:
 # DBSCAN hotspot clustering
 
 
-def dbscan(points, eps: float, min_pts: int, metric: str = "euclidean_degrees") -> list[int]:
+def dbscan(points, eps: float, min_pts: int) -> list[int]:
     """Density clustering; returns a label per point, NOISE (-1) for outliers.
 
-    A point is core iff it has >= min_pts neighbours within eps inclusive,
-    counting itself.  Scan order is input order, so labels are deterministic;
-    border points join the first cluster that reaches them.
+    A point is core iff it has >= min_pts neighbours within eps degrees
+    (Euclidean, inclusive), counting itself.  Scan order is input order, so
+    labels are deterministic; border points join the first cluster that
+    reaches them.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -141,27 +144,11 @@ def dbscan(points, eps: float, min_pts: int, metric: str = "euclidean_degrees") 
     n = len(pts)
     if n == 0:
         return []
-    if metric == "euclidean_degrees":
-        xs, ys = pts[:, 0], pts[:, 1]
-        eps2 = eps * eps
+    xs, ys = pts[:, 0], pts[:, 1]
+    eps2 = eps * eps
 
-        def region(idx: int) -> np.ndarray:
-            return np.flatnonzero((xs - xs[idx]) ** 2 + (ys - ys[idx]) ** 2 <= eps2)
-
-    elif metric == "haversine_km":
-        lam = np.radians(pts[:, 0])
-        phi = np.radians(pts[:, 1])
-
-        def region(idx: int) -> np.ndarray:
-            a = (
-                np.sin((phi - phi[idx]) / 2) ** 2
-                + np.cos(phi[idx]) * np.cos(phi) * np.sin((lam - lam[idx]) / 2) ** 2
-            )
-            d = 2 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(a)))
-            return np.flatnonzero(d <= eps)
-
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
+    def region(idx: int) -> np.ndarray:
+        return np.flatnonzero((xs - xs[idx]) ** 2 + (ys - ys[idx]) ** 2 <= eps2)
 
     labels = [_UNVISITED] * n
     cid = 0
@@ -287,22 +274,45 @@ def hotspot_analysis(
 # Decryption accuracy
 
 
-def _coordinate_texts(path: Path) -> list[tuple[str, str] | None]:
+def _rows(path: Path) -> list[tuple[str, tuple[str, str] | None]]:
+    """Each non-blank line of a file, if it exists, with its coordinate texts
+    (None unless the line has four fields)."""
     rows = []
+    if not path.is_file():
+        return rows
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if line.strip() == "":
                 continue
             fields = line.rstrip("\r\n").split(",")
-            rows.append((fields[2], fields[3]) if len(fields) == 4 else None)
+            rows.append((line, (fields[2], fields[3]) if len(fields) == 4 else None))
     return rows
+
+
+def _match(orig_rows, dec_rows) -> tuple[int, int]:
+    """(points, matched) of one original/decrypted file pair.
+
+    A decrypted file holds the original's accepted lines in order, so both
+    are walked together.  An original line whose coordinates differ from the
+    next decrypted line's is skipped if encrypt rejects it, and is a
+    mismatch otherwise; the parse runs only on those lines.
+    """
+    j = matched = 0
+    for line, coords in orig_rows:
+        if j < len(dec_rows) and coords is not None and coords == dec_rows[j][1]:
+            matched += 1
+        elif check_line(line)[0] is None:
+            continue
+        j += 1
+    return max(j, len(dec_rows)), matched
 
 
 def accuracy(orig_dir, dec_dir) -> dict:
     """Point-to-point exact text matching between original and decrypted files.
 
-    A point matches iff both coordinate texts are identical; files correspond
-    by name, and a missing counterpart counts as fully mismatched.
+    A point matches iff both coordinate texts are identical.  Points are the
+    original lines that encrypt accepts; files correspond by name, and a
+    missing counterpart counts as fully mismatched.
     """
     orig_dir, dec_dir = Path(orig_dir), Path(dec_dir)
     names = sorted(
@@ -312,30 +322,20 @@ def accuracy(orig_dir, dec_dir) -> dict:
     total = matched_total = fully_matched = 0
     for name in names:
         orig_path, dec_path = orig_dir / name, dec_dir / name
+        n, matched = _match(_rows(orig_path), _rows(dec_path))
+        total += n
         if not orig_path.is_file() or not dec_path.is_file():
-            present = orig_path if orig_path.is_file() else dec_path
-            count = len(_coordinate_texts(present))
             per_file.append(
-                {"file": name, "total": count, "matched": 0, "fmr": 0.0,
+                {"file": name, "total": n, "matched": 0, "fmr": 0.0,
                  "error": "missing counterpart file"}
             )
-            total += count
             continue
-        orig_rows = _coordinate_texts(orig_path)
-        dec_rows = _coordinate_texts(dec_path)
-        n = max(len(orig_rows), len(dec_rows))
-        matched = sum(
-            1
-            for o, d in zip(orig_rows, dec_rows)
-            if o is not None and o == d
-        )
         fmr = Fraction(matched, n) if n else Fraction(1)
         if fmr == 1:
             fully_matched += 1
         per_file.append(
             {"file": name, "total": n, "matched": matched, "fmr": float(fmr)}
         )
-        total += n
         matched_total += matched
     omr = Fraction(matched_total, total) if total else Fraction(1)
     return {

@@ -11,19 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geofpe import _rounds
-from geofpe.cipher import (
-    CoordinateCipher,
-    DomainError,
-    compute_tweak,
-    decrypt_rounds,
-    encrypt_component,
-    encrypt_rounds,
-    is_int_part,
-    is_lon,
-    key_index,
-    shift_amount,
-)
-from geofpe.coords import MAX_FRAC_DIGITS, decompose
+from geofpe._rounds import decrypt_rounds_raw, encrypt_rounds_raw
+from geofpe.cipher import CoordinateCipher, DomainError, is_int_part, is_lon
+from geofpe.coords import MAX_FRAC_DIGITS
 from geofpe.ranges import (
     INT_MASK_BITS,
     fraction_constrain,
@@ -36,6 +26,8 @@ from geofpe.sm4 import derive_round_keys
 STD_KEY = bytes.fromhex("0123456789ABCDEFFEDCBA9876543210")
 ZERO_KEY = bytes(16)
 RK = derive_round_keys(STD_KEY)
+ZERO_TWEAK = CoordinateCipher(ZERO_KEY).tweak
+STD_TWEAK = CoordinateCipher(STD_KEY).tweak
 
 
 # ---------------------------------------------------------------------------
@@ -45,46 +37,62 @@ RK = derive_round_keys(STD_KEY)
 def test_tweak_golden_value():
     # frozen from the reference MD5: first 4 bytes of
     # MD5(b"lon_int:116" + MD5(0^16)), big-endian
-    assert compute_tweak("lon_int", "116", ZERO_KEY) == 0x315E5B1E
+    assert ZERO_TWEAK("lon_int", "116") == 0x315E5B1E
 
 
 def test_tweak_matches_reference_construction():
     key_hash = hashlib.md5(ZERO_KEY).digest()
     digest = hashlib.md5(b"lat_frac:92123" + key_hash).digest()
-    assert compute_tweak("lat_frac", "92123", ZERO_KEY) == int.from_bytes(
+    assert ZERO_TWEAK("lat_frac", "92123") == int.from_bytes(
         digest[:4], "big"
     )
 
 
 def test_tweak_deterministic():
-    assert compute_tweak("lon_int", "116", STD_KEY) == compute_tweak(
-        "lon_int", "116", STD_KEY
-    )
+    assert STD_TWEAK("lon_int", "116") == CoordinateCipher(STD_KEY).tweak("lon_int", "116")
 
 
 def test_tweak_separates_tags():
-    assert compute_tweak("lat_int", "116", ZERO_KEY) == 0x33366D50
-    assert compute_tweak("lon_int", "116", ZERO_KEY) != compute_tweak(
-        "lat_int", "116", ZERO_KEY
-    )
-
-
-def test_tweak_rejects_bad_input():
-    with pytest.raises(DomainError):
-        compute_tweak("lon_int", "", STD_KEY)
-    with pytest.raises(DomainError):
-        compute_tweak("lon_int", "12a", STD_KEY)
-    with pytest.raises(DomainError):
-        compute_tweak("altitude", "12", STD_KEY)
+    assert ZERO_TWEAK("lat_int", "116") == 0x33366D50
+    assert ZERO_TWEAK("lon_int", "116") != ZERO_TWEAK("lat_int", "116")
 
 
 # ---------------------------------------------------------------------------
 # Key index and shift amount
 
 
+def _keys_used(t, n_rounds):
+    """Round-key indices the kernel reads in n_rounds rounds with tweak t.
+
+    Each key is XORed in at most once and the rounds are linear, so a key
+    shows in the output exactly when a round reads it.
+    """
+    base = encrypt_rounds_raw(0, 64, t, [0] * 32, n_rounds)
+    used = set()
+    for k in range(32):
+        one_hot = [0] * k + [1] + [0] * (31 - k)
+        if encrypt_rounds_raw(0, 64, t, one_hot, n_rounds) != base:
+            used.add(k)
+    return used
+
+
+def _round_key(i, t):
+    (k,) = _keys_used(t, i + 1) - _keys_used(t, i)
+    return k
+
+
+def _round_shift(i, t):
+    """Rotation of round i with tweak t: follow one set bit through zero round
+    keys at width 64."""
+    bits = [
+        encrypt_rounds_raw(t ^ 1, 64, t, [0] * 32, n).bit_length() - 1 for n in (i, i + 1)
+    ]
+    return (bits[1] - bits[0]) % 64
+
+
 def test_key_index_examples():
-    assert key_index(0, 0) == 0
-    assert key_index(3, 30) == 1  # (3 + 30) mod 32
+    assert _round_key(0, 0) == 0
+    assert _round_key(3, 30) == 1  # (3 + 30) mod 32
 
 
 def test_key_index_uses_low_five_bits():
@@ -92,16 +100,16 @@ def test_key_index_uses_low_five_bits():
     assert 0x12345678 & 31 == 0x18
     assert 0x87654321 & 31 == 0x01
     for i in range(8):
-        assert key_index(i, 0x12345678) != key_index(i, 0x87654321)
+        assert _round_key(i, 0x12345678) != _round_key(i, 0x87654321)
 
 
 def test_shift_amount_examples():
-    assert shift_amount(0, 0) == 1
-    assert shift_amount(6, 6) == 1  # (6 xor 6) mod 7 + 1
+    assert _round_shift(0, 0) == 1
+    assert _round_shift(6, 6) == 1  # (6 xor 6) mod 7 + 1
 
 
 def test_shift_amount_range_exhaustive():
-    assert {shift_amount(i, t) for i in range(64) for t in range(8)} == set(
+    assert {_round_shift(i, t) for i in range(64) for t in range(8)} == set(
         range(1, 8)
     )
 
@@ -114,27 +122,27 @@ def test_zero_rounds_is_tweak_mix():
     for w in (3, 8, 16):
         for v in (0, 1, (1 << w) - 1):
             t = 0xA5A5A5A5
-            assert encrypt_rounds(v, w, t, RK, 0) == (v ^ t) & ((1 << w) - 1)
-            assert decrypt_rounds(v, w, t, RK, 0) == (v ^ t) & ((1 << w) - 1)
+            assert encrypt_rounds_raw(v, w, t, RK, 0) == (v ^ t) & ((1 << w) - 1)
+            assert decrypt_rounds_raw(v, w, t, RK, 0) == (v ^ t) & ((1 << w) - 1)
 
 
 def test_bijective_at_width_8():
-    t = compute_tweak("lon_frac", "42", STD_KEY)
-    outputs = {encrypt_rounds(v, 8, t, RK, 8) for v in range(256)}
+    t = STD_TWEAK("lon_frac", "42")
+    outputs = {encrypt_rounds_raw(v, 8, t, RK, 8) for v in range(256)}
     assert len(outputs) == 256
 
 
 def test_inverse_exhaustive_width_8():
-    t = compute_tweak("lat_frac", "7", STD_KEY)
+    t = STD_TWEAK("lat_frac", "7")
     for v in range(256):
-        assert decrypt_rounds(encrypt_rounds(v, 8, t, RK, 8), 8, t, RK, 8) == v
+        assert decrypt_rounds_raw(encrypt_rounds_raw(v, 8, t, RK, 8), 8, t, RK, 8) == v
 
 
 def test_golden_round_trip_triple():
     # frozen after the first correct build: (v=12345, w=16, t=0xDEADBEEF,
     # key=standard SM4 test key, 8 rounds)
-    assert encrypt_rounds(12345, 16, 0xDEADBEEF, RK, 8) == 28716
-    assert decrypt_rounds(28716, 16, 0xDEADBEEF, RK, 8) == 12345
+    assert encrypt_rounds_raw(12345, 16, 0xDEADBEEF, RK, 8) == 28716
+    assert decrypt_rounds_raw(28716, 16, 0xDEADBEEF, RK, 8) == 12345
 
 
 @settings(max_examples=1000, deadline=None)
@@ -146,20 +154,9 @@ def test_golden_round_trip_triple():
 )
 def test_round_trip_property(w, v_raw, t, n_rounds):
     v = v_raw % (1 << w)
-    c = encrypt_rounds(v, w, t, RK, n_rounds)
+    c = encrypt_rounds_raw(v, w, t, RK, n_rounds)
     assert 0 <= c < (1 << w)
-    assert decrypt_rounds(c, w, t, RK, n_rounds) == v
-
-
-def test_domain_errors():
-    with pytest.raises(DomainError):
-        encrypt_rounds(256, 8, 0, RK, 8)
-    with pytest.raises(DomainError):
-        encrypt_rounds(-1, 8, 0, RK, 8)
-    with pytest.raises(DomainError):
-        decrypt_rounds(1 << 16, 16, 0, RK, 8)
-    with pytest.raises(DomainError):
-        encrypt_rounds(0, 0, 0, RK, 8)
+    assert decrypt_rounds_raw(c, w, t, RK, n_rounds) == v
 
 
 def test_permutation_all_widths():
@@ -168,9 +165,9 @@ def test_permutation_all_widths():
         t = rng.randrange(1 << 32)
         seen = set()
         for v in range(1 << w):
-            c = encrypt_rounds(v, w, t, RK, 8)
+            c = encrypt_rounds_raw(v, w, t, RK, 8)
             seen.add(c)
-            assert decrypt_rounds(c, w, t, RK, 8) == v
+            assert decrypt_rounds_raw(c, w, t, RK, 8) == v
         assert len(seen) == 1 << w
 
 
@@ -184,7 +181,7 @@ def test_batch_kernel_parity():
             np.array(values, dtype=np.uint64), widths, tweaks, RK, n_rounds
         )
         assert got.tolist() == [
-            _rounds.encrypt_rounds_raw(v, w, t, RK, n_rounds)
+            encrypt_rounds_raw(v, w, t, RK, n_rounds)
             for v, w, t in zip(values, widths, tweaks)
         ]
 
@@ -201,8 +198,8 @@ def test_tweak_avalanche_smoke():
         changed = sum(
             1
             for v in inputs
-            if encrypt_rounds(v, w, t0, RK, n_rounds)
-            != encrypt_rounds(v, w, t1, RK, n_rounds)
+            if encrypt_rounds_raw(v, w, t0, RK, n_rounds)
+            != encrypt_rounds_raw(v, w, t1, RK, n_rounds)
         )
         assert changed / len(inputs) >= 0.95, f"bit {bit}: {changed}/{len(inputs)}"
 
@@ -211,43 +208,36 @@ def test_tweak_avalanche_smoke():
 # Component encryption
 
 
+def _encrypt_one(value, kind, d=0, key=STD_KEY):
+    return CoordinateCipher(key).encrypt_batch(kind, [value], [d]).tolist()[0]
+
+
 def test_component_lon_int_stays_in_class():
-    out = encrypt_component(116, "lon_int", 0, STD_KEY, RK)
-    assert 100 <= out < 180
+    assert 100 <= _encrypt_one(116, "lon_int") < 180
 
 
 def test_component_lat_frac_stays_below_modulus():
-    out = encrypt_component(92123, "lat_frac", 5, STD_KEY, RK)
-    assert 0 <= out < 10**5
+    assert 0 <= _encrypt_one(92123, "lat_frac", 5) < 10**5
 
 
 def test_component_deterministic():
-    a = encrypt_component(42, "lon_frac", 2, STD_KEY, RK)
-    assert a == encrypt_component(42, "lon_frac", 2, STD_KEY, RK)
+    assert _encrypt_one(42, "lon_frac", 2) == _encrypt_one(42, "lon_frac", 2)
 
 
 def test_component_class_preservation_sweep():
     cipher = CoordinateCipher(STD_KEY)
-    for v, lo, hi in [(0, 0, 10), (9, 0, 10), (10, 10, 100), (99, 10, 100),
-                      (100, 100, 180), (179, 100, 180), (180, 100, 180)]:
-        assert lo <= cipher.encrypt_component(v, "lon_int") < hi
-    for v, lo, hi in [(0, 0, 10), (9, 0, 10), (10, 10, 90), (89, 10, 90),
-                      (90, 10, 90)]:
-        assert lo <= cipher.encrypt_component(v, "lat_int") < hi
+    lon = [(0, 0, 10), (9, 0, 10), (10, 10, 100), (99, 10, 100),
+           (100, 100, 180), (179, 100, 180), (180, 100, 180)]
+    lat = [(0, 0, 10), (9, 0, 10), (10, 10, 90), (89, 10, 90), (90, 10, 90)]
+    for kind, cases in (("lon_int", lon), ("lat_int", lat)):
+        enc = cipher.encrypt_batch(kind, [v for v, _, _ in cases]).tolist()
+        for c, (_, lo, hi) in zip(enc, cases):
+            assert lo <= c < hi
 
 
 def test_component_rejects_oversized_fraction():
     with pytest.raises(DomainError):
-        encrypt_component(100, "lon_frac", 2, STD_KEY, RK)
-
-
-def test_encrypt_number_preserves_sign_and_digits():
-    cipher = CoordinateCipher(STD_KEY)
-    n = decompose("-116.0350")
-    enc = cipher.encrypt_number(n, "lon")
-    assert enc.sign == -1
-    assert enc.frac_digits == 4
-    assert 100 <= enc.int_part < 180
+        _encrypt_one(100, "lon_frac", 2)
 
 
 def test_cipher_params_validation():
@@ -266,8 +256,8 @@ def _scalar_component(value, kind, d):
     range fold."""
     int_kind = is_int_part(kind)
     w = mask_width(value, int_kind, d)
-    t = compute_tweak(kind, str(value), STD_KEY)
-    c = _rounds.encrypt_rounds_raw(value & ((1 << w) - 1), w, t, RK, 8)
+    t = STD_TWEAK(kind, str(value))
+    c = encrypt_rounds_raw(value & ((1 << w) - 1), w, t, RK, 8)
     if int_kind:
         return range_constrain(c, range_type(value, is_lon(kind), True))
     return fraction_constrain(c, d)
@@ -307,7 +297,6 @@ def _encrypt_concurrently(cipher, jobs):
 def test_batch_matches_scalar_component(batch):
     kind, d, values = batch
     expected = [_scalar_component(v, kind, d) for v in values]
-    assert [encrypt_component(v, kind, d, STD_KEY, RK) for v in values] == expected
 
     cipher = CoordinateCipher(STD_KEY)
     digits = [d] * len(values)
@@ -316,7 +305,7 @@ def test_batch_matches_scalar_component(batch):
     assert got == expected[:half]
     assert cipher.encrypt_batch(kind, values, digits).tolist() == expected  # part warm
     assert cipher.encrypt_batch(kind, values, digits).tolist() == expected  # all warm
-    assert [cipher.encrypt_component(v, kind, d) for v in values] == expected
+    assert [cipher.encrypt_batch(kind, [v], [d]).tolist()[0] for v in values] == expected
 
     fresh = CoordinateCipher(STD_KEY)
     job = (kind, values, digits)
@@ -364,9 +353,7 @@ def test_batch_domain_errors():
     with pytest.raises(DomainError):
         cipher.encrypt_batch("lon_int", [1 << INT_MASK_BITS])
     with pytest.raises(DomainError):
-        cipher.encrypt_component(70000, "lon_int")
-    with pytest.raises(DomainError):
-        encrypt_component(70000, "lat_int", 0, STD_KEY, RK)
+        cipher.encrypt_batch("lat_int", [70000])
     with pytest.raises(DomainError):
         cipher.encrypt_batch("lon_frac", [1, 100], [2, 2])
     with pytest.raises(DomainError):

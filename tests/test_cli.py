@@ -156,6 +156,21 @@ def test_files_without_accepted_records(tmp_path, capsys, key_file):
     assert (dec / "4.txt").read_text() == plain
 
 
+def test_eval_accuracy_skips_rejected_lines(tmp_path, capsys, key_file):
+    orig = tmp_path / "orig"
+    orig.mkdir()
+    (orig / "1.txt").write_text(
+        "1,t,116.5,39.9\n1,t,bad,39.9\n1,t,116.25,-39.125\n1,t,-0.125,0.5\n"
+    )
+    _encrypt_decrypt(capsys, tmp_path, key_file, orig)
+    code, out, _ = run(
+        capsys, "eval", "accuracy", "--orig", str(orig), "--dec", str(tmp_path / "dec"),
+        "--out", str(tmp_path / "reports"),
+    )
+    assert code == 0
+    assert "OMR 100.00% (3/3 points, 1/1 files fully matched)" in out
+
+
 def test_unreadable_file_is_isolated(tmp_path, capsys, key_file):
     orig = _synth(capsys, tmp_path)
     (orig / "4.txt").write_bytes(b"4,t,116.5,39.9\n\xff\xfe\n")

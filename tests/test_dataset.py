@@ -22,7 +22,7 @@ from geofpe.dataset import (
     stratified_sample,
 )
 from geofpe.mapstore import MappingStore
-from geofpe.metrics import dbscan
+from geofpe.metrics import accuracy, dbscan
 
 KEY = bytes.fromhex("0123456789ABCDEFFEDCBA9876543210")
 
@@ -524,6 +524,12 @@ def _trace_file(draw):
     return [(body, end, reason) for (body, reason), end in zip(lines, ends)]
 
 
+def _layout(text):
+    """Sign, integer digit count and fraction digit count of decimal text."""
+    int_text, _, frac_text = text.lstrip("-").partition(".")
+    return text.startswith("-"), len(int_text), len(frac_text)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_trace_file())
 def test_accepted_lines_round_trip_and_rejected_lines_are_reported(lines):
@@ -543,6 +549,15 @@ def test_accepted_lines_round_trip_and_rejected_lines_are_reported(lines):
         assert enc_stats.failed_files == dec_stats.failed_files == []
         assert dec_stats.record_errors == 0
         assert (dec_dir / "1.txt").read_bytes() == "".join(accepted).encode()
+        assert accuracy(root / "src", dec_dir)["omr"] == 1.0
+        with open(root / "enc" / "1.txt", encoding="utf-8", newline="") as fh:
+            encrypted = [line.rstrip("\r\n") for line in fh]
+        assert len(encrypted) == len(accepted)
+        for plain, enc in zip(accepted, encrypted):
+            _, _, lon, lat = plain.rstrip("\r\n").split(",")
+            _, _, _, enc_lon, enc_lat = enc.split(",")
+            assert _layout(enc_lon) == _layout(lon)
+            assert _layout(enc_lat) == _layout(lat)
         sidecar = root / "enc" / "1.txt.errors"
         reported = {}
         if sidecar.exists():

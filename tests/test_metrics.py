@@ -216,20 +216,11 @@ def test_dbscan_matches_oracle_random_instances():
         )
 
 
-def test_dbscan_haversine_metric():
-    # 0.01 deg latitude is ~1.11 km; eps 2 km groups, eps 0.5 km does not
-    points = [(116.0, 39.0), (116.0, 39.01), (116.0, 39.02)]
-    assert dbscan(points, eps=2.0, min_pts=2, metric="haversine_km") == [0, 0, 0]
-    assert dbscan(points, eps=0.5, min_pts=2, metric="haversine_km") == [-1, -1, -1]
-
-
 def test_dbscan_parameter_validation():
     with pytest.raises(ValueError):
         dbscan([(0, 0)], eps=0.0, min_pts=1)
     with pytest.raises(ValueError):
         dbscan([(0, 0)], eps=1.0, min_pts=0)
-    with pytest.raises(ValueError):
-        dbscan([(0, 0)], eps=1.0, min_pts=1, metric="chebyshev")
 
 
 def test_cluster_centroids():
@@ -327,6 +318,19 @@ def test_accuracy_missing_counterpart(tmp_path):
     assert report["matched_points"] == 4
     missing = [f for f in report["per_file"] if f.get("error")]
     assert len(missing) == 1 and missing[0]["file"] == "2.txt"
+
+
+def test_accuracy_skips_rejected_original_lines(tmp_path):
+    _write(tmp_path / "orig", "1.txt", [
+        "1,t,116.5,39.9\n", "1,t,bad,39.9\n", "1,t,181.5,0.5\n", "1,t\n",
+        "1,t,116.25,-39.125\n", "1,t,1.5,2.5\n",
+    ])
+    _write(tmp_path / "dec", "1.txt", [
+        "1,t,116.5,39.9\n", "1,t,116.25,-39.125\n", "1,t,1.5,2.6\n",
+    ])
+    report = accuracy(tmp_path / "orig", tmp_path / "dec")
+    assert report["total_points"] == 3
+    assert report["matched_points"] == 2
 
 
 def test_accuracy_omr_is_point_weighted_fmr_mean(tmp_path):
