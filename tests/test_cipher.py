@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from geofpe import _rounds
 from geofpe._rounds import decrypt_rounds_raw, encrypt_rounds_raw
 from geofpe.cipher import CoordinateCipher, DomainError, is_int_part, is_lon
-from geofpe.coords import MAX_FRAC_DIGITS
+from geofpe.coords import MAX_FRAC_DIGITS, DecimalNumber, decompose, recombine
 from geofpe.ranges import (
     INT_MASK_BITS,
     fraction_constrain,
@@ -238,6 +238,19 @@ def test_component_class_preservation_sweep():
 def test_component_rejects_oversized_fraction():
     with pytest.raises(DomainError):
         _encrypt_one(100, "lon_frac", 2)
+
+
+def test_encrypt_number_preserves_sign_and_digits():
+    # a whole number is encrypted as encrypt_dataset does it: the integer
+    # and fraction parts as components, the sign and digit count carried over
+    cipher = CoordinateCipher(STD_KEY)
+    n = decompose("-116.0350")
+    enc_int = cipher.encrypt_batch("lon_int", [n.int_part]).tolist()[0]
+    enc_frac = cipher.encrypt_batch("lon_frac", [n.frac_value], [n.frac_digits]).tolist()[0]
+    enc = decompose(recombine(DecimalNumber(n.sign, enc_int, enc_frac, n.frac_digits)))
+    assert enc.sign == -1
+    assert enc.frac_digits == 4
+    assert 100 <= enc.int_part < 180
 
 
 def test_cipher_params_validation():
