@@ -176,11 +176,23 @@ def _aligned_vehicles(orig, other, other_name: str) -> list[str]:
     return sorted(orig)
 
 
+def _load_tree(loader, path, name: str):
+    started = time.perf_counter()
+    points = loader(path)
+    log.debug(
+        "load %s %s: %d points in %d files in %.3fs",
+        name, path, sum(len(v) for v in points.values()), len(points),
+        time.perf_counter() - started,
+    )
+    return points
+
+
 def cmd_eval_rdr(args) -> int:
-    orig = load_plain_points(args.orig)
-    enc = load_points_auto(args.enc)
+    orig = _load_tree(load_plain_points, args.orig, "original")
+    enc = _load_tree(load_points_auto, args.enc, "encrypted")
     per_trajectory = {}
     skipped = {}
+    started = time.perf_counter()
     for vid in _aligned_vehicles(orig, enc, "encrypted"):
         try:
             per_trajectory[vid] = metrics.rdr_trajectory(
@@ -188,6 +200,10 @@ def cmd_eval_rdr(args) -> int:
             )
         except ValueError as exc:
             skipped[vid] = str(exc)
+    log.debug(
+        "rdr: %d trajectories (%d skipped) in %.3fs",
+        len(per_trajectory), len(skipped), time.perf_counter() - started,
+    )
     if not per_trajectory:
         print("error: no usable trajectories", file=sys.stderr)
         return 1
@@ -221,18 +237,23 @@ def cmd_eval_rdr(args) -> int:
 
 
 def cmd_eval_hotspots(args) -> int:
-    orig = load_plain_points(args.orig)
-    enc = load_points_auto(args.enc)
-    dec = load_plain_points(args.dec)
+    orig = _load_tree(load_plain_points, args.orig, "original")
+    enc = _load_tree(load_points_auto, args.enc, "encrypted")
+    dec = _load_tree(load_plain_points, args.dec, "decrypted")
     _aligned_vehicles(orig, enc, "encrypted")
     _aligned_vehicles(orig, dec, "decrypted")
 
+    started = time.perf_counter()
     population = sum(len(v) for v in orig.values())
     n_sample = args.sample_size or min(5000, population)
     sample = stratified_sample(orig, n_sample, args.seed)
     orig_pts = [orig[vid][i] for vid, i in sample]
     enc_pts = [enc[vid][i] for vid, i in sample]
     dec_pts = [dec[vid][i] for vid, i in sample]
+    log.debug(
+        "sample: %d of %d points in %.3fs",
+        len(sample), population, time.perf_counter() - started,
+    )
 
     report = metrics.hotspot_analysis(
         orig_pts, enc_pts, dec_pts, eps_orig=args.eps, min_pts=args.min_pts
@@ -344,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--sample-size",
         type=_positive_int,
         default=None,
-        help="stratified sample size (default min(5000, population))",
+        help="stratified sample size, up to the whole population "
+        "(default min(5000, population))",
     )
     e.add_argument("--seed", default="0")
     e.set_defaults(func=cmd_eval_hotspots)

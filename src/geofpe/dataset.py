@@ -12,11 +12,14 @@ from __future__ import annotations
 import datetime
 import logging
 import random
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cipher import CoordinateCipher
 from .coords import (
+    LAT_MAX,
+    LON_MAX,
     MAX_FRAC_DIGITS,
     DecimalNumber,
     GeoPoint,
@@ -78,6 +81,51 @@ def check_line(text: str) -> tuple[TrajectoryRecord | None, str]:
     if axis is not None:
         return None, f"out of range: {axis}"
     return rec, ""
+
+
+# An accepted line as the eval loaders meet it: id and timestamp without
+# separators, canonical longitude and latitude with at most three and two
+# integer digits and at most 15 fraction digits, and one terminator.  Below
+# 10**15 a fraction is exact in float64, so int + frac / 10.0**d rounds as
+# DecimalNumber.to_float does.  Every other line takes check_line.
+_PLAIN_LINE = re.compile(
+    r"[^,\r\n]*,[^,\r\n]*,"
+    r"(-?)(0|[1-9][0-9]{0,2})(?:\.([0-9]{1,15}))?,"
+    r"(-?)(0|[1-9][0-9]?)(?:\.([0-9]{1,15}))?"
+    r"(?:\r\n|\n|\r)?"
+)
+
+
+def _axis_float(sign: str, int_text: str, frac_text: str | None, bound: int):
+    """Float of one matched coordinate, or None when it is out of range."""
+    frac_text = frac_text or ""
+    int_part, frac = int(int_text), int(frac_text or 0)
+    if int_part > bound or (int_part == bound and frac):
+        return None
+    value = int_part + frac / 10.0 ** len(frac_text)
+    return -value if sign else value
+
+
+def _plain_points(lines) -> list[tuple[float, float]]:
+    """(lon, lat) floats of the lines encrypt accepts, in order; the same
+    values as check_line followed by DecimalNumber.to_float."""
+    points = []
+    match = _PLAIN_LINE.fullmatch
+    for line in lines:
+        m = match(line)
+        if m is not None:
+            lon_sign, lon_int, lon_frac, lat_sign, lat_int, lat_frac = m.groups()
+            lon = _axis_float(lon_sign, lon_int, lon_frac, LON_MAX)
+            lat = _axis_float(lat_sign, lat_int, lat_frac, LAT_MAX)
+            if lon is not None and lat is not None:
+                points.append((lon, lat))
+            continue
+        if line.strip() == "":
+            continue
+        rec = check_line(line)[0]
+        if rec is not None:
+            points.append((rec.point.lon.to_float(), rec.point.lat.to_float()))
+    return points
 
 
 def scan_file(path: Path) -> FileScan:
@@ -405,14 +453,17 @@ def generate_synthetic(cfg: SynthConfig, out_dir) -> int:
 # Loaders for the evaluation harness
 
 
-def _plain_file_points(path: Path) -> list[tuple[float, float]]:
-    records = scan_file(path).records
-    return [(r.point.lon.to_float(), r.point.lat.to_float()) for r in records]
+def _read_lines(path: Path) -> list[str]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.readlines()
 
 
 def load_plain_points(input_dir) -> dict[str, list[tuple[float, float]]]:
     """Cleaned per-vehicle (lon, lat) floats in file order, keyed by file stem."""
-    return {path.stem: _plain_file_points(path) for path in _dataset_files(input_dir)}
+    return {
+        path.stem: _plain_points(_read_lines(path))
+        for path in _dataset_files(input_dir)
+    }
 
 
 def load_points_auto(input_dir) -> dict[str, list[tuple[float, float]]]:
@@ -425,10 +476,10 @@ def load_points_auto(input_dir) -> dict[str, list[tuple[float, float]]]:
     """
     out = {}
     for path in _dataset_files(input_dir):
-        with open(path, encoding="utf-8") as fh:
-            rows = [line.rstrip("\r\n").split(",") for line in fh if line.strip()]
+        lines = _read_lines(path)
+        rows = [line.rstrip("\r\n").split(",") for line in lines if line.strip()]
         if rows and all(len(fields) == 5 for fields in rows):
             out[path.stem] = [(float(fields[3]), float(fields[4])) for fields in rows]
         else:
-            out[path.stem] = _plain_file_points(path)
+            out[path.stem] = _plain_points(lines)
     return out

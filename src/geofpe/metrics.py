@@ -8,9 +8,10 @@ instead.
 
 from __future__ import annotations
 
+import logging
 import math
 import random
-from collections import deque
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,10 +19,11 @@ import numpy as np
 
 from .dataset import check_line
 
+log = logging.getLogger("geofpe.metrics")
+
 EARTH_RADIUS_KM = 6371.0
 
 NOISE = -1
-_UNVISITED = -2
 
 
 def haversine(p1, p2) -> float:
@@ -128,51 +130,196 @@ def rdr_summary(values, bin_width: float = 0.02) -> dict:
 # DBSCAN hotspot clustering
 
 
+# Grid cells are a hair wider than eps/2: two points in one cell are then
+# strictly closer than eps, and a pair within eps lies at most two cells apart
+# on each axis, so a region query reads the 5x5 block of cells around a point.
+_CELL_SLACK = 1e-6
+# Cell indices are computed in float64 and floored.  Below 2**30 cells per
+# axis their rounding error stays far under the slack, and the padded indices
+# combine into one int64 cell key.
+_MAX_CELLS = 2**30
+# Nearest offsets first, so that the dense-cell joins below mostly find their
+# cells already joined through a nearer neighbour.
+_BLOCK = sorted(
+    ((dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)),
+    key=lambda d: (d[0] ** 2 + d[1] ** 2, d),
+)
+_PAIR_CHUNK = 1 << 18  # candidate point pairs held at once
+
+
+def _block_pairs(order, start, size, ca, cb):
+    """Every (point of cell ca[k], point of cell cb[k]) pair, as index arrays
+    in chunks of about _PAIR_CHUNK pairs."""
+    counts = size[ca] * size[cb]
+    ends = np.cumsum(counts)
+    sa, sb, wb = start[ca], start[cb], size[cb]
+    lo = 0
+    while lo < len(ca):
+        base = ends[lo] - counts[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _PAIR_CHUNK, side="right")))
+        c = counts[lo:hi]
+        k = np.repeat(np.arange(lo, hi), c)
+        r = np.arange(ends[hi - 1] - base) - np.repeat(ends[lo:hi] - c - base, c)
+        i, j = np.divmod(r, wb[k])
+        yield order[sa[k] + i], order[sb[k] + j]
+        lo = hi
+
+
+def _flatten(parent):
+    """Point every node of a forest straight at its root."""
+    while True:
+        up = parent[parent]
+        if (up == parent).all():
+            return parent
+        parent = up
+
+
+def _join(parent, u, v):
+    """The forest with each edge (u[k], v[k]) joined, every node pointing at
+    the smallest root of its tree."""
+    while True:
+        parent = _flatten(parent)
+        ru, rv = parent[u], parent[v]
+        apart = ru != rv
+        if not apart.any():
+            return parent
+        ru, rv = ru[apart], rv[apart]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+
+
 def dbscan(points, eps: float, min_pts: int) -> list[int]:
     """Density clustering; returns a label per point, NOISE (-1) for outliers.
 
     A point is core iff it has >= min_pts neighbours within eps degrees
-    (Euclidean, inclusive), counting itself.  Scan order is input order, so
-    labels are deterministic; border points join the first cluster that
-    reaches them.
+    (Euclidean, inclusive: dx**2 + dy**2 <= eps**2 in float64), counting
+    itself.  Clusters are numbered in input order of their first core point,
+    and a border point joins the lowest-numbered cluster that reaches it, as
+    a scan in input order gives.  Points with a non-finite coordinate are
+    NOISE and nobody's neighbour.
+
+    Points are bucketed into cells of side just over eps/2.  A cell holding
+    >= min_pts points is all core; only points of sparser cells count their
+    neighbours, over the 5x5 block of cells around them.  Raises ValueError
+    when eps is so small against the points' extent that the grid would
+    exceed 2**30 cells on an axis.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError("eps must be a positive finite number")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     if n == 0:
         return []
-    xs, ys = pts[:, 0], pts[:, 1]
+    labels = np.full(n, NOISE, dtype=np.int64)
+    finite = np.flatnonzero(np.isfinite(pts).all(axis=1))
+    if len(finite) == 0:
+        return labels.tolist()
+    xs, ys = pts[finite, 0], pts[finite, 1]
+    m = len(xs)
     eps2 = eps * eps
 
-    def region(idx: int) -> np.ndarray:
-        return np.flatnonzero((xs - xs[idx]) ** 2 + (ys - ys[idx]) ** 2 <= eps2)
+    side = eps / 2 * (1 + _CELL_SLACK)
+    gx, gy = (xs - xs.min()) / side, (ys - ys.min()) / side
+    if not max(gx.max(), gy.max()) < _MAX_CELLS:
+        raise ValueError(
+            f"eps {eps!r} is too small for the points' extent: the DBSCAN grid "
+            f"would need more than 2**30 cells on an axis"
+        )
+    width = int(gy.max()) + 5
+    key = (gx.astype(np.int64) + 2) * width + gy.astype(np.int64) + 2
+    order = np.argsort(key, kind="stable")
+    cells, start, size = np.unique(key[order], return_index=True, return_counts=True)
+    n_cells = len(cells)
+    cell_of = np.empty(m, dtype=np.int64)
+    cell_of[order] = np.repeat(np.arange(n_cells), size)
 
-    labels = [_UNVISITED] * n
-    cid = 0
-    for p in range(n):
-        if labels[p] != _UNVISITED:
-            continue
-        neighbours = region(p)
-        if len(neighbours) < min_pts:
-            labels[p] = NOISE
-            continue
-        labels[p] = cid
-        queue = deque(int(q) for q in neighbours)
-        while queue:
-            q = queue.popleft()
-            if labels[q] == NOISE:
-                labels[q] = cid
-            if labels[q] != _UNVISITED:
+    def shifted(subset, dx: int, dy: int):
+        """The cells of subset whose (dx, dy) neighbour cell holds points,
+        and those neighbours."""
+        wanted = cells[subset] + (dx * width + dy)
+        found = np.minimum(np.searchsorted(cells, wanted), n_cells - 1)
+        hit = cells[found] == wanted
+        return subset[hit], found[hit]
+
+    # Core points: only points of sparse cells count their neighbours.
+    dense = size >= min_pts
+    sparse_cells = np.flatnonzero(~dense)
+    count = np.zeros(m, dtype=np.int64)
+    for dx, dy in _BLOCK:
+        for a, b in _block_pairs(order, start, size, *shifted(sparse_cells, dx, dy)):
+            close = (xs[a] - xs[b]) ** 2 + (ys[a] - ys[b]) ** 2 <= eps2
+            count += np.bincount(a[close], minlength=m)
+    core = dense[cell_of] | (count >= min_pts)
+
+    # Each sparse-cell point with the cells holding a core point within eps
+    # of it: these give the joins of sparse cells and the border labels.  A
+    # pass covers one offset, so a point meets one cell and its pairs come
+    # in a run; keeping one pair per run keeps memory linear in the points.
+    has_core = np.zeros(n_cells, dtype=bool)
+    has_core[cell_of[core]] = True
+    reach_pt, reach_cell = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for dx, dy in _BLOCK:
+        ca, cb = shifted(sparse_cells, dx, dy)
+        for a, b in _block_pairs(order, start, size, ca[has_core[cb]], cb[has_core[cb]]):
+            close = (xs[a] - xs[b]) ** 2 + (ys[a] - ys[b]) ** 2 <= eps2
+            close &= core[b]
+            a, b = a[close], b[close]
+            run_start = np.ones(len(a), dtype=bool)
+            run_start[1:] = a[1:] != a[:-1]
+            reach_pt.append(a[run_start])
+            reach_cell.append(cell_of[b[run_start]])
+    reach_pt, reach_cell = np.concatenate(reach_pt), np.concatenate(reach_cell)
+
+    # The core points of one cell are pairwise within eps, so clusters are
+    # the connected components of cells joined by a core pair within eps.
+    link = core[reach_pt]
+    parent = _join(np.arange(n_cells), cell_of[reach_pt[link]], reach_cell[link]).tolist()
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    dense_cells = np.flatnonzero(dense)
+    for dx, dy in _BLOCK:
+        if (dx, dy) <= (0, 0):
+            continue  # each unordered pair of dense cells once
+        ca, cb = shifted(dense_cells, dx, dy)
+        pair = dense[cb]
+        for a, b in zip(ca[pair].tolist(), cb[pair].tolist()):
+            ra, rb = find(a), find(b)
+            if ra == rb:
                 continue
-            labels[q] = cid
-            q_neighbours = region(q)
-            if len(q_neighbours) >= min_pts:
-                queue.extend(int(x) for x in q_neighbours)
-        cid += 1
-    return labels
+            pa = order[start[a] : start[a] + size[a]]
+            pb = order[start[b] : start[b] + size[b]]
+            rows = max(1, _PAIR_CHUNK // len(pb))
+            for i in range(0, len(pa), rows):
+                sub = pa[i : i + rows, None]
+                if ((xs[sub] - xs[pb]) ** 2 + (ys[sub] - ys[pb]) ** 2 <= eps2).any():
+                    parent[max(ra, rb)] = min(ra, rb)
+                    break
+    root = _flatten(np.array(parent, dtype=np.int64))
+
+    # Number the clusters in order of their first core point.
+    core_idx = np.flatnonzero(core)
+    comp = root[cell_of[core_idx]]
+    first = np.full(n_cells, m, dtype=np.int64)
+    np.minimum.at(first, comp, core_idx)
+    roots = np.flatnonzero(first < m)
+    cluster = np.empty(n_cells, dtype=np.int64)
+    cluster[roots[np.argsort(first[roots])]] = np.arange(len(roots))
+    out = np.full(m, NOISE, dtype=np.int64)
+    out[core_idx] = cluster[comp]
+
+    # A border point takes the lowest cluster among its core neighbours.
+    best = np.full(m, m, dtype=np.int64)
+    np.minimum.at(best, reach_pt[~link], cluster[root[reach_cell[~link]]])
+    reached = best < m
+    out[reached] = best[reached]
+    labels[finite] = out
+    return labels.tolist()
 
 
 def cluster_centroids(points, labels) -> list[dict]:
@@ -250,8 +397,14 @@ def hotspot_analysis(
         ("encrypted", enc_sample, eps_enc),
         ("decrypted", dec_sample, eps_orig),
     ):
+        started = time.perf_counter()
         labels = dbscan(sample, eps, min_pts)
+        elapsed = time.perf_counter() - started
         clusters[name] = cluster_centroids(sample, labels)
+        log.debug(
+            "dbscan %s: %d points, %d clusters (eps %r) in %.3fs",
+            name, len(sample), len(clusters[name]), eps, elapsed,
+        )
 
     matched = _greedy_match(clusters["original"], clusters["decrypted"])
     n_orig = len(clusters["original"])
@@ -274,9 +427,9 @@ def hotspot_analysis(
 # Decryption accuracy
 
 
-def _rows(path: Path) -> list[tuple[str, tuple[str, str] | None]]:
-    """Each non-blank line of a file, if it exists, with its coordinate texts
-    (None unless the line has four fields)."""
+def _rows(path: Path) -> list[tuple[str, list[str] | None]]:
+    """Each non-blank line of a file, if it exists, with its fields (None
+    unless the line has four)."""
     rows = []
     if not path.is_file():
         return rows
@@ -285,34 +438,45 @@ def _rows(path: Path) -> list[tuple[str, tuple[str, str] | None]]:
             if line.strip() == "":
                 continue
             fields = line.rstrip("\r\n").split(",")
-            rows.append((line, (fields[2], fields[3]) if len(fields) == 4 else None))
+            rows.append((line, fields if len(fields) == 4 else None))
     return rows
 
 
 def _match(orig_rows, dec_rows) -> tuple[int, int]:
     """(points, matched) of one original/decrypted file pair.
 
-    A decrypted file holds the original's accepted lines in order, so both
-    are walked together.  An original line whose coordinates differ from the
-    next decrypted line's is skipped if encrypt rejects it, and is a
-    mismatch otherwise; the parse runs only on those lines.
+    Decrypt writes the original's accepted lines in order, copying id and
+    timestamp verbatim, and leaves out each line it cannot restore.  So the
+    original is walked against the decrypted records: a line equal to the
+    next record matches.  Otherwise a line that encrypt rejects is skipped
+    (the parse runs only on these lines); one with the next record's id and
+    timestamp is a mismatch; any other is a point that decrypt dropped, and
+    the record waits for a later line.  Decrypted lines left over or without
+    four fields are mismatched points too.
     """
-    j = matched = 0
-    for line, coords in orig_rows:
-        if j < len(dec_rows) and coords is not None and coords == dec_rows[j][1]:
+    records = [fields for _, fields in dec_rows if fields is not None]
+    j = points = matched = 0
+    for line, fields in orig_rows:
+        record = records[j] if j < len(records) else None
+        if fields is not None and fields == record:
             matched += 1
         elif check_line(line)[0] is None:
             continue
+        elif record is None or fields[:2] != record[:2]:
+            points += 1
+            continue
+        points += 1
         j += 1
-    return max(j, len(dec_rows)), matched
+    return points + len(dec_rows) - j, matched
 
 
 def accuracy(orig_dir, dec_dir) -> dict:
     """Point-to-point exact text matching between original and decrypted files.
 
-    A point matches iff both coordinate texts are identical.  Points are the
-    original lines that encrypt accepts; files correspond by name, and a
-    missing counterpart counts as fully mismatched.
+    A point matches iff its decrypted line has the same id, timestamp and
+    coordinate texts.  Points are the original lines that encrypt accepts,
+    including those decrypt could not restore; files correspond by name, and
+    a missing counterpart counts as fully mismatched.
     """
     orig_dir, dec_dir = Path(orig_dir), Path(dec_dir)
     names = sorted(

@@ -171,6 +171,42 @@ def test_eval_accuracy_skips_rejected_lines(tmp_path, capsys, key_file):
     assert "OMR 100.00% (3/3 points, 1/1 files fully matched)" in out
 
 
+def test_eval_accuracy_counts_a_line_decrypt_dropped(tmp_path, capsys, key_file):
+    orig = tmp_path / "orig"
+    orig.mkdir()
+    (orig / "1.txt").write_text(
+        "".join(f"1,2008-02-02 13:30:{15 * i:02d},116.5000{i},39.9000{i}\n" for i in range(5))
+    )
+    enc_dir = tmp_path / "enc"
+    run(
+        capsys, "encrypt", "--input", str(orig), "--output", str(enc_dir),
+        "--key", key_file, "--map", str(tmp_path / "store.map"),
+    )
+    # Line 2 gets an unknown coordinate id and a longitude integer no entry
+    # holds, so decrypt can restore it neither exactly nor by the fuzzy lookup.
+    lines = (enc_dir / "1.txt").read_text().splitlines(keepends=True)
+    _cid, vid, stamp, lon, lat = lines[1].rstrip("\n").split(",")
+    lines[1] = f"999,{vid},{stamp},263.{lon.partition('.')[2]},{lat}\n"
+    (enc_dir / "1.txt").write_text("".join(lines))
+    dec = tmp_path / "dec"
+    code, _, _ = run(
+        capsys, "decrypt", "--input", str(enc_dir), "--output", str(dec),
+        "--key", key_file, "--map", str(tmp_path / "store.map"),
+    )
+    assert code == 1
+    assert (dec / "1.txt.errors").read_text() == (
+        "2: no lon_int mapping for coord_id 999 (fuzzy: not found)\n"
+    )
+    kept = (orig / "1.txt").read_text().splitlines(keepends=True)
+    assert (dec / "1.txt").read_text() == "".join(kept[:1] + kept[2:])
+    code, out, _ = run(
+        capsys, "eval", "accuracy", "--orig", str(orig), "--dec", str(dec),
+        "--out", str(tmp_path / "reports"),
+    )
+    assert code == 0
+    assert "OMR 80.00% (4/5 points, 0/1 files fully matched)" in out
+
+
 def test_unreadable_file_is_isolated(tmp_path, capsys, key_file):
     orig = _synth(capsys, tmp_path)
     (orig / "4.txt").write_bytes(b"4,t,116.5,39.9\n\xff\xfe\n")

@@ -567,3 +567,74 @@ def test_accepted_lines_round_trip_and_rejected_lines_are_reported(lines):
         assert set(reported) == set(rejected)
         for line_no, reason in rejected.items():
             assert reported[line_no].startswith(reason)
+
+
+# ---------------------------------------------------------------------------
+# Eval loader property
+
+# Coordinate texts on the edges of the grammar: range bounds with zero and
+# non-zero fractions, fraction widths around the 15 digits that convert to
+# float exactly, negative zero, and non-canonical forms.
+_EDGE_ANY = [
+    "-0", "-0.0", "0.000000000000001", "1.123456789012345", "-1.1234567890123456",
+    "-2.1234567890123456789", "1.12345678901234567890", "+1.5", "01.5", "-00.5",
+    "00", "+0",
+    # fractions above 2**53 whose float(frac) / 10.0**d misses the exact quotient
+    "-0.9554383386220907", "3.2019195072593287042",
+]
+_EDGE_LON = _EDGE_ANY + [
+    "180", "-180.0", "180.000000000000000", "180.000000000000001", "-180.5",
+    "179.999999999999999", "-179.9999999999999999999",
+]
+_EDGE_LAT = _EDGE_ANY + [
+    "-90", "90.0000", "90.0000000000000000001", "-90.1", "89.9999999999999999999",
+]
+
+
+@st.composite
+def _edge_line(draw):
+    lon = draw(st.one_of(st.sampled_from(_EDGE_LON), _coordinate(180)))
+    lat = draw(st.one_of(st.sampled_from(_EDGE_LAT), _coordinate(90)))
+    return f"{draw(_FIELD)},{draw(_FIELD)},{lon},{lat}"
+
+
+_WHITESPACE_LINE = st.text(st.sampled_from(" \t\x0b\x0c\u00a0\u3000"), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(
+                _accepted_line().map(lambda line: line[0]),
+                _rejected_line().map(lambda line: line[0]),
+                _edge_line(),
+                _WHITESPACE_LINE,
+            ),
+            st.sampled_from(["\n", "\r\n", "\r"]),
+        ),
+        max_size=14,
+    ),
+    st.sampled_from(["\n", "\r\n", "\r", ""]),
+)
+def test_eval_loaders_equal_scan_file_floats(lines, last_end):
+    text = "".join(body + end for body, end in lines[:-1])
+    if lines:
+        text += lines[-1][0] + last_end
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        (tree / "7.txt").write_bytes(text.encode())
+        expected = [
+            (rec.point.lon.to_float().hex(), rec.point.lat.to_float().hex())
+            for rec in scan_file(tree / "7.txt").records
+        ]
+
+        def hexed(points):
+            assert set(points) == {"7"}
+            return [(lon.hex(), lat.hex()) for lon, lat in points["7"]]
+
+        assert hexed(load_plain_points(tree)) == expected
+        with open(tree / "7.txt", encoding="utf-8", newline="") as fh:
+            rows = [line.rstrip("\r\n").split(",") for line in fh if line.strip()]
+        if not (rows and all(len(fields) == 5 for fields in rows)):
+            assert hexed(load_points_auto(tree)) == expected

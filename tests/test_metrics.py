@@ -5,7 +5,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geofpe import metrics
 from geofpe.metrics import (
     EARTH_RADIUS_KM,
     accuracy,
@@ -221,6 +224,70 @@ def test_dbscan_parameter_validation():
         dbscan([(0, 0)], eps=0.0, min_pts=1)
     with pytest.raises(ValueError):
         dbscan([(0, 0)], eps=1.0, min_pts=0)
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps"):
+            dbscan([(0, 0)], eps=eps, min_pts=1)
+
+
+@st.composite
+def _lattice_instance(draw):
+    """Points on multiples of eps/2 with a power-of-two eps, so that some pairs
+    are exactly eps apart and every point lies on a cell edge; small index
+    ranges give duplicates."""
+    eps = 2.0 ** draw(st.integers(-7, 3))
+    origin = draw(st.sampled_from([0.0, 116.0, -180.0]))
+    index = st.integers(-10, 10)
+    cells = draw(st.lists(st.tuples(index, index), max_size=60))
+    points = [(origin + i * eps / 2, j * eps / 2 - origin / 2) for i, j in cells]
+    return points, eps, draw(st.integers(1, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lattice_instance())
+def test_dbscan_matches_oracle_on_lattices(instance):
+    points, eps, min_pts = instance
+    assert dbscan(points, eps, min_pts) == dbscan_oracle(points, eps, min_pts)
+
+
+def test_dbscan_matches_oracle_in_small_pair_chunks(monkeypatch):
+    # Tiny chunks split the candidate pairs of one cell pair, and the rows of
+    # a dense-cell join, across many passes.
+    monkeypatch.setattr(metrics, "_PAIR_CHUNK", 3)
+    rng = random.Random(59)
+    for _ in range(40):
+        centres = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
+        points = [
+            (cx + rng.gauss(0, 0.05), cy + rng.gauss(0, 0.05))
+            for cx, cy in centres
+            for _ in range(rng.randint(0, 25))
+        ]
+        eps, min_pts = rng.uniform(0.02, 0.2), rng.randint(1, 8)
+        assert dbscan(points, eps, min_pts) == dbscan_oracle(points, eps, min_pts)
+
+
+def test_dbscan_non_finite_points_are_noise():
+    rng = random.Random(61)
+    finite = [(rng.gauss(0, 0.01), rng.gauss(0, 0.01)) for _ in range(30)]
+    bad = [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan), (math.inf, math.inf)]
+    bad_at = [0, 8, 16, 33]
+    points = list(finite)
+    for k, point in zip(bad_at, bad):
+        points.insert(k, point)
+    labels = dbscan(points, 0.02, 4)
+    assert [labels[k] for k in bad_at] == [-1] * len(bad)
+    rest = [label for k, label in enumerate(labels) if k not in bad_at]
+    assert rest == dbscan_oracle(finite, 0.02, 4)
+    assert len(set(rest)) > 1
+    assert dbscan(bad, 1.0, 1) == [-1] * len(bad)
+
+
+def test_dbscan_rejects_eps_too_small_for_the_extent():
+    with pytest.raises(ValueError, match="eps 1e-08 is too small"):
+        dbscan([(0.0, 0.0), (180.0, 0.0)], eps=1e-8, min_pts=1)
+    with pytest.raises(ValueError, match="eps"):
+        dbscan([(0.0, 0.0), (0.0, -90.0)], eps=1e-8, min_pts=1)
+    # The grid spans the points only: a tiny eps over a tiny extent is fine.
+    assert dbscan([(116.5, 39.9), (116.5, 39.9)], eps=1e-12, min_pts=2) == [0, 0]
 
 
 def test_cluster_centroids():
@@ -331,6 +398,19 @@ def test_accuracy_skips_rejected_original_lines(tmp_path):
     report = accuracy(tmp_path / "orig", tmp_path / "dec")
     assert report["total_points"] == 3
     assert report["matched_points"] == 2
+
+
+def test_accuracy_pairs_lines_by_id_and_timestamp(tmp_path):
+    lines = [f"1,t{i},116.{i:05d},39.{i:05d}\n" for i in range(5)]
+    _write(tmp_path / "orig", "1.txt", lines)
+    # t1 and t3 were dropped by decrypt, t2 came back altered, and a line
+    # without four fields was added; none of it shifts the later lines.
+    _write(tmp_path / "dec", "1.txt", [
+        lines[0], "1,t2,116.00002,39.00009\n", "junk\n", lines[4],
+    ])
+    report = accuracy(tmp_path / "orig", tmp_path / "dec")
+    assert report["matched_points"] == 2
+    assert report["total_points"] == 6  # five original points and the junk line
 
 
 def test_accuracy_omr_is_point_weighted_fmr_mean(tmp_path):
