@@ -81,6 +81,15 @@ def _parse_centers(text: str) -> list[tuple[float, float]]:
     return centers
 
 
+def _say(text: str) -> None:
+    """print() that outlives a closed stdout (``| head -1``) via os.devnull."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+
+
 def _write_json(path: Path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -101,13 +110,13 @@ def cmd_keygen(args) -> int:
         out.write_text(key.hex() + "\n", encoding="ascii")
     else:
         out.write_bytes(key)
-    print(f"wrote key to {out}")
+    _say(f"wrote key to {out}")
     return 0
 
 
 def _print_store_summary(store: MappingStore) -> None:
     for kind in KINDS:
-        print(
+        _say(
             f"  {kind}: {store.entry_count(kind)} entries, "
             f"{store.conflicts(kind)} conflicts, "
             f"CR {float(store.conflict_rate(kind)):.6f}"
@@ -122,7 +131,7 @@ def cmd_encrypt(args) -> int:
     stats = encrypt_dataset(args.input, args.output, cipher, store)
     store.save(args.map)
     elapsed = time.perf_counter() - started
-    print(
+    _say(
         f"encrypted {stats.records} records from {stats.files} files "
         f"({stats.dropped} dropped, {stats.parse_errors} parse errors) "
         f"in {elapsed:.2f}s [{BACKEND} core]"
@@ -139,7 +148,7 @@ def cmd_decrypt(args) -> int:
     started = time.perf_counter()
     stats = decrypt_dataset(args.input, args.output, store)
     elapsed = time.perf_counter() - started
-    print(
+    _say(
         f"decrypted {stats.records} records from {stats.files} files "
         f"({stats.record_errors} record errors, {stats.fuzzy_restored} fuzzy "
         f"fallbacks) in {elapsed:.2f}s"
@@ -158,7 +167,7 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     total = generate_synthetic(cfg, args.output)
-    print(f"wrote {cfg.n_vehicles} vehicles, {total} points to {args.output}")
+    _say(f"wrote {cfg.n_vehicles} vehicles, {total} points to {args.output}")
     return 0
 
 
@@ -228,7 +237,7 @@ def cmd_eval_rdr(args) -> int:
 
     s = report["summary"]
     zero_ratio = s["zero_count"] / s["total"]
-    print(
+    _say(
         f"RDR over {s['total']} trajectories ({len(skipped)} skipped): "
         f"mean {s['mean']:.4f}, median {s['median']:.4f}, "
         f"zero-ratio {zero_ratio:.2%}"
@@ -270,7 +279,7 @@ def cmd_eval_hotspots(args) -> int:
         else 0.0
     )
     matching = report["matching"]
-    print(
+    _say(
         f"hotspots: original {counts['original']}, encrypted {counts['encrypted']} "
         f"({reduction:.1f}% reduction), decrypted {counts['decrypted']}; "
         f"original/decrypted match accuracy {matching['match_accuracy']:.2%}, "
@@ -284,7 +293,7 @@ def cmd_eval_accuracy(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "accuracy.json", report)
-    print(
+    _say(
         f"accuracy: OMR {report['omr']:.2%} "
         f"({report['matched_points']}/{report['total_points']} points, "
         f"{report['fully_matched_files']}/{report['file_count']} files fully matched)"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime
 import logging
+import os
 import random
 import re
 from dataclasses import dataclass, field
@@ -36,116 +37,104 @@ SYNTH_FRAC_DIGITS = 5
 
 
 @dataclass
-class TrajectoryRecord:
-    vehicle_id: str
-    timestamp: str  # passed through byte-exactly
-    point: GeoPoint
-    line_end: str = "\n"  # terminator as read; "" on an unterminated last line
-
-
-def parse_line(text: str) -> TrajectoryRecord:
-    """Parse one "id,datetime,lon,lat" line and keep its terminator;
-    ParseError on malformed input, including a fraction wider than
-    MAX_FRAC_DIGITS digits."""
-    body = text.rstrip("\r\n")
-    fields = body.split(",")
-    if len(fields) != 4:
-        raise ParseError(f"expected 4 comma-separated fields, got {len(fields)}")
-    vid, timestamp, lon_text, lat_text = fields
-    point = GeoPoint(decompose(lon_text), decompose(lat_text))
-    for axis, n in (("lon", point.lon), ("lat", point.lat)):
-        if n.frac_digits > MAX_FRAC_DIGITS:
-            raise ParseError(
-                f"{axis} fraction has {n.frac_digits} digits, "
-                f"more than {MAX_FRAC_DIGITS}"
-            )
-    return TrajectoryRecord(vid, timestamp, point, text[len(body):])
-
-
-@dataclass
 class FileScan:
-    records: list[TrajectoryRecord] = field(default_factory=list)
+    rows: list[tuple] = field(default_factory=list)  # see scan_lines
     errors: list[tuple[int, str]] = field(default_factory=list)  # (line no, reason)
     parse_errors: int = 0
     dropped: int = 0
 
 
-def check_line(text: str) -> tuple[TrajectoryRecord | None, str]:
-    """Parse and range-check one non-blank line as encrypt does: the record of
-    an accepted line, or None and the reason for its sidecar entry."""
-    try:
-        rec = parse_line(text)
-    except ParseError as exc:
-        return None, f"parse error: {exc}"
-    axis = validate_point(rec.point)
-    if axis is not None:
-        return None, f"out of range: {axis}"
-    return rec, ""
-
-
-# An accepted line as the eval loaders meet it: id and timestamp without
-# separators, canonical longitude and latitude with at most three and two
-# integer digits and at most 15 fraction digits, and one terminator.  Below
-# 10**15 a fraction is exact in float64, so int + frac / 10.0**d rounds as
-# DecimalNumber.to_float does.  Every other line takes check_line.
+# An accepted plain line, less the range check: id and timestamp without
+# separators, canonical lon and lat (at most 3 and 2 integer digits), one
+# terminator.  coords.decompose is the reference grammar.
 _PLAIN_LINE = re.compile(
-    r"[^,\r\n]*,[^,\r\n]*,"
-    r"(-?)(0|[1-9][0-9]{0,2})(?:\.([0-9]{1,15}))?,"
-    r"(-?)(0|[1-9][0-9]?)(?:\.([0-9]{1,15}))?"
-    r"(?:\r\n|\n|\r)?"
+    r"([^,\r\n]*,[^,\r\n]*),"
+    rf"(-?)(0|[1-9][0-9]{{0,2}})(?:\.([0-9]{{1,{MAX_FRAC_DIGITS}}}))?,"
+    rf"(-?)(0|[1-9][0-9]?)(?:\.([0-9]{{1,{MAX_FRAC_DIGITS}}}))?"
+    r"(\r\n|\n|\r|)"
 )
+_INT_PARTS = {str(i): i for i in range(1000)}  # the pattern's int parts; beats int()
 
 
-def _axis_float(sign: str, int_text: str, frac_text: str | None, bound: int):
-    """Float of one matched coordinate, or None when it is out of range."""
-    frac_text = frac_text or ""
-    int_part, frac = int(int_text), int(frac_text or 0)
-    if int_part > bound or (int_part == bound and frac):
-        return None
-    value = int_part + frac / 10.0 ** len(frac_text)
-    return -value if sign else value
-
-
-def _plain_points(lines) -> list[tuple[float, float]]:
-    """(lon, lat) floats of the lines encrypt accepts, in order; the same
-    values as check_line followed by DecimalNumber.to_float."""
-    points = []
-    match = _PLAIN_LINE.fullmatch
-    for line in lines:
+def scan_lines(lines) -> FileScan:
+    """Parse and clean a plain file's lines (terminators kept).  Accepted: a
+    row of "id,timestamp", (sign "-" or "", int, frac, digits) per axis and
+    the terminator.  Rejected: line number and reason.  Blank: skipped."""
+    scan = FileScan()
+    rows, match, ints = scan.rows, _PLAIN_LINE.fullmatch, _INT_PARTS
+    for line_no, line in enumerate(lines, start=1):
         m = match(line)
         if m is not None:
-            lon_sign, lon_int, lon_frac, lat_sign, lat_int, lat_frac = m.groups()
-            lon = _axis_float(lon_sign, lon_int, lon_frac, LON_MAX)
-            lat = _axis_float(lat_sign, lat_int, lat_frac, LAT_MAX)
-            if lon is not None and lat is not None:
-                points.append((lon, lat))
+            head, lon_s, lon_i, lon_f, lat_s, lat_i, lat_f, end = m.groups()
+            lon_i, lat_i = ints[lon_i], ints[lat_i]
+            lon_f, lon_d = (int(lon_f), len(lon_f)) if lon_f else (0, 0)
+            lat_f, lat_d = (int(lat_f), len(lat_f)) if lat_f else (0, 0)
+            # exact range check; the fractions matter only on a bound
+            if lon_i < LON_MAX and lat_i < LAT_MAX or (
+                (lon_i, lon_f) <= (LON_MAX, 0) and (lat_i, lat_f) <= (LAT_MAX, 0)
+            ):
+                rows.append(
+                    (head, lon_s, lon_i, lon_f, lon_d, lat_s, lat_i, lat_f, lat_d, end)
+                )
+                continue
+        elif not line.strip():
             continue
-        if line.strip() == "":
-            continue
-        rec = check_line(line)[0]
-        if rec is not None:
-            points.append((rec.point.lon.to_float(), rec.point.lat.to_float()))
-    return points
+        reason = _reject_reason(line)
+        scan.errors.append((line_no, reason))
+        if reason.startswith("out of range"):
+            scan.dropped += 1
+        else:
+            scan.parse_errors += 1
+    return scan
 
 
 def scan_file(path: Path) -> FileScan:
-    """Parse and clean one trajectory file, keeping per-line error reasons
-    and each accepted line's terminator."""
-    scan = FileScan()
+    """scan_lines over one plain trajectory file."""
     with open(path, encoding="utf-8", newline="") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip() == "":
-                continue
-            rec, reason = check_line(line)
-            if rec is not None:
-                scan.records.append(rec)
-                continue
-            scan.errors.append((line_no, reason))
-            if reason.startswith("out of range"):
-                scan.dropped += 1
-            else:
-                scan.parse_errors += 1
-    return scan
+        return scan_lines(fh)
+
+
+def _reject_reason(line: str) -> str:
+    """The sidecar reason of a non-blank line that scan_lines rejects, found
+    with the reference grammar of coords."""
+    fields = line.rstrip("\r\n").split(",")
+    if len(fields) != 4:
+        return f"parse error: expected 4 comma-separated fields, got {len(fields)}"
+    try:
+        point = GeoPoint(decompose(fields[2]), decompose(fields[3]))
+    except ParseError as exc:
+        return f"parse error: {exc}"
+    for axis, n in (("lon", point.lon), ("lat", point.lat)):
+        if n.frac_digits > MAX_FRAC_DIGITS:
+            return (
+                f"parse error: {axis} fraction has {n.frac_digits} digits, "
+                f"more than {MAX_FRAC_DIGITS}"
+            )
+    return f"out of range: {validate_point(point)}"
+
+
+def _decimal_texts(signs, ints, fracs, digits) -> list[str]:
+    """Coordinate texts of one axis's row columns."""
+    return [
+        f"{s}{i}.{f:0{d}d}" if d else f"{s}{i}"
+        for s, i, f, d in zip(signs, ints, fracs, digits)
+    ]
+
+
+_POW10 = [10**d for d in range(MAX_FRAC_DIGITS + 1)]
+
+
+def _points(rows) -> list[tuple[float, float]]:
+    """(lon, lat) floats of rows.  Python's frac / 10**d divides two exact
+    integers, so each equals DecimalNumber.to_float bit for bit."""
+    p = _POW10
+    return [
+        (
+            -(lon_i + lon_f / p[lon_d]) if lon_s else lon_i + lon_f / p[lon_d],
+            -(lat_i + lat_f / p[lat_d]) if lat_s else lat_i + lat_f / p[lat_d],
+        )
+        for _, lon_s, lon_i, lon_f, lon_d, lat_s, lat_i, lat_f, lat_d, _ in rows
+    ]
 
 
 def stratified_sample(trajectories, n_total: int, seed) -> list[tuple[str, int]]:
@@ -209,12 +198,25 @@ def _dataset_files(input_dir: Path) -> list[Path]:
     )
 
 
+def _write_text(path: Path, lines) -> None:
+    """Write lines via <path>.tmp: a failed write leaves the earlier file."""
+    tmp = path.with_name(f"{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_sidecar(out_path: Path, errors) -> None:
-    if not errors:
-        return
-    with open(f"{out_path}.errors", "w", encoding="utf-8") as fh:
-        for line_no, reason in errors:
-            fh.write(f"{line_no}: {reason}\n")
+    """Write the .errors sidecar of out_path; a clean file removes a stale one."""
+    sidecar = out_path.with_name(f"{out_path.name}.errors")
+    if errors:
+        _write_text(sidecar, [f"{line_no}: {reason}\n" for line_no, reason in errors])
+    else:
+        sidecar.unlink(missing_ok=True)
 
 
 def encrypt_dataset(
@@ -242,32 +244,25 @@ def encrypt_dataset(
         except (OSError, UnicodeDecodeError) as exc:
             stats.failed_files.append(f"{path.name}: {exc}")
             continue
-        records = scan.records
+        heads, lon_s, lon_i, lon_f, lon_d, lat_s, lat_i, lat_f, lat_d, ends = (
+            zip(*scan.rows) if scan.rows else [()] * 10
+        )
+        zeros = (0,) * len(heads)
+        parts = [("lon_int", lon_i, zeros), ("lon_frac", lon_f, lon_d),
+                 ("lat_int", lat_i, zeros), ("lat_frac", lat_f, lat_d)]
+        enc = [cipher.encrypt_batch(*part).tolist() for part in parts]
         start = store.entry_count("lon_int")
-        lines = [
-            f"{cid},{rec.vehicle_id},{rec.timestamp}"
-            for cid, rec in enumerate(records, start)
-        ]
-        parts = []
-        for axis in ("lon", "lat"):
-            nums = [getattr(rec.point, axis) for rec in records]
-            ints = [num.int_part for num in nums]
-            fracs = [num.frac_value for num in nums]
-            digits = [num.frac_digits for num in nums]
-            enc_ints = cipher.encrypt_batch(f"{axis}_int", ints).tolist()
-            enc_fracs = cipher.encrypt_batch(f"{axis}_frac", fracs, digits).tolist()
-            parts.append((f"{axis}_int", enc_ints, ints, [0] * len(records)))
-            parts.append((f"{axis}_frac", enc_fracs, fracs, digits))
-            for i, num in enumerate(nums):
-                enc = DecimalNumber(num.sign, enc_ints[i], enc_fracs[i], num.frac_digits)
-                lines[i] += f",{recombine(enc)}"
-        for part in parts:
-            store.append(*part)
+        for (kind, orig, d), enc_col in zip(parts, enc):
+            store.append(kind, enc_col, orig, d)
+        texts = zip(heads, _decimal_texts(lon_s, enc[0], enc[1], lon_d),
+                    _decimal_texts(lat_s, enc[2], enc[3], lat_d), ends)
         out_path = out_dir / path.name
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(line + rec.line_end for line, rec in zip(lines, records))
+        _write_text(out_path, [
+            f"{cid},{head},{lon},{lat}{end}"
+            for cid, (head, lon, lat, end) in enumerate(texts, start)
+        ])
         _write_sidecar(out_path, scan.errors)
-        stats.records += len(records)
+        stats.records += len(heads)
         stats.dropped += scan.dropped
         stats.parse_errors += scan.parse_errors
     return stats
@@ -345,8 +340,7 @@ def decrypt_dataset(enc_dir, out_dir, store: MappingStore) -> DecryptStats:
                 f"{vid},{timestamp},{recombine(lon)},{recombine(lat)}{line[len(body):]}"
             )
         out_path = out_dir / path.name
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(lines)
+        _write_text(out_path, lines)
         _write_sidecar(out_path, errors)
         stats.records += len(lines)
         stats.record_errors += len(errors)
@@ -453,16 +447,10 @@ def generate_synthetic(cfg: SynthConfig, out_dir) -> int:
 # Loaders for the evaluation harness
 
 
-def _read_lines(path: Path) -> list[str]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return fh.readlines()
-
-
 def load_plain_points(input_dir) -> dict[str, list[tuple[float, float]]]:
     """Cleaned per-vehicle (lon, lat) floats in file order, keyed by file stem."""
     return {
-        path.stem: _plain_points(_read_lines(path))
-        for path in _dataset_files(input_dir)
+        path.stem: _points(scan_file(path).rows) for path in _dataset_files(input_dir)
     }
 
 
@@ -476,10 +464,11 @@ def load_points_auto(input_dir) -> dict[str, list[tuple[float, float]]]:
     """
     out = {}
     for path in _dataset_files(input_dir):
-        lines = _read_lines(path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
         rows = [line.rstrip("\r\n").split(",") for line in lines if line.strip()]
         if rows and all(len(fields) == 5 for fields in rows):
             out[path.stem] = [(float(fields[3]), float(fields[4])) for fields in rows]
         else:
-            out[path.stem] = _plain_points(lines)
+            out[path.stem] = _points(scan_lines(lines).rows)
     return out

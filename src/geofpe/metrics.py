@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import check_line
+from .dataset import scan_lines
 
 log = logging.getLogger("geofpe.metrics")
 
@@ -460,7 +460,7 @@ def _match(orig_rows, dec_rows) -> tuple[int, int]:
         record = records[j] if j < len(records) else None
         if fields is not None and fields == record:
             matched += 1
-        elif check_line(line)[0] is None:
+        elif not scan_lines((line,)).rows:
             continue
         elif record is None or fields[:2] != record[:2]:
             points += 1

@@ -17,7 +17,7 @@ from geofpe import metrics
 from geofpe._rounds import decrypt_rounds_raw, encrypt_rounds_raw
 from geofpe.cipher import CoordinateCipher
 from geofpe.cli import main as cli_main
-from geofpe.coords import decompose, validate_point
+from geofpe.coords import GeoPoint, decompose, validate_point
 from geofpe.dataset import (
     SynthConfig,
     decrypt_dataset,
@@ -111,17 +111,18 @@ def test_criterion_2_format_validity(pipeline):
     dirs = pipeline["dirs"]
     checked = 0
     for orig_path in sorted(dirs["orig"].glob("*.txt")):
-        orig_records = scan_file(orig_path).records
+        orig_rows = scan_file(orig_path).rows
         enc_lines = (dirs["enc"] / orig_path.name).read_text().splitlines()
-        assert len(orig_records) == len(enc_lines)
-        for rec, line in zip(orig_records, enc_lines):
+        assert len(orig_rows) == len(enc_lines)
+        for row, line in zip(orig_rows, enc_lines):
             _cid, _vid, _ts, lon_text, lat_text = line.split(",")
             enc_lon, enc_lat = decompose(lon_text), decompose(lat_text)
-            assert validate_point(type(rec.point)(enc_lon, enc_lat)) is None
-            for orig_n, enc_n in ((rec.point.lon, enc_lon), (rec.point.lat, enc_lat)):
-                assert len(str(enc_n.int_part)) == len(str(orig_n.int_part))
-                assert enc_n.frac_digits == orig_n.frac_digits
-                assert enc_n.sign == orig_n.sign
+            assert validate_point(GeoPoint(enc_lon, enc_lat)) is None
+            for orig, enc_n in ((row[1:5], enc_lon), (row[5:9], enc_lat)):
+                sign, int_part, _, digits = orig
+                assert len(str(enc_n.int_part)) == len(str(int_part))
+                assert enc_n.frac_digits == digits
+                assert enc_n.sign == (-1 if sign else 1)
             checked += 1
     _report(
         2,

@@ -1,10 +1,16 @@
 """CLI subcommand flows, exit codes, and report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from geofpe.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -268,6 +274,92 @@ def test_plus_sign_goes_to_the_sidecar(tmp_path, capsys, key_file):
     assert "encrypted 2 records" in out
     assert (enc / "1.txt.errors").read_text().startswith("2: parse error: malformed")
     assert (dec / "1.txt").read_text() == plain + plain
+
+
+def test_clean_rerun_removes_stale_sidecars(tmp_path, capsys, key_file):
+    orig = tmp_path / "orig"
+    orig.mkdir()
+    enc, dec = tmp_path / "enc", tmp_path / "dec"
+    empty, mp, empty_map = tmp_path / "empty", tmp_path / "store.map", tmp_path / "empty.map"
+    empty.mkdir()
+
+    def encrypt():
+        return run(capsys, "encrypt", "--input", str(orig), "--output", str(enc),
+                   "--key", key_file, "--map", str(mp))
+
+    def decrypt(map_path):
+        return run(capsys, "decrypt", "--input", str(enc), "--output", str(dec),
+                   "--key", key_file, "--map", str(map_path))
+
+    (orig / "1.txt").write_text("1,t,116.5,39.9\n1,t,bad,39.9\n")
+    assert encrypt()[0] == 0
+    assert (enc / "1.txt.errors").read_text() == (
+        "2: parse error: malformed decimal text: 'bad'\n"
+    )
+    (orig / "1.txt").write_text("1,t,116.5,39.9\n1,t,116.25,39.9\n")
+    code, out, _ = encrypt()
+    assert code == 0 and "0 parse errors" in out
+    assert not (enc / "1.txt.errors").exists()
+
+    # a map without entries restores nothing; the right one restores all
+    run(capsys, "encrypt", "--input", str(empty), "--output", str(tmp_path / "e2"),
+        "--key", key_file, "--map", str(empty_map))
+    assert decrypt(empty_map)[0] == 1
+    assert (dec / "1.txt.errors").exists()
+    assert decrypt(mp)[0] == 0
+    assert not (dec / "1.txt.errors").exists()
+    assert (dec / "1.txt").read_text() == (orig / "1.txt").read_text()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_keeps_the_exit_code(tmp_path, key_file, unbuffered):
+    # `geofpe ... | head -1`: a reader that has gone must not turn a finished
+    # run into a failure, nor add output about the pipe.
+    orig = tmp_path / "orig"
+    orig.mkdir()
+    (orig / "1.txt").write_text("1,t,116.5,39.9\n1,t,bad,39.9\n")
+    (orig / "2.txt").write_bytes(b"\xff\xfe\n")  # not UTF-8: encrypt exits 1
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+
+    def geofpe(argv, stdout):
+        proc = subprocess.run(
+            [sys.executable, "-m", "geofpe.cli", *map(str, argv)],
+            stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+        return proc.returncode, proc.stderr.decode()
+
+    runs = {}
+    for closed in (False, True):
+        out = tmp_path / ("closed" if closed else "open")
+        commands = [
+            ["encrypt", "--input", orig, "--output", out / "enc", "--key", key_file,
+             "--map", out / "store.map"],
+            ["decrypt", "--input", out / "enc", "--output", out / "dec",
+             "--key", key_file, "--map", out / "store.map"],
+            ["eval", "accuracy", "--orig", out / "dec", "--dec", out / "dec",
+             "--out", out / "rep"],
+        ]
+        results = []
+        for argv in commands:
+            if not closed:
+                results.append(geofpe(argv, subprocess.DEVNULL))
+                continue
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                results.append(geofpe(argv, write_end))
+            finally:
+                os.close(write_end)
+        runs[closed] = results, (out / "store.map").read_bytes()
+    assert [code for code, _ in runs[False][0]] == [1, 0, 0]
+    assert [code for code, _ in runs[True][0]] == [1, 0, 0]
+    assert runs[True][1] == runs[False][1]
+    for (_, err_open), (_, err_closed) in zip(runs[False][0], runs[True][0]):
+        assert err_closed == err_open
+        assert "pipe" not in err_closed.lower()
 
 
 def test_decrypt_with_wrong_map_fails(tmp_path, capsys, key_file):

@@ -1,5 +1,7 @@
 """Dataset pipeline: parsing, cleaning, sampling, synthesis, round trips."""
 
+import errno
+import io
 import tempfile
 from pathlib import Path
 
@@ -7,9 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geofpe import dataset
 from geofpe.cipher import CoordinateCipher
 from geofpe.cli import main as cli_main
-from geofpe.coords import MAX_FRAC_DIGITS, ParseError, decompose
+from geofpe.coords import (
+    MAX_FRAC_DIGITS,
+    GeoPoint,
+    ParseError,
+    decompose,
+    validate_point,
+)
 from geofpe.dataset import (
     SynthConfig,
     decrypt_dataset,
@@ -17,7 +26,6 @@ from geofpe.dataset import (
     generate_synthetic,
     load_plain_points,
     load_points_auto,
-    parse_line,
     scan_file,
     stratified_sample,
 )
@@ -31,23 +39,40 @@ KEY = bytes.fromhex("0123456789ABCDEFFEDCBA9876543210")
 # Parsing and cleaning
 
 
-def test_parse_line_tdrive_format():
-    rec = parse_line("1,2008-02-02 15:36:08,116.51172,39.92123\n")
-    assert rec.vehicle_id == "1"
-    assert rec.timestamp == "2008-02-02 15:36:08"
-    assert rec.point.lon == decompose("116.51172")
-    assert rec.point.lat == decompose("39.92123")
-    assert rec.point.lon.frac_digits == rec.point.lat.frac_digits == 5
+def _scan_text(tmp_path, text):
+    path = tmp_path / "1.txt"
+    path.write_text(text)
+    return scan_file(path)
 
 
-def test_parse_line_wrong_field_count():
-    with pytest.raises(ParseError):
-        parse_line("1,t,116.5")
+def _components(text):
+    """Sign, integer part, fraction value and digit count of coordinate text
+    by the reference grammar, as a scan row holds them."""
+    n = decompose(text)
+    return "-" if n.sign < 0 else "", n.int_part, n.frac_value, n.frac_digits
 
 
-def test_parse_line_bad_decimal():
-    with pytest.raises(ParseError):
-        parse_line("1,t,abc,39.9")
+def test_parse_line_tdrive_format(tmp_path):
+    scan = _scan_text(tmp_path, "1,2008-02-02 15:36:08,116.51172,39.92123\n")
+    assert scan.errors == []
+    [row] = scan.rows
+    assert row[0] == "1,2008-02-02 15:36:08"
+    assert row[1:5] == _components("116.51172")
+    assert row[5:9] == _components("39.92123")
+    assert row[4] == row[8] == 5
+    assert row[9] == "\n"
+
+
+def test_parse_line_wrong_field_count(tmp_path):
+    scan = _scan_text(tmp_path, "1,t,116.5")
+    assert scan.rows == [] and scan.parse_errors == 1
+    assert scan.errors == [(1, "parse error: expected 4 comma-separated fields, got 3")]
+
+
+def test_parse_line_bad_decimal(tmp_path):
+    scan = _scan_text(tmp_path, "1,t,abc,39.9")
+    assert scan.rows == [] and scan.parse_errors == 1
+    assert scan.errors == [(1, "parse error: malformed decimal text: 'abc'")]
 
 
 def test_scan_file_range_boundaries(tmp_path):
@@ -60,9 +85,9 @@ def test_scan_file_range_boundaries(tmp_path):
         "1,t,0,-90.5\n"
     )
     scan = scan_file(path)
-    assert [(r.point.lon, r.point.lat) for r in scan.records] == [
-        (decompose("-180"), decompose("90")),
-        (decompose("180.000"), decompose("-90.0")),
+    assert [(row[1:5], row[5:9]) for row in scan.rows] == [
+        (_components("-180"), _components("90")),
+        (_components("180.000"), _components("-90.0")),
     ]
     assert scan.dropped == 3 and scan.parse_errors == 0
     assert scan.errors == [
@@ -76,21 +101,21 @@ def test_clean_drops_out_of_range(tmp_path):
     path = tmp_path / "1.txt"
     path.write_text("1,t,116.5,39.9\n1,t,181,0\n")
     scan = scan_file(path)
-    assert len(scan.records) == 1 and scan.dropped == 1
+    assert len(scan.rows) == 1 and scan.dropped == 1
 
 
 def test_clean_keeps_all_valid(tmp_path):
     path = tmp_path / "1.txt"
     path.write_text("1,t,116.5,39.9\n1,t,-180,90\n")
     scan = scan_file(path)
-    assert len(scan.records) == 2 and scan.dropped == 0
+    assert len(scan.rows) == 2 and scan.dropped == 0
 
 
 def test_scan_file_empty(tmp_path):
     path = tmp_path / "1.txt"
     path.write_text("")
     scan = scan_file(path)
-    assert scan.records == [] and scan.errors == [] and scan.dropped == 0
+    assert scan.rows == [] and scan.errors == [] and scan.dropped == 0
 
 
 def test_scan_file_counts_reasons(tmp_path):
@@ -102,7 +127,7 @@ def test_scan_file_counts_reasons(tmp_path):
         "1,t,116.6,40.0\n"
     )
     scan = scan_file(path)
-    assert len(scan.records) == 2
+    assert len(scan.rows) == 2
     assert scan.parse_errors == 1
     assert scan.dropped == 1
     assert [line_no for line_no, _ in scan.errors] == [2, 3]
@@ -185,9 +210,9 @@ def test_synth_shape_and_validity(tmp_path):
     files = sorted(out.glob("*.txt"))
     assert len(files) == 6
     scan = scan_file(files[0])
-    assert len(scan.records) == 200
+    assert len(scan.rows) == 200
     assert not scan.errors
-    assert all(r.point.lon.frac_digits == 5 for r in scan.records)
+    assert all(row[4] == 5 for row in scan.rows)
 
 
 def test_synth_hotspots_found_by_dbscan(tmp_path):
@@ -371,13 +396,14 @@ def test_load_points_auto_reads_ragged_file_as_plain(tmp_path):
 
 
 def test_parse_line_rejects_plus_sign(tmp_path):
-    with pytest.raises(ParseError):
-        parse_line("1,t,+116.51172,39.92123")
     path = tmp_path / "1.txt"
     path.write_text("1,t,116.5,39.9\n1,t,+116.5,39.9\n1,t,116.5,+39.9\n")
     scan = scan_file(path)
-    assert len(scan.records) == 1 and scan.parse_errors == 2
-    assert [line_no for line_no, _ in scan.errors] == [2, 3]
+    assert len(scan.rows) == 1 and scan.parse_errors == 2
+    assert scan.errors == [
+        (2, "parse error: malformed decimal text: '+116.5'"),
+        (3, "parse error: malformed decimal text: '+39.9'"),
+    ]
 
 
 def test_decrypt_tampered_coord_ids_and_values(tmp_path):
@@ -440,6 +466,55 @@ def test_second_encrypt_into_one_store_continues_the_ids(tmp_path):
         assert (dec / "1.txt").read_text() == text
 
 
+class _HalfWrite:
+    """A text file that stores half of what it is given, then fails as a
+    full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def writelines(self, lines):
+        self.write("".join(lines))
+
+
+@pytest.mark.parametrize("failing", ["enc/1.txt", "enc/1.txt.errors", "dec/1.txt"])
+def test_failed_write_keeps_the_earlier_output(tmp_path, monkeypatch, failing):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "1.txt").write_text("1,t,116.5,39.9\n1,t,bad,39.9\n1,t,-0.25,2.5\n")
+    _round_trip(tmp_path, src)
+    before = {p: p.read_bytes() for p in tmp_path.glob("*/*") if p.parent != src}
+    target = tmp_path / failing
+    assert target in before
+
+    (src / "1.txt").write_text("1,t,1.5,2.5\n1,t,1.5\n1,t,3.25,4.75\n1,t,999,0\n")
+    real_open = open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        name = Path(file).name.removesuffix(".tmp")
+        if "w" in mode and Path(file).parent / name == target:
+            return _HalfWrite(fh)
+        return fh
+
+    monkeypatch.setattr(dataset, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        _round_trip(tmp_path, src)
+    assert target.read_bytes() == before[target]
+    assert list(tmp_path.glob("*/*.tmp")) == []
+
+
 def test_line_endings_round_trip(tmp_path):
     src = tmp_path / "src"
     src.mkdir()
@@ -472,10 +547,11 @@ _FIELD = st.text(
 
 
 @st.composite
-def _coordinate(draw, bound):
-    """Canonical decimal text in [-bound, bound] with 0..MAX_FRAC_DIGITS digits."""
+def _coordinate(draw, bound, min_digits=0):
+    """Canonical decimal text in [-bound, bound] with min_digits..MAX_FRAC_DIGITS
+    fraction digits."""
     int_part = draw(st.integers(0, bound))
-    digits = draw(st.integers(0, MAX_FRAC_DIGITS))
+    digits = draw(st.integers(min_digits, MAX_FRAC_DIGITS))
     frac = 0 if int_part == bound else draw(st.integers(0, 10**digits - 1))
     text = draw(st.sampled_from(["", "-"])) + str(int_part)
     return f"{text}.{frac:0{digits}d}" if digits else text
@@ -570,7 +646,7 @@ def test_accepted_lines_round_trip_and_rejected_lines_are_reported(lines):
 
 
 # ---------------------------------------------------------------------------
-# Eval loader property
+# Plain reader property
 
 # Coordinate texts on the edges of the grammar: range bounds with zero and
 # non-zero fractions, fraction widths around the 15 digits that convert to
@@ -584,24 +660,71 @@ _EDGE_ANY = [
 ]
 _EDGE_LON = _EDGE_ANY + [
     "180", "-180.0", "180.000000000000000", "180.000000000000001", "-180.5",
-    "179.999999999999999", "-179.9999999999999999999",
+    "179.999999999999999", "-179.9999999999999999999", "180.0000000000000000000",
+    "1000", "-999.5",
 ]
 _EDGE_LAT = _EDGE_ANY + [
     "-90", "90.0000", "90.0000000000000000001", "-90.1", "89.9999999999999999999",
+    "100", "-90.0000000000000000000",
 ]
 
 
 @st.composite
 def _edge_line(draw):
-    lon = draw(st.one_of(st.sampled_from(_EDGE_LON), _coordinate(180)))
-    lat = draw(st.one_of(st.sampled_from(_EDGE_LAT), _coordinate(90)))
+    lon = draw(st.one_of(
+        st.sampled_from(_EDGE_LON), _coordinate(180), _coordinate(180, min_digits=16)
+    ))
+    lat = draw(st.one_of(
+        st.sampled_from(_EDGE_LAT), _coordinate(90), _coordinate(90, min_digits=16)
+    ))
     return f"{draw(_FIELD)},{draw(_FIELD)},{lon},{lat}"
 
 
 _WHITESPACE_LINE = st.text(st.sampled_from(" \t\x0b\x0c\u00a0\u3000"), max_size=3)
 
 
-@settings(max_examples=150, deadline=None)
+def _row_parts(n):
+    return "-" if n.sign < 0 else "", n.int_part, n.frac_value, n.frac_digits
+
+
+def _reference_scan(text):
+    """Rows, errors and (lon, lat) float.hex pairs of a plain file, line by
+    line through decompose, validate_point and DecimalNumber.to_float."""
+    rows, errors, floats = [], [], []
+    for line_no, line in enumerate(io.StringIO(text, newline=""), start=1):
+        if not line.strip():
+            continue
+        body = line.rstrip("\r\n")
+        fields = body.split(",")
+        if len(fields) != 4:
+            errors.append(
+                (line_no, f"parse error: expected 4 comma-separated fields, got {len(fields)}")
+            )
+            continue
+        try:
+            point = GeoPoint(decompose(fields[2]), decompose(fields[3]))
+        except ParseError as exc:
+            errors.append((line_no, f"parse error: {exc}"))
+            continue
+        wide = [
+            f"parse error: {axis} fraction has {n.frac_digits} digits, "
+            f"more than {MAX_FRAC_DIGITS}"
+            for axis, n in (("lon", point.lon), ("lat", point.lat))
+            if n.frac_digits > MAX_FRAC_DIGITS
+        ]
+        axis = validate_point(point)
+        if wide or axis:
+            errors.append((line_no, wide[0] if wide else f"out of range: {axis}"))
+            continue
+        rows.append(
+            (f"{fields[0]},{fields[1]}", *_row_parts(point.lon), *_row_parts(point.lat),
+             line[len(body):])
+        )
+        floats.append((point.lon.to_float().hex(), point.lat.to_float().hex()))
+    return rows, errors, floats
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     st.lists(
         st.tuples(
@@ -618,23 +741,27 @@ _WHITESPACE_LINE = st.text(st.sampled_from(" \t\x0b\x0c\u00a0\u3000"), max_size=
     st.sampled_from(["\n", "\r\n", "\r", ""]),
 )
 def test_eval_loaders_equal_scan_file_floats(lines, last_end):
+    # scan_file and the eval loaders share one reader; all three are checked
+    # against the reference grammar of coords, line by line.
     text = "".join(body + end for body, end in lines[:-1])
     if lines:
         text += lines[-1][0] + last_end
+    rows, errors, floats = _reference_scan(text)
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         (tree / "7.txt").write_bytes(text.encode())
-        expected = [
-            (rec.point.lon.to_float().hex(), rec.point.lat.to_float().hex())
-            for rec in scan_file(tree / "7.txt").records
-        ]
+        scan = scan_file(tree / "7.txt")
+        assert scan.rows == rows
+        assert scan.errors == errors
+        assert scan.dropped == sum(r.startswith("out of range") for _, r in errors)
+        assert scan.parse_errors == len(errors) - scan.dropped
 
         def hexed(points):
             assert set(points) == {"7"}
             return [(lon.hex(), lat.hex()) for lon, lat in points["7"]]
 
-        assert hexed(load_plain_points(tree)) == expected
+        assert hexed(load_plain_points(tree)) == floats
         with open(tree / "7.txt", encoding="utf-8", newline="") as fh:
-            rows = [line.rstrip("\r\n").split(",") for line in fh if line.strip()]
-        if not (rows and all(len(fields) == 5 for fields in rows)):
-            assert hexed(load_points_auto(tree)) == expected
+            fields = [line.rstrip("\r\n").split(",") for line in fh if line.strip()]
+        if not (fields and all(len(f) == 5 for f in fields)):
+            assert hexed(load_points_auto(tree)) == floats
