@@ -119,11 +119,11 @@ class CoordinateCipher:
 
     The key, schedule and round count never change.  The codebook holds, per
     (kind, digit count), two sorted uint64 columns: plaintext values and
-    their ciphertexts.  It starts empty and grows with each batch.
-    Instances are safe to share across worker threads: merges into the
-    codebook take a lock, and a batch gathers only from the columns it looked
-    up and the misses it computed itself, so a race can cost a recomputation
-    but never a wrong value.
+    their ciphertexts.  It starts empty and grows with each batch.  The
+    pipeline uses one instance on one thread.  Merges into the codebook
+    still take a lock, and a batch gathers only from the columns it looked
+    up and the misses it computed itself, so two threads sharing an instance
+    can cost a recomputation but never a wrong value.
     """
 
     def __init__(self, key: bytes, n_rounds: int = DEFAULT_ROUNDS):

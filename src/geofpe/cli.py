@@ -144,7 +144,12 @@ def cmd_encrypt(args) -> int:
 
 def cmd_decrypt(args) -> int:
     load_key(args.key)  # decryption is map-driven; the key is validated only
+    started = time.perf_counter()
     store = MappingStore.load(args.map)
+    log.debug(
+        "load map %s: %d coordinate ids in %.3fs",
+        args.map, store.entry_count("lon_int"), time.perf_counter() - started,
+    )
     started = time.perf_counter()
     stats = decrypt_dataset(args.input, args.output, store)
     elapsed = time.perf_counter() - started
@@ -298,7 +303,14 @@ def cmd_eval_accuracy(args) -> int:
         f"({report['matched_points']}/{report['total_points']} points, "
         f"{report['fully_matched_files']}/{report['file_count']} files fully matched)"
     )
-    return 0
+    unreadable = [
+        f"{entry['file']}: {entry['error']}"
+        for entry in report["per_file"]
+        if entry.get("error", "").startswith(metrics.UNREADABLE)
+    ]
+    for failure in unreadable:
+        print(f"error: failed file {failure}", file=sys.stderr)
+    return 1 if unreadable else 0
 
 
 # ---------------------------------------------------------------------------

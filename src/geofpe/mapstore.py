@@ -98,6 +98,19 @@ class MappingStore:
             return orig_col[coord_id]
         return None
 
+    def lookup_exact_batch(self, kind: str, coord_ids, enc_values):
+        """``lookup_exact`` over arrays of int64 ids and uint64 encrypted
+        values: a hit mask, and the originals as uint64 (0 where it misses)."""
+        ids = np.asarray(coord_ids, dtype=np.int64)
+        enc_values = np.asarray(enc_values, dtype=np.uint64)
+        found = np.zeros(ids.shape, dtype=np.uint64)
+        with self._lock:
+            enc_col, orig_col, _ = (_view(col) for col in self._cols[kind])
+            hit = (ids >= 0) & (ids < len(enc_col))
+            hit[hit] = enc_col[ids[hit]] == enc_values[hit]
+            found[hit] = orig_col[ids[hit]]
+        return hit, found
+
     def _distinct(self, kind: str) -> tuple:
         pairs = self._pairs.get(kind)
         if pairs is None:

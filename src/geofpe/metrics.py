@@ -426,6 +426,8 @@ def hotspot_analysis(
 # ---------------------------------------------------------------------------
 # Decryption accuracy
 
+UNREADABLE = "cannot read"
+
 
 def _rows(path: Path) -> list[tuple[str, list[str] | None]]:
     """Each non-blank line of a file, if it exists, with its fields (None
@@ -476,7 +478,9 @@ def accuracy(orig_dir, dec_dir) -> dict:
     A point matches iff its decrypted line has the same id, timestamp and
     coordinate texts.  Points are the original lines that encrypt accepts,
     including those decrypt could not restore; files correspond by name, and
-    a missing counterpart counts as fully mismatched.
+    a missing counterpart counts as fully mismatched.  A file that cannot be
+    read or decoded counts as empty, and its pair gets an ``error`` that
+    starts with UNREADABLE.
     """
     orig_dir, dec_dir = Path(orig_dir), Path(dec_dir)
     names = sorted(
@@ -486,12 +490,20 @@ def accuracy(orig_dir, dec_dir) -> dict:
     total = matched_total = fully_matched = 0
     for name in names:
         orig_path, dec_path = orig_dir / name, dec_dir / name
-        n, matched = _match(_rows(orig_path), _rows(dec_path))
+        rows, error = [], None
+        for side, path in (("original", orig_path), ("decrypted", dec_path)):
+            try:
+                rows.append(_rows(path))
+            except (OSError, UnicodeDecodeError) as exc:
+                rows.append([])
+                error = error or f"{UNREADABLE} {side} file: {exc}"
+        n, matched = _match(*rows)
         total += n
-        if not orig_path.is_file() or not dec_path.is_file():
+        if error is None and not (orig_path.is_file() and dec_path.is_file()):
+            error = "missing counterpart file"
+        if error is not None:
             per_file.append(
-                {"file": name, "total": n, "matched": 0, "fmr": 0.0,
-                 "error": "missing counterpart file"}
+                {"file": name, "total": n, "matched": 0, "fmr": 0.0, "error": error}
             )
             continue
         fmr = Fraction(matched, n) if n else Fraction(1)

@@ -1,0 +1,88 @@
+"""Line-by-line decrypt oracle for decrypt_dataset comparisons.
+
+Independent of geofpe.dataset's decrypt code: every non-blank line is split
+on commas, parsed with int() and coords.decompose, and restored through one
+MappingStore.lookup_exact per component, then lookup_fuzzy on a miss.  A
+restored fraction that needs more digits than the line gives is a per-line
+error.  Outputs and sidecars are written in place, as plain files.
+"""
+
+from pathlib import Path
+
+from geofpe.coords import DecimalNumber, ParseError, decompose, recombine
+from geofpe.dataset import DecryptStats
+
+
+def _restore(line, store, stats):
+    """(text, None) or (None, reason) for one non-blank encrypted line."""
+    body = line.rstrip("\r\n")
+    fields = body.split(",")
+    if len(fields) != 5:
+        return None, f"expected 5 fields, got {len(fields)}"
+    cid_text, vid, timestamp, enc_lon_text, enc_lat_text = fields
+    try:
+        cid = int(cid_text)
+        enc_lon = decompose(enc_lon_text)
+        enc_lat = decompose(enc_lat_text)
+    except (ValueError, ParseError) as exc:
+        return None, f"parse error: {exc}"
+    parts = {}
+    for kind, enc_value in (
+        ("lon_int", enc_lon.int_part),
+        ("lon_frac", enc_lon.frac_value),
+        ("lat_int", enc_lat.int_part),
+        ("lat_frac", enc_lat.frac_value),
+    ):
+        orig = store.lookup_exact(kind, cid, enc_value)
+        if orig is None:
+            orig = store.lookup_fuzzy(kind, enc_value)
+            if not isinstance(orig, int):
+                state = "ambiguous" if orig else "not found"
+                return None, f"no {kind} mapping for coord_id {cid} (fuzzy: {state})"
+            stats.fuzzy_restored += 1
+        parts[kind] = orig
+    texts = []
+    for axis, enc in (("lon", enc_lon), ("lat", enc_lat)):
+        try:
+            n = DecimalNumber(
+                enc.sign, parts[f"{axis}_int"], parts[f"{axis}_frac"], enc.frac_digits
+            )
+        except ValueError:
+            return None, (
+                f"{axis}_frac mapping for coord_id {cid} needs more than "
+                f"{enc.frac_digits} digits"
+            )
+        texts.append(recombine(n))
+    return f"{vid},{timestamp},{texts[0]},{texts[1]}{line[len(body):]}", None
+
+
+def decrypt_oracle(enc_dir, out_dir, store) -> DecryptStats:
+    enc_dir, out_dir = Path(enc_dir), Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    files = sorted(p for p in enc_dir.iterdir() if p.is_file() and p.suffix == ".txt")
+    stats = DecryptStats(files=len(files))
+    for path in files:
+        try:
+            with open(path, encoding="utf-8", newline="") as fh:
+                source = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            stats.failed_files.append(f"{path.name}: {exc}")
+            continue
+        lines, errors = [], []
+        for line_no, line in enumerate(source, start=1):
+            if line.strip() == "":
+                continue
+            text, reason = _restore(line, store, stats)
+            if reason is None:
+                lines.append(text)
+            else:
+                errors.append(f"{line_no}: {reason}\n")
+        with open(out_dir / path.name, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(lines))
+        if errors:
+            with open(out_dir / f"{path.name}.errors", "w", encoding="utf-8",
+                      newline="") as fh:
+                fh.write("".join(errors))
+        stats.records += len(lines)
+        stats.record_errors += len(errors)
+    return stats

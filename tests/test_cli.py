@@ -1,7 +1,9 @@
 """CLI subcommand flows, exit codes, and report determinism."""
 
 import json
+import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -259,6 +261,105 @@ def test_undecodable_encrypted_file_is_isolated(tmp_path, capsys, key_file):
     assert not (tmp_path / "dec2" / "2.txt").exists()
     for name in ("1.txt", "3.txt"):
         assert (tmp_path / "dec2" / name).read_bytes() == (orig / name).read_bytes()
+
+
+def test_shortened_fraction_goes_to_the_sidecar(tmp_path, capsys, key_file):
+    # Dropping the leading 0 of an encrypted fraction keeps its value, so the
+    # exact lookup hits, but the original five digits no longer fit.
+    orig = tmp_path / "orig"
+    orig.mkdir()
+    plain = [f"1,t,116.{50000 + 997 * i},39.9\n" for i in range(40)]
+    (orig / "1.txt").write_text("".join(plain))
+    (orig / "2.txt").write_text("2,t,116.5,39.9\n")
+    (enc_code, _, _), (dec_code, _, _), enc, dec = _encrypt_decrypt(
+        capsys, tmp_path, key_file, orig
+    )
+    assert enc_code == dec_code == 0
+    lines = (enc / "1.txt").read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if ".0" in line.split(",")[3])
+    cid, vid, stamp, lon, lat = lines[i].split(",")
+    int_text, frac_text = lon.split(".")
+    lines[i] = f"{cid},{vid},{stamp},{int_text}.{frac_text[1:]},{lat}"
+    (enc / "1.txt").write_text("".join(lines))
+
+    code, out, err = run(
+        capsys, "decrypt", "--input", str(enc), "--output", str(tmp_path / "dec2"),
+        "--key", key_file, "--map", str(tmp_path / "store.map"),
+    )
+    assert code == 1
+    assert "decrypted 40 records from 2 files (1 record errors" in out
+    assert err == ""
+    assert (tmp_path / "dec2" / "1.txt").read_text() == "".join(plain[:i] + plain[i + 1:])
+    assert (tmp_path / "dec2" / "1.txt.errors").read_text() == (
+        f"{i + 1}: lon_frac mapping for coord_id {cid} needs more than 4 digits\n"
+    )
+    assert (tmp_path / "dec2" / "2.txt").read_bytes() == (orig / "2.txt").read_bytes()
+
+
+def test_decrypt_debug_log_counts_both_paths(tmp_path, capsys, caplog, key_file):
+    orig = tmp_path / "orig"
+    orig.mkdir()
+    plain = "1,t,116.5,39.9\n1,t,116.25,-39.125\n1,t,-0.125,0.5\n"
+    (orig / "1.txt").write_text(plain)
+    enc, mp = tmp_path / "enc", tmp_path / "store.map"
+    run(capsys, "encrypt", "--input", str(orig), "--output", str(enc),
+        "--key", key_file, "--map", str(mp))
+    lines = (enc / "1.txt").read_text().splitlines(keepends=True)
+    lines[1] = "+" + lines[1]  # int() still reads the id; the line pattern does not
+    (enc / "1.txt").write_text("".join(lines))
+
+    with caplog.at_level(logging.DEBUG, logger="geofpe"):
+        code, out, _ = run(
+            capsys, "decrypt", "--input", str(enc), "--output", str(tmp_path / "dec"),
+            "--key", key_file, "--map", str(mp),
+        )
+    assert code == 0
+    assert re.fullmatch(
+        r"decrypted 3 records from 1 files \(0 record errors, 0 fuzzy fallbacks\) "
+        r"in \d+\.\d\ds\n", out
+    )
+    assert (tmp_path / "dec" / "1.txt").read_text() == plain
+    spans = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert len(spans) == 2
+    assert re.fullmatch(r"load map .*store\.map: 3 coordinate ids in \d+\.\d{3}s", spans[0])
+    assert re.fullmatch(
+        r"decrypt .*enc: 1 files, 2 lines restored as columns, 1 per line "
+        r"\(0 fuzzy restores\) in \d+\.\d{3}s", spans[1]
+    )
+
+
+def test_eval_accuracy_reports_undecodable_files(tmp_path, capsys, key_file):
+    orig = tmp_path / "orig"
+    orig.mkdir()
+    for i in (1, 2, 3):
+        (orig / f"{i}.txt").write_text(f"{i},t,116.5,39.9\n{i},t,116.25,-39.125\n")
+    (orig / "2.txt").write_bytes(b"2,t,116.5,39.9\n\xff\xfe\n")
+    (enc_code, _, _), (dec_code, _, _), _, dec = _encrypt_decrypt(
+        capsys, tmp_path, key_file, orig
+    )
+    assert (enc_code, dec_code) == (1, 0)
+    with open(dec / "3.txt", "ab") as fh:
+        fh.write(b"\xff\xfe\n")
+
+    reports = tmp_path / "reports"
+    code, out, err = run(
+        capsys, "eval", "accuracy", "--orig", str(orig), "--dec", str(dec),
+        "--out", str(reports),
+    )
+    assert code == 1
+    assert "OMR 50.00% (2/4 points, 1/3 files fully matched)" in out
+    failures = err.splitlines()
+    assert [line.split(":")[0:2] for line in failures] == [
+        ["error", " failed file 2.txt"], ["error", " failed file 3.txt"],
+    ]
+    assert all("can't decode" in line for line in failures)
+    per_file = json.loads((reports / "accuracy.json").read_text())["per_file"]
+    assert [(f["file"], f["total"], f["matched"]) for f in per_file] == [
+        ("1.txt", 2, 2), ("2.txt", 0, 0), ("3.txt", 2, 0),
+    ]
+    assert "error" not in per_file[0]
+    assert per_file[1]["error"].startswith("cannot read original file: 'utf-8' codec")
+    assert per_file[2]["error"].startswith("cannot read decrypted file: 'utf-8' codec")
 
 
 def test_plus_sign_goes_to_the_sidecar(tmp_path, capsys, key_file):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geofpe import dataset
-from geofpe.cipher import CoordinateCipher
+from geofpe.cipher import KINDS, CoordinateCipher
 from geofpe.cli import main as cli_main
 from geofpe.coords import (
     MAX_FRAC_DIGITS,
@@ -31,6 +31,7 @@ from geofpe.dataset import (
 )
 from geofpe.mapstore import MappingStore
 from geofpe.metrics import accuracy, dbscan
+from oracle_decrypt import decrypt_oracle
 
 KEY = bytes.fromhex("0123456789ABCDEFFEDCBA9876543210")
 
@@ -434,6 +435,29 @@ def test_decrypt_tampered_coord_ids_and_values(tmp_path):
     ]
 
 
+def test_decrypt_reports_a_fraction_wider_than_its_digits(tmp_path):
+    # Id 0's encrypted longitude 65.08736 is shortened to 65.8736: the exact
+    # lookup still hits (8736), but the original fraction 77678 does not fit
+    # four digits.  That line goes to the sidecar; the rest is still written.
+    store = MappingStore()
+    store.append("lon_int", [65, 70], [116, 117], [0, 0])
+    store.append("lon_frac", [8736, 1234], [77678, 5], [5, 5])
+    store.append("lat_int", [12, 13], [39, 40], [0, 0])
+    store.append("lat_frac", [3, 4], [9, 8], [1, 1])
+    enc_dir, dec_dir = tmp_path / "enc", tmp_path / "dec"
+    enc_dir.mkdir()
+    (enc_dir / "1.txt").write_text("0,1,t,65.8736,12.3\n1,1,t,70.01234,13.4\n")
+    (enc_dir / "2.txt").write_text("0,2,t,-65.08736,12.3\n1,2,t,70.01234,-13.4\n")
+    stats = decrypt_dataset(enc_dir, dec_dir, store)
+    assert (stats.files, stats.records, stats.record_errors) == (2, 3, 1)
+    assert (dec_dir / "1.txt").read_text() == "1,t,117.00005,40.8\n"
+    assert (dec_dir / "1.txt.errors").read_text() == (
+        "1: lon_frac mapping for coord_id 0 needs more than 4 digits\n"
+    )
+    assert (dec_dir / "2.txt").read_text() == "2,t,-116.77678,39.9\n2,t,117.00005,-40.8\n"
+    assert not (dec_dir / "2.txt.errors").exists()
+
+
 def test_decrypt_isolates_undecodable_file(tmp_path, synth_dir):
     enc_dir, _, store, _, _ = _round_trip(tmp_path, synth_dir)
     names = sorted(p.name for p in enc_dir.glob("*.txt"))
@@ -765,3 +789,121 @@ def test_eval_loaders_equal_scan_file_floats(lines, last_end):
             fields = [line.rstrip("\r\n").split(",") for line in fh if line.strip()]
         if not (fields and all(len(f) == 5 for f in fields)):
             assert hexed(load_points_auto(tree)) == floats
+
+
+# ---------------------------------------------------------------------------
+# Decrypt oracle property
+
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                              "\u0665\u0666\u0667\u0668\u0669")
+
+
+@st.composite
+def _decrypt_store(draw):
+    """A store of up to 6 ids and its (enc, orig, digits) columns per kind.
+    Encrypted values often collide, so the fuzzy lookup meets unique,
+    ambiguous and unknown values; integer parts reach four digits."""
+    n = draw(st.integers(0, 6))
+    store, columns = MappingStore(), {}
+    for kind in KINDS:
+        if kind.endswith("_int"):
+            digits = [0] * n
+            enc = draw(st.lists(st.integers(0, 2) | st.integers(0, 1200),
+                                min_size=n, max_size=n))
+            orig = draw(st.lists(st.integers(0, 180), min_size=n, max_size=n))
+        else:
+            digits = draw(st.lists(st.integers(0, MAX_FRAC_DIGITS), min_size=n, max_size=n))
+            enc = [draw(st.integers(0, min(2, 10**d - 1)) | st.integers(0, 10**d - 1))
+                   for d in digits]
+            orig = [draw(st.integers(0, 10**d - 1)) for d in digits]
+        store.append(kind, enc, orig, digits)
+        columns[kind] = enc, orig, digits
+    return store, columns
+
+
+def _tamper_coordinate(draw, coordinate, lon):
+    """One change to a (sign, int text, frac text or None) coordinate."""
+    sign, int_text, frac_text = coordinate
+    change = draw(st.sampled_from(["int", "wide", "digits", "value"]))
+    if change == "int":  # longer than the plain grammar allows
+        int_text = str(draw(st.integers(1000 if lon else 100, 10**6)))
+    elif change == "wide":
+        frac_text = draw(st.text("0123456789", min_size=19, max_size=20))
+    elif change == "digits":
+        frac = frac_text or ""
+        frac_text = draw(st.sampled_from(
+            [frac[1:] or None, "0" + frac, frac + "0", None, frac or "0"]
+        ))
+    else:
+        value = draw(st.integers(0, 3) | st.integers(0, 10**6))
+        if frac_text and draw(st.booleans()):
+            frac_text = f"{value:0{len(frac_text)}d}"
+        else:
+            int_text = str(value)
+    return sign, int_text, frac_text
+
+
+@st.composite
+def _encrypted_line(draw, columns):
+    """A line built from one id's entries, maybe tampered; or a blank or
+    junk line."""
+    n = len(columns["lon_int"][0])
+    shape = draw(st.sampled_from(["entry", "entry", "entry", "blank", "junk"]))
+    if shape == "blank" or n == 0 and shape == "entry":
+        return draw(st.sampled_from(["", " ", "\t", "\u3000"]))
+    if shape == "junk":
+        return ",".join(draw(st.lists(_FIELD, min_size=1, max_size=6)))
+    cid = draw(st.integers(0, n - 1))
+    coordinates = []
+    for axis in ("lon", "lat"):
+        enc_int = columns[f"{axis}_int"][0][cid]
+        enc_frac, _, d = (col[cid] for col in columns[f"{axis}_frac"])
+        coordinates.append(
+            (draw(st.sampled_from(["", "-"])), str(enc_int), f"{enc_frac:0{d}d}" if d else None)
+        )
+    cid_text = str(cid)
+    fields = [draw(_FIELD), draw(_FIELD)]
+    change = draw(st.sampled_from(["none", "none", "id", "lon", "lat", "fields"]))
+    if change == "id":
+        cid_text = draw(st.sampled_from([
+            f"00{cid}", f"+{cid}", f" {cid}", f"{cid}_0", str(cid).translate(_ARABIC_INDIC),
+            "-1", str(n), str(2**64),
+        ]))
+    elif change in ("lon", "lat"):
+        i = change == "lat"
+        coordinates[i] = _tamper_coordinate(draw, coordinates[i], change == "lon")
+    elif change == "fields":
+        fields = draw(st.sampled_from([fields[:1], fields + [draw(_FIELD)]]))
+    texts = [f"{s}{i}.{f}" if f is not None else f"{s}{i}" for s, i, f in coordinates]
+    return ",".join([cid_text, *fields, *texts])
+
+
+@st.composite
+def _decrypt_case(draw):
+    """A store and the bytes of one or two encrypted files, plus sometimes an
+    undecodable one."""
+    store, columns = draw(_decrypt_store())
+    files = {}
+    for name in draw(st.sampled_from([["1.txt"], ["1.txt", "2.txt"]])):
+        lines = draw(st.lists(_encrypted_line(columns), max_size=10))
+        ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+        if ends:
+            ends[-1] = draw(st.sampled_from(["\n", "\r\n", "\r", ""]))
+        files[name] = "".join(map(str.__add__, lines, ends)).encode()
+    if draw(st.booleans()):
+        files["3.txt"] = b"0,1,t,1.5,2.5\n\xff\xfe\n"
+    return store, files
+
+
+@settings(max_examples=200, deadline=None)
+@given(_decrypt_case())
+def test_decrypt_equals_the_line_by_line_oracle(case):
+    store, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "enc").mkdir()
+        for name, data in files.items():
+            (root / "enc" / name).write_bytes(data)
+        stats = decrypt_dataset(root / "enc", root / "dec", store)
+        assert stats == decrypt_oracle(root / "enc", root / "oracle", store)
+        assert _tree_bytes(root / "dec") == _tree_bytes(root / "oracle")

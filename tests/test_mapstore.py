@@ -70,6 +70,20 @@ def test_lookup_exact_ids_out_of_range():
     assert store.lookup_exact("lon_int", 2**64, 150) is None
 
 
+def test_lookup_exact_batch_equals_lookup_exact():
+    store = MappingStore()
+    _append(store, "lon_frac", (143, 116), (150, 117), (2**64 - 1, 3))
+    ids = [0, 1, 2, 0, -1, 3, -(2**62), 2**62, 2]
+    enc = [143, 150, 2**64 - 1, 150, 2**64 - 1, 143, 143, 150, 0]
+    hit, orig = store.lookup_exact_batch("lon_frac", ids, enc)
+    expected = [store.lookup_exact("lon_frac", i, e) for i, e in zip(ids, enc)]
+    assert hit.tolist() == [e is not None for e in expected]
+    assert orig.tolist() == [e or 0 for e in expected]
+    assert expected[:3] == [116, 117, 3]
+    hit, orig = MappingStore().lookup_exact_batch("lat_int", [0, -1], [0, 0])
+    assert hit.tolist() == [False, False] and orig.tolist() == [0, 0]
+
+
 def test_lookup_fuzzy():
     store = MappingStore()
     _append(store, "lon_int", (143, 116))
