@@ -6,15 +6,21 @@ rotation inside a w-bit mask, and finally folded into its valid range.  The
 fold is lossy by design; exact decryption goes through the mapping store.
 
 Components are encrypted in batches.  Under one key a component's ciphertext
-depends only on (kind, value, digit count), so ``CoordinateCipher``
-deduplicates each batch, looks the distinct values up in a codebook it builds
-as it goes, and runs only the misses through the numpy round kernel.
+depends only on (kind, digit count, value).  ``CoordinateCipher`` packs each
+fraction's digit count d and value into one uint64 key, value + R[d] with R[d]
+the repunit (10**d - 1) // 9; the map is order-preserving and one-to-one for
+every d <= 19 (the largest key, about 1.11e19, is below 2**64).  Integer parts
+are keyed by their value.  One batch of a kind is then deduplicated with one
+``np.unique``, looked up in that kind's codebook, and all its misses run
+through one call of the numpy round kernel, with per-element mask widths,
+tweaks and range folds.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +28,10 @@ from . import _rounds
 from .coords import MAX_FRAC_DIGITS
 from .ranges import (
     INT_MASK_BITS,
-    fraction_constrain,
-    mask_width,
-    range_constrain,
-    range_type,
+    POW10,
+    fraction_folds,
+    mask_widths,
+    range_folds,
 )
 
 BACKEND = "numpy"
@@ -33,7 +39,9 @@ BACKEND = "numpy"
 KINDS = ("lon_int", "lon_frac", "lat_int", "lat_frac")
 DEFAULT_ROUNDS = 8
 
-_POW10 = np.array([10**d for d in range(MAX_FRAC_DIGITS + 1)], dtype=np.uint64)
+# REPUNIT[d] = 11...1 (d ones): the codebook key of a d-digit fraction is
+# value + REPUNIT[d], so the keys of d digits fill [REPUNIT[d], REPUNIT[d + 1])
+REPUNIT = np.array([(10**d - 1) // 9 for d in range(MAX_FRAC_DIGITS + 1)], dtype=np.uint64)
 _EMPTY_BOOK = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64))
 
 
@@ -81,7 +89,7 @@ def _check_batch(kind: str, values, digits) -> tuple[np.ndarray, np.ndarray | No
         raise DomainError("fraction parts need one digit count per value")
     if digits.size and not (0 <= digits.min() and digits.max() <= MAX_FRAC_DIGITS):
         raise DomainError(f"fraction digit count must be in [0, {MAX_FRAC_DIGITS}]")
-    too_wide = values >= _POW10[digits]
+    too_wide = values >= POW10[digits]
     if too_wide.any():
         i = int(np.argmax(too_wide))
         v, d = int(values[i]), int(digits[i])
@@ -89,19 +97,19 @@ def _check_batch(kind: str, values, digits) -> tuple[np.ndarray, np.ndarray | No
     return values, digits
 
 
-def _encrypt_distinct(kind: str, d: int, values: np.ndarray, tweaks, rk, n_rounds: int):
-    """Round kernel and range fold for checked values of one (kind, d)."""
-    int_kind = is_int_part(kind)
-    listed = values.tolist()
-    widths = [mask_width(v, int_kind, d) for v in listed]
-    c = _rounds.encrypt_rounds_u64(values, widths, tweaks, rk, n_rounds)
-    if not int_kind:
-        return fraction_constrain(c, d)
-    types = np.array([range_type(v, is_lon(kind), True) for v in listed])
-    for rt in np.unique(types).tolist():
-        sel = types == rt
-        c[sel] = range_constrain(c[sel], rt)
-    return c
+def component_keys(values: np.ndarray, digits: np.ndarray | None) -> np.ndarray:
+    """Codebook keys of checked components: value + REPUNIT[d] for fractions,
+    the value itself for integer parts (``digits`` None)."""
+    return values if digits is None else values + REPUNIT[digits]
+
+
+def split_keys(keys: np.ndarray, fractions: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (values, digit counts) of codebook keys, the inverse of
+    ``component_keys``; integer parts get digit counts None."""
+    if not fractions:
+        return keys, None
+    digits = np.searchsorted(REPUNIT, keys, side="right") - 1
+    return keys - REPUNIT[digits], digits
 
 
 def _lookup(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,17 +121,31 @@ def _lookup(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return pos, keys[np.minimum(pos, len(keys) - 1)] == values
 
 
+@dataclass
+class CipherCounts:
+    """Work done by ``CoordinateCipher.encrypt_batch`` since construction."""
+
+    components: int = 0  # values passed in
+    distinct: int = 0  # distinct keys, summed over calls
+    hits: int = 0  # distinct keys found in the codebook
+    kernel_calls: int = 0  # round-kernel calls
+    tweaks: int = 0  # MD5 tweaks computed, one per miss
+
+
 class CoordinateCipher:
     """Master key, derived schedule and round count bound together, plus a
     codebook of the components encrypted so far.
 
     The key, schedule and round count never change.  The codebook holds, per
-    (kind, digit count), two sorted uint64 columns: plaintext values and
-    their ciphertexts.  It starts empty and grows with each batch.  The
-    pipeline uses one instance on one thread.  Merges into the codebook
-    still take a lock, and a batch gathers only from the columns it looked
-    up and the misses it computed itself, so two threads sharing an instance
-    can cost a recomputation but never a wrong value.
+    kind, two sorted uint64 columns: the keys of the components encrypted so
+    far (see ``component_keys``: value + REPUNIT[d] for a d-digit fraction)
+    and their ciphertexts.  It starts empty and grows with each batch.  A
+    batch makes one pass: one ``np.unique``, one lookup, one round-kernel
+    call over all its misses and one merge.  The pipeline uses one instance
+    on one thread.  Merges into the codebook still take a lock, and a batch
+    gathers only from the columns it looked up and the misses it computed
+    itself, so two threads sharing an instance can cost a recomputation but
+    never a wrong value.
     """
 
     def __init__(self, key: bytes, n_rounds: int = DEFAULT_ROUNDS):
@@ -136,16 +158,25 @@ class CoordinateCipher:
         self.round_keys = derive_round_keys(self.key)
         self._rk = np.array(self.round_keys, dtype=np.uint64)
         self._key_hash = hashlib.md5(self.key).digest()
-        self._codebooks: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._merge_lock = threading.Lock()
+        self._codebooks: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._lock = threading.Lock()
+        self.counts = CipherCounts()
 
     def tweak(self, kind: str, value_text: str) -> int:
         """32-bit tweak: leading four bytes (big-endian) of
-        MD5(kind ':' value_text MD5(key))."""
+        MD5(kind ':' value_text MD5(key)).  The reference for ``_tweaks``."""
         digest = hashlib.md5(
             kind.encode("ascii") + b":" + value_text.encode("ascii") + self._key_hash
         ).digest()
         return int.from_bytes(digest[:4], "big")
+
+    def _tweaks(self, kind: str, values: np.ndarray) -> np.ndarray:
+        """``tweak(kind, str(v))`` of each value, as uint64."""
+        prefix, key_hash, md5 = kind.encode("ascii") + b":", self._key_hash, hashlib.md5
+        digests = b"".join(
+            [md5(b"%b%d%b" % (prefix, v, key_hash)).digest()[:4] for v in values.tolist()]
+        )
+        return np.frombuffer(digests, dtype=">u4").astype(np.uint64)
 
     def encrypt_batch(self, kind: str, values, digits=None) -> np.ndarray:
         """Encrypt a batch of one kind's components.
@@ -154,36 +185,43 @@ class CoordinateCipher:
         parts ignore it.  Returns uint64 ciphertexts in input order.
         """
         values, digits = _check_batch(kind, values, digits)
-        if digits is None:
-            return self._encrypt_group(kind, 0, values)
-        out = np.empty_like(values)
-        for d in np.unique(digits).tolist():
-            sel = digits == d
-            out[sel] = self._encrypt_group(kind, d, values[sel])
-        return out
-
-    def _encrypt_group(self, kind: str, d: int, values: np.ndarray) -> np.ndarray:
-        book = (kind, d)
-        uniq, inverse = np.unique(values, return_inverse=True)
-        keys, encs = self._codebooks.get(book, _EMPTY_BOOK)
+        uniq, inverse = np.unique(component_keys(values, digits), return_inverse=True)
+        keys, encs = self._codebooks.get(kind, _EMPTY_BOOK)
         pos, hit = _lookup(keys, uniq)
         out = np.empty_like(uniq)
         out[hit] = encs[pos[hit]]
         miss = ~hit
-        if miss.any():
-            new = uniq[miss]
-            tweaks = [self.tweak(kind, str(v)) for v in new.tolist()]
-            enc = _encrypt_distinct(kind, d, new, tweaks, self._rk, self.n_rounds)
-            out[miss] = enc
-            self._merge(book, new, enc)
+        new = uniq[miss]
+        if new.size:
+            out[miss] = enc = self._encrypt_keys(kind, new)
+            self._merge(kind, new, enc)
+        with self._lock:
+            counts = self.counts
+            counts.components += values.size
+            counts.distinct += uniq.size
+            counts.hits += uniq.size - new.size
+            counts.kernel_calls += bool(new.size)
+            counts.tweaks += new.size
         return out[inverse]
 
-    def _merge(self, book: tuple[str, int], new: np.ndarray, enc: np.ndarray) -> None:
-        with self._merge_lock:
-            keys, encs = self._codebooks.get(book, _EMPTY_BOOK)
+    def _encrypt_keys(self, kind: str, keys: np.ndarray) -> np.ndarray:
+        """Tweaks, round kernel and range fold of one kind's codebook keys."""
+        int_kind = is_int_part(kind)
+        values, digits = split_keys(keys, not int_kind)
+        widths = mask_widths(values, digits, int_kind)
+        c = _rounds.encrypt_rounds_u64(
+            values, widths, self._tweaks(kind, values), self._rk, self.n_rounds
+        )
+        if int_kind:
+            return range_folds(values, c, is_lon(kind))
+        return fraction_folds(c, digits)
+
+    def _merge(self, kind: str, new: np.ndarray, enc: np.ndarray) -> None:
+        with self._lock:
+            keys, encs = self._codebooks.get(kind, _EMPTY_BOOK)
             pos, known = _lookup(keys, new)  # merged by another batch meanwhile
             fresh = ~known
-            self._codebooks[book] = (
+            self._codebooks[kind] = (
                 np.insert(keys, pos[fresh], new[fresh]),
                 np.insert(encs, pos[fresh], enc[fresh]),
             )

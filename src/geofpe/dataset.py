@@ -15,7 +15,7 @@ import os
 import random
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,7 @@ from .coords import (
     validate_point,
 )
 from .mapstore import MappingStore
+from .ranges import POW10
 
 log = logging.getLogger("geofpe.dataset")
 
@@ -233,9 +234,13 @@ def encrypt_dataset(
     Files are taken in sorted-filename order.  Each is parsed once and its
     components encrypted as batches; coordinate ids are assigned sequentially
     over the cleaned records as the store's next rows.  A file that cannot be
-    read or decoded is listed in ``failed_files`` with its reason and gets no
-    output or ids; the other files are still encrypted.
+    read, decoded or written is listed in ``failed_files`` with its reason and
+    gets no ids; the other files are still encrypted.  A file's rows go into
+    the store only once its output is written, so the store always matches
+    the output tree.
     """
+    started = time.perf_counter()
+    counted = astuple(cipher.counts)
     input_dir, out_dir = Path(input_dir), Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = _dataset_files(input_dir)
@@ -255,38 +260,50 @@ def encrypt_dataset(
                  ("lat_int", lat_i, zeros), ("lat_frac", lat_f, lat_d)]
         enc = [cipher.encrypt_batch(*part).tolist() for part in parts]
         start = store.entry_count("lon_int")
-        for (kind, orig, d), enc_col in zip(parts, enc):
-            store.append(kind, enc_col, orig, d)
         texts = zip(heads, _decimal_texts(lon_s, enc[0], enc[1], lon_d),
                     _decimal_texts(lat_s, enc[2], enc[3], lat_d), ends)
         out_path = out_dir / path.name
-        _write_text(out_path, [
-            f"{cid},{head},{lon},{lat}{end}"
-            for cid, (head, lon, lat, end) in enumerate(texts, start)
-        ])
-        _write_sidecar(out_path, scan.errors)
+        try:
+            _write_sidecar(out_path, scan.errors)
+            _write_text(out_path, [
+                f"{cid},{head},{lon},{lat}{end}"
+                for cid, (head, lon, lat, end) in enumerate(texts, start)
+            ])
+        except OSError as exc:
+            stats.failed_files.append(f"{path.name}: {exc}")
+            continue
+        for (kind, orig, d), enc_col in zip(parts, enc):
+            store.append(kind, enc_col, orig, d)
         stats.records += len(heads)
         stats.dropped += scan.dropped
         stats.parse_errors += scan.parse_errors
+    components, distinct, hits, kernel_calls, tweaks = (
+        now - then for now, then in zip(astuple(cipher.counts), counted)
+    )
+    log.debug(
+        "encrypt %s: %d files, %d components, %d distinct keys, %d codebook hits, "
+        "%d kernel calls, %d tweaks in %.3fs",
+        input_dir, stats.files, components, distinct, hits, kernel_calls, tweaks,
+        time.perf_counter() - started,
+    )
     return stats
 
 
 # An encrypted line: a canonical coordinate id (at most 18 digits, so it fits
 # an int64), then a plain line.
 _ENC_LINE = re.compile(r"(0|[1-9][0-9]{0,17})," + _PLAIN_LINE.pattern)
-_POW10_U64 = np.array(_POW10, dtype=np.uint64)
 
 
 def decrypt_dataset(enc_dir, out_dir, store: MappingStore) -> DecryptStats:
     """Restore original coordinate text from encrypted files via the store.
 
     An exact lookup by coordinate id is tried first; on a miss, a fuzzy
-    lookup by encrypted value alone is accepted when unambiguous.  Records
-    that still cannot be resolved, or whose restored fraction does not fit
-    the line's digit count, are reported in a per-file .errors sidecar; the
-    rest of the file is written regardless.  A file that cannot be read or
-    decoded is listed in ``failed_files`` with its reason and gets no
-    output; the other files are still decrypted.
+    lookup by encrypted value alone is accepted when unambiguous.  Both
+    lookups match a fraction only to entries stored with the line's digit
+    count.  Records that still cannot be resolved are reported in a
+    per-file .errors sidecar; the rest of the file is written regardless.  A
+    file that cannot be read, decoded or written is listed in
+    ``failed_files`` with its reason; the other files are still decrypted.
     """
     started = time.perf_counter()
     enc_dir, out_dir = Path(enc_dir), Path(out_dir)
@@ -302,12 +319,17 @@ def decrypt_dataset(enc_dir, out_dir, store: MappingStore) -> DecryptStats:
         except (OSError, UnicodeDecodeError) as exc:
             stats.failed_files.append(f"{path.name}: {exc}")
             continue
-        lines, errors, restored = _decrypt_lines(source, store, stats)
+        lines, errors, restored, fuzzy = _decrypt_lines(source, store)
         out_path = out_dir / path.name
-        _write_text(out_path, lines)
-        _write_sidecar(out_path, errors)
+        try:
+            _write_sidecar(out_path, errors)
+            _write_text(out_path, lines)
+        except OSError as exc:
+            stats.failed_files.append(f"{path.name}: {exc}")
+            continue
         stats.records += len(lines)
         stats.record_errors += len(errors)
+        stats.fuzzy_restored += fuzzy
         columnar += restored
         per_line += len(lines) + len(errors) - restored
     log.debug(
@@ -319,13 +341,15 @@ def decrypt_dataset(enc_dir, out_dir, store: MappingStore) -> DecryptStats:
     return stats
 
 
-def _decrypt_lines(source, store: MappingStore, stats: DecryptStats):
-    """The decrypted lines, the (line no, reason) errors and the number of
-    lines restored as columns, of one encrypted file's lines.
+def _decrypt_lines(source, store: MappingStore):
+    """The decrypted lines, the (line no, reason) errors, the number of lines
+    restored as columns and the number of fuzzy restores, of one encrypted
+    file's lines.
 
     Lines that _ENC_LINE matches are restored as columns: one exact lookup
-    per kind, kept where all four hit and both restored fractions fit their
-    digit counts.  Every other non-blank line goes through _decrypt_line."""
+    per kind, fractions at the line's digit count, kept where all four hit
+    and both restored fractions fit their digit counts.  Every other
+    non-blank line goes through _decrypt_line."""
     out = [None] * len(source)
     rows, rest = [], []
     match, ints = _ENC_LINE.fullmatch, _INT_PARTS
@@ -339,18 +363,20 @@ def _decrypt_lines(source, store: MappingStore, stats: DecryptStats):
                          lat_s, ints[lat_i], lat_f, lat_d, end))
         elif line.strip():
             rest.append(i)
-    restored = 0
+    restored = fuzzy = 0
     if rows:
         at, cids, heads, lon_s, lon_i, lon_f, lon_d, lat_s, lat_i, lat_f, lat_d, ends = (
             zip(*rows)
         )
         hit = np.ones(len(rows), dtype=bool)
         orig = []
-        for kind, enc in zip(KINDS, (lon_i, lon_f, lat_i, lat_f)):
-            kind_hit, found = store.lookup_exact_batch(kind, cids, enc)
+        for kind, enc, digits in zip(
+            KINDS, (lon_i, lon_f, lat_i, lat_f), (None, lon_d, None, lat_d)
+        ):
+            kind_hit, found = store.lookup_exact_batch(kind, cids, enc, digits)
             hit &= kind_hit
             orig.append(found)
-        hit &= (orig[1] < _POW10_U64[list(lon_d)]) & (orig[3] < _POW10_U64[list(lat_d)])
+        hit &= (orig[1] < POW10[list(lon_d)]) & (orig[3] < POW10[list(lat_d)])
         restored = int(hit.sum())
         lon_i, lon_f, lat_i, lat_f = (col.tolist() for col in orig)
         texts = zip(at, hit.tolist(), heads, _decimal_texts(lon_s, lon_i, lon_f, lon_d),
@@ -363,56 +389,60 @@ def _decrypt_lines(source, store: MappingStore, stats: DecryptStats):
         rest.sort()
     errors = []
     for i in rest:
-        out[i], reason = _decrypt_line(source[i], store, stats)
-        if reason is not None:
+        out[i], reason, line_fuzzy = _decrypt_line(source[i], store)
+        if reason is None:
+            fuzzy += line_fuzzy
+        else:
             errors.append((i + 1, reason))
-    return [line for line in out if line is not None], errors, restored
+    return [line for line in out if line is not None], errors, restored, fuzzy
 
 
-def _decrypt_line(line: str, store: MappingStore, stats: DecryptStats):
+def _decrypt_line(line: str, store: MappingStore):
     """Restore one non-blank encrypted line by coordinate id, falling back to
-    the fuzzy lookup per component: (text, None), or (None, sidecar reason)."""
+    the fuzzy lookup per component: (text, None, fuzzy restores), or (None,
+    sidecar reason, 0)."""
     body = line.rstrip("\r\n")
     fields = body.split(",")
     if len(fields) != 5:
-        return None, f"expected 5 fields, got {len(fields)}"
+        return None, f"expected 5 fields, got {len(fields)}", 0
     cid_text, vid, timestamp, enc_lon_text, enc_lat_text = fields
     try:
         cid = int(cid_text)
         enc_lon = decompose(enc_lon_text)
         enc_lat = decompose(enc_lat_text)
     except (ValueError, ParseError) as exc:
-        return None, f"parse error: {exc}"
-    parts = {}
-    for kind, enc_value in (
-        ("lon_int", enc_lon.int_part),
-        ("lon_frac", enc_lon.frac_value),
-        ("lat_int", enc_lat.int_part),
-        ("lat_frac", enc_lat.frac_value),
+        return None, f"parse error: {exc}", 0
+    parts, fuzzy = {}, 0
+    for kind, enc_value, digits in (
+        ("lon_int", enc_lon.int_part, None),
+        ("lon_frac", enc_lon.frac_value, enc_lon.frac_digits),
+        ("lat_int", enc_lat.int_part, None),
+        ("lat_frac", enc_lat.frac_value, enc_lat.frac_digits),
     ):
-        orig = store.lookup_exact(kind, cid, enc_value)
+        orig = store.lookup_exact(kind, cid, enc_value, digits)
         if orig is None:
-            orig = store.lookup_fuzzy(kind, enc_value)
+            orig = store.lookup_fuzzy(kind, enc_value, digits)
             if not isinstance(orig, int):
                 return None, (
                     f"no {kind} mapping for coord_id {cid} "
                     f"(fuzzy: {'ambiguous' if orig else 'not found'})"
-                )
-            stats.fuzzy_restored += 1
+                ), 0
+            fuzzy += 1
         parts[kind] = orig
     for kind, enc in (("lon_frac", enc_lon), ("lat_frac", enc_lat)):
         if parts[kind] >= 10**enc.frac_digits:
             return None, (
                 f"{kind} mapping for coord_id {cid} needs more than "
                 f"{enc.frac_digits} digits"
-            )
+            ), 0
     lon = DecimalNumber(
         enc_lon.sign, parts["lon_int"], parts["lon_frac"], enc_lon.frac_digits
     )
     lat = DecimalNumber(
         enc_lat.sign, parts["lat_int"], parts["lat_frac"], enc_lat.frac_digits
     )
-    return f"{vid},{timestamp},{recombine(lon)},{recombine(lat)}{line[len(body):]}", None
+    text = f"{vid},{timestamp},{recombine(lon)},{recombine(lat)}{line[len(body):]}"
+    return text, None, fuzzy
 
 
 # ---------------------------------------------------------------------------

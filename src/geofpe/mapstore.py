@@ -48,18 +48,20 @@ def _view(col: array) -> np.ndarray:
     return np.frombuffer(col, dtype=col.typecode)
 
 
-def _distinct_pairs(enc_col: array, orig_col: array):
-    """The distinct (enc, orig) pairs of one kind, sorted by enc then orig,
-    with the kind's conflict count and conflict rate."""
-    enc, orig = _view(enc_col), _view(orig_col)
-    order = np.lexsort((orig, enc))
-    enc, orig = enc[order], orig[order]
+def _distinct_entries(enc_col: array, orig_col: array, d_col: array):
+    """The distinct (enc, orig, d) entries of one kind, sorted by enc, orig
+    then d, with the kind's conflict count and conflict rate.  Conflicts are
+    counted over (enc, orig) pairs, whatever their digit counts."""
+    enc, orig, d = _view(enc_col), _view(orig_col), _view(d_col)
+    order = np.lexsort((d, orig, enc))
+    enc, orig, d = enc[order], orig[order], d[order]
     new_enc = np.r_[True, enc[1:] != enc[:-1]][: enc.size]
     new_pair = new_enc | np.r_[True, orig[1:] != orig[:-1]][: enc.size]
+    new_entry = new_pair | np.r_[True, d[1:] != d[:-1]][: enc.size]
     n_enc, n_pairs = int(new_enc.sum()), int(new_pair.sum())
     run_sizes = np.diff(np.append(np.flatnonzero(new_enc[new_pair]), n_pairs))
     rate = Fraction(int((run_sizes >= 2).sum()), n_enc) if n_enc else Fraction(0)
-    return enc[new_pair], orig[new_pair], n_pairs - n_enc, rate
+    return enc[new_entry], orig[new_entry], d[new_entry], n_pairs - n_enc, rate
 
 
 class MappingStore:
@@ -67,18 +69,20 @@ class MappingStore:
     encrypted values, ``array("Q")`` original values and ``array("B")``
     fraction digit counts.
 
-    ``append`` gives the next ids of a kind one entry each.  ``lookup_fuzzy``,
-    ``conflicts`` and ``conflict_rate`` derive from the distinct (enc, orig)
-    pairs of a kind, built lazily under the lock and dropped on ``append``.
-    The conflict count of a kind is the number of distinct originals beyond
-    the first over all encrypted values, so it does not depend on id order.
+    ``append`` gives the next ids of a kind one entry each.  The lookups
+    given a line's fraction digit count match only entries stored with it.
+    ``lookup_fuzzy``, ``conflicts`` and ``conflict_rate`` derive from the
+    distinct (enc, orig, d) entries of a kind, built lazily under the lock
+    and dropped on ``append``.  The conflict count of a kind is the number of
+    distinct originals beyond the first over all encrypted values, so it does
+    not depend on id order.
     """
 
     def __init__(self) -> None:
         self._cols: dict[str, tuple[array, array, array]] = {
             k: (array("Q"), array("Q"), array("B")) for k in KINDS
         }
-        self._pairs: dict[str, tuple] = {}  # kind -> _distinct_pairs(...)
+        self._entries: dict[str, tuple] = {}  # kind -> _distinct_entries(...)
         self._lock = threading.Lock()
 
     def append(self, kind: str, enc, orig, d) -> None:
@@ -90,59 +94,78 @@ class MappingStore:
         with self._lock:
             for col, values in zip(self._cols[kind], new):
                 col.extend(values)
-            self._pairs.pop(kind, None)
+            self._entries.pop(kind, None)
 
-    def lookup_exact(self, kind: str, coord_id: int, enc_value: int) -> int | None:
-        enc_col, orig_col, _ = self._cols[kind]
-        if 0 <= coord_id < len(enc_col) and enc_col[coord_id] == enc_value:
+    def lookup_exact(
+        self, kind: str, coord_id: int, enc_value: int, digits: int | None = None
+    ) -> int | None:
+        """The original of ``coord_id`` when its entry holds ``enc_value`` and,
+        if ``digits`` is given, that digit count; else None."""
+        enc_col, orig_col, d_col = self._cols[kind]
+        if (
+            0 <= coord_id < len(enc_col)
+            and enc_col[coord_id] == enc_value
+            and (digits is None or d_col[coord_id] == digits)
+        ):
             return orig_col[coord_id]
         return None
 
-    def lookup_exact_batch(self, kind: str, coord_ids, enc_values):
-        """``lookup_exact`` over arrays of int64 ids and uint64 encrypted
-        values: a hit mask, and the originals as uint64 (0 where it misses)."""
+    def lookup_exact_batch(self, kind: str, coord_ids, enc_values, digits=None):
+        """``lookup_exact`` over arrays of int64 ids, uint64 encrypted values
+        and optional digit counts: a hit mask, and the originals as uint64 (0
+        where it misses)."""
         ids = np.asarray(coord_ids, dtype=np.int64)
         enc_values = np.asarray(enc_values, dtype=np.uint64)
         found = np.zeros(ids.shape, dtype=np.uint64)
         with self._lock:
-            enc_col, orig_col, _ = (_view(col) for col in self._cols[kind])
+            enc_col, orig_col, d_col = (_view(col) for col in self._cols[kind])
             hit = (ids >= 0) & (ids < len(enc_col))
-            hit[hit] = enc_col[ids[hit]] == enc_values[hit]
-            found[hit] = orig_col[ids[hit]]
+            rows = ids[hit]
+            match = enc_col[rows] == enc_values[hit]
+            if digits is not None:
+                match &= d_col[rows] == np.asarray(digits)[hit]
+            hit[hit] = match
+            found[hit] = orig_col[rows[match]]
         return hit, found
 
     def _distinct(self, kind: str) -> tuple:
-        pairs = self._pairs.get(kind)
-        if pairs is None:
+        entries = self._entries.get(kind)
+        if entries is None:
             with self._lock:
-                pairs = self._pairs.get(kind)
-                if pairs is None:
-                    enc_col, orig_col, _ = self._cols[kind]
-                    pairs = self._pairs[kind] = _distinct_pairs(enc_col, orig_col)
-        return pairs
+                entries = self._entries.get(kind)
+                if entries is None:
+                    entries = self._entries[kind] = _distinct_entries(*self._cols[kind])
+        return entries
 
-    def lookup_fuzzy(self, kind: str, enc_value: int) -> int | Ambiguous | None:
-        """Fallback lookup by encrypted value alone.
+    def lookup_fuzzy(
+        self, kind: str, enc_value: int, digits: int | None = None
+    ) -> int | Ambiguous | None:
+        """Fallback lookup by encrypted value alone, or by encrypted value
+        and digit count when ``digits`` is given.
 
-        Returns the original when exactly one distinct value maps to
-        enc_value, an Ambiguous marker with the candidate count when several
-        do, and None when the value is unknown.
+        Returns the original when exactly one distinct value matches, an
+        Ambiguous marker with the candidate count when several do, and None
+        when none does.
         """
         if not 0 <= enc_value < 1 << 64:
             return None
-        enc, orig, _, _ = self._distinct(kind)
+        enc, orig, d, _, _ = self._distinct(kind)
         lo, hi = (int(np.searchsorted(enc, np.uint64(enc_value), side))
                   for side in ("left", "right"))
-        if hi - lo > 1:
-            return Ambiguous(hi - lo)
-        return int(orig[lo]) if hi > lo else None
+        if digits is None:
+            candidates = np.unique(orig[lo:hi])  # one original under several d
+        else:
+            candidates = orig[lo:hi][d[lo:hi] == digits]
+        if len(candidates) > 1:
+            return Ambiguous(len(candidates))
+        return int(candidates[0]) if len(candidates) else None
 
     def conflicts(self, kind: str) -> int:
-        return self._distinct(kind)[2]
+        return self._distinct(kind)[3]
 
     def conflict_rate(self, kind: str) -> Fraction:
         """Share of distinct encrypted values mapping to >= 2 originals."""
-        return self._distinct(kind)[3]
+        return self._distinct(kind)[4]
 
     def entry_count(self, kind: str) -> int:
         return len(self._cols[kind][0])

@@ -2,9 +2,10 @@
 
 Independent of geofpe.dataset's decrypt code: every non-blank line is split
 on commas, parsed with int() and coords.decompose, and restored through one
-MappingStore.lookup_exact per component, then lookup_fuzzy on a miss.  A
-restored fraction that needs more digits than the line gives is a per-line
-error.  Outputs and sidecars are written in place, as plain files.
+MappingStore.lookup_exact per component, then lookup_fuzzy on a miss; both
+lookups of a fraction are given the line's digit count.  A restored fraction
+that needs more digits than the line gives is a per-line error.  Fuzzy
+restores are counted only on lines that are restored.  Outputs and sidecars are written in place, as plain files.
 """
 
 from pathlib import Path
@@ -26,20 +27,20 @@ def _restore(line, store, stats):
         enc_lat = decompose(enc_lat_text)
     except (ValueError, ParseError) as exc:
         return None, f"parse error: {exc}"
-    parts = {}
-    for kind, enc_value in (
-        ("lon_int", enc_lon.int_part),
-        ("lon_frac", enc_lon.frac_value),
-        ("lat_int", enc_lat.int_part),
-        ("lat_frac", enc_lat.frac_value),
+    parts, fuzzy = {}, 0
+    for kind, enc_value, digits in (
+        ("lon_int", enc_lon.int_part, None),
+        ("lon_frac", enc_lon.frac_value, enc_lon.frac_digits),
+        ("lat_int", enc_lat.int_part, None),
+        ("lat_frac", enc_lat.frac_value, enc_lat.frac_digits),
     ):
-        orig = store.lookup_exact(kind, cid, enc_value)
+        orig = store.lookup_exact(kind, cid, enc_value, digits)
         if orig is None:
-            orig = store.lookup_fuzzy(kind, enc_value)
+            orig = store.lookup_fuzzy(kind, enc_value, digits)
             if not isinstance(orig, int):
                 state = "ambiguous" if orig else "not found"
                 return None, f"no {kind} mapping for coord_id {cid} (fuzzy: {state})"
-            stats.fuzzy_restored += 1
+            fuzzy += 1
         parts[kind] = orig
     texts = []
     for axis, enc in (("lon", enc_lon), ("lat", enc_lat)):
@@ -53,6 +54,7 @@ def _restore(line, store, stats):
                 f"{enc.frac_digits} digits"
             )
         texts.append(recombine(n))
+    stats.fuzzy_restored += fuzzy
     return f"{vid},{timestamp},{texts[0]},{texts[1]}{line[len(body):]}", None
 
 

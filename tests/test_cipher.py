@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 
 from geofpe import _rounds
 from geofpe._rounds import decrypt_rounds_raw, encrypt_rounds_raw
-from geofpe.cipher import CoordinateCipher, DomainError, is_int_part, is_lon
+from geofpe.cipher import (
+    REPUNIT,
+    CoordinateCipher,
+    DomainError,
+    component_keys,
+    is_int_part,
+    is_lon,
+    split_keys,
+)
 from geofpe.coords import MAX_FRAC_DIGITS, DecimalNumber, decompose, recombine
 from geofpe.ranges import (
     INT_MASK_BITS,
@@ -277,13 +285,20 @@ def _scalar_component(value, kind, d):
 
 
 @st.composite
+def _component(draw, kind):
+    """A (value, digit count) pair of one kind; integer parts get d 0."""
+    if is_int_part(kind):
+        return draw(st.integers(0, 200)), 0
+    d = draw(st.integers(0, MAX_FRAC_DIGITS))
+    return draw(st.integers(0, 10**d - 1) | st.sampled_from([0, 10**d - 1])), d
+
+
+@st.composite
 def _component_batches(draw):
     kind = draw(st.sampled_from(["lon_int", "lat_int", "lon_frac", "lat_frac"]))
-    d = 0 if is_int_part(kind) else draw(st.integers(0, MAX_FRAC_DIGITS))
-    high = 200 if is_int_part(kind) else 10**d - 1
-    pool = draw(st.lists(st.integers(0, high), min_size=1, max_size=12))
-    values = draw(st.lists(st.sampled_from(pool), max_size=40))
-    return kind, d, values
+    pool = draw(st.lists(_component(kind), min_size=1, max_size=12))
+    pairs = draw(st.lists(st.sampled_from(pool), max_size=40))
+    return kind, [v for v, _ in pairs], [d for _, d in pairs]
 
 
 def _encrypt_concurrently(cipher, jobs):
@@ -308,17 +323,18 @@ def _encrypt_concurrently(cipher, jobs):
 @settings(max_examples=150, deadline=None)
 @given(_component_batches())
 def test_batch_matches_scalar_component(batch):
-    kind, d, values = batch
-    expected = [_scalar_component(v, kind, d) for v in values]
+    kind, values, digits = batch
+    expected = [_scalar_component(v, kind, d) for v, d in zip(values, digits)]
 
     cipher = CoordinateCipher(STD_KEY)
-    digits = [d] * len(values)
     half = len(values) // 2
     got = cipher.encrypt_batch(kind, values[:half], digits[:half]).tolist()
     assert got == expected[:half]
     assert cipher.encrypt_batch(kind, values, digits).tolist() == expected  # part warm
     assert cipher.encrypt_batch(kind, values, digits).tolist() == expected  # all warm
-    assert [cipher.encrypt_batch(kind, [v], [d]).tolist()[0] for v in values] == expected
+    assert [
+        cipher.encrypt_batch(kind, [v], [d]).tolist()[0] for v, d in zip(values, digits)
+    ] == expected
 
     fresh = CoordinateCipher(STD_KEY)
     job = (kind, values, digits)
@@ -326,11 +342,38 @@ def test_batch_matches_scalar_component(batch):
 
 
 def test_batch_per_value_digits():
-    cipher = CoordinateCipher(STD_KEY)
+    # one call over every digit count, at both ends of each and in between
+    rng = random.Random(13)
     values, digits = [7, 7, 123, 0, 42], [1, 3, 3, 0, 5]
+    for d in range(MAX_FRAC_DIGITS + 1):
+        for v in (0, 10**d - 1, rng.randrange(10**d), 99, 100, 999, 1000):
+            if v < 10**d:
+                values.append(v)
+                digits.append(d)
+    cipher = CoordinateCipher(STD_KEY)
     assert cipher.encrypt_batch("lat_frac", values, digits).tolist() == [
         _scalar_component(v, "lat_frac", d) for v, d in zip(values, digits)
     ]
+    assert cipher.counts.kernel_calls == 1
+
+
+def test_component_keys_round_trip_every_digit_count():
+    values = [v for d in range(MAX_FRAC_DIGITS + 1) for v in (0, 10**d - 1)]
+    digits = [d for d in range(MAX_FRAC_DIGITS + 1) for _ in range(2)]
+    keys = component_keys(np.array(values, dtype=np.uint64), np.array(digits))
+    # ordered by (d, value), so one-to-one, and the largest fits uint64
+    assert keys.tolist() == sorted(keys.tolist())
+    assert len(set(keys.tolist())) == len(keys) - 1  # d 0 has the one value 0
+    assert keys.tolist()[-1] == 10**19 - 1 + int(REPUNIT[19]) < 2**64
+    assert [a.tolist() for a in split_keys(keys, True)] == [values, digits]
+    # "1" (d 1) and "01" (d 2) are different components
+    one = component_keys(np.array([1, 1], dtype=np.uint64), np.array([1, 2]))
+    assert one[0] != one[1]
+    assert split_keys(one, True)[1].tolist() == [1, 2]
+    int_keys = np.array([0, 180], dtype=np.uint64)
+    assert component_keys(int_keys, None) is int_keys
+    values, digits = split_keys(int_keys, False)
+    assert values is int_keys and digits is None
 
 
 def test_codebook_survives_thread_contention():
@@ -348,11 +391,15 @@ def test_codebook_survives_thread_contention():
         sys.setswitchinterval(interval)
     for (kind, values, _), got in zip(jobs, results):
         assert got == [_scalar_component(v, kind, 4) for v in values]
+    # each distinct value is in the book once, and encrypting them again
+    # hits it for every one
     distinct = sorted({v for _, values, _ in jobs for v in values})
-    keys, _ = cipher._codebooks[("lon_frac", 4)]
-    assert keys.tolist() == distinct
+    keys, _ = cipher._codebooks["lon_frac"]
+    assert keys.tolist() == [v + int(REPUNIT[4]) for v in distinct]
+    tweaks = cipher.counts.tweaks
     got = cipher.encrypt_batch("lon_frac", distinct, [4] * len(distinct)).tolist()
     assert got == [_scalar_component(v, "lon_frac", 4) for v in distinct]
+    assert cipher.counts.tweaks == tweaks
 
 
 def test_batch_domain_errors():

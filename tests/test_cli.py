@@ -264,8 +264,9 @@ def test_undecodable_encrypted_file_is_isolated(tmp_path, capsys, key_file):
 
 
 def test_shortened_fraction_goes_to_the_sidecar(tmp_path, capsys, key_file):
-    # Dropping the leading 0 of an encrypted fraction keeps its value, so the
-    # exact lookup hits, but the original five digits no longer fit.
+    # Dropping the leading 0 of an encrypted fraction keeps its value but not
+    # its digit count; the map stores no 4-digit fraction, so neither the
+    # exact nor the fuzzy lookup matches.
     orig = tmp_path / "orig"
     orig.mkdir()
     plain = [f"1,t,116.{50000 + 997 * i},39.9\n" for i in range(40)]
@@ -291,7 +292,7 @@ def test_shortened_fraction_goes_to_the_sidecar(tmp_path, capsys, key_file):
     assert err == ""
     assert (tmp_path / "dec2" / "1.txt").read_text() == "".join(plain[:i] + plain[i + 1:])
     assert (tmp_path / "dec2" / "1.txt.errors").read_text() == (
-        f"{i + 1}: lon_frac mapping for coord_id {cid} needs more than 4 digits\n"
+        f"{i + 1}: no lon_frac mapping for coord_id {cid} (fuzzy: not found)\n"
     )
     assert (tmp_path / "dec2" / "2.txt").read_bytes() == (orig / "2.txt").read_bytes()
 

@@ -2,6 +2,7 @@
 
 import errno
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -436,9 +437,9 @@ def test_decrypt_tampered_coord_ids_and_values(tmp_path):
 
 
 def test_decrypt_reports_a_fraction_wider_than_its_digits(tmp_path):
-    # Id 0's encrypted longitude 65.08736 is shortened to 65.8736: the exact
-    # lookup still hits (8736), but the original fraction 77678 does not fit
-    # four digits.  That line goes to the sidecar; the rest is still written.
+    # Id 0's encrypted longitude 65.08736 is shortened to 65.8736: the value
+    # 8736 is still id 0's, but its entry holds five digits, so no lookup
+    # matches.  That line goes to the sidecar; the rest is still written.
     store = MappingStore()
     store.append("lon_int", [65, 70], [116, 117], [0, 0])
     store.append("lon_frac", [8736, 1234], [77678, 5], [5, 5])
@@ -452,10 +453,82 @@ def test_decrypt_reports_a_fraction_wider_than_its_digits(tmp_path):
     assert (stats.files, stats.records, stats.record_errors) == (2, 3, 1)
     assert (dec_dir / "1.txt").read_text() == "1,t,117.00005,40.8\n"
     assert (dec_dir / "1.txt.errors").read_text() == (
-        "1: lon_frac mapping for coord_id 0 needs more than 4 digits\n"
+        "1: no lon_frac mapping for coord_id 0 (fuzzy: not found)\n"
     )
     assert (dec_dir / "2.txt").read_text() == "2,t,-116.77678,39.9\n2,t,117.00005,-40.8\n"
     assert not (dec_dir / "2.txt.errors").exists()
+
+
+def _two_id_store():
+    """Ids 0 and 1; id 0's lon_frac 8736 holds five digits and maps to 77678."""
+    store = MappingStore()
+    store.append("lon_int", [65, 70], [116, 117], [0, 0])
+    store.append("lon_frac", [8736, 1234], [77678, 5], [5, 5])
+    store.append("lat_int", [12, 13], [39, 40], [0, 0])
+    store.append("lat_frac", [3, 4], [9, 8], [1, 1])
+    return store
+
+
+def _decrypt_text(tmp_path, store, text):
+    """Decrypt one file of text; the stats, output and sidecar text, after
+    checking both against the line-by-line oracle."""
+    enc_dir = tmp_path / "enc"
+    enc_dir.mkdir()
+    (enc_dir / "1.txt").write_text(text)
+    stats = decrypt_dataset(enc_dir, tmp_path / "dec", store)
+    assert stats == decrypt_oracle(enc_dir, tmp_path / "oracle", store)
+    assert _tree_bytes(tmp_path / "dec") == _tree_bytes(tmp_path / "oracle")
+    sidecar = tmp_path / "dec" / "1.txt.errors"
+    errors = sidecar.read_text() if sidecar.exists() else ""
+    return stats, (tmp_path / "dec" / "1.txt").read_text(), errors
+
+
+def test_decrypt_checks_the_stored_digit_count(tmp_path):
+    # A leading zero added to id 0's encrypted fraction 08736 keeps its value
+    # but not its digit count: the line must not decrypt to 116.077678.  The
+    # fuzzy fallback (id 5 is beyond the store) matches only entries of the
+    # line's digit count too.
+    store = _two_id_store()
+    stats, out, errors = _decrypt_text(tmp_path, store, (
+        "0,1,t,65.008736,12.3\n"
+        "5,1,t,65.008736,12.3\n"
+        "5,1,t,65.08736,12.3\n"
+        "0,1,t,65.08736,12.3\n"
+    ))
+    assert (stats.records, stats.record_errors, stats.fuzzy_restored) == (2, 2, 4)
+    assert out == "1,t,116.77678,39.9\n1,t,116.77678,39.9\n"
+    assert errors == (
+        "1: no lon_frac mapping for coord_id 0 (fuzzy: not found)\n"
+        "2: no lon_frac mapping for coord_id 5 (fuzzy: not found)\n"
+    )
+
+
+def test_fuzzy_restores_count_only_restored_lines(tmp_path):
+    # Id 5 is beyond the store: lon_int 70 and lon_frac 1234 have unique
+    # fuzzy matches, lat_int 99 none, so the line fails and counts none.
+    stats, out, errors = _decrypt_text(tmp_path, _two_id_store(), "5,1,t,70.01234,99.4\n")
+    assert (stats.records, stats.record_errors, stats.fuzzy_restored) == (0, 1, 0)
+    assert out == ""
+    assert errors == "1: no lat_int mapping for coord_id 5 (fuzzy: not found)\n"
+
+
+def test_encrypt_debug_line_counts_cipher_work(tmp_path, caplog):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "1.txt").write_text("1,t,116.5,39.9\n1,t,116.25,-39.125\n1,t,-0.125,0.5\n")
+    cipher, store = CoordinateCipher(KEY), MappingStore()
+    with caplog.at_level("DEBUG", logger="geofpe"):
+        for run in ("a", "b"):
+            encrypt_dataset(src, tmp_path / run, cipher, store)
+    spans = [r.getMessage() for r in caplog.records if r.name == "geofpe.dataset"]
+    # 12 components; lon_int 116, 116, 0 and lat_int 39, 39, 0 repeat, the
+    # fractions 5, 25, 125 and 9, 125, 5 differ in value or digit count
+    assert [re.sub(r" in \d+\.\d{3}s$", "", span.split(": ", 1)[1]) for span in spans] == [
+        "1 files, 12 components, 10 distinct keys, 0 codebook hits, "
+        "4 kernel calls, 10 tweaks",
+        "1 files, 12 components, 10 distinct keys, 10 codebook hits, "
+        "0 kernel calls, 0 tweaks",
+    ]
 
 
 def test_decrypt_isolates_undecodable_file(tmp_path, synth_dir):
@@ -517,6 +590,7 @@ def test_failed_write_keeps_the_earlier_output(tmp_path, monkeypatch, failing):
     src = tmp_path / "src"
     src.mkdir()
     (src / "1.txt").write_text("1,t,116.5,39.9\n1,t,bad,39.9\n1,t,-0.25,2.5\n")
+    (src / "2.txt").write_text("2,t,116.25,39.5\n2,t,-0.5,-2.75\n")
     _round_trip(tmp_path, src)
     before = {p: p.read_bytes() for p in tmp_path.glob("*/*") if p.parent != src}
     target = tmp_path / failing
@@ -533,10 +607,20 @@ def test_failed_write_keeps_the_earlier_output(tmp_path, monkeypatch, failing):
         return fh
 
     monkeypatch.setattr(dataset, "open", failing_open, raising=False)
-    with pytest.raises(OSError, match="No space left"):
-        _round_trip(tmp_path, src)
+    enc_dir, dec_dir, store, enc_stats, dec_stats = _round_trip(tmp_path, src)
     assert target.read_bytes() == before[target]
     assert list(tmp_path.glob("*/*.tmp")) == []
+    failed, passed = (enc_stats, dec_stats) if failing.startswith("enc") else (dec_stats, enc_stats)
+    assert len(failed.failed_files) == 1
+    assert failed.failed_files[0].startswith("1.txt: ")
+    assert "No space left" in failed.failed_files[0]
+    assert passed.failed_files == []
+    if failing.startswith("enc"):
+        # the failed file got no ids: the store holds 2.txt's rows alone
+        assert store.entry_count("lon_int") == enc_stats.records == 2
+        assert (enc_dir / "2.txt").read_text().startswith("0,")
+    # the rest of the tree still decrypts with the store
+    assert (dec_dir / "2.txt").read_bytes() == (src / "2.txt").read_bytes()
 
 
 def test_line_endings_round_trip(tmp_path):

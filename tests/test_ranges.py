@@ -1,8 +1,20 @@
 """Range classification, constraint closure, and mask-width tiers."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geofpe.ranges import fraction_constrain, mask_width, range_constrain, range_type
+from geofpe.coords import MAX_FRAC_DIGITS
+from geofpe.ranges import (
+    fraction_constrain,
+    fraction_folds,
+    mask_width,
+    mask_widths,
+    range_constrain,
+    range_folds,
+    range_type,
+)
 
 # (rt, interval) pairs from the five digit-class ranges
 _INTERVALS = {1: (0, 10), 2: (10, 100), 3: (100, 180), 4: (0, 10), 5: (10, 90)}
@@ -101,3 +113,51 @@ def test_fraction_constrain_closure():
     for d in (0, 1, 2, 5):
         for v in (0, 1, 9, 99, 12345, 10**6 + 7):
             assert 0 <= fraction_constrain(v, d) < max(10**d, 1)
+
+
+# ---------------------------------------------------------------------------
+# Array forms against the scalar rules
+
+_U64 = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def _fractions(draw):
+    """A (value, digit count) pair, often on a width tier's edge."""
+    d = draw(st.integers(0, MAX_FRAC_DIGITS))
+    edges = [v for v in (0, 99, 100, 999, 1000, 10**d - 1) if v < 10**d]
+    return draw(st.sampled_from(edges) | st.integers(0, 10**d - 1)), d
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_fractions(), _U64), max_size=30))
+def test_array_widths_and_fraction_folds_equal_scalar(cases):
+    values = np.array([v for (v, _), _ in cases], dtype=np.uint64)
+    digits = np.array([d for (_, d), _ in cases], dtype=np.int64)
+    v_prime = np.array([c for _, c in cases], dtype=np.uint64)
+    assert mask_widths(values, digits, False).tolist() == [
+        mask_width(v, False, d) for (v, d), _ in cases
+    ]
+    assert mask_widths(values, digits, True).tolist() == [16] * len(cases)
+    assert fraction_folds(v_prime, digits).tolist() == [
+        fraction_constrain(c, d) for (_, d), c in cases
+    ]
+
+
+_INT_EDGES = [0, 9, 10, 89, 90, 91, 99, 100, 179, 180, 181, 2**16 - 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.booleans(),
+    st.lists(
+        st.tuples(st.sampled_from(_INT_EDGES) | st.integers(0, 2**16 - 1), _U64),
+        max_size=30,
+    ),
+)
+def test_array_range_folds_equal_scalar(is_lon, cases):
+    values = np.array([v for v, _ in cases], dtype=np.uint64)
+    v_prime = np.array([c for _, c in cases], dtype=np.uint64)
+    assert range_folds(values, v_prime, is_lon).tolist() == [
+        range_constrain(c, range_type(v, is_lon, True)) for v, c in cases
+    ]
