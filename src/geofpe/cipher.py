@@ -103,15 +103,6 @@ def component_keys(values: np.ndarray, digits: np.ndarray | None) -> np.ndarray:
     return values if digits is None else values + REPUNIT[digits]
 
 
-def split_keys(keys: np.ndarray, fractions: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """The (values, digit counts) of codebook keys, the inverse of
-    ``component_keys``; integer parts get digit counts None."""
-    if not fractions:
-        return keys, None
-    digits = np.searchsorted(REPUNIT, keys, side="right") - 1
-    return keys - REPUNIT[digits], digits
-
-
 def _lookup(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Insertion positions of sorted ``values`` in sorted ``keys``, and which
     of them are already there."""
@@ -185,7 +176,9 @@ class CoordinateCipher:
         parts ignore it.  Returns uint64 ciphertexts in input order.
         """
         values, digits = _check_batch(kind, values, digits)
-        uniq, inverse = np.unique(component_keys(values, digits), return_inverse=True)
+        uniq, first, inverse = np.unique(
+            component_keys(values, digits), return_index=True, return_inverse=True
+        )
         keys, encs = self._codebooks.get(kind, _EMPTY_BOOK)
         pos, hit = _lookup(keys, uniq)
         out = np.empty_like(uniq)
@@ -193,7 +186,10 @@ class CoordinateCipher:
         miss = ~hit
         new = uniq[miss]
         if new.size:
-            out[miss] = enc = self._encrypt_keys(kind, new)
+            at = first[miss]
+            out[miss] = enc = self._encrypt_misses(
+                kind, values[at], None if digits is None else digits[at]
+            )
             self._merge(kind, new, enc)
         with self._lock:
             counts = self.counts
@@ -204,10 +200,11 @@ class CoordinateCipher:
             counts.tweaks += new.size
         return out[inverse]
 
-    def _encrypt_keys(self, kind: str, keys: np.ndarray) -> np.ndarray:
-        """Tweaks, round kernel and range fold of one kind's codebook keys."""
+    def _encrypt_misses(
+        self, kind: str, values: np.ndarray, digits: np.ndarray | None
+    ) -> np.ndarray:
+        """Tweaks, round kernel and range fold of one kind's components."""
         int_kind = is_int_part(kind)
-        values, digits = split_keys(keys, not int_kind)
         widths = mask_widths(values, digits, int_kind)
         c = _rounds.encrypt_rounds_u64(
             values, widths, self._tweaks(kind, values), self._rk, self.n_rounds

@@ -214,13 +214,30 @@ def _write_text(path: Path, lines) -> None:
         raise
 
 
+def _sidecar(out_path: Path) -> Path:
+    return out_path.with_name(f"{out_path.name}.errors")
+
+
 def _write_sidecar(out_path: Path, errors) -> None:
     """Write the .errors sidecar of out_path; a clean file removes a stale one."""
-    sidecar = out_path.with_name(f"{out_path.name}.errors")
     if errors:
-        _write_text(sidecar, [f"{line_no}: {reason}\n" for line_no, reason in errors])
+        lines = [f"{line_no}: {reason}\n" for line_no, reason in errors]
+        _write_text(_sidecar(out_path), lines)
     else:
-        sidecar.unlink(missing_ok=True)
+        _sidecar(out_path).unlink(missing_ok=True)
+
+
+def _encrypt_failed(stats: EncryptStats, out_path: Path, exc: Exception) -> None:
+    """List a file encrypt could not finish, and remove the output and sidecar
+    an earlier run left at its path: their coordinate ids are not in the new
+    map, which may give them to other files."""
+    reason = f"{out_path.name}: {exc}"
+    try:
+        for path in (out_path, _sidecar(out_path)):
+            path.unlink(missing_ok=True)
+    except OSError as unlink_exc:
+        reason += f"; its earlier output is left and will not decrypt: {unlink_exc}"
+    stats.failed_files.append(reason)
 
 
 def encrypt_dataset(
@@ -234,10 +251,11 @@ def encrypt_dataset(
     Files are taken in sorted-filename order.  Each is parsed once and its
     components encrypted as batches; coordinate ids are assigned sequentially
     over the cleaned records as the store's next rows.  A file that cannot be
-    read, decoded or written is listed in ``failed_files`` with its reason and
-    gets no ids; the other files are still encrypted.  A file's rows go into
-    the store only once its output is written, so the store always matches
-    the output tree.
+    read, decoded or written is listed in ``failed_files`` with its reason,
+    gets no ids and leaves no output (an earlier run's output at its path is
+    removed); the other files are still encrypted.  A file's rows go into the
+    store only once its output is written, so the store always matches the
+    output tree.
     """
     started = time.perf_counter()
     counted = astuple(cipher.counts)
@@ -247,10 +265,11 @@ def encrypt_dataset(
     stats = EncryptStats(files=len(files))
 
     for path in files:
+        out_path = out_dir / path.name
         try:
             scan = scan_file(path)
         except (OSError, UnicodeDecodeError) as exc:
-            stats.failed_files.append(f"{path.name}: {exc}")
+            _encrypt_failed(stats, out_path, exc)
             continue
         heads, lon_s, lon_i, lon_f, lon_d, lat_s, lat_i, lat_f, lat_d, ends = (
             zip(*scan.rows) if scan.rows else [()] * 10
@@ -262,7 +281,6 @@ def encrypt_dataset(
         start = store.entry_count("lon_int")
         texts = zip(heads, _decimal_texts(lon_s, enc[0], enc[1], lon_d),
                     _decimal_texts(lat_s, enc[2], enc[3], lat_d), ends)
-        out_path = out_dir / path.name
         try:
             _write_sidecar(out_path, scan.errors)
             _write_text(out_path, [
@@ -270,7 +288,7 @@ def encrypt_dataset(
                 for cid, (head, lon, lat, end) in enumerate(texts, start)
             ])
         except OSError as exc:
-            stats.failed_files.append(f"{path.name}: {exc}")
+            _encrypt_failed(stats, out_path, exc)
             continue
         for (kind, orig, d), enc_col in zip(parts, enc):
             store.append(kind, enc_col, orig, d)
@@ -371,7 +389,7 @@ def _decrypt_lines(source, store: MappingStore):
         hit = np.ones(len(rows), dtype=bool)
         orig = []
         for kind, enc, digits in zip(
-            KINDS, (lon_i, lon_f, lat_i, lat_f), (None, lon_d, None, lat_d)
+            KINDS, (lon_i, lon_f, lat_i, lat_f), (0, lon_d, 0, lat_d)
         ):
             kind_hit, found = store.lookup_exact_batch(kind, cids, enc, digits)
             hit &= kind_hit
@@ -414,9 +432,9 @@ def _decrypt_line(line: str, store: MappingStore):
         return None, f"parse error: {exc}", 0
     parts, fuzzy = {}, 0
     for kind, enc_value, digits in (
-        ("lon_int", enc_lon.int_part, None),
+        ("lon_int", enc_lon.int_part, 0),
         ("lon_frac", enc_lon.frac_value, enc_lon.frac_digits),
-        ("lat_int", enc_lat.int_part, None),
+        ("lat_int", enc_lat.int_part, 0),
         ("lat_frac", enc_lat.frac_value, enc_lat.frac_digits),
     ):
         orig = store.lookup_exact(kind, cid, enc_value, digits)

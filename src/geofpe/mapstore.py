@@ -69,8 +69,8 @@ class MappingStore:
     encrypted values, ``array("Q")`` original values and ``array("B")``
     fraction digit counts.
 
-    ``append`` gives the next ids of a kind one entry each.  The lookups
-    given a line's fraction digit count match only entries stored with it.
+    ``append`` gives the next ids of a kind one entry each.  Every lookup
+    takes a digit count and matches only entries stored with it.
     ``lookup_fuzzy``, ``conflicts`` and ``conflict_rate`` derive from the
     distinct (enc, orig, d) entries of a kind, built lazily under the lock
     and dropped on ``append``.  The conflict count of a kind is the number of
@@ -97,33 +97,32 @@ class MappingStore:
             self._entries.pop(kind, None)
 
     def lookup_exact(
-        self, kind: str, coord_id: int, enc_value: int, digits: int | None = None
+        self, kind: str, coord_id: int, enc_value: int, digits: int
     ) -> int | None:
-        """The original of ``coord_id`` when its entry holds ``enc_value`` and,
-        if ``digits`` is given, that digit count; else None."""
+        """The original of ``coord_id`` when its entry holds ``enc_value`` and
+        digit count ``digits`` (0 for integer parts); else None."""
         enc_col, orig_col, d_col = self._cols[kind]
         if (
             0 <= coord_id < len(enc_col)
             and enc_col[coord_id] == enc_value
-            and (digits is None or d_col[coord_id] == digits)
+            and d_col[coord_id] == digits
         ):
             return orig_col[coord_id]
         return None
 
-    def lookup_exact_batch(self, kind: str, coord_ids, enc_values, digits=None):
+    def lookup_exact_batch(self, kind: str, coord_ids, enc_values, digits):
         """``lookup_exact`` over arrays of int64 ids, uint64 encrypted values
-        and optional digit counts: a hit mask, and the originals as uint64 (0
-        where it misses)."""
+        and digit counts (a scalar applies to every id): a hit mask, and the
+        originals as uint64 (0 where it misses)."""
         ids = np.asarray(coord_ids, dtype=np.int64)
         enc_values = np.asarray(enc_values, dtype=np.uint64)
+        digits = np.broadcast_to(np.asarray(digits), ids.shape)
         found = np.zeros(ids.shape, dtype=np.uint64)
         with self._lock:
             enc_col, orig_col, d_col = (_view(col) for col in self._cols[kind])
             hit = (ids >= 0) & (ids < len(enc_col))
             rows = ids[hit]
-            match = enc_col[rows] == enc_values[hit]
-            if digits is not None:
-                match &= d_col[rows] == np.asarray(digits)[hit]
+            match = (enc_col[rows] == enc_values[hit]) & (d_col[rows] == digits[hit])
             hit[hit] = match
             found[hit] = orig_col[rows[match]]
         return hit, found
@@ -137,11 +136,9 @@ class MappingStore:
                     entries = self._entries[kind] = _distinct_entries(*self._cols[kind])
         return entries
 
-    def lookup_fuzzy(
-        self, kind: str, enc_value: int, digits: int | None = None
-    ) -> int | Ambiguous | None:
-        """Fallback lookup by encrypted value alone, or by encrypted value
-        and digit count when ``digits`` is given.
+    def lookup_fuzzy(self, kind: str, enc_value: int, digits: int) -> int | Ambiguous | None:
+        """Fallback lookup by encrypted value and digit count (0 for integer
+        parts), whatever the coordinate id.
 
         Returns the original when exactly one distinct value matches, an
         Ambiguous marker with the candidate count when several do, and None
@@ -152,10 +149,7 @@ class MappingStore:
         enc, orig, d, _, _ = self._distinct(kind)
         lo, hi = (int(np.searchsorted(enc, np.uint64(enc_value), side))
                   for side in ("left", "right"))
-        if digits is None:
-            candidates = np.unique(orig[lo:hi])  # one original under several d
-        else:
-            candidates = orig[lo:hi][d[lo:hi] == digits]
+        candidates = orig[lo:hi][d[lo:hi] == digits]
         if len(candidates) > 1:
             return Ambiguous(len(candidates))
         return int(candidates[0]) if len(candidates) else None

@@ -29,9 +29,9 @@ def _restore(line, store, stats):
         return None, f"parse error: {exc}"
     parts, fuzzy = {}, 0
     for kind, enc_value, digits in (
-        ("lon_int", enc_lon.int_part, None),
+        ("lon_int", enc_lon.int_part, 0),
         ("lon_frac", enc_lon.frac_value, enc_lon.frac_digits),
-        ("lat_int", enc_lat.int_part, None),
+        ("lat_int", enc_lat.int_part, 0),
         ("lat_frac", enc_lat.frac_value, enc_lat.frac_digits),
     ):
         orig = store.lookup_exact(kind, cid, enc_value, digits)

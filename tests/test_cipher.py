@@ -19,7 +19,6 @@ from geofpe.cipher import (
     component_keys,
     is_int_part,
     is_lon,
-    split_keys,
 )
 from geofpe.coords import MAX_FRAC_DIGITS, DecimalNumber, decompose, recombine
 from geofpe.ranges import (
@@ -365,15 +364,14 @@ def test_component_keys_round_trip_every_digit_count():
     assert keys.tolist() == sorted(keys.tolist())
     assert len(set(keys.tolist())) == len(keys) - 1  # d 0 has the one value 0
     assert keys.tolist()[-1] == 10**19 - 1 + int(REPUNIT[19]) < 2**64
-    assert [a.tolist() for a in split_keys(keys, True)] == [values, digits]
+    # each key decodes back to its (value, d)
+    decoded = np.searchsorted(REPUNIT, keys, side="right") - 1
+    assert (keys - REPUNIT[decoded]).tolist() == values and decoded.tolist() == digits
     # "1" (d 1) and "01" (d 2) are different components
     one = component_keys(np.array([1, 1], dtype=np.uint64), np.array([1, 2]))
     assert one[0] != one[1]
-    assert split_keys(one, True)[1].tolist() == [1, 2]
     int_keys = np.array([0, 180], dtype=np.uint64)
     assert component_keys(int_keys, None) is int_keys
-    values, digits = split_keys(int_keys, False)
-    assert values is int_keys and digits is None
 
 
 def test_codebook_survives_thread_contention():

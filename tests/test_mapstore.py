@@ -42,7 +42,7 @@ def test_append_gives_the_next_ids():
     _append(store, "lon_frac", (12, 22, 5))
     assert store.entry_count("lon_frac") == 3
     assert store.entry_count("lat_frac") == 0
-    assert [store.lookup_exact("lon_frac", i, 10 + i) for i in range(3)] == [20, 21, 22]
+    assert [store.lookup_exact("lon_frac", i, 10 + i, 5) for i in range(3)] == [20, 21, 22]
 
 
 def test_append_rejects_unequal_lengths():
@@ -55,54 +55,68 @@ def test_append_rejects_unequal_lengths():
 def test_lookup_exact_distinguishes_composite_keys():
     store = MappingStore()
     _append(store, "lon_int", (143, 116), (143, 117))
-    assert store.lookup_exact("lon_int", 0, 143) == 116
-    assert store.lookup_exact("lon_int", 1, 143) == 117
-    assert store.lookup_exact("lon_int", 0, 144) is None
-    assert store.lookup_exact("lon_int", 99, 143) is None
+    assert store.lookup_exact("lon_int", 0, 143, 0) == 116
+    assert store.lookup_exact("lon_int", 1, 143, 0) == 117
+    assert store.lookup_exact("lon_int", 0, 144, 0) is None
+    assert store.lookup_exact("lon_int", 99, 143, 0) is None
 
 
 def test_lookup_exact_ids_out_of_range():
     store = MappingStore()
     _append(store, "lon_int", (143, 116), (150, 117))
     # -1 must not wrap round to the last row
-    assert store.lookup_exact("lon_int", -1, 150) is None
-    assert store.lookup_exact("lon_int", 2, 150) is None
-    assert store.lookup_exact("lon_int", 2**64, 150) is None
+    assert store.lookup_exact("lon_int", -1, 150, 0) is None
+    assert store.lookup_exact("lon_int", 2, 150, 0) is None
+    assert store.lookup_exact("lon_int", 2**64, 150, 0) is None
 
 
 def test_lookup_exact_batch_equals_lookup_exact():
     store = MappingStore()
-    _append(store, "lon_frac", (143, 116), (150, 117), (2**64 - 1, 3))
-    ids = [0, 1, 2, 0, -1, 3, -(2**62), 2**62, 2]
-    enc = [143, 150, 2**64 - 1, 150, 2**64 - 1, 143, 143, 150, 0]
-    hit, orig = store.lookup_exact_batch("lon_frac", ids, enc)
-    expected = [store.lookup_exact("lon_frac", i, e) for i, e in zip(ids, enc)]
+    _append(store, "lon_frac", (143, 116, 3), (150, 117, 3), (2**64 - 1, 3, 19))
+    ids = [0, 1, 2, 0, -1, 3, -(2**62), 2**62, 2, 1]
+    enc = [143, 150, 2**64 - 1, 150, 2**64 - 1, 143, 143, 150, 0, 150]
+    digits = [3, 3, 19, 3, 19, 3, 3, 3, 19, 4]
+    hit, orig = store.lookup_exact_batch("lon_frac", ids, enc, digits)
+    expected = [
+        store.lookup_exact("lon_frac", i, e, d) for i, e, d in zip(ids, enc, digits)
+    ]
     assert hit.tolist() == [e is not None for e in expected]
     assert orig.tolist() == [e or 0 for e in expected]
-    assert expected[:3] == [116, 117, 3]
-    hit, orig = MappingStore().lookup_exact_batch("lat_int", [0, -1], [0, 0])
+    assert expected[:3] == [116, 117, 3] and expected[-1] is None
+    hit, orig = MappingStore().lookup_exact_batch("lat_int", [0, -1], [0, 0], 0)
     assert hit.tolist() == [False, False] and orig.tolist() == [0, 0]
 
 
 def test_lookup_fuzzy():
     store = MappingStore()
     _append(store, "lon_int", (143, 116))
-    assert store.lookup_fuzzy("lon_int", 143) == 116
+    assert store.lookup_fuzzy("lon_int", 143, 0) == 116
     _append(store, "lon_int", (143, 117))
-    assert store.lookup_fuzzy("lon_int", 143) == Ambiguous(2)
-    assert store.lookup_fuzzy("lon_int", 999) is None
-    assert store.lookup_fuzzy("lon_int", -1) is None
-    assert store.lookup_fuzzy("lon_int", 2**64 + 143) is None
-    assert store.lookup_fuzzy("lat_int", 143) is None
+    assert store.lookup_fuzzy("lon_int", 143, 0) == Ambiguous(2)
+    assert store.lookup_fuzzy("lon_int", 999, 0) is None
+    assert store.lookup_fuzzy("lon_int", -1, 0) is None
+    assert store.lookup_fuzzy("lon_int", 2**64 + 143, 0) is None
+    assert store.lookup_fuzzy("lat_int", 143, 0) is None
+
+
+def test_lookups_match_the_stored_digit_count():
+    store = MappingStore()
+    _append(store, "lat_frac", (7, 3, 1), (7, 3, 2), (7, 4, 2))
+    assert store.lookup_exact("lat_frac", 0, 7, 1) == 3
+    assert store.lookup_exact("lat_frac", 0, 7, 2) is None
+    # one original under two digit counts is found at each, alone
+    assert store.lookup_fuzzy("lat_frac", 7, 1) == 3
+    assert store.lookup_fuzzy("lat_frac", 7, 2) == Ambiguous(2)
+    assert store.lookup_fuzzy("lat_frac", 7, 3) is None
 
 
 def test_lookup_fuzzy_full_u64_range():
     store = MappingStore()
     top = 2**64 - 1
     _append(store, "lat_frac", (top, top, 19), (0, 1, 19))
-    assert store.lookup_fuzzy("lat_frac", top) == top
-    assert store.lookup_fuzzy("lat_frac", 0) == 1
-    assert store.lookup_exact("lat_frac", 0, top) == top
+    assert store.lookup_fuzzy("lat_frac", top, 19) == top
+    assert store.lookup_fuzzy("lat_frac", 0, 19) == 1
+    assert store.lookup_exact("lat_frac", 0, top, 19) == top
 
 
 def test_conflict_rate():
@@ -163,14 +177,14 @@ def test_order_independence():
     for kind in KINDS:
         assert len({s.conflicts(kind) for s in stores}) == 1
         assert len({s.conflict_rate(kind) for s in stores}) == 1
-        assert len({s.lookup_fuzzy(kind, 7) for s in stores}) == 1
+        assert len({s.lookup_fuzzy(kind, 7, 5) for s in stores}) == 1
 
 
 def test_concurrent_lookups_match_serial():
     columns = _random_columns(4000, seed=9)
     serial = _filled(columns)
     expected = {
-        kind: [serial.lookup_fuzzy(kind, enc) for enc in range(210)] for kind in KINDS
+        kind: [serial.lookup_fuzzy(kind, enc, 5) for enc in range(210)] for kind in KINDS
     }
     # eight threads race to build the same kinds' distinct pairs lazily
     concurrent = _filled(columns)
@@ -180,7 +194,7 @@ def test_concurrent_lookups_match_serial():
     def work(i):
         barrier.wait()
         kind = KINDS[i % 4]
-        results[i] = [concurrent.lookup_fuzzy(kind, enc) for enc in range(210)]
+        results[i] = [concurrent.lookup_fuzzy(kind, enc, 5) for enc in range(210)]
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
     for t in threads:
@@ -196,10 +210,10 @@ def test_concurrent_lookups_match_serial():
 def test_append_refreshes_derived_stats():
     store = MappingStore()
     _append(store, "lon_frac", (7, 1, 2))
-    assert store.lookup_fuzzy("lon_frac", 7) == 1
+    assert store.lookup_fuzzy("lon_frac", 7, 2) == 1
     assert store.conflict_rate("lon_frac") == 0
     _append(store, "lon_frac", (7, 2, 2))
-    assert store.lookup_fuzzy("lon_frac", 7) == Ambiguous(2)
+    assert store.lookup_fuzzy("lon_frac", 7, 2) == Ambiguous(2)
     assert store.conflicts("lon_frac") == 1
     assert store.conflict_rate("lon_frac") == 1
 
@@ -263,8 +277,8 @@ def test_load_reads_hand_built_golden_map(tmp_path):
     path.write_bytes(_golden_bytes())
     loaded = MappingStore.load(path)
     assert loaded == _filled(_GOLDEN)
-    assert loaded.lookup_exact("lon_frac", 1, 2**64 - 1) == 10**19 - 1
-    assert loaded.lookup_fuzzy("lon_int", 143) == Ambiguous(2)
+    assert loaded.lookup_exact("lon_frac", 1, 2**64 - 1, 19) == 10**19 - 1
+    assert loaded.lookup_fuzzy("lon_int", 143, 0) == Ambiguous(2)
 
 
 @pytest.mark.parametrize(
