@@ -104,7 +104,7 @@ def test_lookups_match_the_stored_digit_count():
     _append(store, "lat_frac", (7, 3, 1), (7, 3, 2), (7, 4, 2))
     assert store.lookup_exact("lat_frac", 0, 7, 1) == 3
     assert store.lookup_exact("lat_frac", 0, 7, 2) is None
-    # one original under two digit counts is found at each, alone
+    # each digit count sees only its own entries: 3 alone at d 1, 3 and 4 at d 2
     assert store.lookup_fuzzy("lat_frac", 7, 1) == 3
     assert store.lookup_fuzzy("lat_frac", 7, 2) == Ambiguous(2)
     assert store.lookup_fuzzy("lat_frac", 7, 3) is None
