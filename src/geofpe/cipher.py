@@ -13,7 +13,8 @@ every d <= 19 (the largest key, about 1.11e19, is below 2**64).  Integer parts
 are keyed by their value.  One batch of a kind is then deduplicated with one
 ``np.unique``, looked up in that kind's codebook, and all its misses run
 through one call of the numpy round kernel, with per-element mask widths,
-tweaks and range folds.
+tweaks and range folds.  The misses go into a small sorted tail of the
+codebook that merges into its sorted book only once it holds an eighth of it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ DEFAULT_ROUNDS = 8
 # value + REPUNIT[d], so the keys of d digits fill [REPUNIT[d], REPUNIT[d + 1])
 REPUNIT = np.array([(10**d - 1) // 9 for d in range(MAX_FRAC_DIGITS + 1)], dtype=np.uint64)
 _EMPTY_BOOK = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64))
+_EMPTY_CODEBOOK = (_EMPTY_BOOK, _EMPTY_BOOK)
+# a codebook's tail merges into its book once the tail holds more than
+# 1/_TAIL_SHARE of the book's entries
+_TAIL_SHARE = 8
 
 
 class DomainError(ValueError):
@@ -112,6 +117,20 @@ def _lookup(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return pos, keys[np.minimum(pos, len(keys) - 1)] == values
 
 
+def _insert(book, keys: np.ndarray, encs: np.ndarray):
+    """``book`` with the sorted ``keys`` it lacks and their ``encs`` added."""
+    at = np.searchsorted(book[0], keys) + np.arange(len(keys))
+    old = np.ones(len(book[0]) + len(keys), dtype=bool)
+    old[at] = False
+    merged = []
+    for col, new in zip(book, (keys, encs)):
+        out = np.empty(old.size, dtype=np.uint64)
+        out[at] = new
+        out[old] = col
+        merged.append(out)
+    return tuple(merged)
+
+
 @dataclass
 class CipherCounts:
     """Work done by ``CoordinateCipher.encrypt_batch`` since construction."""
@@ -127,14 +146,18 @@ class CoordinateCipher:
     """Master key, derived schedule and round count bound together, plus a
     codebook of the components encrypted so far.
 
-    The key, schedule and round count never change.  The codebook holds, per
-    kind, two sorted uint64 columns: the keys of the components encrypted so
-    far (see ``component_keys``: value + REPUNIT[d] for a d-digit fraction)
-    and their ciphertexts.  It starts empty and grows with each batch.  A
-    batch makes one pass: one ``np.unique``, one lookup, one round-kernel
-    call over all its misses and one merge.  The pipeline uses one instance
-    on one thread.  Merges into the codebook still take a lock, and a batch
-    gathers only from the columns it looked up and the misses it computed
+    The key, schedule and round count never change.  The codebook of a kind
+    maps the keys of the components encrypted so far (see
+    ``component_keys``: value + REPUNIT[d] for a d-digit fraction) to their
+    ciphertexts.  It is a book and a tail, each two sorted uint64 columns
+    of keys and ciphertexts with no key in both.  A batch makes one pass:
+    one ``np.unique``, one lookup in the book and the tail, one round-kernel
+    call over all its misses, and one insert of the misses into the tail.
+    The tail merges into the book only once it holds more than
+    1/_TAIL_SHARE of it, so a batch copies the small tail, not the whole
+    book.  The pipeline uses one instance on one thread.  Inserts still
+    take a lock and replace the (book, tail) pair in one step, and a batch
+    gathers only from the pair it looked up and the misses it computed
     itself, so two threads sharing an instance can cost a recomputation but
     never a wrong value.
     """
@@ -149,7 +172,7 @@ class CoordinateCipher:
         self.round_keys = derive_round_keys(self.key)
         self._rk = np.array(self.round_keys, dtype=np.uint64)
         self._key_hash = hashlib.md5(self.key).digest()
-        self._codebooks: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._codebooks: dict[str, tuple] = {}  # kind -> (book, tail)
         self._lock = threading.Lock()
         self.counts = CipherCounts()
 
@@ -179,10 +202,13 @@ class CoordinateCipher:
         uniq, first, inverse = np.unique(
             component_keys(values, digits), return_index=True, return_inverse=True
         )
-        keys, encs = self._codebooks.get(kind, _EMPTY_BOOK)
-        pos, hit = _lookup(keys, uniq)
+        codebook = self._codebooks.get(kind, _EMPTY_CODEBOOK)
         out = np.empty_like(uniq)
-        out[hit] = encs[pos[hit]]
+        hit = np.zeros(uniq.shape, dtype=bool)
+        for keys, encs in codebook:
+            pos, found = _lookup(keys, uniq)
+            out[found] = encs[pos[found]]
+            hit |= found
         miss = ~hit
         new = uniq[miss]
         if new.size:
@@ -190,7 +216,7 @@ class CoordinateCipher:
             out[miss] = enc = self._encrypt_misses(
                 kind, values[at], None if digits is None else digits[at]
             )
-            self._merge(kind, new, enc)
+            self._merge(kind, codebook, new, enc)
         with self._lock:
             counts = self.counts
             counts.components += values.size
@@ -213,12 +239,15 @@ class CoordinateCipher:
             return range_folds(values, c, is_lon(kind))
         return fraction_folds(c, digits)
 
-    def _merge(self, kind: str, new: np.ndarray, enc: np.ndarray) -> None:
+    def _merge(self, kind: str, seen: tuple, new: np.ndarray, enc: np.ndarray) -> None:
+        """Insert the misses ``new`` of a batch that looked up the codebook
+        ``seen`` and their ciphertexts ``enc``."""
         with self._lock:
-            keys, encs = self._codebooks.get(kind, _EMPTY_BOOK)
-            pos, known = _lookup(keys, new)  # merged by another batch meanwhile
-            fresh = ~known
-            self._codebooks[kind] = (
-                np.insert(keys, pos[fresh], new[fresh]),
-                np.insert(encs, pos[fresh], enc[fresh]),
-            )
+            book, tail = codebook = self._codebooks.get(kind, _EMPTY_CODEBOOK)
+            if codebook is not seen:  # skip keys another batch inserted meanwhile
+                fresh = ~(_lookup(book[0], new)[1] | _lookup(tail[0], new)[1])
+                new, enc = new[fresh], enc[fresh]
+            tail = _insert(tail, new, enc)
+            if len(tail[0]) * _TAIL_SHARE > len(book[0]):
+                book, tail = _insert(book, *tail), _EMPTY_BOOK
+            self._codebooks[kind] = (book, tail)

@@ -129,7 +129,13 @@ def cmd_encrypt(args) -> int:
     store = MappingStore()
     started = time.perf_counter()
     stats = encrypt_dataset(args.input, args.output, cipher, store)
+    saving = time.perf_counter()
     store.save(args.map)
+    log.debug(
+        "save map %s: %d coordinate ids, %d bytes in %.3fs",
+        args.map, store.entry_count("lon_int"), os.path.getsize(args.map),
+        time.perf_counter() - saving,
+    )
     elapsed = time.perf_counter() - started
     _say(
         f"encrypted {stats.records} records from {stats.files} files "
@@ -147,8 +153,9 @@ def cmd_decrypt(args) -> int:
     started = time.perf_counter()
     store = MappingStore.load(args.map)
     log.debug(
-        "load map %s: %d coordinate ids in %.3fs",
-        args.map, store.entry_count("lon_int"), time.perf_counter() - started,
+        "load map %s: %d coordinate ids, %d bytes in %.3fs",
+        args.map, store.entry_count("lon_int"), os.path.getsize(args.map),
+        time.perf_counter() - started,
     )
     started = time.perf_counter()
     stats = decrypt_dataset(args.input, args.output, store)

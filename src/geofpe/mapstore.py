@@ -28,7 +28,10 @@ _MAGIC = b"GFPEMAP1"
 _RECORD = np.dtype(
     [("kind", "u1"), ("coord_id", "<u8"), ("enc", "<u8"), ("orig", "<u8"), ("d", "u1")]
 )
+_FIELDS = ("enc", "orig", "d")
 _COUNT = struct.Struct("<Q")
+# records per chunk of a streaming save or load (852 KB)
+_CHUNK_RECORDS = 32768
 _KIND_CODE = {kind: i for i, kind in enumerate(KINDS)}
 
 
@@ -62,6 +65,42 @@ def _distinct_entries(enc_col: array, orig_col: array, d_col: array):
     run_sizes = np.diff(np.append(np.flatnonzero(new_enc[new_pair]), n_pairs))
     rate = Fraction(int((run_sizes >= 2).sum()), n_enc) if n_enc else Fraction(0)
     return enc[new_entry], orig[new_entry], d[new_entry], n_pairs - n_enc, rate
+
+
+def _read_into(fh, buf: np.ndarray, path) -> None:
+    """Fill ``buf`` from ``fh``; a short read means the file was cut."""
+    if fh.readinto(buf) != buf.nbytes:
+        raise MapFormatError(f"{path}: truncated map file")
+
+
+def _read_section(fh, chunk: np.ndarray, kind: str, count: int, path):
+    """The enc, orig and d columns of one kind's ``count`` records, read
+    through the record array ``chunk``.
+
+    A foreign kind code anywhere in the section is reported before an id
+    out of order, as a whole-section check would."""
+    cols = (array("Q", [0]) * count, array("Q", [0]) * count, array("B", [0]) * count)
+    views = [_view(col) for col in cols]
+    ids_in_order = True
+    for lo in range(0, count, len(chunk)):
+        hi = min(lo + len(chunk), count)
+        part = chunk[: hi - lo]
+        _read_into(fh, part.view("B"), path)
+        foreign = part["kind"] != _KIND_CODE[kind]
+        if foreign.any():
+            raise MapFormatError(
+                f"{path}: record kind {part['kind'][foreign][0]} in {kind} section"
+            )
+        ids_in_order = ids_in_order and np.array_equal(
+            part["coord_id"], np.arange(lo, hi, dtype="u8")
+        )
+        for view, field in zip(views, _FIELDS):
+            view[lo:hi] = part[field]
+    if not ids_in_order:
+        raise MapFormatError(
+            f"{path}: {kind} coordinate ids are not 0..{count - 1} in order"
+        )
+    return cols
 
 
 class MappingStore:
@@ -166,25 +205,39 @@ class MappingStore:
 
     def save(self, path) -> None:
         """Write the store: magic, then per kind an entry count and fixed-width
-        records in coordinate-id order, trailed by a CRC32.
+        records in coordinate-id order, trailed by a CRC32 of everything
+        before it.
 
-        The bytes go to a sibling ``<path>.tmp`` that then replaces ``path``,
-        so a failed save leaves any earlier map at ``path`` untouched."""
-        buf = bytearray(_MAGIC)
-        with self._lock:
-            for kind in KINDS:
-                cols = [_view(col) for col in self._cols[kind]]
-                n = len(cols[0])
-                records = np.rec.fromarrays(
-                    [np.full(n, _KIND_CODE[kind]), np.arange(n), *cols], dtype=_RECORD
-                )
-                buf += _COUNT.pack(n)
-                buf += records.tobytes()
-        buf += struct.pack("<I", zlib.crc32(buf))
+        The records stream out ``_CHUNK_RECORDS`` at a time through one
+        reused record array per kind, under a running CRC, so a save holds
+        the columns plus one chunk.  The bytes go to a sibling
+        ``<path>.tmp`` that then replaces ``path``, so a failed save leaves
+        any earlier map at ``path`` untouched."""
         tmp = f"{os.fspath(path)}.tmp"
         try:
-            with open(tmp, "wb") as fh:
-                fh.write(buf)
+            with open(tmp, "wb") as fh, self._lock:
+                crc = 0
+
+                def write(data) -> None:
+                    nonlocal crc
+                    fh.write(data)
+                    crc = zlib.crc32(data, crc)
+
+                write(_MAGIC)
+                for kind in KINDS:
+                    cols = [_view(col) for col in self._cols[kind]]
+                    n = len(cols[0])
+                    write(_COUNT.pack(n))
+                    chunk = np.empty(min(n, _CHUNK_RECORDS), dtype=_RECORD)
+                    chunk["kind"] = _KIND_CODE[kind]
+                    for lo in range(0, n, _CHUNK_RECORDS):
+                        hi = min(lo + _CHUNK_RECORDS, n)
+                        part = chunk[: hi - lo]
+                        part["coord_id"] = np.arange(lo, hi)
+                        for field, col in zip(_FIELDS, cols):
+                            part[field] = col[lo:hi]
+                        write(part)
+                fh.write(struct.pack("<I", crc))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -196,45 +249,43 @@ class MappingStore:
     @classmethod
     def load(cls, path) -> "MappingStore":
         """Read a GFPEMAP1 map.  Each kind's ids must run ``0..count-1`` in
-        order, as ``save`` writes them."""
+        order, as ``save`` writes them.
+
+        Two streaming passes read the file ``_CHUNK_RECORDS`` records at a
+        time into one reused record array.  The first checks the CRC, so a
+        corrupted file reports a checksum failure before any structural
+        error; the second checks each chunk's kind codes and ids and copies
+        its fields into columns sized from the section's count.  A load
+        holds the columns plus one chunk."""
         with open(path, "rb") as fh:
-            data = fh.read()
-        if len(data) < len(_MAGIC) + 4:
-            raise MapFormatError(f"{path}: truncated map file")
-        if data[: len(_MAGIC)] != _MAGIC:
-            raise MapFormatError(
-                f"{path}: bad magic {data[:8]!r}, expected {_MAGIC!r}"
-            )
-        (crc_stored,) = struct.unpack("<I", data[-4:])
-        if zlib.crc32(memoryview(data)[:-4]) != crc_stored:
-            raise MapFormatError(f"{path}: checksum failure")
-        store = cls()
-        pos = len(_MAGIC)
-        end = len(data) - 4
-        for kind in KINDS:
-            if pos + _COUNT.size > end:
+            end = os.fstat(fh.fileno()).st_size - 4
+            if end < len(_MAGIC):
                 raise MapFormatError(f"{path}: truncated map file")
-            (count,) = _COUNT.unpack_from(data, pos)
-            pos += _COUNT.size
-            if pos + count * _RECORD.itemsize > end:
-                raise MapFormatError(f"{path}: truncated map file")
-            records = np.frombuffer(data, dtype=_RECORD, count=count, offset=pos)
-            pos += count * _RECORD.itemsize
-            foreign = records["kind"] != _KIND_CODE[kind]
-            if foreign.any():
-                raise MapFormatError(
-                    f"{path}: record kind {records['kind'][foreign][0]} "
-                    f"in {kind} section"
-                )
-            if not np.array_equal(records["coord_id"], np.arange(count, dtype="u8")):
-                raise MapFormatError(
-                    f"{path}: {kind} coordinate ids are not 0..{count - 1} in order"
-                )
-            for col, field in zip(store._cols[kind], ("enc", "orig", "d")):
-                column = np.ascontiguousarray(records[field], col.typecode)
-                col.frombytes(column.view("B"))
-        if pos != end:
-            raise MapFormatError(f"{path}: {end - pos} trailing bytes")
+            magic = fh.read(len(_MAGIC))
+            if magic != _MAGIC:
+                raise MapFormatError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
+            chunk = np.empty(_CHUNK_RECORDS, dtype=_RECORD)
+            raw = chunk.view("B")
+            crc = zlib.crc32(magic)
+            for lo in range(len(_MAGIC), end, raw.size):
+                part = raw[: min(raw.size, end - lo)]
+                _read_into(fh, part, path)
+                crc = zlib.crc32(part, crc)
+            if fh.read(4) != struct.pack("<I", crc):
+                raise MapFormatError(f"{path}: checksum failure")
+            fh.seek(len(_MAGIC))
+            store = cls()
+            pos = len(_MAGIC)
+            for kind in KINDS:
+                if pos + _COUNT.size > end:
+                    raise MapFormatError(f"{path}: truncated map file")
+                (count,) = _COUNT.unpack(fh.read(_COUNT.size))
+                pos += _COUNT.size + count * _RECORD.itemsize
+                if pos > end:
+                    raise MapFormatError(f"{path}: truncated map file")
+                store._cols[kind] = _read_section(fh, chunk, kind, count, path)
+            if pos != end:
+                raise MapFormatError(f"{path}: {end - pos} trailing bytes")
         return store
 
     def export_csv(self, path) -> None:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from geofpe import _rounds
 from geofpe._rounds import decrypt_rounds_raw, encrypt_rounds_raw
 from geofpe.cipher import (
+    _TAIL_SHARE,
     REPUNIT,
     CoordinateCipher,
     DomainError,
@@ -392,12 +393,35 @@ def test_codebook_survives_thread_contention():
     # each distinct value is in the book once, and encrypting them again
     # hits it for every one
     distinct = sorted({v for _, values, _ in jobs for v in values})
-    keys, _ = cipher._codebooks["lon_frac"]
-    assert keys.tolist() == [v + int(REPUNIT[4]) for v in distinct]
+    keys = np.concatenate([keys for keys, _ in cipher._codebooks["lon_frac"]])
+    assert sorted(keys.tolist()) == [v + int(REPUNIT[4]) for v in distinct]
     tweaks = cipher.counts.tweaks
     got = cipher.encrypt_batch("lon_frac", distinct, [4] * len(distinct)).tolist()
     assert got == [_scalar_component(v, "lon_frac", 4) for v in distinct]
     assert cipher.counts.tweaks == tweaks
+
+
+def test_codebook_tail_merges_into_the_book():
+    rng = random.Random(17)
+    cipher = CoordinateCipher(STD_KEY)
+    seen, tail_sizes = set(), []
+    for size in [1, 40, 3, 5, 2, 30, 1, 7, 60, 4] * 3:
+        values = [rng.randrange(10**6) for _ in range(size)] + [rng.choice([0, *seen])]
+        got = cipher.encrypt_batch("lat_frac", values, [6] * len(values)).tolist()
+        assert got == [_scalar_component(v, "lat_frac", 6) for v in values]
+        seen.update(values)
+        (keys, encs), (tail_keys, tail_encs) = cipher._codebooks["lat_frac"]
+        # two sorted levels, every key seen in exactly one, the tail small
+        for level in (keys, tail_keys):
+            assert level.tolist() == sorted(level.tolist())
+        both = np.concatenate([keys, tail_keys]).tolist()
+        assert sorted(both) == sorted(v + int(REPUNIT[6]) for v in seen)
+        assert len(tail_keys) * _TAIL_SHARE <= len(keys)
+        assert np.concatenate([encs, tail_encs]).tolist() == [
+            _scalar_component(k - int(REPUNIT[6]), "lat_frac", 6) for k in both
+        ]
+        tail_sizes.append(len(tail_keys))
+    assert 0 in tail_sizes and max(tail_sizes) > 0  # both levels were used
 
 
 def test_batch_domain_errors():

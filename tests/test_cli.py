@@ -322,10 +322,35 @@ def test_decrypt_debug_log_counts_both_paths(tmp_path, capsys, caplog, key_file)
     assert (tmp_path / "dec" / "1.txt").read_text() == plain
     spans = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
     assert len(spans) == 2
-    assert re.fullmatch(r"load map .*store\.map: 3 coordinate ids in \d+\.\d{3}s", spans[0])
+    assert re.fullmatch(
+        r"load map .*store\.map: 3 coordinate ids, 356 bytes in \d+\.\d{3}s", spans[0]
+    )
     assert re.fullmatch(
         r"decrypt .*enc: 1 files, 2 lines restored as columns, 1 per line "
         r"\(0 fuzzy restores\) in \d+\.\d{3}s", spans[1]
+    )
+
+
+def test_encrypt_debug_log_spans_the_save(tmp_path, capsys, caplog, key_file):
+    orig = tmp_path / "orig"
+    orig.mkdir()
+    (orig / "1.txt").write_text("1,t,116.5,39.9\n1,t,116.25,-39.125\n1,t,-0.125,0.5\n")
+    mp = tmp_path / "store.map"
+    with caplog.at_level(logging.DEBUG, logger="geofpe"):
+        code, _, _ = run(
+            capsys, "encrypt", "--input", str(orig), "--output", str(tmp_path / "enc"),
+            "--key", key_file, "--map", str(mp),
+        )
+    assert code == 0
+    spans = [
+        r.getMessage() for r in caplog.records
+        if r.name == "geofpe.cli" and r.levelno == logging.DEBUG
+    ]
+    # magic, then per kind a count and three 26-byte records, then the CRC
+    assert mp.stat().st_size == 8 + 4 * (8 + 3 * 26) + 4 == 356
+    assert len(spans) == 1
+    assert re.fullmatch(
+        r"save map .*store\.map: 3 coordinate ids, 356 bytes in \d+\.\d{3}s", spans[0]
     )
 
 

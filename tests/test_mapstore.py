@@ -4,9 +4,11 @@ import csv
 import random
 import struct
 import threading
+import tracemalloc
 import zlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from geofpe.cipher import KINDS
@@ -365,6 +367,159 @@ def test_failed_save_keeps_the_earlier_map(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["store.map"]
 
 
+def test_failed_save_after_several_chunks_keeps_the_earlier_map(tmp_path, monkeypatch):
+    monkeypatch.setattr(mapstore, "_CHUNK_RECORDS", 2)
+    path = tmp_path / "store.map"
+    earlier = _filled(_GOLDEN)
+    earlier.save(path)
+    before = path.read_bytes()
+
+    class FailingWriter:
+        """A file whose writes fail from the third on, as a full disk would."""
+
+        def __init__(self, fh):
+            self._fh = fh
+            self.writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes >= 3:
+                raise OSError(28, "No space left on device")
+            return self._fh.write(data)
+
+    writers = []
+
+    def failing_open(*a, **kw):
+        writers.append(FailingWriter(open(*a, **kw)))
+        return writers[-1]
+
+    monkeypatch.setattr(mapstore, "open", failing_open, raising=False)
+    larger = MappingStore()
+    _append(larger, "lon_int", *[(i, i) for i in range(9)])
+    with pytest.raises(OSError, match="No space"):
+        larger.save(path)
+    # magic and the lon_int count went out; the first 2-record chunk failed
+    assert writers[0].writes == 3
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["store.map"]
+
+
+def _chunked_store(n):
+    """A store with n entries per kind, distinct per kind and per id."""
+    store = MappingStore()
+    for code, kind in enumerate(KINDS):
+        store.append(
+            kind,
+            [1000 * code + i for i in range(n)],
+            [2**64 - 1 - i for i in range(n)],
+            [(code + i) % 20 for i in range(n)],
+        )
+    return store
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+def test_chunked_round_trip_at_chunk_boundaries(tmp_path, monkeypatch, n):
+    # with 2-record chunks: 0, 1 (also chunk - 1), chunk, chunk + 1, 2 * chunk + 1
+    monkeypatch.setattr(mapstore, "_CHUNK_RECORDS", 2)
+    store = _chunked_store(n)
+    path = tmp_path / "store.map"
+    store.save(path)
+    assert path.read_bytes() == _map_bytes(
+        [
+            [(code, cid, 1000 * code + cid, 2**64 - 1 - cid, (code + cid) % 20)
+             for cid in range(n)]
+            for code in range(len(KINDS))
+        ]
+    )
+    loaded = MappingStore.load(path)
+    assert loaded == store
+    loaded.save(tmp_path / "again.map")
+    assert (tmp_path / "again.map").read_bytes() == path.read_bytes()
+
+
+def _five_record_sections(code_at=None, id_at=None):
+    """Five records per kind; one lat_int record may carry a foreign kind
+    code 9 or a repeated id."""
+    sections = [[(code, cid, 5, 6, 0) for cid in range(5)] for code in range(4)]
+    if code_at is not None:
+        sections[2][code_at] = (9, code_at, 5, 6, 0)
+    if id_at is not None:
+        sections[2][id_at] = (2, id_at - 1, 5, 6, 0)
+    return sections
+
+
+@pytest.mark.parametrize(
+    "sections, message",
+    [
+        (_five_record_sections(id_at=4), "lat_int coordinate ids are not 0..4 in order"),
+        (_five_record_sections(code_at=3), "record kind 9 in lat_int section"),
+        # a foreign code in a later chunk wins over an id gap in an earlier
+        # one, as when the whole section was checked at once
+        (_five_record_sections(code_at=4, id_at=1), "record kind 9 in lat_int section"),
+    ],
+)
+def test_chunked_load_reports_errors_in_later_chunks(tmp_path, monkeypatch, sections, message):
+    monkeypatch.setattr(mapstore, "_CHUNK_RECORDS", 2)
+    path = tmp_path / "bad.map"
+    path.write_bytes(_map_bytes(sections))
+    with pytest.raises(MapFormatError, match=message):
+        MappingStore.load(path)
+
+
+def test_chunked_load_detects_corruption_and_truncation(tmp_path, monkeypatch):
+    monkeypatch.setattr(mapstore, "_CHUNK_RECORDS", 2)
+    path = tmp_path / "store.map"
+    _chunked_store(5).save(path)
+    data = path.read_bytes()
+    flipped = bytearray(data)
+    flipped[8 + 8 + 26 + 3] ^= 0x01  # a byte of the second record, in the first chunk
+    path.write_bytes(flipped)
+    with pytest.raises(MapFormatError, match="checksum"):
+        MappingStore.load(path)
+    for cut in (8 + 8 + 3 * 26 + 13, len(data) - 4 - 13):  # mid-chunk in lon_int, lat_frac
+        path.write_bytes(data[:cut])
+        with pytest.raises(MapFormatError):
+            MappingStore.load(path)
+
+
+def test_save_and_load_hold_the_columns_plus_a_few_chunks(tmp_path):
+    n = 50_000  # per kind: a 200k-entry store
+    rng = np.random.default_rng(7)
+    store = MappingStore()
+    for kind in KINDS:
+        store.append(
+            kind,
+            rng.integers(0, 2**63, n, dtype=np.uint64),
+            rng.integers(0, 2**63, n, dtype=np.uint64),
+            rng.integers(0, 20, n, dtype=np.uint8),
+        )
+    columns = 4 * n * (8 + 8 + 1)
+    chunks = 4 * mapstore._CHUNK_RECORDS * mapstore._RECORD.itemsize
+    path = tmp_path / "store.map"
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        store.save(path)
+        saved_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = MappingStore.load(path)
+        loaded_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size == 8 + 4 * (8 + n * 26) + 4  # 5.2 MB, 6x a chunk
+    assert loaded == store
+    assert saved_peak < chunks
+    assert loaded_peak < columns + chunks
+
+
 def test_save_load_empty(tmp_path):
     store = MappingStore()
     path = tmp_path / "empty.map"
@@ -375,14 +530,17 @@ def test_save_load_empty(tmp_path):
     assert loaded.conflict_rate("lon_int") == 0
 
 
-@pytest.mark.parametrize("offset", [-1, -5])
+@pytest.mark.parametrize("offset", [-1, -5, -29])
 def test_load_detects_corruption(tmp_path, offset):
     store = MappingStore()
     _append(store, "lon_int", (143, 116))
     path = tmp_path / "store.map"
     store.save(path)
     data = bytearray(path.read_bytes())
-    data[offset] ^= 0xFF  # trailing CRC byte, or a byte in the last record
+    # the high byte of the trailing CRC, the high byte of the lat_frac count
+    # (whose structural error must not mask the checksum failure), or the d
+    # byte of the only record
+    data[offset] ^= 0xFF
     path.write_bytes(data)
     with pytest.raises(MapFormatError, match="checksum"):
         MappingStore.load(path)
