@@ -25,11 +25,9 @@ from .coords import (
     LAT_MAX,
     LON_MAX,
     MAX_FRAC_DIGITS,
-    DecimalNumber,
     GeoPoint,
     ParseError,
     decompose,
-    recombine,
     validate_point,
 )
 from .mapstore import MappingStore
@@ -309,26 +307,28 @@ def encrypt_dataset(
 
 # An encrypted line: a canonical coordinate id (at most 18 digits, so it fits
 # an int64), then a plain line.
-_ENC_LINE = re.compile(r"(0|[1-9][0-9]{0,17})," + _PLAIN_LINE.pattern)
+_CID = r"0|[1-9][0-9]{0,17}"
+_ENC_LINE = re.compile(f"({_CID})," + _PLAIN_LINE.pattern)
+_CID_TEXT = re.compile(_CID)
 
 
 def decrypt_dataset(enc_dir, out_dir, store: MappingStore) -> DecryptStats:
     """Restore original coordinate text from encrypted files via the store.
 
-    An exact lookup by coordinate id is tried first; on a miss, a fuzzy
-    lookup by encrypted value alone is accepted when unambiguous.  Both
-    lookups match a fraction only to entries stored with the line's digit
-    count.  Records that still cannot be resolved are reported in a
-    per-file .errors sidecar; the rest of the file is written regardless.  A
-    file that cannot be read, decoded or written is listed in
-    ``failed_files`` with its reason; the other files are still decrypted.
+    Every line goes through _decrypt_lines: an exact lookup by coordinate id
+    first, then on a miss a fuzzy lookup by encrypted value alone, accepted
+    when unambiguous.  Both lookups match a fraction only to entries stored
+    with the line's digit count.  Lines outside the encrypted grammar, and
+    records that still cannot be resolved, are reported in a per-file
+    .errors sidecar; the rest of the file is written regardless.  A file
+    that cannot be read, decoded or written is listed in ``failed_files``
+    with its reason; the other files are still decrypted.
     """
     started = time.perf_counter()
     enc_dir, out_dir = Path(enc_dir), Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = _dataset_files(enc_dir)
     stats = DecryptStats(files=len(files))
-    columnar = per_line = 0
 
     for path in files:
         try:
@@ -337,7 +337,7 @@ def decrypt_dataset(enc_dir, out_dir, store: MappingStore) -> DecryptStats:
         except (OSError, UnicodeDecodeError) as exc:
             stats.failed_files.append(f"{path.name}: {exc}")
             continue
-        lines, errors, restored, fuzzy = _decrypt_lines(source, store)
+        lines, errors, fuzzy = _decrypt_lines(source, store)
         out_path = out_dir / path.name
         try:
             _write_sidecar(out_path, errors)
@@ -348,28 +348,26 @@ def decrypt_dataset(enc_dir, out_dir, store: MappingStore) -> DecryptStats:
         stats.records += len(lines)
         stats.record_errors += len(errors)
         stats.fuzzy_restored += fuzzy
-        columnar += restored
-        per_line += len(lines) + len(errors) - restored
     log.debug(
-        "decrypt %s: %d files, %d lines restored as columns, %d per line "
+        "decrypt %s: %d files, %d lines restored, %d record errors "
         "(%d fuzzy restores) in %.3fs",
-        enc_dir, stats.files, columnar, per_line, stats.fuzzy_restored,
-        time.perf_counter() - started,
+        enc_dir, stats.files, stats.records, stats.record_errors,
+        stats.fuzzy_restored, time.perf_counter() - started,
     )
     return stats
 
 
 def _decrypt_lines(source, store: MappingStore):
-    """The decrypted lines, the (line no, reason) errors, the number of lines
-    restored as columns and the number of fuzzy restores, of one encrypted
-    file's lines.
+    """The decrypted lines, the (line no, reason) errors and the number of
+    fuzzy restores, of one encrypted file's lines.
 
     Lines that _ENC_LINE matches are restored as columns: one exact lookup
-    per kind, fractions at the line's digit count, kept where all four hit
-    and both restored fractions fit their digit counts.  Every other
-    non-blank line goes through _decrypt_line."""
-    out = [None] * len(source)
-    rows, rest = [], []
+    per kind, fractions at the line's digit count.  A row that misses gets a
+    fuzzy lookup of that component, unless an earlier kind has already
+    failed it; the first kind whose fuzzy lookup fails gives the row's
+    reason.  A restored fraction must fit its digit count.  Every other
+    non-blank line gets a reason from the reference grammar."""
+    rows, errors = [], []
     match, ints = _ENC_LINE.fullmatch, _INT_PARTS
     for i, line in enumerate(source):
         m = match(line)
@@ -380,87 +378,55 @@ def _decrypt_lines(source, store: MappingStore):
             rows.append((i, int(cid), head, lon_s, ints[lon_i], lon_f, lon_d,
                          lat_s, ints[lat_i], lat_f, lat_d, end))
         elif line.strip():
-            rest.append(i)
-    restored = fuzzy = 0
-    if rows:
-        at, cids, heads, lon_s, lon_i, lon_f, lon_d, lat_s, lat_i, lat_f, lat_d, ends = (
-            zip(*rows)
-        )
-        hit = np.ones(len(rows), dtype=bool)
-        orig = []
-        for kind, enc, digits in zip(
-            KINDS, (lon_i, lon_f, lat_i, lat_f), (0, lon_d, 0, lat_d)
-        ):
-            kind_hit, found = store.lookup_exact_batch(kind, cids, enc, digits)
-            hit &= kind_hit
-            orig.append(found)
-        hit &= (orig[1] < POW10[list(lon_d)]) & (orig[3] < POW10[list(lat_d)])
-        restored = int(hit.sum())
-        lon_i, lon_f, lat_i, lat_f = (col.tolist() for col in orig)
-        texts = zip(at, hit.tolist(), heads, _decimal_texts(lon_s, lon_i, lon_f, lon_d),
-                    _decimal_texts(lat_s, lat_i, lat_f, lat_d), ends)
-        for i, ok, head, lon, lat, end in texts:
-            if ok:
-                out[i] = f"{head},{lon},{lat}{end}"
-            else:
-                rest.append(i)
-        rest.sort()
-    errors = []
-    for i in rest:
-        out[i], reason, line_fuzzy = _decrypt_line(source[i], store)
-        if reason is None:
-            fuzzy += line_fuzzy
-        else:
-            errors.append((i + 1, reason))
-    return [line for line in out if line is not None], errors, restored, fuzzy
-
-
-def _decrypt_line(line: str, store: MappingStore):
-    """Restore one non-blank encrypted line by coordinate id, falling back to
-    the fuzzy lookup per component: (text, None, fuzzy restores), or (None,
-    sidecar reason, 0)."""
-    body = line.rstrip("\r\n")
-    fields = body.split(",")
-    if len(fields) != 5:
-        return None, f"expected 5 fields, got {len(fields)}", 0
-    cid_text, vid, timestamp, enc_lon_text, enc_lat_text = fields
-    try:
-        cid = int(cid_text)
-        enc_lon = decompose(enc_lon_text)
-        enc_lat = decompose(enc_lat_text)
-    except (ValueError, ParseError) as exc:
-        return None, f"parse error: {exc}", 0
-    parts, fuzzy = {}, 0
-    for kind, enc_value, digits in (
-        ("lon_int", enc_lon.int_part, 0),
-        ("lon_frac", enc_lon.frac_value, enc_lon.frac_digits),
-        ("lat_int", enc_lat.int_part, 0),
-        ("lat_frac", enc_lat.frac_value, enc_lat.frac_digits),
+            errors.append((i + 1, _enc_reject_reason(line)))
+    at, cids, heads, lon_s, lon_i, lon_f, lon_d, lat_s, lat_i, lat_f, lat_d, ends = (
+        zip(*rows) if rows else [()] * 12
+    )
+    zeros = (0,) * len(rows)
+    failed, fuzzy, orig = {}, [], []  # row -> reason; a row per fuzzy restore
+    for kind, enc, digits in zip(
+        KINDS, (lon_i, lon_f, lat_i, lat_f), (zeros, lon_d, zeros, lat_d)
     ):
-        orig = store.lookup_exact(kind, cid, enc_value, digits)
-        if orig is None:
-            orig = store.lookup_fuzzy(kind, enc_value, digits)
-            if not isinstance(orig, int):
-                return None, (
-                    f"no {kind} mapping for coord_id {cid} "
-                    f"(fuzzy: {'ambiguous' if orig else 'not found'})"
-                ), 0
-            fuzzy += 1
-        parts[kind] = orig
-    for kind, enc in (("lon_frac", enc_lon), ("lat_frac", enc_lat)):
-        if parts[kind] >= 10**enc.frac_digits:
-            return None, (
-                f"{kind} mapping for coord_id {cid} needs more than "
-                f"{enc.frac_digits} digits"
-            ), 0
-    lon = DecimalNumber(
-        enc_lon.sign, parts["lon_int"], parts["lon_frac"], enc_lon.frac_digits
-    )
-    lat = DecimalNumber(
-        enc_lat.sign, parts["lat_int"], parts["lat_frac"], enc_lat.frac_digits
-    )
-    text = f"{vid},{timestamp},{recombine(lon)},{recombine(lat)}{line[len(body):]}"
-    return text, None, fuzzy
+        hit, found = store.lookup_exact_batch(kind, cids, enc, digits)
+        for r in np.flatnonzero(~hit).tolist():
+            if r in failed:
+                continue
+            value = store.lookup_fuzzy(kind, enc[r], digits[r])
+            if isinstance(value, int):
+                found[r] = value
+                fuzzy.append(r)
+            else:
+                failed[r] = (
+                    f"no {kind} mapping for coord_id {cids[r]} "
+                    f"(fuzzy: {'ambiguous' if value else 'not found'})"
+                )
+        orig.append(found)
+    for kind, col, digits in (("lon_frac", orig[1], lon_d), ("lat_frac", orig[3], lat_d)):
+        for r in np.flatnonzero(col >= POW10[list(digits)]).tolist():
+            failed.setdefault(r, f"{kind} mapping for coord_id {cids[r]} needs more "
+                                 f"than {digits[r]} digits")
+    lon_i, lon_f, lat_i, lat_f = (col.tolist() for col in orig)
+    texts = zip(heads, _decimal_texts(lon_s, lon_i, lon_f, lon_d),
+                _decimal_texts(lat_s, lat_i, lat_f, lat_d), ends)
+    out = [
+        f"{head},{lon},{lat}{end}"
+        for r, (head, lon, lat, end) in enumerate(texts) if r not in failed
+    ]
+    errors.extend((at[r] + 1, reason) for r, reason in failed.items())
+    errors.sort()
+    return out, errors, sum(r not in failed for r in fuzzy)
+
+
+def _enc_reject_reason(line: str) -> str:
+    """The sidecar reason of a non-blank line that _ENC_LINE rejects, found
+    with the reference grammar: the field count, the id, then
+    _reject_reason on the rest."""
+    fields = line.rstrip("\r\n").split(",")
+    if len(fields) != 5:
+        return f"expected 5 fields, got {len(fields)}"
+    if not _CID_TEXT.fullmatch(fields[0]):
+        return f"parse error: malformed coordinate id {fields[0]!r}"
+    return _reject_reason(line.split(",", 1)[1])
 
 
 # ---------------------------------------------------------------------------

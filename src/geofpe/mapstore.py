@@ -108,13 +108,15 @@ class MappingStore:
     encrypted values, ``array("Q")`` original values and ``array("B")``
     fraction digit counts.
 
-    ``append`` gives the next ids of a kind one entry each.  Every lookup
-    takes a digit count and matches only entries stored with it.
-    ``lookup_fuzzy``, ``conflicts`` and ``conflict_rate`` derive from the
-    distinct (enc, orig, d) entries of a kind, built lazily under the lock
-    and dropped on ``append``.  The conflict count of a kind is the number of
-    distinct originals beyond the first over all encrypted values, so it does
-    not depend on id order.
+    ``append`` gives the next ids of a kind one entry each.  The exact
+    lookup is ``lookup_exact_batch``, by coordinate id; ``lookup_fuzzy`` is
+    the fallback by encrypted value alone.  Both take a digit count and match
+    only entries stored with it.  ``lookup_fuzzy``, ``conflicts`` and
+    ``conflict_rate`` derive from the distinct (enc, orig, d) entries of a
+    kind, built lazily under the lock and dropped on ``append``, so a
+    decrypt whose exact lookups all hit never builds them.  The conflict
+    count of a kind is the number of distinct originals beyond the first
+    over all encrypted values, so it does not depend on id order.
     """
 
     def __init__(self) -> None:
@@ -135,23 +137,11 @@ class MappingStore:
                 col.extend(values)
             self._entries.pop(kind, None)
 
-    def lookup_exact(
-        self, kind: str, coord_id: int, enc_value: int, digits: int
-    ) -> int | None:
-        """The original of ``coord_id`` when its entry holds ``enc_value`` and
-        digit count ``digits`` (0 for integer parts); else None."""
-        enc_col, orig_col, d_col = self._cols[kind]
-        if (
-            0 <= coord_id < len(enc_col)
-            and enc_col[coord_id] == enc_value
-            and d_col[coord_id] == digits
-        ):
-            return orig_col[coord_id]
-        return None
-
     def lookup_exact_batch(self, kind: str, coord_ids, enc_values, digits):
-        """``lookup_exact`` over arrays of int64 ids, uint64 encrypted values
-        and digit counts (a scalar applies to every id): a hit mask, and the
+        """Exact lookup of arrays of int64 ids, uint64 encrypted values and
+        digit counts (0 for integer parts; a scalar applies to every id).
+        An id hits when it is a row of ``kind`` whose entry holds that
+        encrypted value and digit count.  Returns a hit mask, and the
         originals as uint64 (0 where it misses)."""
         ids = np.asarray(coord_ids, dtype=np.int64)
         enc_values = np.asarray(enc_values, dtype=np.uint64)

@@ -1,17 +1,47 @@
 """Line-by-line decrypt oracle for decrypt_dataset comparisons.
 
 Independent of geofpe.dataset's decrypt code: every non-blank line is split
-on commas, parsed with int() and coords.decompose, and restored through one
-MappingStore.lookup_exact per component, then lookup_fuzzy on a miss; both
-lookups of a fraction are given the line's digit count.  A restored fraction
-that needs more digits than the line gives is a per-line error.  Fuzzy
-restores are counted only on lines that are restored.  Outputs and sidecars are written in place, as plain files.
+on commas, its id checked against the canonical id grammar (at most 18
+digits, no leading zero) and its coordinates parsed with coords.decompose.
+A coordinate outside the encrypted grammar (a fraction over 19 digits, an
+integer part over 999 for lon or 99 for lat) gets the plain-line reason.
+Each component is then restored through a one-element
+MappingStore.lookup_exact_batch, then lookup_fuzzy on a miss; both lookups
+of a fraction are given the line's digit count.  A restored fraction that
+needs more digits than the line gives is a per-line error.  Fuzzy restores
+are counted only on lines that are restored.  Outputs and sidecars are
+written in place, as plain files.
 """
 
+import re
 from pathlib import Path
 
-from geofpe.coords import DecimalNumber, ParseError, decompose, recombine
+from geofpe.coords import (
+    MAX_FRAC_DIGITS,
+    DecimalNumber,
+    GeoPoint,
+    ParseError,
+    decompose,
+    recombine,
+    validate_point,
+)
 from geofpe.dataset import DecryptStats
+
+_ID = re.compile(r"0|[1-9][0-9]{0,17}")
+
+
+def _grammar_reason(enc_lon, enc_lat):
+    """The reason of coordinates that decompose accepts but the encrypted
+    grammar does not, or None."""
+    for axis, n in (("lon", enc_lon), ("lat", enc_lat)):
+        if n.frac_digits > MAX_FRAC_DIGITS:
+            return (
+                f"parse error: {axis} fraction has {n.frac_digits} digits, "
+                f"more than {MAX_FRAC_DIGITS}"
+            )
+    if enc_lon.int_part > 999 or enc_lat.int_part > 99:
+        return f"out of range: {validate_point(GeoPoint(enc_lon, enc_lat))}"
+    return None
 
 
 def _restore(line, store, stats):
@@ -21,12 +51,17 @@ def _restore(line, store, stats):
     if len(fields) != 5:
         return None, f"expected 5 fields, got {len(fields)}"
     cid_text, vid, timestamp, enc_lon_text, enc_lat_text = fields
+    if not _ID.fullmatch(cid_text):
+        return None, f"parse error: malformed coordinate id {cid_text!r}"
+    cid = int(cid_text)
     try:
-        cid = int(cid_text)
         enc_lon = decompose(enc_lon_text)
         enc_lat = decompose(enc_lat_text)
-    except (ValueError, ParseError) as exc:
+    except ParseError as exc:
         return None, f"parse error: {exc}"
+    reason = _grammar_reason(enc_lon, enc_lat)
+    if reason is not None:
+        return None, reason
     parts, fuzzy = {}, 0
     for kind, enc_value, digits in (
         ("lon_int", enc_lon.int_part, 0),
@@ -34,8 +69,10 @@ def _restore(line, store, stats):
         ("lat_int", enc_lat.int_part, 0),
         ("lat_frac", enc_lat.frac_value, enc_lat.frac_digits),
     ):
-        orig = store.lookup_exact(kind, cid, enc_value, digits)
-        if orig is None:
+        hit, found = store.lookup_exact_batch(kind, [cid], [enc_value], digits)
+        if hit[0]:
+            orig = int(found[0])
+        else:
             orig = store.lookup_fuzzy(kind, enc_value, digits)
             if not isinstance(orig, int):
                 state = "ambiguous" if orig else "not found"

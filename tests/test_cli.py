@@ -306,7 +306,9 @@ def test_decrypt_debug_log_counts_both_paths(tmp_path, capsys, caplog, key_file)
     run(capsys, "encrypt", "--input", str(orig), "--output", str(enc),
         "--key", key_file, "--map", str(mp))
     lines = (enc / "1.txt").read_text().splitlines(keepends=True)
-    lines[1] = "+" + lines[1]  # int() still reads the id; the line pattern does not
+    # an id beyond the map: every component of the line has one fuzzy match
+    cid, rest = lines[1].split(",", 1)
+    lines[1] = f"{int(cid) + 10**9},{rest}"
     (enc / "1.txt").write_text("".join(lines))
 
     with caplog.at_level(logging.DEBUG, logger="geofpe"):
@@ -316,7 +318,7 @@ def test_decrypt_debug_log_counts_both_paths(tmp_path, capsys, caplog, key_file)
         )
     assert code == 0
     assert re.fullmatch(
-        r"decrypted 3 records from 1 files \(0 record errors, 0 fuzzy fallbacks\) "
+        r"decrypted 3 records from 1 files \(0 record errors, 4 fuzzy fallbacks\) "
         r"in \d+\.\d\ds\n", out
     )
     assert (tmp_path / "dec" / "1.txt").read_text() == plain
@@ -326,8 +328,8 @@ def test_decrypt_debug_log_counts_both_paths(tmp_path, capsys, caplog, key_file)
         r"load map .*store\.map: 3 coordinate ids, 356 bytes in \d+\.\d{3}s", spans[0]
     )
     assert re.fullmatch(
-        r"decrypt .*enc: 1 files, 2 lines restored as columns, 1 per line "
-        r"\(0 fuzzy restores\) in \d+\.\d{3}s", spans[1]
+        r"decrypt .*enc: 1 files, 3 lines restored, 0 record errors "
+        r"\(4 fuzzy restores\) in \d+\.\d{3}s", spans[1]
     )
 
 

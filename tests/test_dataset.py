@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geofpe import dataset
+from geofpe import dataset, mapstore
 from geofpe.cipher import KINDS, CoordinateCipher
 from geofpe.cli import main as cli_main
 from geofpe.coords import (
@@ -273,6 +273,22 @@ def test_round_trip_byte_identical(tmp_path, synth_dir):
         assert (dec_dir / path.name).read_bytes() == path.read_bytes()
 
 
+def test_clean_decrypt_builds_no_fuzzy_index(tmp_path, synth_dir, monkeypatch):
+    # Every line of an encrypt-written tree hits the exact lookup, so decrypt
+    # never builds the distinct entries behind the fuzzy fallback.
+    enc_dir, dec_dir = tmp_path / "enc", tmp_path / "dec"
+    store = MappingStore()
+    encrypt_dataset(synth_dir, enc_dir, CoordinateCipher(KEY), store)
+
+    def refuse(*_):
+        raise AssertionError("fuzzy index built for a clean tree")
+
+    monkeypatch.setattr(mapstore, "_distinct_entries", refuse)
+    stats = decrypt_dataset(enc_dir, dec_dir, store)
+    assert (stats.records, stats.record_errors, stats.fuzzy_restored) == (1200, 0, 0)
+    assert _tree_bytes(dec_dir) == _tree_bytes(synth_dir)
+
+
 def test_encrypted_format_is_preserved(tmp_path, synth_dir):
     enc_dir, _, _, _, _ = _round_trip(tmp_path, synth_dir)
     orig = load_plain_points(synth_dir)
@@ -430,9 +446,9 @@ def test_decrypt_tampered_coord_ids_and_values(tmp_path):
     restored = (tmp_path / "dec" / "1.txt").read_text()
     assert restored == "1,t,116.3,116.3\n1,t,117.4,117.4\n"
     assert (tmp_path / "dec" / "1.txt.errors").read_text().splitlines() == [
-        "2: no lon_int mapping for coord_id -1 (fuzzy: ambiguous)",
+        "2: parse error: malformed coordinate id '-1'",
         "3: no lon_int mapping for coord_id 2 (fuzzy: ambiguous)",
-        "4: no lon_int mapping for coord_id 1 (fuzzy: not found)",
+        "4: out of range: lon",
     ]
 
 
@@ -510,6 +526,36 @@ def test_fuzzy_restores_count_only_restored_lines(tmp_path):
     assert (stats.records, stats.record_errors, stats.fuzzy_restored) == (0, 1, 0)
     assert out == ""
     assert errors == "1: no lat_int mapping for coord_id 5 (fuzzy: not found)\n"
+
+
+def test_decrypt_rejects_ids_and_coordinates_outside_the_grammar(tmp_path):
+    # Every component of id 0 has a unique fuzzy match, so only the grammar
+    # keeps a line with a lenient id from being restored.  An in-grammar id
+    # beyond the store still restores through the fuzzy lookup.
+    store = MappingStore()
+    store.append("lon_int", [5], [116], [0])
+    store.append("lon_frac", [3], [4], [1])
+    store.append("lat_int", [6], [39], [0])
+    store.append("lat_frac", [7], [9], [1])
+    ids = ["0001", "+0", " 0", "0_0", "\u0660", "-1", "1" + "0" * 18]
+    lines = [f"{cid},1,t,5.3,6.7\n" for cid in ids] + [
+        f"{10**9},1,t,5.3,6.7\n",
+        "0,1,t,1000.3,6.7\n",
+        "0,1,t,5.3,100.7\n",
+        f"0,1,t,5.{'3' * 20},6.7\n",
+        "0,1,t,5.3,6.7\n",
+    ]
+    stats, out, errors = _decrypt_text(tmp_path, store, "".join(lines))
+    assert (stats.records, stats.record_errors, stats.fuzzy_restored) == (2, 10, 4)
+    assert out == "1,t,116.4,39.9\n" * 2
+    assert errors.splitlines() == [
+        f"{line_no}: parse error: malformed coordinate id {cid!r}"
+        for line_no, cid in enumerate(ids, start=1)
+    ] + [
+        "9: out of range: lon",
+        "10: out of range: lat",
+        "11: parse error: lon fraction has 20 digits, more than 19",
+    ]
 
 
 def test_encrypt_debug_line_counts_cipher_work(tmp_path, caplog):

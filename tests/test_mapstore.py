@@ -24,6 +24,12 @@ def _append(store, kind, *entries):
     store.append(kind, enc, orig, d)
 
 
+def _exact(store, kind, coord_id, enc, digits):
+    """One lookup_exact_batch row: the original, or None on a miss."""
+    hit, orig = store.lookup_exact_batch(kind, [coord_id], [enc], digits)
+    return int(orig[0]) if hit[0] else None
+
+
 def test_record_fresh_then_conflict():
     store = MappingStore()
     _append(store, "lon_int", (143, 116))
@@ -44,7 +50,7 @@ def test_append_gives_the_next_ids():
     _append(store, "lon_frac", (12, 22, 5))
     assert store.entry_count("lon_frac") == 3
     assert store.entry_count("lat_frac") == 0
-    assert [store.lookup_exact("lon_frac", i, 10 + i, 5) for i in range(3)] == [20, 21, 22]
+    assert [_exact(store, "lon_frac", i, 10 + i, 5) for i in range(3)] == [20, 21, 22]
 
 
 def test_append_rejects_unequal_lengths():
@@ -57,30 +63,34 @@ def test_append_rejects_unequal_lengths():
 def test_lookup_exact_distinguishes_composite_keys():
     store = MappingStore()
     _append(store, "lon_int", (143, 116), (143, 117))
-    assert store.lookup_exact("lon_int", 0, 143, 0) == 116
-    assert store.lookup_exact("lon_int", 1, 143, 0) == 117
-    assert store.lookup_exact("lon_int", 0, 144, 0) is None
-    assert store.lookup_exact("lon_int", 99, 143, 0) is None
+    assert _exact(store, "lon_int", 0, 143, 0) == 116
+    assert _exact(store, "lon_int", 1, 143, 0) == 117
+    assert _exact(store, "lon_int", 0, 144, 0) is None
+    assert _exact(store, "lon_int", 99, 143, 0) is None
 
 
 def test_lookup_exact_ids_out_of_range():
     store = MappingStore()
     _append(store, "lon_int", (143, 116), (150, 117))
-    # -1 must not wrap round to the last row
-    assert store.lookup_exact("lon_int", -1, 150, 0) is None
-    assert store.lookup_exact("lon_int", 2, 150, 0) is None
-    assert store.lookup_exact("lon_int", 2**64, 150, 0) is None
+    # -1 must not wrap round to the last row.  Ids are int64: decrypt's line
+    # pattern caps them at 18 digits, so no larger id reaches the store.
+    assert _exact(store, "lon_int", -1, 150, 0) is None
+    assert _exact(store, "lon_int", 2, 150, 0) is None
+    assert _exact(store, "lon_int", 2**63 - 1, 150, 0) is None
 
 
 def test_lookup_exact_batch_equals_lookup_exact():
     store = MappingStore()
-    _append(store, "lon_frac", (143, 116, 3), (150, 117, 3), (2**64 - 1, 3, 19))
+    entries = [(143, 116, 3), (150, 117, 3), (2**64 - 1, 3, 19)]
+    _append(store, "lon_frac", *entries)
     ids = [0, 1, 2, 0, -1, 3, -(2**62), 2**62, 2, 1]
     enc = [143, 150, 2**64 - 1, 150, 2**64 - 1, 143, 143, 150, 0, 150]
     digits = [3, 3, 19, 3, 19, 3, 3, 3, 19, 4]
     hit, orig = store.lookup_exact_batch("lon_frac", ids, enc, digits)
+    # brute force: the entry at the id, when it holds the (enc, d) asked for
     expected = [
-        store.lookup_exact("lon_frac", i, e, d) for i, e, d in zip(ids, enc, digits)
+        entries[i][1] if 0 <= i < len(entries) and entries[i][::2] == (e, d) else None
+        for i, e, d in zip(ids, enc, digits)
     ]
     assert hit.tolist() == [e is not None for e in expected]
     assert orig.tolist() == [e or 0 for e in expected]
@@ -104,8 +114,8 @@ def test_lookup_fuzzy():
 def test_lookups_match_the_stored_digit_count():
     store = MappingStore()
     _append(store, "lat_frac", (7, 3, 1), (7, 3, 2), (7, 4, 2))
-    assert store.lookup_exact("lat_frac", 0, 7, 1) == 3
-    assert store.lookup_exact("lat_frac", 0, 7, 2) is None
+    assert _exact(store, "lat_frac", 0, 7, 1) == 3
+    assert _exact(store, "lat_frac", 0, 7, 2) is None
     # each digit count sees only its own entries: 3 alone at d 1, 3 and 4 at d 2
     assert store.lookup_fuzzy("lat_frac", 7, 1) == 3
     assert store.lookup_fuzzy("lat_frac", 7, 2) == Ambiguous(2)
@@ -118,7 +128,7 @@ def test_lookup_fuzzy_full_u64_range():
     _append(store, "lat_frac", (top, top, 19), (0, 1, 19))
     assert store.lookup_fuzzy("lat_frac", top, 19) == top
     assert store.lookup_fuzzy("lat_frac", 0, 19) == 1
-    assert store.lookup_exact("lat_frac", 0, top, 19) == top
+    assert _exact(store, "lat_frac", 0, top, 19) == top
 
 
 def test_conflict_rate():
@@ -279,7 +289,7 @@ def test_load_reads_hand_built_golden_map(tmp_path):
     path.write_bytes(_golden_bytes())
     loaded = MappingStore.load(path)
     assert loaded == _filled(_GOLDEN)
-    assert loaded.lookup_exact("lon_frac", 1, 2**64 - 1, 19) == 10**19 - 1
+    assert _exact(loaded, "lon_frac", 1, 2**64 - 1, 19) == 10**19 - 1
     assert loaded.lookup_fuzzy("lon_int", 143, 0) == Ambiguous(2)
 
 
