@@ -19,11 +19,15 @@ codebook that merges into its sorted book only once it holds an eighth of it.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+try:  # the built-in MD5 spares every command the OpenSSL load of hashlib
+    from _md5 import md5
+except ImportError:  # an interpreter built without _md5
+    from hashlib import md5
 
 from . import _rounds
 from .coords import MAX_FRAC_DIGITS
@@ -58,6 +62,13 @@ def check_key(key: bytes) -> bytes:
     if not isinstance(key, (bytes, bytearray)) or len(key) != 16:
         raise DomainError("master key must be exactly 16 bytes")
     return bytes(key)
+
+
+def map_fingerprint(key: bytes) -> bytes:
+    """The 16-byte key fingerprint a GFPEMAP2 map is written under:
+    MD5(b"geofpe-map-v2" + key).  The prefix keeps it apart from MD5(key),
+    the secret input to every tweak."""
+    return md5(b"geofpe-map-v2" + check_key(key)).digest()
 
 
 def is_lon(kind: str) -> bool:
@@ -171,7 +182,7 @@ class CoordinateCipher:
         self.n_rounds = n_rounds
         self.round_keys = derive_round_keys(self.key)
         self._rk = np.array(self.round_keys, dtype=np.uint64)
-        self._key_hash = hashlib.md5(self.key).digest()
+        self._key_hash = md5(self.key).digest()
         self._codebooks: dict[str, tuple] = {}  # kind -> (book, tail)
         self._lock = threading.Lock()
         self.counts = CipherCounts()
@@ -179,14 +190,14 @@ class CoordinateCipher:
     def tweak(self, kind: str, value_text: str) -> int:
         """32-bit tweak: leading four bytes (big-endian) of
         MD5(kind ':' value_text MD5(key)).  The reference for ``_tweaks``."""
-        digest = hashlib.md5(
+        digest = md5(
             kind.encode("ascii") + b":" + value_text.encode("ascii") + self._key_hash
         ).digest()
         return int.from_bytes(digest[:4], "big")
 
     def _tweaks(self, kind: str, values: np.ndarray) -> np.ndarray:
         """``tweak(kind, str(v))`` of each value, as uint64."""
-        prefix, key_hash, md5 = kind.encode("ascii") + b":", self._key_hash, hashlib.md5
+        prefix, key_hash = kind.encode("ascii") + b":", self._key_hash
         digests = b"".join(
             [md5(b"%b%d%b" % (prefix, v, key_hash)).digest()[:4] for v in values.tolist()]
         )

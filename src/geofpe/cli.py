@@ -12,12 +12,11 @@ import csv
 import json
 import logging
 import os
-import secrets
 import sys
 import time
 from pathlib import Path
 
-from .cipher import BACKEND, DEFAULT_ROUNDS, KINDS, CoordinateCipher
+from .cipher import BACKEND, DEFAULT_ROUNDS, KINDS, CoordinateCipher, map_fingerprint
 from .dataset import (
     SynthConfig,
     decrypt_dataset,
@@ -105,7 +104,7 @@ def cmd_keygen(args) -> int:
     if out.exists() and not args.force:
         print(f"error: {out} already exists (use --force to overwrite)", file=sys.stderr)
         return 1
-    key = secrets.token_bytes(16)
+    key = os.urandom(16)
     if args.hex or out.suffix == ".hex":
         out.write_text(key.hex() + "\n", encoding="ascii")
     else:
@@ -130,11 +129,11 @@ def cmd_encrypt(args) -> int:
     started = time.perf_counter()
     stats = encrypt_dataset(args.input, args.output, cipher, store)
     saving = time.perf_counter()
-    store.save(args.map)
+    store.save(args.map, map_fingerprint(key))
     log.debug(
-        "save map %s: %d coordinate ids, %d bytes in %.3fs",
-        args.map, store.entry_count("lon_int"), os.path.getsize(args.map),
-        time.perf_counter() - saving,
+        "save map %s: %s; %d coordinate ids, %d bytes in %.3fs",
+        args.map, store.layout, store.entry_count("lon_int"),
+        os.path.getsize(args.map), time.perf_counter() - saving,
     )
     elapsed = time.perf_counter() - started
     _say(
@@ -149,14 +148,18 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
-    load_key(args.key)  # decryption is map-driven; the key is validated only
+    # decryption is map-driven; the key only has to match the map's fingerprint
+    key = load_key(args.key)
     started = time.perf_counter()
-    store = MappingStore.load(args.map)
+    store = MappingStore.load(args.map, map_fingerprint(key))
     log.debug(
-        "load map %s: %d coordinate ids, %d bytes in %.3fs",
-        args.map, store.entry_count("lon_int"), os.path.getsize(args.map),
-        time.perf_counter() - started,
+        "load map %s: %s; %d coordinate ids, %d bytes in %.3fs",
+        args.map, store.layout, store.entry_count("lon_int"),
+        os.path.getsize(args.map), time.perf_counter() - started,
     )
+    if not store.layout.keyed:
+        log.warning("%s: a GFPEMAP1 map holds no key fingerprint; "
+                    "no key check was possible", args.map)
     started = time.perf_counter()
     stats = decrypt_dataset(args.input, args.output, store)
     elapsed = time.perf_counter() - started
@@ -183,23 +186,25 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _aligned_vehicles(orig, other, other_name: str) -> list[str]:
-    if set(orig) != set(other):
+def _aligned_vehicles(orig, other, other_name: str, left_out=()) -> list[str]:
+    """The vehicles of ``other``, which must be those of ``orig`` less the
+    ``left_out`` ones, each with as many points as in ``orig``."""
+    if set(orig) != set(other) | set(left_out):
         raise ValueError(
             f"vehicle sets differ between original and {other_name} datasets"
         )
-    for vid in orig:
+    for vid in other:
         if len(orig[vid]) != len(other[vid]):
             raise ValueError(
                 f"vehicle {vid}: {len(orig[vid])} original vs "
                 f"{len(other[vid])} {other_name} points"
             )
-    return sorted(orig)
+    return sorted(other)
 
 
-def _load_tree(loader, path, name: str):
+def _load_tree(loader, path, name: str, *args):
     started = time.perf_counter()
-    points = loader(path)
+    points = loader(path, *args)
     log.debug(
         "load %s %s: %d points in %d files in %.3fs",
         name, path, sum(len(v) for v in points.values()), len(points),
@@ -210,11 +215,12 @@ def _load_tree(loader, path, name: str):
 
 def cmd_eval_rdr(args) -> int:
     orig = _load_tree(load_plain_points, args.orig, "original")
-    enc = _load_tree(load_points_auto, args.enc, "encrypted")
+    rejected = {}  # vehicle -> (line no, reason) of an encrypted line out of grammar
+    enc = _load_tree(load_points_auto, args.enc, "encrypted", rejected)
     per_trajectory = {}
-    skipped = {}
+    skipped = {vid: f"line {line_no}: {reason}" for vid, (line_no, reason) in rejected.items()}
     started = time.perf_counter()
-    for vid in _aligned_vehicles(orig, enc, "encrypted"):
+    for vid in _aligned_vehicles(orig, enc, "encrypted", rejected):
         try:
             per_trajectory[vid] = metrics.rdr_trajectory(
                 orig[vid], enc[vid], n_samples=args.samples, seed=f"{args.seed}:{vid}"

@@ -49,12 +49,12 @@ class FileScan:
 # An accepted plain line, less the range check: id and timestamp without
 # separators, canonical lon and lat (at most 3 and 2 integer digits), one
 # terminator.  coords.decompose is the reference grammar.
-_PLAIN_LINE = re.compile(
+_PLAIN_BODY = (
     r"([^,\r\n]*,[^,\r\n]*),"
     rf"(-?)(0|[1-9][0-9]{{0,2}})(?:\.([0-9]{{1,{MAX_FRAC_DIGITS}}}))?,"
     rf"(-?)(0|[1-9][0-9]?)(?:\.([0-9]{{1,{MAX_FRAC_DIGITS}}}))?"
-    r"(\r\n|\n|\r|)"
 )
+_PLAIN_LINE = re.compile(_PLAIN_BODY + r"(\r\n|\n|\r|)")
 _INT_PARTS = {str(i): i for i in range(1000)}  # the pattern's int parts; beats int()
 
 
@@ -310,6 +310,14 @@ def encrypt_dataset(
 _CID = r"0|[1-9][0-9]{0,17}"
 _ENC_LINE = re.compile(f"({_CID})," + _PLAIN_LINE.pattern)
 _CID_TEXT = re.compile(_CID)
+# A whole file of lines that _ENC_LINE matches or that are blank (only the
+# whitespace str.strip removes), in one match: the line pattern without its
+# groups, and terminators as readlines splits them.  The lines' contents
+# and terminators cannot overlap, so a failed match does not backtrack far.
+_ENC_BODY = re.sub(r"\((?!\?)", "(?:", f"({_CID})," + _PLAIN_BODY)
+_ENC_TEXT = re.compile(
+    rf"(?:(?:{_ENC_BODY}|[^\S\r\n]*)(?:\r\n|\n|\r(?!\n)))*(?:{_ENC_BODY}|[^\S\r\n]*)"
+)
 
 
 def decrypt_dataset(enc_dir, out_dir, store: MappingStore) -> DecryptStats:
@@ -536,21 +544,33 @@ def load_plain_points(input_dir) -> dict[str, list[tuple[float, float]]]:
     }
 
 
-def load_points_auto(input_dir) -> dict[str, list[tuple[float, float]]]:
+def load_points_auto(input_dir, rejects=None) -> dict[str, list[tuple[float, float]]]:
     """Load a directory in either layout, detected per file by column count.
 
     A file whose every non-blank line has five columns is an encrypted file
-    (coordinate id first), read as is; any other file is read in the plain
-    layout, which gets the usual cleaning.  Lets the identity checks point an
-    eval at a plain tree.
+    (coordinate id first); each of its lines must match the encrypted
+    grammar (_ENC_LINE).  At the first line that does not, the file's
+    ``(line no, reason)`` goes into the dict ``rejects`` under its stem and
+    the file is left out; without ``rejects`` it raises ValueError
+    "<path>:<line no>: <reason>".  Any other file is read in the plain
+    layout, which gets the usual cleaning.  Lets the identity checks point
+    an eval at a plain tree.
     """
     out = {}
     for path in _dataset_files(input_dir):
         with open(path, encoding="utf-8", newline="") as fh:
             lines = fh.readlines()
         rows = [line.rstrip("\r\n").split(",") for line in lines if line.strip()]
-        if rows and all(len(fields) == 5 for fields in rows):
+        if not (rows and all(len(fields) == 5 for fields in rows)):
+            out[path.stem] = _points(scan_lines(lines).rows)
+        elif _ENC_TEXT.fullmatch("".join(lines)):
             out[path.stem] = [(float(fields[3]), float(fields[4])) for fields in rows]
         else:
-            out[path.stem] = _points(scan_lines(lines).rows)
+            line_no, line = next(
+                (i, line) for i, line in enumerate(lines, start=1)
+                if line.strip() and not _ENC_LINE.fullmatch(line)
+            )
+            if rejects is None:
+                raise ValueError(f"{path}:{line_no}: {_enc_reject_reason(line)}")
+            rejects[path.stem] = (line_no, _enc_reject_reason(line))
     return out

@@ -6,6 +6,10 @@ fraction parts.  Coordinate ids are dense, ``0..N-1``, and every id has one
 entry per kind, so the id is the row of three columns.  Collisions between
 different originals on the same encrypted value are expected, counted, and
 harmless, because the exact lookup also checks the coordinate id.
+
+Maps are written as GFPEMAP2: each column at the narrowest width that holds
+it, under a fingerprint of the key (see ``MappingStore.save``).  Maps in the
+earlier GFPEMAP1 record layout still load.
 """
 
 from __future__ import annotations
@@ -23,20 +27,55 @@ import numpy as np
 
 from .cipher import KINDS
 
-_MAGIC = b"GFPEMAP1"
-# kind, coord_id, enc_value, orig_value, d: 26 bytes, little-endian, packed
+_MAGIC = b"GFPEMAP2"
+_MAGIC_V1 = b"GFPEMAP1"  # read only
+_FINGERPRINT_SIZE = 16
+# a GFPEMAP2 section header: entry count, then the enc, orig and d byte widths
+_HEADER = struct.Struct("<Q3B")
+_WIDTHS = (0, 1, 2, 4, 8)
+# a GFPEMAP1 record: kind, coord_id, enc_value, orig_value, d: 26 bytes,
+# little-endian, packed
 _RECORD = np.dtype(
     [("kind", "u1"), ("coord_id", "<u8"), ("enc", "<u8"), ("orig", "<u8"), ("d", "u1")]
 )
 _FIELDS = ("enc", "orig", "d")
 _COUNT = struct.Struct("<Q")
-# records per chunk of a streaming save or load (852 KB)
+# values per column slice of a save or a GFPEMAP2 load, and records per chunk
+# of a GFPEMAP1 load (852 KB)
 _CHUNK_RECORDS = 32768
 _KIND_CODE = {kind: i for i, kind in enumerate(KINDS)}
 
 
 class MapFormatError(ValueError):
-    """The map file is not a readable GFPEMAP1 store."""
+    """The map file is not a readable GFPEMAP2 or GFPEMAP1 store, or it is a
+    GFPEMAP2 store written under a different key."""
+
+
+@dataclass(frozen=True)
+class MapLayout:
+    """How a map file holds a store: its magic, and per kind the byte widths
+    of its enc, orig and d columns (GFPEMAP1 records hold 8, 8 and 1)."""
+
+    magic: bytes
+    widths: dict[str, tuple[int, int, int]]
+
+    @property
+    def keyed(self) -> bool:
+        """Whether the file holds a key fingerprint; GFPEMAP1 holds none."""
+        return self.magic != _MAGIC_V1
+
+    def __str__(self) -> str:
+        widths = ", ".join(
+            f"{kind} {'/'.join(map(str, w))}" for kind, w in self.widths.items()
+        )
+        return f"{self.magic.decode()}, enc/orig/d bytes {widths}"
+
+
+def _width(col: np.ndarray) -> int:
+    """The byte width GFPEMAP2 stores a column in: 0 when every value is 0,
+    else the narrowest of 1, 2, 4 and 8 bytes that holds the largest."""
+    top = int(col.max()) if col.size else 0
+    return next(w for w in _WIDTHS if top < 1 << 8 * w)
 
 
 @dataclass(frozen=True)
@@ -73,13 +112,13 @@ def _read_into(fh, buf: np.ndarray, path) -> None:
         raise MapFormatError(f"{path}: truncated map file")
 
 
-def _read_section(fh, chunk: np.ndarray, kind: str, count: int, path):
-    """The enc, orig and d columns of one kind's ``count`` records, read
-    through the record array ``chunk``.
+def _read_v1_section(fh, chunk: np.ndarray, kind: str, count: int, path):
+    """The enc, orig and d columns of one kind's ``count`` GFPEMAP1 records,
+    read through the record array ``chunk``.
 
     A foreign kind code anywhere in the section is reported before an id
     out of order, as a whole-section check would."""
-    cols = (array("Q", [0]) * count, array("Q", [0]) * count, array("B", [0]) * count)
+    cols = _zero_columns(count)
     views = [_view(col) for col in cols]
     ids_in_order = True
     for lo in range(0, count, len(chunk)):
@@ -101,6 +140,68 @@ def _read_section(fh, chunk: np.ndarray, kind: str, count: int, path):
             f"{path}: {kind} coordinate ids are not 0..{count - 1} in order"
         )
     return cols
+
+
+def _read_v1(fh, chunk: np.ndarray, end: int, path):
+    """The columns of each kind of a GFPEMAP1 file whose CRC has been
+    checked, ``fh`` just past the magic.  The records hold no key, so none
+    is checked."""
+    columns = {}
+    pos = len(_MAGIC_V1)
+    for kind in KINDS:
+        if pos + _COUNT.size > end:
+            raise MapFormatError(f"{path}: truncated map file")
+        (count,) = _COUNT.unpack(fh.read(_COUNT.size))
+        pos += _COUNT.size + count * _RECORD.itemsize
+        if pos > end:
+            raise MapFormatError(f"{path}: truncated map file")
+        columns[kind] = _read_v1_section(fh, chunk, kind, count, path)
+    if pos != end:
+        raise MapFormatError(f"{path}: {end - pos} trailing bytes")
+    return columns, {kind: (8, 8, 1) for kind in KINDS}
+
+
+def _read_v2(fh, raw: np.ndarray, end: int, path, fingerprint: bytes):
+    """The columns and column widths of each kind of a GFPEMAP2 file whose
+    CRC has been checked, ``fh`` just past the magic.  The key fingerprint
+    is compared before any section is read."""
+    pos = len(_MAGIC) + _FINGERPRINT_SIZE
+    if pos > end:
+        raise MapFormatError(f"{path}: truncated map file")
+    if fh.read(_FINGERPRINT_SIZE) != fingerprint:
+        raise MapFormatError(f"{path}: map written under a different key")
+    columns, widths = {}, {}
+    for kind in KINDS:
+        if pos + _HEADER.size > end:
+            raise MapFormatError(f"{path}: truncated map file")
+        count, *kind_widths = _HEADER.unpack(fh.read(_HEADER.size))
+        for field, w in zip(_FIELDS, kind_widths):
+            allowed = (0, 1) if field == "d" else _WIDTHS
+            if w not in allowed:
+                raise MapFormatError(
+                    f"{path}: {kind} {field} width {w} is not one of "
+                    f"{', '.join(map(str, allowed))}"
+                )
+        pos += _HEADER.size + count * sum(kind_widths)
+        if pos > end:
+            raise MapFormatError(f"{path}: truncated map file")
+        columns[kind] = cols = _zero_columns(count)
+        for col, w in zip(cols, kind_widths):
+            view = _view(col)
+            for lo in range(0, count if w else 0, _CHUNK_RECORDS):
+                part = view[lo : lo + _CHUNK_RECORDS]
+                buf = raw[: part.size * w]
+                _read_into(fh, buf, path)
+                part[:] = buf.view(f"<u{w}")
+        widths[kind] = tuple(kind_widths)
+    if pos != end:
+        raise MapFormatError(f"{path}: {end - pos} trailing bytes")
+    return columns, widths
+
+
+def _zero_columns(count: int) -> tuple[array, array, array]:
+    """Zeroed enc, orig and d columns of ``count`` entries."""
+    return array("Q", [0]) * count, array("Q", [0]) * count, array("B", [0]) * count
 
 
 class MappingStore:
@@ -125,6 +226,7 @@ class MappingStore:
         }
         self._entries: dict[str, tuple] = {}  # kind -> _distinct_entries(...)
         self._lock = threading.Lock()
+        self.layout: MapLayout | None = None  # of the map file last saved or loaded
 
     def append(self, kind: str, enc, orig, d) -> None:
         """Store one entry per position of the equal-length sequences enc,
@@ -193,17 +295,22 @@ class MappingStore:
     def entry_count(self, kind: str) -> int:
         return len(self._cols[kind][0])
 
-    def save(self, path) -> None:
-        """Write the store: magic, then per kind an entry count and fixed-width
-        records in coordinate-id order, trailed by a CRC32 of everything
-        before it.
+    def save(self, path, fingerprint: bytes) -> None:
+        """Write the store as GFPEMAP2: the magic and the 16-byte key
+        fingerprint (``cipher.map_fingerprint``), then per kind in ``KINDS``
+        order a ``<Q`` entry count, the byte widths of its enc, orig and d
+        columns (see ``_width``) and the three columns in coordinate-id
+        order, trailed by a CRC32 of everything before it.
 
-        The records stream out ``_CHUNK_RECORDS`` at a time through one
-        reused record array per kind, under a running CRC, so a save holds
-        the columns plus one chunk.  The bytes go to a sibling
-        ``<path>.tmp`` that then replaces ``path``, so a failed save leaves
-        any earlier map at ``path`` untouched."""
+        Each column streams out ``_CHUNK_RECORDS`` values at a time under a
+        running CRC, so a save holds the columns plus one slice.  The bytes
+        go to a sibling ``<path>.tmp`` that then replaces ``path``, so a
+        failed save leaves any earlier map at ``path`` untouched."""
+        fingerprint = bytes(fingerprint)
+        if len(fingerprint) != _FINGERPRINT_SIZE:
+            raise ValueError(f"map fingerprint must be {_FINGERPRINT_SIZE} bytes")
         tmp = f"{os.fspath(path)}.tmp"
+        widths = {}
         try:
             with open(tmp, "wb") as fh, self._lock:
                 crc = 0
@@ -213,20 +320,14 @@ class MappingStore:
                     fh.write(data)
                     crc = zlib.crc32(data, crc)
 
-                write(_MAGIC)
+                write(_MAGIC + fingerprint)
                 for kind in KINDS:
                     cols = [_view(col) for col in self._cols[kind]]
-                    n = len(cols[0])
-                    write(_COUNT.pack(n))
-                    chunk = np.empty(min(n, _CHUNK_RECORDS), dtype=_RECORD)
-                    chunk["kind"] = _KIND_CODE[kind]
-                    for lo in range(0, n, _CHUNK_RECORDS):
-                        hi = min(lo + _CHUNK_RECORDS, n)
-                        part = chunk[: hi - lo]
-                        part["coord_id"] = np.arange(lo, hi)
-                        for field, col in zip(_FIELDS, cols):
-                            part[field] = col[lo:hi]
-                        write(part)
+                    widths[kind] = kind_widths = tuple(_width(col) for col in cols)
+                    write(_HEADER.pack(len(cols[0]), *kind_widths))
+                    for col, w in zip(cols, kind_widths):
+                        for lo in range(0, len(col) if w else 0, _CHUNK_RECORDS):
+                            write(col[lo : lo + _CHUNK_RECORDS].astype(f"<u{w}"))
                 fh.write(struct.pack("<I", crc))
                 fh.flush()
                 os.fsync(fh.fileno())
@@ -235,25 +336,30 @@ class MappingStore:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+        self.layout = MapLayout(_MAGIC, widths)
 
     @classmethod
-    def load(cls, path) -> "MappingStore":
-        """Read a GFPEMAP1 map.  Each kind's ids must run ``0..count-1`` in
-        order, as ``save`` writes them.
+    def load(cls, path, fingerprint: bytes) -> "MappingStore":
+        """Read a GFPEMAP2 map written under ``fingerprint``, or a GFPEMAP1
+        map, which holds no key, so its ``fingerprint`` goes unchecked.
+        Sets the store's ``layout`` to the file's.
 
-        Two streaming passes read the file ``_CHUNK_RECORDS`` records at a
-        time into one reused record array.  The first checks the CRC, so a
-        corrupted file reports a checksum failure before any structural
-        error; the second checks each chunk's kind codes and ids and copies
-        its fields into columns sized from the section's count.  A load
-        holds the columns plus one chunk."""
+        A first streaming pass checks the CRC, so a corrupted file reports a
+        checksum failure before any other error; a GFPEMAP2 fingerprint is
+        compared next.  A second pass fills each kind's columns, sized from
+        its count: a GFPEMAP2 column ``_CHUNK_RECORDS`` values at a time,
+        GFPEMAP1 records ``_CHUNK_RECORDS`` at a time, checking their kind
+        codes and that the ids run ``0..count-1`` in order.  A load holds
+        the columns plus one 852 KB buffer."""
         with open(path, "rb") as fh:
             end = os.fstat(fh.fileno()).st_size - 4
             if end < len(_MAGIC):
                 raise MapFormatError(f"{path}: truncated map file")
             magic = fh.read(len(_MAGIC))
-            if magic != _MAGIC:
-                raise MapFormatError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
+            if magic not in (_MAGIC, _MAGIC_V1):
+                raise MapFormatError(
+                    f"{path}: bad magic {magic!r}, expected {_MAGIC!r} or {_MAGIC_V1!r}"
+                )
             chunk = np.empty(_CHUNK_RECORDS, dtype=_RECORD)
             raw = chunk.view("B")
             crc = zlib.crc32(magic)
@@ -264,18 +370,13 @@ class MappingStore:
             if fh.read(4) != struct.pack("<I", crc):
                 raise MapFormatError(f"{path}: checksum failure")
             fh.seek(len(_MAGIC))
-            store = cls()
-            pos = len(_MAGIC)
-            for kind in KINDS:
-                if pos + _COUNT.size > end:
-                    raise MapFormatError(f"{path}: truncated map file")
-                (count,) = _COUNT.unpack(fh.read(_COUNT.size))
-                pos += _COUNT.size + count * _RECORD.itemsize
-                if pos > end:
-                    raise MapFormatError(f"{path}: truncated map file")
-                store._cols[kind] = _read_section(fh, chunk, kind, count, path)
-            if pos != end:
-                raise MapFormatError(f"{path}: {end - pos} trailing bytes")
+            if magic == _MAGIC:
+                columns, widths = _read_v2(fh, raw, end, path, bytes(fingerprint))
+            else:
+                columns, widths = _read_v1(fh, chunk, end, path)
+        store = cls()
+        store._cols = columns
+        store.layout = MapLayout(magic, widths)
         return store
 
     def export_csv(self, path) -> None:

@@ -15,7 +15,7 @@ import pytest
 
 from geofpe import metrics
 from geofpe._rounds import decrypt_rounds_raw, encrypt_rounds_raw
-from geofpe.cipher import CoordinateCipher
+from geofpe.cipher import CoordinateCipher, map_fingerprint
 from geofpe.cli import main as cli_main
 from geofpe.coords import GeoPoint, decompose, validate_point
 from geofpe.dataset import (
@@ -67,7 +67,7 @@ def pipeline(tmp_path_factory):
     total = generate_synthetic(cfg, dirs["orig"])
     store = MappingStore()
     enc_stats = encrypt_dataset(dirs["orig"], dirs["enc"], CoordinateCipher(KEY), store)
-    store.save(dirs["map"])
+    store.save(dirs["map"], map_fingerprint(KEY))
     dec_stats = decrypt_dataset(dirs["enc"], dirs["dec"], store)
     elapsed = time.perf_counter() - started
     return {

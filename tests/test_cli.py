@@ -1,5 +1,6 @@
 """CLI subcommand flows, exit codes, and report determinism."""
 
+import importlib.util
 import json
 import logging
 import os
@@ -325,7 +326,9 @@ def test_decrypt_debug_log_counts_both_paths(tmp_path, capsys, caplog, key_file)
     spans = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
     assert len(spans) == 2
     assert re.fullmatch(
-        r"load map .*store\.map: 3 coordinate ids, 356 bytes in \d+\.\d{3}s", spans[0]
+        r"load map .*store\.map: GFPEMAP2, enc/orig/d bytes lon_int 1/1/0, "
+        r"lon_frac 2/1/1, lat_int 1/1/0, lat_frac 2/1/1; "
+        r"3 coordinate ids, 108 bytes in \d+\.\d{3}s", spans[0]
     )
     assert re.fullmatch(
         r"decrypt .*enc: 1 files, 3 lines restored, 0 record errors "
@@ -348,12 +351,104 @@ def test_encrypt_debug_log_spans_the_save(tmp_path, capsys, caplog, key_file):
         r.getMessage() for r in caplog.records
         if r.name == "geofpe.cli" and r.levelno == logging.DEBUG
     ]
-    # magic, then per kind a count and three 26-byte records, then the CRC
-    assert mp.stat().st_size == 8 + 4 * (8 + 3 * 26) + 4 == 356
+    # magic and fingerprint, per kind an 11-byte header and three entries of
+    # 1+1 (integer parts) or 2+1+1 (fractions) bytes, then the CRC
+    assert mp.stat().st_size == 8 + 16 + 4 * 11 + 3 * (2 + 4 + 2 + 4) + 4 == 108
     assert len(spans) == 1
     assert re.fullmatch(
-        r"save map .*store\.map: 3 coordinate ids, 356 bytes in \d+\.\d{3}s", spans[0]
+        r"save map .*store\.map: GFPEMAP2, enc/orig/d bytes lon_int 1/1/0, "
+        r"lon_frac 2/1/1, lat_int 1/1/0, lat_frac 2/1/1; "
+        r"3 coordinate ids, 108 bytes in \d+\.\d{3}s", spans[0]
     )
+
+
+def test_decrypt_with_a_different_key_writes_nothing(tmp_path, capsys, key_file):
+    orig = _synth(capsys, tmp_path)
+    enc, mp = tmp_path / "enc", tmp_path / "store.map"
+    run(capsys, "encrypt", "--input", str(orig), "--output", str(enc),
+        "--key", key_file, "--map", str(mp))
+    other_key = tmp_path / "other.hex"
+    other_key.write_text("0123456789ABCDEFFEDCBA9876543211\n")
+    dec = tmp_path / "dec"
+    code, out, err = run(
+        capsys, "decrypt", "--input", str(enc), "--output", str(dec),
+        "--key", str(other_key), "--map", str(mp),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {mp}: map written under a different key\n"
+    assert not dec.exists()
+
+
+# Written by the GFPEMAP1 writer that GFPEMAP2 replaced, from
+# "1,t,116.5,39.9\n1,t,116.25,-39.125\n1,t,-0.125,0.5\n" under key_file's key.
+_V1_ENCRYPTED = "0,1,t,135.1,20.6\n1,1,t,135.07,-20.262\n2,1,t,-4.382,8.9\n"
+_V1_MAP = bytes.fromhex(
+    "474650454d41503103000000000000000000000000000000008700000000000000740000"
+    "000000000000000100000000000000870000000000000074000000000000000000020000"
+    "000000000004000000000000000000000000000000000300000000000000010000000000"
+    "000000010000000000000005000000000000000101010000000000000007000000000000"
+    "001900000000000000020102000000000000007e010000000000007d0000000000000003"
+    "030000000000000002000000000000000014000000000000002700000000000000000201"
+    "000000000000001400000000000000270000000000000000020200000000000000080000"
+    "000000000000000000000000000003000000000000000300000000000000000600000000"
+    "00000009000000000000000103010000000000000006010000000000007d000000000000"
+    "000303020000000000000009000000000000000500000000000000019ff29352"
+)
+
+
+def test_decrypt_reads_a_gfpemap1_map(tmp_path, capsys, caplog, key_file):
+    enc, mp = tmp_path / "enc", tmp_path / "v1.map"
+    enc.mkdir()
+    (enc / "1.txt").write_text(_V1_ENCRYPTED)
+    mp.write_bytes(_V1_MAP)
+    other_key = tmp_path / "other.hex"
+    other_key.write_text("00" * 16)
+    # GFPEMAP1 holds no key, so any key decrypts, and the log says so
+    for key in (key_file, str(other_key)):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="geofpe"):
+            code, _, _ = run(
+                capsys, "decrypt", "--input", str(enc), "--output", str(tmp_path / "dec"),
+                "--key", key, "--map", str(mp),
+            )
+        assert code == 0
+        assert (tmp_path / "dec" / "1.txt").read_text() == (
+            "1,t,116.5,39.9\n1,t,116.25,-39.125\n1,t,-0.125,0.5\n"
+        )
+        messages = [r.getMessage() for r in caplog.records]
+        assert re.fullmatch(
+            r"load map .*v1\.map: GFPEMAP1, enc/orig/d bytes lon_int 8/8/1, "
+            r"lon_frac 8/8/1, lat_int 8/8/1, lat_frac 8/8/1; "
+            r"3 coordinate ids, 356 bytes in \d+\.\d{3}s", messages[0]
+        )
+        assert messages[1] == (
+            f"{mp}: a GFPEMAP1 map holds no key fingerprint; no key check was possible"
+        )
+    # encrypt writes the same tree, and a GFPEMAP2 map
+    orig = tmp_path / "orig"
+    orig.mkdir()
+    (orig / "1.txt").write_text("1,t,116.5,39.9\n1,t,116.25,-39.125\n1,t,-0.125,0.5\n")
+    run(capsys, "encrypt", "--input", str(orig), "--output", str(tmp_path / "enc2"),
+        "--key", key_file, "--map", str(tmp_path / "v2.map"))
+    assert (tmp_path / "enc2" / "1.txt").read_text() == _V1_ENCRYPTED
+    assert (tmp_path / "v2.map").read_bytes()[:8] == b"GFPEMAP2"
+
+
+@pytest.mark.skipif(
+    importlib.util.find_spec("_md5") is None, reason="no built-in _md5 module"
+)
+def test_cli_import_loads_no_openssl():
+    # hashlib loads OpenSSL (_hashlib), and secrets loads it through hmac;
+    # either adds about 4 MB to the peak RSS of every command
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, geofpe.cli; "
+         "print(sorted({'_hashlib', 'hashlib', 'secrets'} & set(sys.modules)))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert probe.stdout == "[]\n"
 
 
 def test_eval_accuracy_reports_undecodable_files(tmp_path, capsys, key_file):
@@ -559,6 +654,65 @@ def test_eval_hotspots_smoke(tmp_path, capsys, key_file):
     assert report["matching"]["match_accuracy"] == 1.0
     assert report["matching"]["mean_centroid_distance_km"] == 0.0
     assert "match accuracy 100.00%" in out
+
+
+def _rdr_trees(tmp_path, bad_line):
+    """A plain tree of two vehicles and its 'encrypted' tree, whose vehicle
+    1 has ``bad_line`` in place of its first line."""
+    orig, enc = tmp_path / "orig", tmp_path / "enc"
+    orig.mkdir()
+    enc.mkdir()
+    coords = ("116.5,39.9", "116.25,39.125", "116.0,40.5", "115.5,40.0")
+    for vid in ("1", "2"):
+        (orig / f"{vid}.txt").write_text("".join(f"{vid},t,{c}\n" for c in coords))
+    (enc / "1.txt").write_text(
+        f"{bad_line}\n" + "".join(f"{i},1,t,{c}\n" for i, c in enumerate(coords[1:], 1))
+    )
+    (enc / "2.txt").write_text("".join(f"{i},2,t,{c}\n" for i, c in enumerate(coords, 4)))
+    return orig, enc
+
+
+@pytest.mark.parametrize(
+    "bad_line, reason",
+    [
+        ("0,1,t,abc,1.5", "parse error: malformed decimal text: 'abc'"),
+        ("0,1,t,nan,1.5", "parse error: malformed decimal text: 'nan'"),
+        ("0,1,t,1e2,1.5", "parse error: malformed decimal text: '1e2'"),
+        ("0,1,t, 1.5,1.5", "parse error: malformed decimal text: ' 1.5'"),
+        ("x,1,t,116.5,39.9", "parse error: malformed coordinate id 'x'"),
+    ],
+)
+def test_eval_rdr_skips_a_vehicle_with_an_encrypted_line_out_of_grammar(
+    tmp_path, capsys, bad_line, reason
+):
+    orig, enc = _rdr_trees(tmp_path, bad_line)
+    code, out, err = run(capsys, "eval", "rdr", "--orig", str(orig), "--enc", str(enc),
+                         "--out", str(tmp_path / "rep"))
+    assert code == 0, err
+    assert "RDR over 1 trajectories (1 skipped)" in out
+    report = json.loads((tmp_path / "rep" / "rdr.json").read_text())
+    assert report["skipped"] == {"1": f"line 1: {reason}"}
+    assert list(report["per_trajectory"]) == ["2"]
+    assert report["per_trajectory"]["2"] == 1.0  # the identity
+
+
+def test_eval_hotspots_fails_on_an_encrypted_line_out_of_grammar(tmp_path, capsys):
+    orig, enc = _rdr_trees(tmp_path, "0,1,t,116.5,nan")
+    code, out, err = run(capsys, "eval", "hotspots", "--orig", str(orig), "--enc", str(enc),
+                         "--dec", str(orig), "--out", str(tmp_path / "rep"))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {enc / '1.txt'}:1: parse error: malformed decimal text: 'nan'\n"
+    assert not (tmp_path / "rep").exists()
+
+
+def test_eval_rdr_still_checks_the_vehicle_sets(tmp_path, capsys):
+    orig, enc = _rdr_trees(tmp_path, "0,1,t,abc,1.5")
+    (orig / "1.txt").unlink()
+    code, _, err = run(capsys, "eval", "rdr", "--orig", str(orig), "--enc", str(enc),
+                       "--out", str(tmp_path / "rep"))
+    assert code == 1
+    assert "vehicle sets differ" in err
 
 
 def test_synth_centers_flag(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import errno
 import io
+import time
 import re
 import tempfile
 from pathlib import Path
@@ -411,6 +412,25 @@ def test_load_points_auto_reads_ragged_file_as_plain(tmp_path):
     (tree / "2.txt").write_text("0,1,t,116.5,39.9\n1,1,t,116.6\n")
     assert load_points_auto(tree) == load_plain_points(tree)
     assert load_points_auto(tree)["1"] == [(116.5, 39.9), (116.25, -39.125)]
+
+
+def test_load_points_auto_holds_encrypted_files_to_the_grammar(tmp_path):
+    # An encrypted file is read only when every non-blank line matches the
+    # encrypted grammar; float() alone would take nan, 1e2 or " 1.5".
+    tree = tmp_path / "enc"
+    tree.mkdir()
+    (tree / "1.txt").write_text("0,1,t,116.5,39.9\r\n\n1,1,t,-0.25,1\n")
+    (tree / "2.txt").write_text("2,2,t,116.5,39.9\n3,2,t,1e2,39.9\n4,2,t,nan,1\n")
+    (tree / "3.txt").write_text("5,3,t,116.5,39.9\n\n007,3,t,116.5,39.9\n")
+    rejects = {}
+    assert load_points_auto(tree, rejects) == {"1": [(116.5, 39.9), (-0.25, 1.0)]}
+    assert rejects == {
+        "2": (2, "parse error: malformed decimal text: '1e2'"),
+        "3": (3, "parse error: malformed coordinate id '007'"),
+    }
+    with pytest.raises(ValueError) as exc:
+        load_points_auto(tree)
+    assert str(exc.value) == f"{tree / '2.txt'}:2: parse error: malformed decimal text: '1e2'"
 
 
 def test_parse_line_rejects_plus_sign(tmp_path):
@@ -1042,3 +1062,46 @@ def test_decrypt_equals_the_line_by_line_oracle(case):
         stats = decrypt_dataset(root / "enc", root / "dec", store)
         assert stats == decrypt_oracle(root / "enc", root / "oracle", store)
         assert _tree_bytes(root / "dec") == _tree_bytes(root / "oracle")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_decrypt_case())
+def test_load_points_auto_checks_each_encrypted_line(case):
+    # One match over the whole file accepts exactly the files whose every
+    # non-blank line _ENC_LINE matches; the first line it does not match is
+    # the one reported.
+    _, files = case
+    files.pop("3.txt", None)  # undecodable: eval stops on it
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        for name, data in files.items():
+            (tree / name).write_bytes(data)
+        rejects = {}
+        points = load_points_auto(tree, rejects)
+    for name, data in files.items():
+        stem, lines = name[:-4], io.StringIO(data.decode(), newline="").readlines()
+        body = [line for line in lines if line.strip()]
+        if not body or any(line.count(",") != 4 for line in body):
+            continue  # read in the plain layout
+        bad = [(i, line) for i, line in enumerate(lines, start=1)
+               if line.strip() and not dataset._ENC_LINE.fullmatch(line)]
+        if bad:
+            assert stem not in points
+            assert rejects[stem] == (bad[0][0], dataset._enc_reject_reason(bad[0][1]))
+        else:
+            assert stem not in rejects
+            fields = [line.rstrip("\r\n").split(",") for line in body]
+            assert points[stem] == [(float(f[3]), float(f[4])) for f in fields]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\r\n \r\n"])
+def test_load_points_auto_rejects_a_long_file_in_linear_time(tmp_path, end):
+    # a match that tried each terminator two ways would not end here
+    (tmp_path / "1.txt").write_text(
+        end.join(["12,1,t,116.12345,39.12345"] * 20_000) + end + "x,1,t,1,1" + end,
+        newline="",
+    )
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="malformed coordinate id 'x'"):
+        load_points_auto(tmp_path)
+    assert time.perf_counter() - started < 5

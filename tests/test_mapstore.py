@@ -3,17 +3,21 @@
 import csv
 import random
 import struct
+import tempfile
 import threading
 import tracemalloc
 import zlib
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geofpe.cipher import KINDS
+from geofpe.cipher import KINDS, map_fingerprint
 from geofpe import mapstore
-from geofpe.mapstore import Ambiguous, MapFormatError, MappingStore
+from geofpe.mapstore import Ambiguous, MapFormatError, MapLayout, MappingStore
 
 
 def _append(store, kind, *entries):
@@ -248,8 +252,11 @@ def test_conflict_rate_matches_brute_force_recount(tmp_path):
 # ---------------------------------------------------------------------------
 # Persistence
 
+FP = map_fingerprint(bytes(range(16)))
+OTHER_FP = map_fingerprint(bytes(16))
 
-def _map_bytes(sections):
+
+def _v1_bytes(sections):
     """A GFPEMAP1 file laid out by hand: per kind section a count, then
     (kind, coord_id, enc, orig, d) records, then the CRC32."""
     body = b"GFPEMAP1"
@@ -257,6 +264,39 @@ def _map_bytes(sections):
         body += struct.pack("<Q", len(records))
         for record in records:
             body += struct.pack("<BQQQB", *record)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _v1_store_bytes(columns):
+    """_v1_bytes of a dict kind -> [(enc, orig, d)] filled in KINDS order."""
+    return _v1_bytes(
+        [
+            [(code, cid, *entry) for cid, entry in enumerate(columns.get(kind, []))]
+            for code, kind in enumerate(KINDS)
+        ]
+    )
+
+
+def _width_of(values):
+    """The GFPEMAP2 width rule, spelled out: 0 when all are 0, else the
+    narrowest of 1, 2, 4 and 8 bytes that holds the largest."""
+    top = max(values, default=0)
+    return next(w for w in (0, 1, 2, 4, 8) if top < 256**w)
+
+
+def _v2_bytes(columns, widths=None):
+    """A GFPEMAP2 file laid out by hand from a dict kind -> [(enc, orig, d)]:
+    magic, fingerprint FP, per kind in KINDS order a count, three widths and
+    the enc, orig and d columns, then the CRC32.  ``widths`` overrides the
+    widths of the rule per kind."""
+    body = b"GFPEMAP2" + FP
+    for kind in KINDS:
+        entries = columns.get(kind, [])
+        cols = list(zip(*entries)) or [(), (), ()]
+        kind_widths = (widths or {}).get(kind) or tuple(_width_of(c) for c in cols)
+        body += struct.pack("<Q3B", len(entries), *kind_widths)
+        for col, w in zip(cols, kind_widths):
+            body += b"".join(v.to_bytes(w, "little") for v in col)
     return body + struct.pack("<I", zlib.crc32(body))
 
 
@@ -269,28 +309,182 @@ _GOLDEN = {
 
 
 def _golden_bytes():
-    return _map_bytes(
-        [
-            [(code, cid, *entry) for cid, entry in enumerate(_GOLDEN[kind])]
-            for code, kind in enumerate(KINDS)
-        ]
+    """The GFPEMAP1 golden map, a load fixture."""
+    return _v1_store_bytes(_GOLDEN)
+
+
+# Every width: lon_int 1/1/0, lon_frac 8/8/1 (the largest fraction entry a
+# map can hold), lat_int 0/1/0 (encrypted integer parts all 0), lat_frac 4/2/1.
+_GOLDEN_V2 = {
+    "lon_int": [(143, 116, 0), (143, 117, 0), (2, 2, 0)],
+    "lon_frac": [(51172, 92123, 5), (2**64 - 1, 10**19 - 1, 19), (0, 0, 0)],
+    "lat_int": [(0, 39, 0), (0, 38, 0), (0, 90, 0)],
+    "lat_frac": [(70000, 300, 5), (7, 3, 1), (12, 1, 2)],
+}
+_GOLDEN_V2_WIDTHS = {
+    "lon_int": (1, 1, 0), "lon_frac": (8, 8, 1), "lat_int": (0, 1, 0), "lat_frac": (4, 2, 1),
+}
+
+
+def _golden_v2_bytes():
+    body = (
+        b"GFPEMAP2" + FP
+        + struct.pack("<Q3B", 3, 1, 1, 0) + bytes([143, 143, 2, 116, 117, 2])
+        + struct.pack("<Q3B", 3, 8, 8, 1)
+        + struct.pack("<3Q", 51172, 2**64 - 1, 0) + struct.pack("<3Q", 92123, 10**19 - 1, 0)
+        + bytes([5, 19, 0])
+        + struct.pack("<Q3B", 3, 0, 1, 0) + bytes([39, 38, 90])
+        + struct.pack("<Q3B", 3, 4, 2, 1)
+        + struct.pack("<3I", 70000, 7, 12) + struct.pack("<3H", 300, 3, 1) + bytes([5, 1, 2])
     )
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_v2_golden_bytes_follow_the_layout():
+    data = _golden_v2_bytes()
+    # magic, fingerprint, four section headers, 3 * (2 + 17 + 1 + 7) column bytes, CRC
+    assert len(data) == 8 + 16 + 4 * 11 + 3 * 27 + 4 == 153
+    assert data == _v2_bytes(_GOLDEN_V2)
 
 
 def test_save_matches_hand_built_golden_map(tmp_path):
-    store = _filled(_GOLDEN)
+    store = _filled(_GOLDEN_V2)
     path = tmp_path / "store.map"
-    store.save(path)
-    assert path.read_bytes() == _golden_bytes()
+    store.save(path, FP)
+    assert path.read_bytes() == _golden_v2_bytes()
+    assert store.layout == MapLayout(b"GFPEMAP2", _GOLDEN_V2_WIDTHS)
+
+
+def test_load_reads_hand_built_v2_golden_map(tmp_path):
+    path = tmp_path / "golden.map"
+    path.write_bytes(_golden_v2_bytes())
+    loaded = MappingStore.load(path, FP)
+    assert loaded == _filled(_GOLDEN_V2)
+    assert loaded.layout == MapLayout(b"GFPEMAP2", _GOLDEN_V2_WIDTHS)
+    assert loaded.layout.keyed
+    assert _exact(loaded, "lon_frac", 1, 2**64 - 1, 19) == 10**19 - 1
+    assert _exact(loaded, "lat_frac", 0, 70000, 5) == 300
+    assert loaded.lookup_fuzzy("lon_int", 143, 0) == Ambiguous(2)
 
 
 def test_load_reads_hand_built_golden_map(tmp_path):
+    # GFPEMAP1 stays readable, under any fingerprint: it stores no key
     path = tmp_path / "golden.map"
     path.write_bytes(_golden_bytes())
-    loaded = MappingStore.load(path)
-    assert loaded == _filled(_GOLDEN)
+    for fingerprint in (FP, OTHER_FP):
+        loaded = MappingStore.load(path, fingerprint)
+        assert loaded == _filled(_GOLDEN)
+        assert loaded.layout == MapLayout(b"GFPEMAP1", {k: (8, 8, 1) for k in KINDS})
+        assert not loaded.layout.keyed
     assert _exact(loaded, "lon_frac", 1, 2**64 - 1, 19) == 10**19 - 1
     assert loaded.lookup_fuzzy("lon_int", 143, 0) == Ambiguous(2)
+    # and it saves as GFPEMAP2
+    loaded.save(tmp_path / "again.map", FP)
+    assert (tmp_path / "again.map").read_bytes() == _v2_bytes(_GOLDEN)
+
+
+@pytest.mark.parametrize(
+    "top, width",
+    [(0, 0), (1, 1), (255, 1), (256, 2), (2**16 - 1, 2), (2**16, 4),
+     (2**32 - 1, 4), (2**32, 8), (2**64 - 1, 8)],
+)
+def test_width_rule(tmp_path, top, width):
+    store = MappingStore()
+    _append(store, "lat_frac", (top, 0, 0), (0, top, 0))
+    path = tmp_path / "store.map"
+    store.save(path, FP)
+    assert store.layout.widths["lat_frac"] == (width, width, 0)
+    assert store.layout.widths["lon_int"] == (0, 0, 0)
+    assert path.stat().st_size == 8 + 16 + 4 * 11 + 2 * 2 * width + 4
+    assert MappingStore.load(path, FP) == store
+
+
+_ENTRY = st.tuples(
+    st.one_of(st.integers(0, 300), st.integers(0, 2**64 - 1)),
+    st.one_of(st.integers(0, 70000), st.integers(0, 2**64 - 1)),
+    st.integers(0, 19),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(KINDS), st.lists(_ENTRY, max_size=7)),
+       st.integers(1, 4))
+def test_save_load_save_round_trip(columns, chunk):
+    store = _filled(columns)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "store.map", Path(tmp) / "again.map"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mapstore, "_CHUNK_RECORDS", chunk)
+            store.save(path, FP)
+            loaded = MappingStore.load(path, FP)
+            loaded.save(again, FP)
+        assert loaded == store
+        assert loaded.layout == store.layout
+        assert again.read_bytes() == path.read_bytes() == _v2_bytes(columns)
+
+
+def test_load_rejects_a_different_key(tmp_path):
+    path = tmp_path / "store.map"
+    _filled(_GOLDEN_V2).save(path, FP)
+    with pytest.raises(MapFormatError, match="written under a different key"):
+        MappingStore.load(path, OTHER_FP)
+    # the key is checked before any section is parsed ...
+    path.write_bytes(_v2_bytes(_GOLDEN_V2, widths={"lon_int": (3, 1, 0)}))
+    with pytest.raises(MapFormatError, match="different key"):
+        MappingStore.load(path, OTHER_FP)
+    # ... and after the CRC
+    data = bytearray(_golden_v2_bytes())
+    data[40] ^= 0x01
+    path.write_bytes(data)
+    with pytest.raises(MapFormatError, match="checksum"):
+        MappingStore.load(path, OTHER_FP)
+
+
+def _cut_section(columns, kind, n):
+    """_v2_bytes whose ``kind`` section claims n more entries than it holds."""
+    data = bytearray(_v2_bytes(columns)[:-4])
+    at = 8 + 16
+    for k in KINDS[: KINDS.index(kind)]:
+        entries = columns.get(k, [])
+        widths = [_width_of(c) for c in (list(zip(*entries)) or [(), (), ()])]
+        at += 11 + len(entries) * sum(widths)
+    count = struct.unpack_from("<Q", data, at)[0]
+    struct.pack_into("<Q", data, at, count + n)
+    return bytes(data) + struct.pack("<I", zlib.crc32(data))
+
+
+def _with_crc(body):
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_v2_bytes(_GOLDEN_V2, widths={"lat_frac": (3, 2, 1)}),
+         "lat_frac enc width 3 is not one of 0, 1, 2, 4, 8"),
+        (_v2_bytes(_GOLDEN_V2, widths={"lat_int": (0, 16, 0)}),
+         "lat_int orig width 16 is not one of 0, 1, 2, 4, 8"),
+        (_v2_bytes(_GOLDEN_V2, widths={"lat_frac": (4, 2, 2)}),
+         "lat_frac d width 2 is not one of 0, 1"),
+        (_cut_section(_GOLDEN_V2, "lat_frac", 1), "truncated"),
+        (_cut_section(_GOLDEN_V2, "lat_int", 2**40), "truncated"),
+        (_with_crc(_golden_v2_bytes()[:-4] + b"\0\0"), "2 trailing bytes"),
+        (_with_crc(b"GFPEMAP2" + FP[:15]), "truncated"),
+        (_with_crc(b"GFPEMAP2" + FP + bytes(10)), "truncated"),
+        (_golden_v2_bytes()[:-1], "checksum"),
+    ],
+)
+def test_load_rejects_malformed_v2(tmp_path, data, message):
+    path = tmp_path / "bad.map"
+    path.write_bytes(data)
+    with pytest.raises(MapFormatError, match=message):
+        MappingStore.load(path, FP)
+
+
+def test_save_rejects_a_malformed_fingerprint(tmp_path):
+    with pytest.raises(ValueError, match="16 bytes"):
+        MappingStore().save(tmp_path / "store.map", FP[:8])
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -300,18 +494,18 @@ def test_load_rejects_non_dense_ids(tmp_path, ids):
     sections = [[] for _ in KINDS]
     sections[2] = [(2, cid, 5, 6, 0) for cid in ids]
     path = tmp_path / "sparse.map"
-    path.write_bytes(_map_bytes(sections))
+    path.write_bytes(_v1_bytes(sections))
     with pytest.raises(MapFormatError, match="lat_int coordinate ids are not 0..2"):
-        MappingStore.load(path)
+        MappingStore.load(path, FP)
 
 
 def test_load_rejects_foreign_kind_code(tmp_path):
     sections = [[(code, 0, 5, 6, 0)] for code in range(4)]
     sections[1] = [(1, 0, 5, 6, 0), (9, 1, 5, 6, 0)]
     path = tmp_path / "foreign.map"
-    path.write_bytes(_map_bytes(sections))
+    path.write_bytes(_v1_bytes(sections))
     with pytest.raises(MapFormatError, match="record kind 9 in lon_frac section"):
-        MappingStore.load(path)
+        MappingStore.load(path, FP)
 
 
 def test_load_rejects_trailing_bytes(tmp_path):
@@ -319,7 +513,7 @@ def test_load_rejects_trailing_bytes(tmp_path):
     path = tmp_path / "trailing.map"
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
     with pytest.raises(MapFormatError, match="1 trailing bytes"):
-        MappingStore.load(path)
+        MappingStore.load(path, FP)
 
 
 def test_save_load_round_trip_large(tmp_path):
@@ -334,12 +528,12 @@ def test_save_load_round_trip_large(tmp_path):
             [5] * n,
         )
     path = tmp_path / "store.map"
-    store.save(path)
-    loaded = MappingStore.load(path)
+    store.save(path, FP)
+    loaded = MappingStore.load(path, FP)
     assert loaded == store
     for kind in KINDS:
         assert loaded.conflicts(kind) == store.conflicts(kind)
-    loaded.save(tmp_path / "again.map")
+    loaded.save(tmp_path / "again.map", FP)
     assert (tmp_path / "again.map").read_bytes() == path.read_bytes()
 
 
@@ -347,7 +541,7 @@ def test_failed_save_keeps_the_earlier_map(tmp_path, monkeypatch):
     path = tmp_path / "store.map"
     earlier = MappingStore()
     _append(earlier, "lon_int", (143, 116))
-    earlier.save(path)
+    earlier.save(path, FP)
     before = path.read_bytes()
 
     class HalfWriter:
@@ -372,7 +566,7 @@ def test_failed_save_keeps_the_earlier_map(tmp_path, monkeypatch):
     larger = MappingStore()
     _append(larger, "lon_int", *[(i, i) for i in range(100)])
     with pytest.raises(OSError, match="No space"):
-        larger.save(path)
+        larger.save(path, FP)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["store.map"]
 
@@ -381,7 +575,7 @@ def test_failed_save_after_several_chunks_keeps_the_earlier_map(tmp_path, monkey
     monkeypatch.setattr(mapstore, "_CHUNK_RECORDS", 2)
     path = tmp_path / "store.map"
     earlier = _filled(_GOLDEN)
-    earlier.save(path)
+    earlier.save(path, FP)
     before = path.read_bytes()
 
     class FailingWriter:
@@ -413,49 +607,42 @@ def test_failed_save_after_several_chunks_keeps_the_earlier_map(tmp_path, monkey
     larger = MappingStore()
     _append(larger, "lon_int", *[(i, i) for i in range(9)])
     with pytest.raises(OSError, match="No space"):
-        larger.save(path)
-    # magic and the lon_int count went out; the first 2-record chunk failed
+        larger.save(path, FP)
+    # magic and fingerprint, then the lon_int header went out; the first
+    # 2-value slice of its enc column failed
     assert writers[0].writes == 3
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["store.map"]
 
 
-def _chunked_store(n):
-    """A store with n entries per kind, distinct per kind and per id."""
-    store = MappingStore()
-    for code, kind in enumerate(KINDS):
-        store.append(
-            kind,
-            [1000 * code + i for i in range(n)],
-            [2**64 - 1 - i for i in range(n)],
-            [(code + i) % 20 for i in range(n)],
-        )
-    return store
+def _chunked_columns(n):
+    """n entries per kind, distinct per kind and per id."""
+    return {
+        kind: [(1000 * code + i, 2**64 - 1 - i, (code + i) % 20) for i in range(n)]
+        for code, kind in enumerate(KINDS)
+    }
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
 def test_chunked_round_trip_at_chunk_boundaries(tmp_path, monkeypatch, n):
-    # with 2-record chunks: 0, 1 (also chunk - 1), chunk, chunk + 1, 2 * chunk + 1
+    # with 2-value slices: 0, 1 (also chunk - 1), chunk, chunk + 1, 2 * chunk + 1
     monkeypatch.setattr(mapstore, "_CHUNK_RECORDS", 2)
-    store = _chunked_store(n)
+    store = _filled(_chunked_columns(n))
     path = tmp_path / "store.map"
-    store.save(path)
-    assert path.read_bytes() == _map_bytes(
-        [
-            [(code, cid, 1000 * code + cid, 2**64 - 1 - cid, (code + cid) % 20)
-             for cid in range(n)]
-            for code in range(len(KINDS))
-        ]
-    )
-    loaded = MappingStore.load(path)
+    store.save(path, FP)
+    assert path.read_bytes() == _v2_bytes(_chunked_columns(n))
+    loaded = MappingStore.load(path, FP)
     assert loaded == store
-    loaded.save(tmp_path / "again.map")
+    loaded.save(tmp_path / "again.map", FP)
     assert (tmp_path / "again.map").read_bytes() == path.read_bytes()
+    # GFPEMAP1 records 2 at a time
+    (tmp_path / "v1.map").write_bytes(_v1_store_bytes(_chunked_columns(n)))
+    assert MappingStore.load(tmp_path / "v1.map", FP) == store
 
 
 def _five_record_sections(code_at=None, id_at=None):
-    """Five records per kind; one lat_int record may carry a foreign kind
-    code 9 or a repeated id."""
+    """Five GFPEMAP1 records per kind; one lat_int record may carry a
+    foreign kind code 9 or a repeated id."""
     sections = [[(code, cid, 5, 6, 0) for cid in range(5)] for code in range(4)]
     if code_at is not None:
         sections[2][code_at] = (9, code_at, 5, 6, 0)
@@ -477,25 +664,49 @@ def _five_record_sections(code_at=None, id_at=None):
 def test_chunked_load_reports_errors_in_later_chunks(tmp_path, monkeypatch, sections, message):
     monkeypatch.setattr(mapstore, "_CHUNK_RECORDS", 2)
     path = tmp_path / "bad.map"
-    path.write_bytes(_map_bytes(sections))
+    path.write_bytes(_v1_bytes(sections))
     with pytest.raises(MapFormatError, match=message):
-        MappingStore.load(path)
+        MappingStore.load(path, FP)
 
 
 def test_chunked_load_detects_corruption_and_truncation(tmp_path, monkeypatch):
     monkeypatch.setattr(mapstore, "_CHUNK_RECORDS", 2)
     path = tmp_path / "store.map"
-    _chunked_store(5).save(path)
-    data = path.read_bytes()
-    flipped = bytearray(data)
-    flipped[8 + 8 + 26 + 3] ^= 0x01  # a byte of the second record, in the first chunk
-    path.write_bytes(flipped)
-    with pytest.raises(MapFormatError, match="checksum"):
-        MappingStore.load(path)
-    for cut in (8 + 8 + 3 * 26 + 13, len(data) - 4 - 13):  # mid-chunk in lon_int, lat_frac
-        path.write_bytes(data[:cut])
-        with pytest.raises(MapFormatError):
-            MappingStore.load(path)
+    _filled(_chunked_columns(5)).save(path, FP)
+    v2 = path.read_bytes()
+    v1 = _v1_store_bytes(_chunked_columns(5))
+    # lon_int: header at 24, 5 one-byte enc values, then 8-byte originals
+    orig_at = 8 + 16 + 11 + 5
+    for data, flip, cuts in (
+        # a byte of the second original, in the first slice; mid-slice in
+        # lon_int, and in the lat_frac d column
+        (v2, orig_at + 8 + 3, (orig_at + 3 * 8 + 3, len(v2) - 4 - 3)),
+        # a byte of the second record, in the first chunk; mid-chunk in
+        # lon_int, and in lat_frac
+        (v1, 8 + 8 + 26 + 3, (8 + 8 + 3 * 26 + 13, len(v1) - 4 - 13)),
+    ):
+        flipped = bytearray(data)
+        flipped[flip] ^= 0x01
+        path.write_bytes(flipped)
+        with pytest.raises(MapFormatError, match="checksum"):
+            MappingStore.load(path, FP)
+        for cut in cuts:
+            path.write_bytes(data[:cut])
+            with pytest.raises(MapFormatError):
+                MappingStore.load(path, FP)
+
+
+def _v1_file_of(store, path):
+    """Write ``store`` as GFPEMAP1 through numpy record arrays."""
+    with open(path, "wb") as fh:
+        body = b"GFPEMAP1"
+        for code, kind in enumerate(KINDS):
+            enc, orig, d = (np.asarray(col) for col in store._cols[kind])
+            records = np.empty(len(enc), dtype=mapstore._RECORD)
+            records["kind"], records["coord_id"] = code, np.arange(len(enc))
+            records["enc"], records["orig"], records["d"] = enc, orig, d
+            body += struct.pack("<Q", len(enc)) + records.tobytes()
+        fh.write(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def test_save_and_load_hold_the_columns_plus_a_few_chunks(tmp_path):
@@ -511,59 +722,66 @@ def test_save_and_load_hold_the_columns_plus_a_few_chunks(tmp_path):
         )
     columns = 4 * n * (8 + 8 + 1)
     chunks = 4 * mapstore._CHUNK_RECORDS * mapstore._RECORD.itemsize
-    path = tmp_path / "store.map"
+    path, v1_path = tmp_path / "store.map", tmp_path / "v1.map"
+    _v1_file_of(store, v1_path)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        store.save(path)
+        store.save(path, FP)
         saved_peak = tracemalloc.get_traced_memory()[1] - base
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        loaded = MappingStore.load(path)
-        loaded_peak = tracemalloc.get_traced_memory()[1] - base
+        loaded_peaks = []
+        for source in (path, v1_path):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            loaded = MappingStore.load(source, FP)
+            loaded_peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            assert loaded == store
+            del loaded
     finally:
         tracemalloc.stop()
-    assert path.stat().st_size == 8 + 4 * (8 + n * 26) + 4  # 5.2 MB, 6x a chunk
-    assert loaded == store
+    # 8-byte enc and orig, 1-byte d: 3.4 MB, 4x a GFPEMAP1 chunk
+    assert path.stat().st_size == 8 + 16 + 4 * (11 + n * 17) + 4
+    assert v1_path.stat().st_size == 8 + 4 * (8 + n * 26) + 4
     assert saved_peak < chunks
-    assert loaded_peak < columns + chunks
+    assert max(loaded_peaks) < columns + chunks
 
 
 def test_save_load_empty(tmp_path):
     store = MappingStore()
     path = tmp_path / "empty.map"
-    store.save(path)
-    assert path.read_bytes() == _map_bytes([[] for _ in KINDS])
-    loaded = MappingStore.load(path)
+    store.save(path, FP)
+    assert path.read_bytes() == _v2_bytes({})
+    assert store.layout.widths == {kind: (0, 0, 0) for kind in KINDS}
+    loaded = MappingStore.load(path, FP)
     assert loaded == store
     assert loaded.conflict_rate("lon_int") == 0
 
 
-@pytest.mark.parametrize("offset", [-1, -5, -29])
+@pytest.mark.parametrize("offset", [-1, -5, -29, -38])
 def test_load_detects_corruption(tmp_path, offset):
     store = MappingStore()
     _append(store, "lon_int", (143, 116))
     path = tmp_path / "store.map"
-    store.save(path)
+    store.save(path, FP)
     data = bytearray(path.read_bytes())
-    # the high byte of the trailing CRC, the high byte of the lat_frac count
-    # (whose structural error must not mask the checksum failure), or the d
-    # byte of the only record
+    # the high byte of the trailing CRC, the lat_frac d width and the
+    # lon_frac enc width (whose width errors must not mask the checksum
+    # failure), or the original of the only entry
     data[offset] ^= 0xFF
     path.write_bytes(data)
     with pytest.raises(MapFormatError, match="checksum"):
-        MappingStore.load(path)
+        MappingStore.load(path, FP)
 
 
 def test_load_detects_truncation(tmp_path):
     store = MappingStore()
     _append(store, "lon_int", (143, 116))
     path = tmp_path / "store.map"
-    store.save(path)
+    store.save(path, FP)
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(MapFormatError):
-        MappingStore.load(path)
+        MappingStore.load(path, FP)
 
 
 def test_load_detects_truncated_section(tmp_path):
@@ -572,14 +790,14 @@ def test_load_detects_truncated_section(tmp_path):
     path = tmp_path / "short.map"
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
     with pytest.raises(MapFormatError, match="truncated"):
-        MappingStore.load(path)
+        MappingStore.load(path, FP)
 
 
 def test_load_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bogus.map"
     path.write_bytes(b"NOTAMAP0" + bytes(64))
     with pytest.raises(MapFormatError, match="magic"):
-        MappingStore.load(path)
+        MappingStore.load(path, FP)
 
 
 def test_save_is_canonical_regardless_of_insert_order(tmp_path):
@@ -591,8 +809,8 @@ def test_save_is_canonical_regardless_of_insert_order(tmp_path):
         entries = columns[kind]
         for start in range(0, len(entries), 137):
             _append(b, kind, *entries[start : start + 137])
-    a.save(tmp_path / "a.map")
-    b.save(tmp_path / "b.map")
+    a.save(tmp_path / "a.map", FP)
+    b.save(tmp_path / "b.map", FP)
     assert (tmp_path / "a.map").read_bytes() == (tmp_path / "b.map").read_bytes()
 
 
