@@ -5,48 +5,24 @@ geographic ranges and preserving the decimal format; a mapping store indexed
 by coordinate id makes the lossy range constraints exactly reversible.  The metrics
 subpackage reproduces the privacy evaluation protocols (RDR, DBSCAN hotspot
 disruption, decryption accuracy).
+
+The package exports the user API only; the decimal grammar, range rules and
+key schedule are importable from ``geofpe.coords``, ``geofpe.ranges`` and
+``geofpe.sm4``.
 """
 
-from .cipher import (
-    BACKEND,
-    DEFAULT_ROUNDS,
-    KINDS,
-    CoordinateCipher,
-    DomainError,
-)
-from .coords import (
-    DecimalNumber,
-    GeoPoint,
-    ParseError,
-    decompose,
-    recombine,
-    validate_point,
-)
+from .cipher import BACKEND, KINDS, CoordinateCipher, DomainError
 from .mapstore import Ambiguous, MapFormatError, MappingStore
-from .ranges import fraction_constrain, mask_width, range_constrain, range_type
-from .sm4 import derive_round_keys
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "DEFAULT_ROUNDS",
     "KINDS",
     "Ambiguous",
     "CoordinateCipher",
-    "DecimalNumber",
     "DomainError",
-    "GeoPoint",
     "MapFormatError",
     "MappingStore",
-    "ParseError",
-    "decompose",
-    "derive_round_keys",
-    "fraction_constrain",
-    "mask_width",
-    "range_constrain",
-    "range_type",
-    "recombine",
-    "validate_point",
     "__version__",
 ]

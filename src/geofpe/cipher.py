@@ -1,7 +1,7 @@
 """Tweak-driven, dynamically keyed round network over masked coordinate parts.
 
 Each component (integer or fraction part of a longitude/latitude) is XOR-mixed
-with a per-value tweak, run through n_rounds of key-XOR + data-dependent
+with a per-value tweak, run through ROUNDS rounds of key-XOR + data-dependent
 rotation inside a w-bit mask, and finally folded into its valid range.  The
 fold is lossy by design; exact decryption goes through the mapping store.
 
@@ -42,7 +42,7 @@ from .ranges import (
 BACKEND = "numpy"
 
 KINDS = ("lon_int", "lon_frac", "lat_int", "lat_frac")
-DEFAULT_ROUNDS = 8
+ROUNDS = 8
 
 # REPUNIT[d] = 11...1 (d ones): the codebook key of a d-digit fraction is
 # value + REPUNIT[d], so the keys of d digits fill [REPUNIT[d], REPUNIT[d + 1])
@@ -154,14 +154,14 @@ class CipherCounts:
 
 
 class CoordinateCipher:
-    """Master key, derived schedule and round count bound together, plus a
-    codebook of the components encrypted so far.
+    """Master key and derived schedule bound together, plus a codebook of
+    the components encrypted so far.
 
-    The key, schedule and round count never change.  The codebook of a kind
-    maps the keys of the components encrypted so far (see
-    ``component_keys``: value + REPUNIT[d] for a d-digit fraction) to their
-    ciphertexts.  It is a book and a tail, each two sorted uint64 columns
-    of keys and ciphertexts with no key in both.  A batch makes one pass:
+    The key and schedule never change; every component runs ``ROUNDS``
+    rounds.  The codebook of a kind maps the keys of the components
+    encrypted so far (see ``component_keys``: value + REPUNIT[d] for a
+    d-digit fraction) to their ciphertexts.  It is a book and a tail, each
+    two sorted uint64 columns of keys and ciphertexts with no key in both.  A batch makes one pass:
     one ``np.unique``, one lookup in the book and the tail, one round-kernel
     call over all its misses, and one insert of the misses into the tail.
     The tail merges into the book only once it holds more than
@@ -173,13 +173,10 @@ class CoordinateCipher:
     never a wrong value.
     """
 
-    def __init__(self, key: bytes, n_rounds: int = DEFAULT_ROUNDS):
+    def __init__(self, key: bytes):
         from .sm4 import derive_round_keys
 
         self.key = check_key(key)
-        if n_rounds < 1:
-            raise DomainError(f"round count must be >= 1, got {n_rounds}")
-        self.n_rounds = n_rounds
         self.round_keys = derive_round_keys(self.key)
         self._rk = np.array(self.round_keys, dtype=np.uint64)
         self._key_hash = md5(self.key).digest()
@@ -244,7 +241,7 @@ class CoordinateCipher:
         int_kind = is_int_part(kind)
         widths = mask_widths(values, digits, int_kind)
         c = _rounds.encrypt_rounds_u64(
-            values, widths, self._tweaks(kind, values), self._rk, self.n_rounds
+            values, widths, self._tweaks(kind, values), self._rk, ROUNDS
         )
         if int_kind:
             return range_folds(values, c, is_lon(kind))

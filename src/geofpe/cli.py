@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import os
@@ -16,9 +17,10 @@ import sys
 import time
 from pathlib import Path
 
-from .cipher import BACKEND, DEFAULT_ROUNDS, KINDS, CoordinateCipher, map_fingerprint
+from .cipher import BACKEND, KINDS, CoordinateCipher, map_fingerprint
 from .dataset import (
     SynthConfig,
+    _write_text,
     decrypt_dataset,
     encrypt_dataset,
     generate_synthetic,
@@ -90,9 +92,15 @@ def _say(text: str) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(path, [json.dumps(payload, indent=2, sort_keys=True), "\n"])
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(path, [text.getvalue()])
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +113,7 @@ def cmd_keygen(args) -> int:
         print(f"error: {out} already exists (use --force to overwrite)", file=sys.stderr)
         return 1
     key = os.urandom(16)
-    if args.hex or out.suffix == ".hex":
+    if out.suffix == ".hex":
         out.write_text(key.hex() + "\n", encoding="ascii")
     else:
         out.write_bytes(key)
@@ -124,7 +132,7 @@ def _print_store_summary(store: MappingStore) -> None:
 
 def cmd_encrypt(args) -> int:
     key = load_key(args.key)
-    cipher = CoordinateCipher(key, n_rounds=args.rounds)
+    cipher = CoordinateCipher(key)
     store = MappingStore()
     started = time.perf_counter()
     stats = encrypt_dataset(args.input, args.output, cipher, store)
@@ -242,16 +250,10 @@ def cmd_eval_rdr(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "rdr.json", report)
-    edges = report["histogram"]["edges"]
-    with open(out / "rdr_histogram.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_start", "bin_end", "count"])
-        for i, count in enumerate(report["histogram"]["counts"]):
-            writer.writerow([edges[i], edges[i + 1], count])
-    with open(out / "rdr_cdf.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value", "cum_fraction"])
-        writer.writerows(report["cdf"])
+    edges, counts = report["histogram"]["edges"], report["histogram"]["counts"]
+    _write_csv(out / "rdr_histogram.csv", ["bin_start", "bin_end", "count"],
+               zip(edges, edges[1:], counts))
+    _write_csv(out / "rdr_cdf.csv", ["value", "cum_fraction"], report["cdf"])
 
     s = report["summary"]
     zero_ratio = s["zero_count"] / s["total"]
@@ -341,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate a random 128-bit key file")
-    p.add_argument("out", help="output key path (.hex writes hex text)")
-    p.add_argument("--hex", action="store_true", help="write 32 hex characters")
+    p.add_argument("out", help="output key path: 32 hex characters for .hex, "
+                   "else 16 raw bytes")
     p.add_argument("--force", action="store_true", help="overwrite an existing file")
     p.set_defaults(func=cmd_keygen)
 
@@ -351,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="encrypted output directory")
     p.add_argument("--key", required=True, help="key file (.key raw / .hex text)")
     p.add_argument("--map", required=True, help="mapping store output path")
-    p.add_argument("--rounds", type=_positive_int, default=DEFAULT_ROUNDS)
     p.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
     p.set_defaults(func=cmd_encrypt)
 

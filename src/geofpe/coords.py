@@ -57,12 +57,6 @@ class DecimalNumber:
         return self.sign * (self.int_part + self.frac_value / 10**self.frac_digits)
 
 
-@dataclass(frozen=True, slots=True)
-class GeoPoint:
-    lon: DecimalNumber
-    lat: DecimalNumber
-
-
 def decompose(text: str) -> DecimalNumber:
     """Split decimal text into (sign, int part, fraction value, digit count).
 
@@ -99,14 +93,14 @@ def _abs_within(n: DecimalNumber, bound: int) -> bool:
     return n.int_part * scale + n.frac_value <= bound * scale
 
 
-def validate_point(p: GeoPoint) -> str | None:
+def validate_point(lon: DecimalNumber, lat: DecimalNumber) -> str | None:
     """Return None when the point is in range, else the failing axis.
 
     Longitude must lie in [-180, 180] and latitude in [-90, 90]; the check is
     exact integer arithmetic so boundary values are handled precisely.
     """
-    if not _abs_within(p.lon, LON_MAX):
+    if not _abs_within(lon, LON_MAX):
         return "lon"
-    if not _abs_within(p.lat, LAT_MAX):
+    if not _abs_within(lat, LAT_MAX):
         return "lat"
     return None

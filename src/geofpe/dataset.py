@@ -25,7 +25,6 @@ from .coords import (
     LAT_MAX,
     LON_MAX,
     MAX_FRAC_DIGITS,
-    GeoPoint,
     ParseError,
     decompose,
     validate_point,
@@ -103,16 +102,16 @@ def _reject_reason(line: str) -> str:
     if len(fields) != 4:
         return f"parse error: expected 4 comma-separated fields, got {len(fields)}"
     try:
-        point = GeoPoint(decompose(fields[2]), decompose(fields[3]))
+        lon, lat = decompose(fields[2]), decompose(fields[3])
     except ParseError as exc:
         return f"parse error: {exc}"
-    for axis, n in (("lon", point.lon), ("lat", point.lat)):
+    for axis, n in (("lon", lon), ("lat", lat)):
         if n.frac_digits > MAX_FRAC_DIGITS:
             return (
                 f"parse error: {axis} fraction has {n.frac_digits} digits, "
                 f"more than {MAX_FRAC_DIGITS}"
             )
-    return f"out of range: {validate_point(point)}"
+    return f"out of range: {validate_point(lon, lat)}"
 
 
 def _decimal_texts(signs, ints, fracs, digits) -> list[str]:

@@ -14,7 +14,6 @@ earlier GFPEMAP1 record layout still load.
 
 from __future__ import annotations
 
-import csv
 import os
 import struct
 import threading
@@ -378,19 +377,6 @@ class MappingStore:
         store._cols = columns
         store.layout = MapLayout(magic, widths)
         return store
-
-    def export_csv(self, path) -> None:
-        """Diagnostic audit export, in coordinate-id order per kind."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["kind", "coord_id", "enc_value", "orig_value"])
-            with self._lock:
-                for kind in KINDS:
-                    enc_col, orig_col, _ = self._cols[kind]
-                    writer.writerows(
-                        (kind, cid, enc, orig)
-                        for cid, (enc, orig) in enumerate(zip(enc_col, orig_col))
-                    )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MappingStore):

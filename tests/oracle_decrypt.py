@@ -19,7 +19,6 @@ from pathlib import Path
 from geofpe.coords import (
     MAX_FRAC_DIGITS,
     DecimalNumber,
-    GeoPoint,
     ParseError,
     decompose,
     recombine,
@@ -40,7 +39,7 @@ def _grammar_reason(enc_lon, enc_lat):
                 f"more than {MAX_FRAC_DIGITS}"
             )
     if enc_lon.int_part > 999 or enc_lat.int_part > 99:
-        return f"out of range: {validate_point(GeoPoint(enc_lon, enc_lat))}"
+        return f"out of range: {validate_point(enc_lon, enc_lat)}"
     return None
 
 

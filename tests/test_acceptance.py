@@ -17,7 +17,7 @@ from geofpe import metrics
 from geofpe._rounds import decrypt_rounds_raw, encrypt_rounds_raw
 from geofpe.cipher import CoordinateCipher, map_fingerprint
 from geofpe.cli import main as cli_main
-from geofpe.coords import GeoPoint, decompose, validate_point
+from geofpe.coords import decompose, validate_point
 from geofpe.dataset import (
     SynthConfig,
     decrypt_dataset,
@@ -117,7 +117,7 @@ def test_criterion_2_format_validity(pipeline):
         for row, line in zip(orig_rows, enc_lines):
             _cid, _vid, _ts, lon_text, lat_text = line.split(",")
             enc_lon, enc_lat = decompose(lon_text), decompose(lat_text)
-            assert validate_point(GeoPoint(enc_lon, enc_lat)) is None
+            assert validate_point(enc_lon, enc_lat) is None
             for orig, enc_n in ((row[1:5], enc_lon), (row[5:9], enc_lat)):
                 sign, int_part, _, digits = orig
                 assert len(str(enc_n.int_part)) == len(str(int_part))
@@ -254,12 +254,17 @@ def test_criterion_8_conflict_accounting(tmp_path):
     encrypt_dataset(src, tmp_path / "enc", CoordinateCipher(KEY), store)
     assert sum(store.conflicts(k) for k in KINDS) > 0, "dataset must force conflicts"
 
-    export = tmp_path / "audit.csv"
-    store.export_csv(export)
+    # recount from the plain tree paired line by line with the encrypted one
     by_kind: dict[str, dict[int, set[int]]] = {k: {} for k in KINDS}
-    for row in export.read_text().splitlines()[1:]:
-        kind, _cid, enc_value, orig_value = row.split(",")
-        by_kind[kind].setdefault(int(enc_value), set()).add(int(orig_value))
+    for orig_path in sorted(src.glob("*.txt")):
+        enc_lines = (tmp_path / "enc" / orig_path.name).read_text().splitlines()
+        for orig_line, enc_line in zip(orig_path.read_text().splitlines(), enc_lines, strict=True):
+            orig_point = [decompose(t) for t in orig_line.split(",")[2:]]
+            enc_point = [decompose(t) for t in enc_line.split(",")[3:]]
+            for axis, orig_n, enc_n in zip(("lon", "lat"), orig_point, enc_point):
+                for part, attr in (("int", "int_part"), ("frac", "frac_value")):
+                    by_enc = by_kind[f"{axis}_{part}"]
+                    by_enc.setdefault(getattr(enc_n, attr), set()).add(getattr(orig_n, attr))
     for kind in KINDS:
         index = by_kind[kind]
         expected_conflicts = sum(len(s) - 1 for s in index.values())
@@ -278,7 +283,7 @@ def test_criterion_8_conflict_accounting(tmp_path):
     _report(
         8,
         ok,
-        f"conflicts {conflicts} match brute-force recount from the export; "
+        f"conflicts {conflicts} match a recount from the plain and encrypted trees; "
         f"decryption still exact (OMR {report['omr']})",
     )
 

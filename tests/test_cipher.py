@@ -263,8 +263,6 @@ def test_encrypt_number_preserves_sign_and_digits():
 
 def test_cipher_params_validation():
     with pytest.raises(DomainError):
-        CoordinateCipher(STD_KEY, n_rounds=0)
-    with pytest.raises(DomainError):
         CoordinateCipher(b"short")
 
 

@@ -5,13 +5,15 @@ import json
 import logging
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from geofpe.cli import main
+from geofpe.cli import build_parser, main
+from halfwrite import open_failing_on
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -656,6 +658,39 @@ def test_eval_hotspots_smoke(tmp_path, capsys, key_file):
     assert "match accuracy 100.00%" in out
 
 
+_REPORTS = {  # report file -> the eval protocol and trees that write it
+    "rdr.json": ("rdr", "orig", "enc"),
+    "rdr_histogram.csv": ("rdr", "orig", "enc"),
+    "rdr_cdf.csv": ("rdr", "orig", "enc"),
+    "hotspots.json": ("hotspots", "orig", "enc", "dec"),
+    "accuracy.json": ("accuracy", "orig", "dec"),
+}
+
+
+@pytest.mark.parametrize("report", list(_REPORTS))
+def test_failed_report_write_keeps_the_earlier_report(
+    tmp_path, capsys, monkeypatch, key_file, report
+):
+    trees = {"orig": _synth(capsys, tmp_path), "enc": tmp_path / "enc", "dec": tmp_path / "dec"}
+    mp = tmp_path / "m.map"
+    for command, src, dst in (("encrypt", "orig", "enc"), ("decrypt", "enc", "dec")):
+        assert run(capsys, command, "--input", str(trees[src]), "--output",
+                   str(trees[dst]), "--key", key_file, "--map", str(mp))[0] == 0
+    protocol, *inputs = _REPORTS[report]
+    out = tmp_path / "reports"
+    argv = ["eval", protocol, "--out", str(out)]
+    argv += [arg for name in inputs for arg in (f"--{name}", str(trees[name]))]
+    assert run(capsys, *argv)[0] == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert report in before
+
+    monkeypatch.setattr("builtins.open", open_failing_on(out / report))
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "No space left" in err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def _rdr_trees(tmp_path, bad_line):
     """A plain tree of two vehicles and its 'encrypted' tree, whose vehicle
     1 has ``bad_line`` in place of its first line."""
@@ -732,9 +767,27 @@ def test_synth_zero_vehicles_is_usage_error(tmp_path, capsys):
 
 
 def test_unknown_flag_is_usage_error(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["keygen", str(tmp_path / "k.key"), "--loud"])
-    assert exc.value.code == 2
+    paths = ["--input", "i", "--output", "o", "--key", "k", "--map", "m"]
+    for argv in (
+        ["keygen", str(tmp_path / "k.key"), "--loud"],
+        ["keygen", str(tmp_path / "k.key"), "--hex"],  # the suffix decides
+        ["encrypt", *paths, "--rounds", "8"],  # the round count is fixed
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    assert not (tmp_path / "k.key").exists()
+
+
+def test_readme_cli_lines_parse():
+    """Every command line of the README's CLI block is one the parser takes."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("geofpe ")]
+    assert len(lines) == 7
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from geofpe.coords import (
     DecimalNumber,
-    GeoPoint,
     ParseError,
     decompose,
     recombine,
@@ -102,22 +101,22 @@ def test_round_trip_is_numerically_exact(text):
 
 
 def _point(lon_text, lat_text):
-    return GeoPoint(decompose(lon_text), decompose(lat_text))
+    return decompose(lon_text), decompose(lat_text)
 
 
 def test_validate_point_in_range():
-    assert validate_point(_point("116.51172", "39.92123")) is None
+    assert validate_point(*_point("116.51172", "39.92123")) is None
 
 
 def test_validate_point_boundaries():
-    assert validate_point(_point("180.00000", "90.00000")) is None
-    assert validate_point(_point("-180", "-90")) is None
+    assert validate_point(*_point("180.00000", "90.00000")) is None
+    assert validate_point(*_point("-180", "-90")) is None
 
 
 def test_validate_point_lon_out_of_range():
-    assert validate_point(_point("181.0", "0")) == "lon"
-    assert validate_point(_point("180.00001", "0")) == "lon"
+    assert validate_point(*_point("181.0", "0")) == "lon"
+    assert validate_point(*_point("180.00001", "0")) == "lon"
 
 
 def test_validate_point_lat_out_of_range():
-    assert validate_point(_point("0", "-90.00001")) == "lat"
+    assert validate_point(*_point("0", "-90.00001")) == "lat"

@@ -1,6 +1,5 @@
 """Dataset pipeline: parsing, cleaning, sampling, synthesis, round trips."""
 
-import errno
 import io
 import time
 import re
@@ -16,7 +15,6 @@ from geofpe.cipher import KINDS, CoordinateCipher
 from geofpe.cli import main as cli_main
 from geofpe.coords import (
     MAX_FRAC_DIGITS,
-    GeoPoint,
     ParseError,
     decompose,
     validate_point,
@@ -33,6 +31,7 @@ from geofpe.dataset import (
 )
 from geofpe.mapstore import MappingStore
 from geofpe.metrics import accuracy, dbscan
+from halfwrite import open_failing_on
 from oracle_decrypt import decrypt_oracle
 
 KEY = bytes.fromhex("0123456789ABCDEFFEDCBA9876543210")
@@ -629,28 +628,6 @@ def test_second_encrypt_into_one_store_continues_the_ids(tmp_path):
         assert (dec / "1.txt").read_text() == text
 
 
-class _HalfWrite:
-    """A text file that stores half of what it is given, then fails as a
-    full disk does."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, text):
-        self.fh.write(text[: len(text) // 2])
-        self.fh.flush()
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-    def writelines(self, lines):
-        self.write("".join(lines))
-
-
 @pytest.mark.parametrize("failing", ["enc/1.txt", "enc/1.txt.errors", "dec/1.txt"])
 def test_failed_write_keeps_the_earlier_output(tmp_path, monkeypatch, failing):
     src = tmp_path / "src"
@@ -663,16 +640,7 @@ def test_failed_write_keeps_the_earlier_output(tmp_path, monkeypatch, failing):
     assert target in before
 
     (src / "1.txt").write_text("1,t,1.5,2.5\n1,t,1.5\n1,t,3.25,4.75\n1,t,999,0\n")
-    real_open = open
-
-    def failing_open(file, mode="r", *args, **kwargs):
-        fh = real_open(file, mode, *args, **kwargs)
-        name = Path(file).name.removesuffix(".tmp")
-        if "w" in mode and Path(file).parent / name == target:
-            return _HalfWrite(fh)
-        return fh
-
-    monkeypatch.setattr(dataset, "open", failing_open, raising=False)
+    monkeypatch.setattr(dataset, "open", open_failing_on(target), raising=False)
     enc_dir, dec_dir, store, enc_stats, dec_stats = _round_trip(tmp_path, src)
     if failing.startswith("enc"):
         # the earlier 1.txt carries ids the new map gives to 2.txt: removed
@@ -881,25 +849,25 @@ def _reference_scan(text):
             )
             continue
         try:
-            point = GeoPoint(decompose(fields[2]), decompose(fields[3]))
+            lon, lat = decompose(fields[2]), decompose(fields[3])
         except ParseError as exc:
             errors.append((line_no, f"parse error: {exc}"))
             continue
         wide = [
             f"parse error: {axis} fraction has {n.frac_digits} digits, "
             f"more than {MAX_FRAC_DIGITS}"
-            for axis, n in (("lon", point.lon), ("lat", point.lat))
+            for axis, n in (("lon", lon), ("lat", lat))
             if n.frac_digits > MAX_FRAC_DIGITS
         ]
-        axis = validate_point(point)
+        axis = validate_point(lon, lat)
         if wide or axis:
             errors.append((line_no, wide[0] if wide else f"out of range: {axis}"))
             continue
         rows.append(
-            (f"{fields[0]},{fields[1]}", *_row_parts(point.lon), *_row_parts(point.lat),
+            (f"{fields[0]},{fields[1]}", *_row_parts(lon), *_row_parts(lat),
              line[len(body):])
         )
-        floats.append((point.lon.to_float().hex(), point.lat.to_float().hex()))
+        floats.append((lon.to_float().hex(), lat.to_float().hex()))
     return rows, errors, floats
 
 

@@ -1,6 +1,5 @@
 """Mapping store semantics: conflicts, lookups, persistence, concurrency."""
 
-import csv
 import random
 import struct
 import tempfile
@@ -234,16 +233,13 @@ def test_append_refreshes_derived_stats():
     assert store.conflict_rate("lon_frac") == 1
 
 
-def test_conflict_rate_matches_brute_force_recount(tmp_path):
-    store = _filled(_random_columns(3000, seed=21))
-    export = tmp_path / "audit.csv"
-    store.export_csv(export)
-    by_kind: dict[str, dict[int, set[int]]] = {k: {} for k in KINDS}
-    with open(export, newline="") as fh:
-        for kind, _cid, enc, orig in list(csv.reader(fh))[1:]:
-            by_kind[kind].setdefault(int(enc), set()).add(int(orig))
+def test_conflict_rate_matches_brute_force_recount():
+    columns = _random_columns(3000, seed=21)
+    store = _filled(columns)
     for kind in KINDS:
-        by_enc = by_kind[kind]
+        by_enc: dict[int, set[int]] = {}
+        for enc, orig, _ in columns[kind]:
+            by_enc.setdefault(enc, set()).add(orig)
         expected = Fraction(sum(1 for s in by_enc.values() if len(s) >= 2), len(by_enc))
         assert store.conflict_rate(kind) == expected
         assert store.conflicts(kind) == sum(len(s) - 1 for s in by_enc.values())
@@ -812,19 +808,3 @@ def test_save_is_canonical_regardless_of_insert_order(tmp_path):
     a.save(tmp_path / "a.map", FP)
     b.save(tmp_path / "b.map", FP)
     assert (tmp_path / "a.map").read_bytes() == (tmp_path / "b.map").read_bytes()
-
-
-def test_export_csv(tmp_path):
-    store = MappingStore()
-    _append(store, "lon_int", (143, 116), (150, 117))
-    _append(store, "lat_frac", (50, 99, 2))
-    path = tmp_path / "audit.csv"
-    store.export_csv(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows == [
-        ["kind", "coord_id", "enc_value", "orig_value"],
-        ["lon_int", "0", "143", "116"],
-        ["lon_int", "1", "150", "117"],
-        ["lat_frac", "0", "50", "99"],
-    ]
