@@ -1,4 +1,4 @@
-"""Tweak-driven, dynamically keyed round network over masked coordinate parts.
+"""Tweak-driven round network with dynamic keying over masked coordinate parts.
 
 Each component (integer or fraction part of a longitude/latitude) is XOR-mixed
 with a per-value tweak, run through ROUNDS rounds of key-XOR + data-dependent
@@ -9,8 +9,8 @@ Components are encrypted in batches.  Under one key a component's ciphertext
 depends only on (kind, digit count, value).  ``CoordinateCipher`` packs each
 fraction's digit count d and value into one uint64 key, value + R[d] with R[d]
 the repunit (10**d - 1) // 9; the map is order-preserving and one-to-one for
-every d <= 19 (the largest key, about 1.11e19, is below 2**64).  Integer parts
-are keyed by their value.  One batch of a kind is then deduplicated with one
+every d <= 19 (the largest key, about 1.11e19, is below 2**64).  An integer
+part's key is its value.  One batch of a kind is then deduplicated with one
 ``np.unique``, looked up in that kind's codebook, and all its misses run
 through one call of the numpy round kernel, with per-element mask widths,
 tweaks and range folds.  The misses go into a small sorted tail of the

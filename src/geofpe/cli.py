@@ -28,7 +28,7 @@ from .dataset import (
     load_points_auto,
     stratified_sample,
 )
-from .mapstore import MappingStore
+from .mapstore import MappingStore, private_opener
 from . import metrics
 
 log = logging.getLogger("geofpe.cli")
@@ -113,10 +113,16 @@ def cmd_keygen(args) -> int:
         print(f"error: {out} already exists (use --force to overwrite)", file=sys.stderr)
         return 1
     key = os.urandom(16)
-    if out.suffix == ".hex":
-        out.write_text(key.hex() + "\n", encoding="ascii")
-    else:
-        out.write_bytes(key)
+    data = f"{key.hex()}\n".encode("ascii") if out.suffix == ".hex" else key
+    # via <key>.tmp at mode 0600: a failed rewrite leaves the earlier key
+    tmp = out.with_name(f"{out.name}.tmp")
+    try:
+        with open(tmp, "wb", opener=private_opener) as fh:
+            fh.write(data)
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     _say(f"wrote key to {out}")
     return 0
 
@@ -165,9 +171,6 @@ def cmd_decrypt(args) -> int:
         args.map, store.layout, store.entry_count("lon_int"),
         os.path.getsize(args.map), time.perf_counter() - started,
     )
-    if not store.layout.keyed:
-        log.warning("%s: a GFPEMAP1 map holds no key fingerprint; "
-                    "no key check was possible", args.map)
     started = time.perf_counter()
     stats = decrypt_dataset(args.input, args.output, store)
     elapsed = time.perf_counter() - started

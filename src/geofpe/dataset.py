@@ -537,7 +537,7 @@ def generate_synthetic(cfg: SynthConfig, out_dir) -> int:
 
 
 def load_plain_points(input_dir) -> dict[str, list[tuple[float, float]]]:
-    """Cleaned per-vehicle (lon, lat) floats in file order, keyed by file stem."""
+    """Cleaned per-vehicle (lon, lat) floats in file order, by file stem."""
     return {
         path.stem: _points(scan_file(path).rows) for path in _dataset_files(input_dir)
     }

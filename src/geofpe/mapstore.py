@@ -7,9 +7,9 @@ entry per kind, so the id is the row of three columns.  Collisions between
 different originals on the same encrypted value are expected, counted, and
 harmless, because the exact lookup also checks the coordinate id.
 
-Maps are written as GFPEMAP2: each column at the narrowest width that holds
-it, under a fingerprint of the key (see ``MappingStore.save``).  Maps in the
-earlier GFPEMAP1 record layout still load.
+Maps are GFPEMAP2: each column at the narrowest width that holds it, under
+a fingerprint of the key (see ``MappingStore.save``).  Maps in the earlier
+record layout hold no key, and are refused.
 """
 
 from __future__ import annotations
@@ -27,47 +27,33 @@ import numpy as np
 from .cipher import KINDS
 
 _MAGIC = b"GFPEMAP2"
-_MAGIC_V1 = b"GFPEMAP1"  # read only
 _FINGERPRINT_SIZE = 16
 # a GFPEMAP2 section header: entry count, then the enc, orig and d byte widths
 _HEADER = struct.Struct("<Q3B")
 _WIDTHS = (0, 1, 2, 4, 8)
-# a GFPEMAP1 record: kind, coord_id, enc_value, orig_value, d: 26 bytes,
-# little-endian, packed
-_RECORD = np.dtype(
-    [("kind", "u1"), ("coord_id", "<u8"), ("enc", "<u8"), ("orig", "<u8"), ("d", "u1")]
-)
 _FIELDS = ("enc", "orig", "d")
-_COUNT = struct.Struct("<Q")
-# values per column slice of a save or a GFPEMAP2 load, and records per chunk
-# of a GFPEMAP1 load (852 KB)
-_CHUNK_RECORDS = 32768
-_KIND_CODE = {kind: i for i, kind in enumerate(KINDS)}
+# values per column slice of a save or a load; a load reads through one
+# buffer of a slice of 8-byte values (256 KB)
+_SLICE = 32768
 
 
 class MapFormatError(ValueError):
-    """The map file is not a readable GFPEMAP2 or GFPEMAP1 store, or it is a
-    GFPEMAP2 store written under a different key."""
+    """The map file is not a readable GFPEMAP2 store, or it was written under
+    a different key."""
 
 
 @dataclass(frozen=True)
 class MapLayout:
-    """How a map file holds a store: its magic, and per kind the byte widths
-    of its enc, orig and d columns (GFPEMAP1 records hold 8, 8 and 1)."""
+    """How a GFPEMAP2 file holds a store: per kind the byte widths of its
+    enc, orig and d columns."""
 
-    magic: bytes
     widths: dict[str, tuple[int, int, int]]
-
-    @property
-    def keyed(self) -> bool:
-        """Whether the file holds a key fingerprint; GFPEMAP1 holds none."""
-        return self.magic != _MAGIC_V1
 
     def __str__(self) -> str:
         widths = ", ".join(
             f"{kind} {'/'.join(map(str, w))}" for kind, w in self.widths.items()
         )
-        return f"{self.magic.decode()}, enc/orig/d bytes {widths}"
+        return f"{_MAGIC.decode()}, enc/orig/d bytes {widths}"
 
 
 def _width(col: np.ndarray) -> int:
@@ -111,56 +97,7 @@ def _read_into(fh, buf: np.ndarray, path) -> None:
         raise MapFormatError(f"{path}: truncated map file")
 
 
-def _read_v1_section(fh, chunk: np.ndarray, kind: str, count: int, path):
-    """The enc, orig and d columns of one kind's ``count`` GFPEMAP1 records,
-    read through the record array ``chunk``.
-
-    A foreign kind code anywhere in the section is reported before an id
-    out of order, as a whole-section check would."""
-    cols = _zero_columns(count)
-    views = [_view(col) for col in cols]
-    ids_in_order = True
-    for lo in range(0, count, len(chunk)):
-        hi = min(lo + len(chunk), count)
-        part = chunk[: hi - lo]
-        _read_into(fh, part.view("B"), path)
-        foreign = part["kind"] != _KIND_CODE[kind]
-        if foreign.any():
-            raise MapFormatError(
-                f"{path}: record kind {part['kind'][foreign][0]} in {kind} section"
-            )
-        ids_in_order = ids_in_order and np.array_equal(
-            part["coord_id"], np.arange(lo, hi, dtype="u8")
-        )
-        for view, field in zip(views, _FIELDS):
-            view[lo:hi] = part[field]
-    if not ids_in_order:
-        raise MapFormatError(
-            f"{path}: {kind} coordinate ids are not 0..{count - 1} in order"
-        )
-    return cols
-
-
-def _read_v1(fh, chunk: np.ndarray, end: int, path):
-    """The columns of each kind of a GFPEMAP1 file whose CRC has been
-    checked, ``fh`` just past the magic.  The records hold no key, so none
-    is checked."""
-    columns = {}
-    pos = len(_MAGIC_V1)
-    for kind in KINDS:
-        if pos + _COUNT.size > end:
-            raise MapFormatError(f"{path}: truncated map file")
-        (count,) = _COUNT.unpack(fh.read(_COUNT.size))
-        pos += _COUNT.size + count * _RECORD.itemsize
-        if pos > end:
-            raise MapFormatError(f"{path}: truncated map file")
-        columns[kind] = _read_v1_section(fh, chunk, kind, count, path)
-    if pos != end:
-        raise MapFormatError(f"{path}: {end - pos} trailing bytes")
-    return columns, {kind: (8, 8, 1) for kind in KINDS}
-
-
-def _read_v2(fh, raw: np.ndarray, end: int, path, fingerprint: bytes):
+def _read_columns(fh, raw: np.ndarray, end: int, path, fingerprint: bytes):
     """The columns and column widths of each kind of a GFPEMAP2 file whose
     CRC has been checked, ``fh`` just past the magic.  The key fingerprint
     is compared before any section is read."""
@@ -184,11 +121,12 @@ def _read_v2(fh, raw: np.ndarray, end: int, path, fingerprint: bytes):
         pos += _HEADER.size + count * sum(kind_widths)
         if pos > end:
             raise MapFormatError(f"{path}: truncated map file")
-        columns[kind] = cols = _zero_columns(count)
+        columns[kind] = cols = (array("Q", [0]) * count, array("Q", [0]) * count,
+                                array("B", [0]) * count)
         for col, w in zip(cols, kind_widths):
             view = _view(col)
-            for lo in range(0, count if w else 0, _CHUNK_RECORDS):
-                part = view[lo : lo + _CHUNK_RECORDS]
+            for lo in range(0, count if w else 0, _SLICE):
+                part = view[lo : lo + _SLICE]
                 buf = raw[: part.size * w]
                 _read_into(fh, buf, path)
                 part[:] = buf.view(f"<u{w}")
@@ -198,9 +136,13 @@ def _read_v2(fh, raw: np.ndarray, end: int, path, fingerprint: bytes):
     return columns, widths
 
 
-def _zero_columns(count: int) -> tuple[array, array, array]:
-    """Zeroed enc, orig and d columns of ``count`` entries."""
-    return array("Q", [0]) * count, array("Q", [0]) * count, array("B", [0]) * count
+def private_opener(path, flags: int) -> int:
+    """An ``open`` opener that creates ``path`` with mode 0600.  A file left
+    there, such as a stale ``.tmp``, is removed first, so neither its mode
+    nor, for a symlink, its target carries over."""
+    if os.path.lexists(path):
+        os.unlink(path)
+    return os.open(path, flags | os.O_EXCL, 0o600)
 
 
 class MappingStore:
@@ -301,17 +243,18 @@ class MappingStore:
         columns (see ``_width``) and the three columns in coordinate-id
         order, trailed by a CRC32 of everything before it.
 
-        Each column streams out ``_CHUNK_RECORDS`` values at a time under a
+        Each column streams out ``_SLICE`` values at a time under a
         running CRC, so a save holds the columns plus one slice.  The bytes
-        go to a sibling ``<path>.tmp`` that then replaces ``path``, so a
-        failed save leaves any earlier map at ``path`` untouched."""
+        go to a sibling ``<path>.tmp``, created with mode 0600, that then
+        replaces ``path``, so a failed save leaves any earlier map at
+        ``path`` untouched."""
         fingerprint = bytes(fingerprint)
         if len(fingerprint) != _FINGERPRINT_SIZE:
             raise ValueError(f"map fingerprint must be {_FINGERPRINT_SIZE} bytes")
         tmp = f"{os.fspath(path)}.tmp"
         widths = {}
         try:
-            with open(tmp, "wb") as fh, self._lock:
+            with open(tmp, "wb", opener=private_opener) as fh, self._lock:
                 crc = 0
 
                 def write(data) -> None:
@@ -325,8 +268,8 @@ class MappingStore:
                     widths[kind] = kind_widths = tuple(_width(col) for col in cols)
                     write(_HEADER.pack(len(cols[0]), *kind_widths))
                     for col, w in zip(cols, kind_widths):
-                        for lo in range(0, len(col) if w else 0, _CHUNK_RECORDS):
-                            write(col[lo : lo + _CHUNK_RECORDS].astype(f"<u{w}"))
+                        for lo in range(0, len(col) if w else 0, _SLICE):
+                            write(col[lo : lo + _SLICE].astype(f"<u{w}"))
                 fh.write(struct.pack("<I", crc))
                 fh.flush()
                 os.fsync(fh.fileno())
@@ -335,32 +278,32 @@ class MappingStore:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-        self.layout = MapLayout(_MAGIC, widths)
+        self.layout = MapLayout(widths)
 
     @classmethod
     def load(cls, path, fingerprint: bytes) -> "MappingStore":
-        """Read a GFPEMAP2 map written under ``fingerprint``, or a GFPEMAP1
-        map, which holds no key, so its ``fingerprint`` goes unchecked.
-        Sets the store's ``layout`` to the file's.
+        """Read a GFPEMAP2 map written under ``fingerprint`` and set the
+        store's ``layout`` to the file's.  A map of the earlier record layout
+        holds no key, so it is refused.
 
         A first streaming pass checks the CRC, so a corrupted file reports a
-        checksum failure before any other error; a GFPEMAP2 fingerprint is
-        compared next.  A second pass fills each kind's columns, sized from
-        its count: a GFPEMAP2 column ``_CHUNK_RECORDS`` values at a time,
-        GFPEMAP1 records ``_CHUNK_RECORDS`` at a time, checking their kind
-        codes and that the ids run ``0..count-1`` in order.  A load holds
-        the columns plus one 852 KB buffer."""
+        checksum failure before any other error; the fingerprint is compared
+        next.  A second pass fills each kind's columns, sized from its count,
+        ``_SLICE`` values at a time.  A load holds the columns plus
+        one buffer of a slice of 8-byte values."""
         with open(path, "rb") as fh:
             end = os.fstat(fh.fileno()).st_size - 4
             if end < len(_MAGIC):
                 raise MapFormatError(f"{path}: truncated map file")
             magic = fh.read(len(_MAGIC))
-            if magic not in (_MAGIC, _MAGIC_V1):
+            if magic == b"GFPEMAP1":
                 raise MapFormatError(
-                    f"{path}: bad magic {magic!r}, expected {_MAGIC!r} or {_MAGIC_V1!r}"
+                    f"{path}: GFPEMAP1 maps are no longer read: they hold no key "
+                    "fingerprint; re-encrypt the plaintext to write a GFPEMAP2 map"
                 )
-            chunk = np.empty(_CHUNK_RECORDS, dtype=_RECORD)
-            raw = chunk.view("B")
+            if magic != _MAGIC:
+                raise MapFormatError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
+            raw = np.empty(_SLICE * 8, dtype="B")
             crc = zlib.crc32(magic)
             for lo in range(len(_MAGIC), end, raw.size):
                 part = raw[: min(raw.size, end - lo)]
@@ -369,13 +312,10 @@ class MappingStore:
             if fh.read(4) != struct.pack("<I", crc):
                 raise MapFormatError(f"{path}: checksum failure")
             fh.seek(len(_MAGIC))
-            if magic == _MAGIC:
-                columns, widths = _read_v2(fh, raw, end, path, bytes(fingerprint))
-            else:
-                columns, widths = _read_v1(fh, chunk, end, path)
+            columns, widths = _read_columns(fh, raw, end, path, bytes(fingerprint))
         store = cls()
         store._cols = columns
-        store.layout = MapLayout(magic, widths)
+        store.layout = MapLayout(widths)
         return store
 
     def __eq__(self, other) -> bool:

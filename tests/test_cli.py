@@ -6,6 +6,7 @@ import logging
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +49,44 @@ def test_keygen_hex(tmp_path, capsys):
     out = tmp_path / "k.hex"
     assert run(capsys, "keygen", str(out))[0] == 0
     assert len(out.read_text().strip()) == 32
+
+
+@pytest.fixture
+def umask_022():
+    umask = os.umask(0o022)
+    yield
+    os.umask(umask)
+
+
+def _mode(path):
+    return stat.S_IMODE(path.stat().st_mode)
+
+
+@pytest.mark.parametrize("name", ["k.key", "k.hex"])
+def test_keygen_creates_the_key_with_mode_0600(tmp_path, capsys, umask_022, name):
+    out = tmp_path / name
+    assert run(capsys, "keygen", str(out))[0] == 0
+    assert _mode(out) == 0o600
+    # --force over a key readable by all, and over a stale .tmp, ends at 0600
+    out.chmod(0o644)
+    (tmp_path / f"{name}.tmp").write_bytes(b"stale")
+    before = out.read_bytes()
+    assert run(capsys, "keygen", str(out), "--force")[0] == 0
+    assert _mode(out) == 0o600
+    assert out.read_bytes() != before
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_failed_keygen_rewrite_keeps_the_earlier_key(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "k.key"
+    assert run(capsys, "keygen", str(out))[0] == 0
+    before = out.read_bytes()
+    monkeypatch.setattr("builtins.open", open_failing_on(out))
+    code, _, err = run(capsys, "keygen", str(out), "--force")
+    assert code == 1
+    assert "No space left" in err
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["k.key"]
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +403,14 @@ def test_encrypt_debug_log_spans_the_save(tmp_path, capsys, caplog, key_file):
     )
 
 
+def test_encrypt_writes_the_map_with_mode_0600(tmp_path, capsys, key_file, umask_022):
+    orig = _synth(capsys, tmp_path)
+    mp = tmp_path / "store.map"
+    assert run(capsys, "encrypt", "--input", str(orig), "--output", str(tmp_path / "enc"),
+               "--key", key_file, "--map", str(mp))[0] == 0
+    assert _mode(mp) == 0o600
+
+
 def test_decrypt_with_a_different_key_writes_nothing(tmp_path, capsys, key_file):
     orig = _synth(capsys, tmp_path)
     enc, mp = tmp_path / "enc", tmp_path / "store.map"
@@ -382,8 +429,9 @@ def test_decrypt_with_a_different_key_writes_nothing(tmp_path, capsys, key_file)
     assert not dec.exists()
 
 
-# Written by the GFPEMAP1 writer that GFPEMAP2 replaced, from
-# "1,t,116.5,39.9\n1,t,116.25,-39.125\n1,t,-0.125,0.5\n" under key_file's key.
+# Written by the GFPEMAP1 writer that GFPEMAP2 replaced, from _V1_PLAIN
+# under key_file's key.
+_V1_PLAIN = "1,t,116.5,39.9\n1,t,116.25,-39.125\n1,t,-0.125,0.5\n"
 _V1_ENCRYPTED = "0,1,t,135.1,20.6\n1,1,t,135.07,-20.262\n2,1,t,-4.382,8.9\n"
 _V1_MAP = bytes.fromhex(
     "474650454d41503103000000000000000000000000000000008700000000000000740000"
@@ -399,42 +447,40 @@ _V1_MAP = bytes.fromhex(
 )
 
 
-def test_decrypt_reads_a_gfpemap1_map(tmp_path, capsys, caplog, key_file):
+def test_decrypt_refuses_a_gfpemap1_map(tmp_path, capsys, key_file):
     enc, mp = tmp_path / "enc", tmp_path / "v1.map"
     enc.mkdir()
     (enc / "1.txt").write_text(_V1_ENCRYPTED)
     mp.write_bytes(_V1_MAP)
     other_key = tmp_path / "other.hex"
     other_key.write_text("00" * 16)
-    # GFPEMAP1 holds no key, so any key decrypts, and the log says so
+    # GFPEMAP1 holds no key, so no key can be checked against it
+    dec = tmp_path / "dec"
     for key in (key_file, str(other_key)):
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="geofpe"):
-            code, _, _ = run(
-                capsys, "decrypt", "--input", str(enc), "--output", str(tmp_path / "dec"),
-                "--key", key, "--map", str(mp),
-            )
-        assert code == 0
-        assert (tmp_path / "dec" / "1.txt").read_text() == (
-            "1,t,116.5,39.9\n1,t,116.25,-39.125\n1,t,-0.125,0.5\n"
+        code, out, err = run(
+            capsys, "decrypt", "--input", str(enc), "--output", str(dec),
+            "--key", key, "--map", str(mp),
         )
-        messages = [r.getMessage() for r in caplog.records]
-        assert re.fullmatch(
-            r"load map .*v1\.map: GFPEMAP1, enc/orig/d bytes lon_int 8/8/1, "
-            r"lon_frac 8/8/1, lat_int 8/8/1, lat_frac 8/8/1; "
-            r"3 coordinate ids, 356 bytes in \d+\.\d{3}s", messages[0]
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: {mp}: GFPEMAP1 maps are no longer read: they hold no key "
+            "fingerprint; re-encrypt the plaintext to write a GFPEMAP2 map\n"
         )
-        assert messages[1] == (
-            f"{mp}: a GFPEMAP1 map holds no key fingerprint; no key check was possible"
-        )
-    # encrypt writes the same tree, and a GFPEMAP2 map
+        assert not dec.exists()
+    # re-encrypting the plaintext writes the same tree, and a GFPEMAP2 map
+    # that decrypts it
     orig = tmp_path / "orig"
     orig.mkdir()
-    (orig / "1.txt").write_text("1,t,116.5,39.9\n1,t,116.25,-39.125\n1,t,-0.125,0.5\n")
+    (orig / "1.txt").write_text(_V1_PLAIN)
+    v2 = tmp_path / "v2.map"
     run(capsys, "encrypt", "--input", str(orig), "--output", str(tmp_path / "enc2"),
-        "--key", key_file, "--map", str(tmp_path / "v2.map"))
+        "--key", key_file, "--map", str(v2))
     assert (tmp_path / "enc2" / "1.txt").read_text() == _V1_ENCRYPTED
-    assert (tmp_path / "v2.map").read_bytes()[:8] == b"GFPEMAP2"
+    assert v2.read_bytes()[:8] == b"GFPEMAP2"
+    assert run(capsys, "decrypt", "--input", str(enc), "--output", str(dec),
+               "--key", key_file, "--map", str(v2))[0] == 0
+    assert (dec / "1.txt").read_text() == _V1_PLAIN
 
 
 @pytest.mark.skipif(
@@ -788,6 +834,25 @@ def test_readme_cli_lines_parse():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
+    """Every command line the benchmark runs is one the parser takes, so a
+    renamed or dropped flag fails here rather than in every pipeline."""
+    bench = SRC.parent / "pipebench"
+    monkeypatch.syspath_prepend(str(bench))
+    for name in ("check", "workloads"):  # run.py imports them by these names
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    spec = importlib.util.spec_from_file_location("pipebench_run", bench / "run.py")
+    bench_run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench_run)  # for its dataclasses
+    spec.loader.exec_module(bench_run)
+    parser = build_parser()
+    for workload in bench_run.WORKLOADS.values():
+        argvs = [argv for _, argv in bench_run.commands(workload, bench_run.Paths(tmp_path))]
+        assert [argv[0] for argv in argvs] == ["encrypt", "decrypt", "eval", "eval", "eval"]
+        for argv in argvs:
+            parser.parse_args(argv)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Mapping store semantics: conflicts, lookups, persistence, concurrency."""
 
+import os
 import random
+import stat
 import struct
 import tempfile
 import threading
@@ -252,25 +254,17 @@ FP = map_fingerprint(bytes(range(16)))
 OTHER_FP = map_fingerprint(bytes(16))
 
 
-def _v1_bytes(sections):
-    """A GFPEMAP1 file laid out by hand: per kind section a count, then
-    (kind, coord_id, enc, orig, d) records, then the CRC32."""
+def _v1_bytes(columns):
+    """A well-formed GFPEMAP1 file of a dict kind -> [(enc, orig, d)], laid
+    out by hand: per kind in KINDS order a count, then (kind, coord_id, enc,
+    orig, d) records, then the CRC32.  Such files are refused."""
     body = b"GFPEMAP1"
-    for records in sections:
-        body += struct.pack("<Q", len(records))
-        for record in records:
-            body += struct.pack("<BQQQB", *record)
+    for code, kind in enumerate(KINDS):
+        entries = columns.get(kind, [])
+        body += struct.pack("<Q", len(entries))
+        for cid, entry in enumerate(entries):
+            body += struct.pack("<BQQQB", code, cid, *entry)
     return body + struct.pack("<I", zlib.crc32(body))
-
-
-def _v1_store_bytes(columns):
-    """_v1_bytes of a dict kind -> [(enc, orig, d)] filled in KINDS order."""
-    return _v1_bytes(
-        [
-            [(code, cid, *entry) for cid, entry in enumerate(columns.get(kind, []))]
-            for code, kind in enumerate(KINDS)
-        ]
-    )
 
 
 def _width_of(values):
@@ -302,11 +296,6 @@ _GOLDEN = {
     "lat_int": [(39, 39, 0), (40, 39, 0), (0, 90, 0)],
     "lat_frac": [(7, 3, 1), (7, 3, 1), (12, 1, 2)],
 }
-
-
-def _golden_bytes():
-    """The GFPEMAP1 golden map, a load fixture."""
-    return _v1_store_bytes(_GOLDEN)
 
 
 # Every width: lon_int 1/1/0, lon_frac 8/8/1 (the largest fraction entry a
@@ -348,7 +337,7 @@ def test_save_matches_hand_built_golden_map(tmp_path):
     path = tmp_path / "store.map"
     store.save(path, FP)
     assert path.read_bytes() == _golden_v2_bytes()
-    assert store.layout == MapLayout(b"GFPEMAP2", _GOLDEN_V2_WIDTHS)
+    assert store.layout == MapLayout(_GOLDEN_V2_WIDTHS)
 
 
 def test_load_reads_hand_built_v2_golden_map(tmp_path):
@@ -356,27 +345,10 @@ def test_load_reads_hand_built_v2_golden_map(tmp_path):
     path.write_bytes(_golden_v2_bytes())
     loaded = MappingStore.load(path, FP)
     assert loaded == _filled(_GOLDEN_V2)
-    assert loaded.layout == MapLayout(b"GFPEMAP2", _GOLDEN_V2_WIDTHS)
-    assert loaded.layout.keyed
+    assert loaded.layout == MapLayout(_GOLDEN_V2_WIDTHS)
     assert _exact(loaded, "lon_frac", 1, 2**64 - 1, 19) == 10**19 - 1
     assert _exact(loaded, "lat_frac", 0, 70000, 5) == 300
     assert loaded.lookup_fuzzy("lon_int", 143, 0) == Ambiguous(2)
-
-
-def test_load_reads_hand_built_golden_map(tmp_path):
-    # GFPEMAP1 stays readable, under any fingerprint: it stores no key
-    path = tmp_path / "golden.map"
-    path.write_bytes(_golden_bytes())
-    for fingerprint in (FP, OTHER_FP):
-        loaded = MappingStore.load(path, fingerprint)
-        assert loaded == _filled(_GOLDEN)
-        assert loaded.layout == MapLayout(b"GFPEMAP1", {k: (8, 8, 1) for k in KINDS})
-        assert not loaded.layout.keyed
-    assert _exact(loaded, "lon_frac", 1, 2**64 - 1, 19) == 10**19 - 1
-    assert loaded.lookup_fuzzy("lon_int", 143, 0) == Ambiguous(2)
-    # and it saves as GFPEMAP2
-    loaded.save(tmp_path / "again.map", FP)
-    assert (tmp_path / "again.map").read_bytes() == _v2_bytes(_GOLDEN)
 
 
 @pytest.mark.parametrize(
@@ -410,7 +382,7 @@ def test_save_load_save_round_trip(columns, chunk):
     with tempfile.TemporaryDirectory() as tmp:
         path, again = Path(tmp) / "store.map", Path(tmp) / "again.map"
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mapstore, "_CHUNK_RECORDS", chunk)
+            mp.setattr(mapstore, "_SLICE", chunk)
             store.save(path, FP)
             loaded = MappingStore.load(path, FP)
             loaded.save(again, FP)
@@ -483,35 +455,6 @@ def test_save_rejects_a_malformed_fingerprint(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize(
-    "ids", [[1, 2, 3], [0, 2, 3], [0, 1, 1], [1, 0, 2], [0, 1, 2**64 - 1]]
-)
-def test_load_rejects_non_dense_ids(tmp_path, ids):
-    sections = [[] for _ in KINDS]
-    sections[2] = [(2, cid, 5, 6, 0) for cid in ids]
-    path = tmp_path / "sparse.map"
-    path.write_bytes(_v1_bytes(sections))
-    with pytest.raises(MapFormatError, match="lat_int coordinate ids are not 0..2"):
-        MappingStore.load(path, FP)
-
-
-def test_load_rejects_foreign_kind_code(tmp_path):
-    sections = [[(code, 0, 5, 6, 0)] for code in range(4)]
-    sections[1] = [(1, 0, 5, 6, 0), (9, 1, 5, 6, 0)]
-    path = tmp_path / "foreign.map"
-    path.write_bytes(_v1_bytes(sections))
-    with pytest.raises(MapFormatError, match="record kind 9 in lon_frac section"):
-        MappingStore.load(path, FP)
-
-
-def test_load_rejects_trailing_bytes(tmp_path):
-    body = _golden_bytes()[:-4] + b"\0"
-    path = tmp_path / "trailing.map"
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-    with pytest.raises(MapFormatError, match="1 trailing bytes"):
-        MappingStore.load(path, FP)
-
-
 def test_save_load_round_trip_large(tmp_path):
     store = MappingStore()
     rng = random.Random(31)
@@ -568,7 +511,7 @@ def test_failed_save_keeps_the_earlier_map(tmp_path, monkeypatch):
 
 
 def test_failed_save_after_several_chunks_keeps_the_earlier_map(tmp_path, monkeypatch):
-    monkeypatch.setattr(mapstore, "_CHUNK_RECORDS", 2)
+    monkeypatch.setattr(mapstore, "_SLICE", 2)
     path = tmp_path / "store.map"
     earlier = _filled(_GOLDEN)
     earlier.save(path, FP)
@@ -622,7 +565,7 @@ def _chunked_columns(n):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
 def test_chunked_round_trip_at_chunk_boundaries(tmp_path, monkeypatch, n):
     # with 2-value slices: 0, 1 (also chunk - 1), chunk, chunk + 1, 2 * chunk + 1
-    monkeypatch.setattr(mapstore, "_CHUNK_RECORDS", 2)
+    monkeypatch.setattr(mapstore, "_SLICE", 2)
     store = _filled(_chunked_columns(n))
     path = tmp_path / "store.map"
     store.save(path, FP)
@@ -631,78 +574,26 @@ def test_chunked_round_trip_at_chunk_boundaries(tmp_path, monkeypatch, n):
     assert loaded == store
     loaded.save(tmp_path / "again.map", FP)
     assert (tmp_path / "again.map").read_bytes() == path.read_bytes()
-    # GFPEMAP1 records 2 at a time
-    (tmp_path / "v1.map").write_bytes(_v1_store_bytes(_chunked_columns(n)))
-    assert MappingStore.load(tmp_path / "v1.map", FP) == store
-
-
-def _five_record_sections(code_at=None, id_at=None):
-    """Five GFPEMAP1 records per kind; one lat_int record may carry a
-    foreign kind code 9 or a repeated id."""
-    sections = [[(code, cid, 5, 6, 0) for cid in range(5)] for code in range(4)]
-    if code_at is not None:
-        sections[2][code_at] = (9, code_at, 5, 6, 0)
-    if id_at is not None:
-        sections[2][id_at] = (2, id_at - 1, 5, 6, 0)
-    return sections
-
-
-@pytest.mark.parametrize(
-    "sections, message",
-    [
-        (_five_record_sections(id_at=4), "lat_int coordinate ids are not 0..4 in order"),
-        (_five_record_sections(code_at=3), "record kind 9 in lat_int section"),
-        # a foreign code in a later chunk wins over an id gap in an earlier
-        # one, as when the whole section was checked at once
-        (_five_record_sections(code_at=4, id_at=1), "record kind 9 in lat_int section"),
-    ],
-)
-def test_chunked_load_reports_errors_in_later_chunks(tmp_path, monkeypatch, sections, message):
-    monkeypatch.setattr(mapstore, "_CHUNK_RECORDS", 2)
-    path = tmp_path / "bad.map"
-    path.write_bytes(_v1_bytes(sections))
-    with pytest.raises(MapFormatError, match=message):
-        MappingStore.load(path, FP)
 
 
 def test_chunked_load_detects_corruption_and_truncation(tmp_path, monkeypatch):
-    monkeypatch.setattr(mapstore, "_CHUNK_RECORDS", 2)
+    monkeypatch.setattr(mapstore, "_SLICE", 2)
     path = tmp_path / "store.map"
     _filled(_chunked_columns(5)).save(path, FP)
-    v2 = path.read_bytes()
-    v1 = _v1_store_bytes(_chunked_columns(5))
-    # lon_int: header at 24, 5 one-byte enc values, then 8-byte originals
+    data = path.read_bytes()
+    # lon_int: header at 24, 5 one-byte enc values, then 8-byte originals;
+    # flip a byte of the second original, in the first slice
     orig_at = 8 + 16 + 11 + 5
-    for data, flip, cuts in (
-        # a byte of the second original, in the first slice; mid-slice in
-        # lon_int, and in the lat_frac d column
-        (v2, orig_at + 8 + 3, (orig_at + 3 * 8 + 3, len(v2) - 4 - 3)),
-        # a byte of the second record, in the first chunk; mid-chunk in
-        # lon_int, and in lat_frac
-        (v1, 8 + 8 + 26 + 3, (8 + 8 + 3 * 26 + 13, len(v1) - 4 - 13)),
-    ):
-        flipped = bytearray(data)
-        flipped[flip] ^= 0x01
-        path.write_bytes(flipped)
-        with pytest.raises(MapFormatError, match="checksum"):
+    flipped = bytearray(data)
+    flipped[orig_at + 8 + 3] ^= 0x01
+    path.write_bytes(flipped)
+    with pytest.raises(MapFormatError, match="checksum"):
+        MappingStore.load(path, FP)
+    # cut mid-slice in lon_int, and in the lat_frac d column
+    for cut in (orig_at + 3 * 8 + 3, len(data) - 4 - 3):
+        path.write_bytes(data[:cut])
+        with pytest.raises(MapFormatError):
             MappingStore.load(path, FP)
-        for cut in cuts:
-            path.write_bytes(data[:cut])
-            with pytest.raises(MapFormatError):
-                MappingStore.load(path, FP)
-
-
-def _v1_file_of(store, path):
-    """Write ``store`` as GFPEMAP1 through numpy record arrays."""
-    with open(path, "wb") as fh:
-        body = b"GFPEMAP1"
-        for code, kind in enumerate(KINDS):
-            enc, orig, d = (np.asarray(col) for col in store._cols[kind])
-            records = np.empty(len(enc), dtype=mapstore._RECORD)
-            records["kind"], records["coord_id"] = code, np.arange(len(enc))
-            records["enc"], records["orig"], records["d"] = enc, orig, d
-            body += struct.pack("<Q", len(enc)) + records.tobytes()
-        fh.write(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def test_save_and_load_hold_the_columns_plus_a_few_chunks(tmp_path):
@@ -717,30 +608,25 @@ def test_save_and_load_hold_the_columns_plus_a_few_chunks(tmp_path):
             rng.integers(0, 20, n, dtype=np.uint8),
         )
     columns = 4 * n * (8 + 8 + 1)
-    chunks = 4 * mapstore._CHUNK_RECORDS * mapstore._RECORD.itemsize
-    path, v1_path = tmp_path / "store.map", tmp_path / "v1.map"
-    _v1_file_of(store, v1_path)
+    slices = 4 * mapstore._SLICE * 8
+    path = tmp_path / "store.map"
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         store.save(path, FP)
         saved_peak = tracemalloc.get_traced_memory()[1] - base
-        loaded_peaks = []
-        for source in (path, v1_path):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            loaded = MappingStore.load(source, FP)
-            loaded_peaks.append(tracemalloc.get_traced_memory()[1] - base)
-            assert loaded == store
-            del loaded
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = MappingStore.load(path, FP)
+        loaded_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # 8-byte enc and orig, 1-byte d: 3.4 MB, 4x a GFPEMAP1 chunk
+    assert loaded == store
+    # 8-byte enc and orig, 1-byte d: 3.4 MB, against 1 MB of 8-byte slices
     assert path.stat().st_size == 8 + 16 + 4 * (11 + n * 17) + 4
-    assert v1_path.stat().st_size == 8 + 4 * (8 + n * 26) + 4
-    assert saved_peak < chunks
-    assert max(loaded_peaks) < columns + chunks
+    assert saved_peak < slices
+    assert loaded_peak < columns + slices
 
 
 def test_save_load_empty(tmp_path):
@@ -752,6 +638,24 @@ def test_save_load_empty(tmp_path):
     loaded = MappingStore.load(path, FP)
     assert loaded == store
     assert loaded.conflict_rate("lon_int") == 0
+
+
+def test_save_creates_the_map_with_mode_0600(tmp_path):
+    path = tmp_path / "store.map"
+    # a stale .tmp of a killed run, readable by all, and an earlier map
+    stale = tmp_path / "store.map.tmp"
+    stale.write_bytes(b"stale")
+    stale.chmod(0o644)
+    path.write_bytes(b"earlier")
+    path.chmod(0o644)
+    umask = os.umask(0o022)
+    try:
+        _filled(_GOLDEN_V2).save(path, FP)
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert path.read_bytes() == _golden_v2_bytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["store.map"]
 
 
 @pytest.mark.parametrize("offset", [-1, -5, -29, -38])
@@ -780,20 +684,22 @@ def test_load_detects_truncation(tmp_path):
         MappingStore.load(path, FP)
 
 
-def test_load_detects_truncated_section(tmp_path):
-    # a valid checksum over a section shorter than its count
-    body = _golden_bytes()[:-4 - 26]
-    path = tmp_path / "short.map"
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-    with pytest.raises(MapFormatError, match="truncated"):
-        MappingStore.load(path, FP)
-
-
-def test_load_rejects_wrong_magic(tmp_path):
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"NOTAMAP0" + bytes(64), r"bad magic b'NOTAMAP0', expected b'GFPEMAP2'$"),
+        # a well-formed GFPEMAP1 map holds no key, so any key is refused
+        (_v1_bytes(_GOLDEN), r"GFPEMAP1 maps are no longer read: they hold no key "
+         r"fingerprint; re-encrypt the plaintext to write a GFPEMAP2 map$"),
+    ],
+    ids=["foreign", "GFPEMAP1"],
+)
+def test_load_rejects_wrong_magic(tmp_path, data, message):
     path = tmp_path / "bogus.map"
-    path.write_bytes(b"NOTAMAP0" + bytes(64))
-    with pytest.raises(MapFormatError, match="magic"):
-        MappingStore.load(path, FP)
+    path.write_bytes(data)
+    for fingerprint in (FP, OTHER_FP):
+        with pytest.raises(MapFormatError, match=message):
+            MappingStore.load(path, fingerprint)
 
 
 def test_save_is_canonical_regardless_of_insert_order(tmp_path):
