@@ -77,6 +77,19 @@ def test_keygen_creates_the_key_with_mode_0600(tmp_path, capsys, umask_022, name
     assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
+def test_keygen_does_not_write_through_a_stale_tmp_symlink(tmp_path, capsys):
+    victim = tmp_path / "victim"
+    victim.write_bytes(b"victim")
+    out = tmp_path / "k.key"
+    (tmp_path / "k.key.tmp").symlink_to(victim)
+    assert run(capsys, "keygen", str(out))[0] == 0
+    assert victim.read_bytes() == b"victim"
+    assert not out.is_symlink()
+    assert _mode(out) == 0o600
+    assert len(out.read_bytes()) == 16
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.key", "victim"]
+
+
 def test_failed_keygen_rewrite_keeps_the_earlier_key(tmp_path, capsys, monkeypatch):
     out = tmp_path / "k.key"
     assert run(capsys, "keygen", str(out))[0] == 0

@@ -440,6 +440,8 @@ def _with_crc(body):
         (_with_crc(b"GFPEMAP2" + FP[:15]), "truncated"),
         (_with_crc(b"GFPEMAP2" + FP + bytes(10)), "truncated"),
         (_golden_v2_bytes()[:-1], "checksum"),
+        # shorter than a magic and a CRC
+        (b"GFPEMAP2", "truncated"),
     ],
 )
 def test_load_rejects_malformed_v2(tmp_path, data, message):
@@ -576,6 +578,36 @@ def test_chunked_round_trip_at_chunk_boundaries(tmp_path, monkeypatch, n):
     assert (tmp_path / "again.map").read_bytes() == path.read_bytes()
 
 
+_FIVE = _v2_bytes(_chunked_columns(5))
+
+
+def _flipped(data, at):
+    data = bytearray(data)
+    data[at] ^= 0x01
+    return bytes(data)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # a byte of the lat_frac d column, in the last, partial CRC buffer
+        (_flipped(_FIVE, len(_FIVE) - 4 - 2), "checksum"),
+        # each error follows earlier sections read 2 values at a time
+        (_v2_bytes(_chunked_columns(5), widths={"lat_frac": (3, 8, 1)}),
+         "lat_frac enc width 3 is not one of 0, 1, 2, 4, 8"),
+        (_cut_section(_chunked_columns(5), "lat_frac", 1), "truncated"),
+        (_with_crc(_FIVE[:-4] + b"\0\0"), "2 trailing bytes"),
+    ],
+    ids=["checksum", "width", "truncated", "trailing"],
+)
+def test_chunked_load_reports_errors_in_later_chunks(tmp_path, monkeypatch, data, message):
+    monkeypatch.setattr(mapstore, "_SLICE", 2)
+    path = tmp_path / "bad.map"
+    path.write_bytes(data)
+    with pytest.raises(MapFormatError, match=message):
+        MappingStore.load(path, FP)
+
+
 def test_chunked_load_detects_corruption_and_truncation(tmp_path, monkeypatch):
     monkeypatch.setattr(mapstore, "_SLICE", 2)
     path = tmp_path / "store.map"
@@ -656,6 +688,20 @@ def test_save_creates_the_map_with_mode_0600(tmp_path):
     assert stat.S_IMODE(path.stat().st_mode) == 0o600
     assert path.read_bytes() == _golden_v2_bytes()
     assert [p.name for p in tmp_path.iterdir()] == ["store.map"]
+
+
+def test_save_does_not_write_through_a_stale_tmp_symlink(tmp_path):
+    # a .tmp left as a symlink must not let a save write into its target
+    victim = tmp_path / "victim"
+    victim.write_bytes(b"victim")
+    path = tmp_path / "store.map"
+    (tmp_path / "store.map.tmp").symlink_to(victim)
+    _filled(_GOLDEN_V2).save(path, FP)
+    assert victim.read_bytes() == b"victim"
+    assert not path.is_symlink()
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert path.read_bytes() == _golden_v2_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["store.map", "victim"]
 
 
 @pytest.mark.parametrize("offset", [-1, -5, -29, -38])
