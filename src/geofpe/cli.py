@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import logging
 import os
@@ -20,7 +19,6 @@ from pathlib import Path
 from .cipher import BACKEND, KINDS, CoordinateCipher, map_fingerprint
 from .dataset import (
     SynthConfig,
-    _write_text,
     decrypt_dataset,
     encrypt_dataset,
     generate_synthetic,
@@ -28,7 +26,7 @@ from .dataset import (
     load_points_auto,
     stratified_sample,
 )
-from .mapstore import MappingStore, private_opener
+from .mapstore import MappingStore, replacing
 from . import metrics
 
 log = logging.getLogger("geofpe.cli")
@@ -87,20 +85,21 @@ def _say(text: str) -> None:
     try:
         print(text, flush=True)
     except BrokenPipeError:
-        with open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _write_json(path: Path, payload) -> None:
-    _write_text(path, [json.dumps(payload, indent=2, sort_keys=True), "\n"])
+    with replacing(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_text(path, [text.getvalue()])
+    with replacing(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -114,15 +113,8 @@ def cmd_keygen(args) -> int:
         return 1
     key = os.urandom(16)
     data = f"{key.hex()}\n".encode("ascii") if out.suffix == ".hex" else key
-    # via <key>.tmp at mode 0600: a failed rewrite leaves the earlier key
-    tmp = out.with_name(f"{out.name}.tmp")
-    try:
-        with open(tmp, "wb", opener=private_opener) as fh:
-            fh.write(data)
-        os.replace(tmp, out)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replacing(out, binary=True, perms=0o600) as fh:
+        fh.write(data)
     _say(f"wrote key to {out}")
     return 0
 

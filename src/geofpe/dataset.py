@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import datetime
 import logging
-import os
 import random
 import re
 import time
@@ -29,7 +28,7 @@ from .coords import (
     decompose,
     validate_point,
 )
-from .mapstore import MappingStore
+from .mapstore import MappingStore, replacing
 from .ranges import POW10
 
 log = logging.getLogger("geofpe.dataset")
@@ -199,18 +198,6 @@ def _dataset_files(input_dir: Path) -> list[Path]:
     )
 
 
-def _write_text(path: Path, lines) -> None:
-    """Write lines via <path>.tmp: a failed write leaves the earlier file."""
-    tmp = path.with_name(f"{path.name}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(lines)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _sidecar(out_path: Path) -> Path:
     return out_path.with_name(f"{out_path.name}.errors")
 
@@ -218,8 +205,8 @@ def _sidecar(out_path: Path) -> Path:
 def _write_sidecar(out_path: Path, errors) -> None:
     """Write the .errors sidecar of out_path; a clean file removes a stale one."""
     if errors:
-        lines = [f"{line_no}: {reason}\n" for line_no, reason in errors]
-        _write_text(_sidecar(out_path), lines)
+        with replacing(_sidecar(out_path)) as fh:
+            fh.writelines(f"{line_no}: {reason}\n" for line_no, reason in errors)
     else:
         _sidecar(out_path).unlink(missing_ok=True)
 
@@ -280,10 +267,9 @@ def encrypt_dataset(
                     _decimal_texts(lat_s, enc[2], enc[3], lat_d), ends)
         try:
             _write_sidecar(out_path, scan.errors)
-            _write_text(out_path, [
-                f"{cid},{head},{lon},{lat}{end}"
-                for cid, (head, lon, lat, end) in enumerate(texts, start)
-            ])
+            with replacing(out_path) as fh:
+                fh.writelines(f"{cid},{head},{lon},{lat}{end}"
+                              for cid, (head, lon, lat, end) in enumerate(texts, start))
         except OSError as exc:
             _encrypt_failed(stats, out_path, exc)
             continue
@@ -348,7 +334,8 @@ def decrypt_dataset(enc_dir, out_dir, store: MappingStore) -> DecryptStats:
         out_path = out_dir / path.name
         try:
             _write_sidecar(out_path, errors)
-            _write_text(out_path, lines)
+            with replacing(out_path) as fh:
+                fh.writelines(lines)
         except OSError as exc:
             stats.failed_files.append(f"{path.name}: {exc}")
             continue
@@ -520,7 +507,7 @@ def generate_synthetic(cfg: SynthConfig, out_dir) -> int:
     total = 0
     for vid in range(1, cfg.n_vehicles + 1):
         track = _vehicle_track(cfg, vid)
-        with open(out_dir / f"{vid}.txt", "w", encoding="utf-8") as fh:
+        with replacing(out_dir / f"{vid}.txt") as fh:
             for i, (lon, lat) in enumerate(track):
                 stamp = (start + datetime.timedelta(seconds=15 * i)).strftime(
                     "%Y-%m-%d %H:%M:%S"

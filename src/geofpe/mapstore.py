@@ -19,6 +19,7 @@ import struct
 import threading
 import zlib
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -136,13 +137,30 @@ def _read_columns(fh, raw: np.ndarray, end: int, path, fingerprint: bytes):
     return columns, widths
 
 
-def private_opener(path, flags: int) -> int:
-    """An ``open`` opener that creates ``path`` with mode 0600.  A file left
-    there, such as a stale ``.tmp``, is removed first, so neither its mode
-    nor, for a symlink, its target carries over."""
-    if os.path.lexists(path):
-        os.unlink(path)
-    return os.open(path, flags | os.O_EXCL, 0o600)
+@contextmanager
+def replacing(path, *, binary: bool = False, perms: int = 0o666):
+    """Open a new ``<path>.tmp`` for writing, UTF-8 text with newlines kept
+    as written unless ``binary``, and ``os.replace`` it onto ``path`` when
+    the block ends; on any exception it is removed, so an earlier file at
+    ``path`` is left as it was.  Whatever is at ``<path>.tmp`` beforehand, a
+    stale file or a symlink, is removed first, and the file is created with
+    ``O_EXCL`` and mode ``perms`` less the umask, so neither its mode nor a
+    symlink's target carries over.  Every file geofpe writes goes through
+    here."""
+    tmp = f"{os.fspath(path)}.tmp"
+    if os.path.lexists(tmp):
+        os.unlink(tmp)
+    fh = open(tmp, "xb" if binary else "x", encoding=None if binary else "utf-8",
+              newline=None if binary else "",
+              opener=lambda name, flags: os.open(name, flags, perms))
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.lexists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 class MappingStore:
@@ -244,40 +262,33 @@ class MappingStore:
         order, trailed by a CRC32 of everything before it.
 
         Each column streams out ``_SLICE`` values at a time under a
-        running CRC, so a save holds the columns plus one slice.  The bytes
-        go to a sibling ``<path>.tmp``, created with mode 0600, that then
-        replaces ``path``, so a failed save leaves any earlier map at
-        ``path`` untouched."""
+        running CRC, so a save holds the columns plus one slice.  The map is
+        written through ``replacing`` with mode 0600 and fsynced before it
+        replaces ``path``, so a failed save leaves any earlier map there
+        untouched."""
         fingerprint = bytes(fingerprint)
         if len(fingerprint) != _FINGERPRINT_SIZE:
             raise ValueError(f"map fingerprint must be {_FINGERPRINT_SIZE} bytes")
-        tmp = f"{os.fspath(path)}.tmp"
         widths = {}
-        try:
-            with open(tmp, "wb", opener=private_opener) as fh, self._lock:
-                crc = 0
+        with replacing(path, binary=True, perms=0o600) as fh, self._lock:
+            crc = 0
 
-                def write(data) -> None:
-                    nonlocal crc
-                    fh.write(data)
-                    crc = zlib.crc32(data, crc)
+            def write(data) -> None:
+                nonlocal crc
+                fh.write(data)
+                crc = zlib.crc32(data, crc)
 
-                write(_MAGIC + fingerprint)
-                for kind in KINDS:
-                    cols = [_view(col) for col in self._cols[kind]]
-                    widths[kind] = kind_widths = tuple(_width(col) for col in cols)
-                    write(_HEADER.pack(len(cols[0]), *kind_widths))
-                    for col, w in zip(cols, kind_widths):
-                        for lo in range(0, len(col) if w else 0, _SLICE):
-                            write(col[lo : lo + _SLICE].astype(f"<u{w}"))
-                fh.write(struct.pack("<I", crc))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+            write(_MAGIC + fingerprint)
+            for kind in KINDS:
+                cols = [_view(col) for col in self._cols[kind]]
+                widths[kind] = kind_widths = tuple(_width(col) for col in cols)
+                write(_HEADER.pack(len(cols[0]), *kind_widths))
+                for col, w in zip(cols, kind_widths):
+                    for lo in range(0, len(col) if w else 0, _SLICE):
+                        write(col[lo : lo + _SLICE].astype(f"<u{w}"))
+            fh.write(struct.pack("<I", crc))
+            fh.flush()
+            os.fsync(fh.fileno())
         self.layout = MapLayout(widths)
 
     @classmethod

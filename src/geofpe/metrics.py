@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import scan_lines
+from .dataset import _dataset_files, scan_lines
 
 log = logging.getLogger("geofpe.metrics")
 
@@ -480,12 +480,10 @@ def accuracy(orig_dir, dec_dir) -> dict:
     including those decrypt could not restore; files correspond by name, and
     a missing counterpart counts as fully mismatched.  A file that cannot be
     read or decoded counts as empty, and its pair gets an ``error`` that
-    starts with UNREADABLE.
+    starts with UNREADABLE.  A missing directory raises OSError.
     """
     orig_dir, dec_dir = Path(orig_dir), Path(dec_dir)
-    names = sorted(
-        {p.name for p in orig_dir.glob("*.txt")} | {p.name for p in dec_dir.glob("*.txt")}
-    )
+    names = sorted({p.name for d in (orig_dir, dec_dir) for p in _dataset_files(d)})
     per_file = []
     total = matched_total = fully_matched = 0
     for name in names:

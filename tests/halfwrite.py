@@ -33,7 +33,7 @@ def open_failing_on(target: Path, real_open=open):
     def failing_open(file, mode="r", *args, **kwargs):
         fh = real_open(file, mode, *args, **kwargs)
         name = Path(file).name.removesuffix(".tmp")
-        if "w" in mode and Path(file).parent / name == target:
+        if set(mode) & set("wax+") and Path(file).parent / name == target:
             return HalfWrite(fh)
         return fh
 

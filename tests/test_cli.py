@@ -77,19 +77,6 @@ def test_keygen_creates_the_key_with_mode_0600(tmp_path, capsys, umask_022, name
     assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
-def test_keygen_does_not_write_through_a_stale_tmp_symlink(tmp_path, capsys):
-    victim = tmp_path / "victim"
-    victim.write_bytes(b"victim")
-    out = tmp_path / "k.key"
-    (tmp_path / "k.key.tmp").symlink_to(victim)
-    assert run(capsys, "keygen", str(out))[0] == 0
-    assert victim.read_bytes() == b"victim"
-    assert not out.is_symlink()
-    assert _mode(out) == 0o600
-    assert len(out.read_bytes()) == 16
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.key", "victim"]
-
-
 def test_failed_keygen_rewrite_keeps_the_earlier_key(tmp_path, capsys, monkeypatch):
     out = tmp_path / "k.key"
     assert run(capsys, "keygen", str(out))[0] == 0
@@ -748,6 +735,51 @@ def test_failed_report_write_keeps_the_earlier_report(
     assert code == 1
     assert "No space left" in err
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+# every file the pipeline below writes; the key and the map are private
+_OUTPUTS = ["k.key", "orig/1.txt", "enc/1.txt", "enc/2.txt.errors", "m.map", "dec/1.txt",
+            *(f"rep/{report}" for report in _REPORTS)]
+
+
+@pytest.mark.parametrize("output", _OUTPUTS)
+def test_no_output_is_written_through_a_stale_tmp_symlink(tmp_path, capsys, umask_022, output):
+    victim = tmp_path / "victim"
+    victim.write_bytes(b"victim")
+    target = tmp_path / output
+    target.parent.mkdir(exist_ok=True)
+    target.with_name(f"{target.name}.tmp").symlink_to(victim)
+
+    key, mp = str(tmp_path / "k.key"), str(tmp_path / "m.map")
+    trees = {name: str(tmp_path / name) for name in ("orig", "enc", "dec")}
+    assert run(capsys, "keygen", key)[0] == 0
+    _synth(capsys, tmp_path)
+    with open(tmp_path / "orig" / "2.txt", "a") as fh:
+        fh.write("2,t,bad,39.9\n")  # gives enc/2.txt a sidecar
+    for command, src, dst in (("encrypt", "orig", "enc"), ("decrypt", "enc", "dec")):
+        assert run(capsys, command, "--input", trees[src], "--output", trees[dst],
+                   "--key", key, "--map", mp)[0] == 0
+    for protocol, *inputs in dict.fromkeys(_REPORTS.values()):
+        argv = [arg for name in inputs for arg in (f"--{name}", trees[name])]
+        assert run(capsys, "eval", protocol, "--out", str(tmp_path / "rep"), *argv)[0] == 0
+
+    assert victim.read_bytes() == b"victim"
+    assert target.is_file() and not target.is_symlink()
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert {name: _mode(tmp_path / name) for name in _OUTPUTS} == {
+        name: 0o600 if name in ("k.key", "m.map") else 0o644 for name in _OUTPUTS
+    }
+
+
+def test_eval_accuracy_rejects_a_missing_directory(tmp_path, capsys):
+    orig = _synth(capsys, tmp_path)
+    for trees in ((tmp_path / "nope", orig), (orig, tmp_path / "nope")):
+        code, out, err = run(capsys, "eval", "accuracy", "--orig", str(trees[0]),
+                             "--dec", str(trees[1]), "--out", str(tmp_path / "rep"))
+        assert code == 1
+        assert out == ""
+        assert "No such file or directory" in err and "nope" in err
+    assert not (tmp_path / "rep").exists()
 
 
 def _rdr_trees(tmp_path, bad_line):

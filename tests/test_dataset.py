@@ -640,7 +640,7 @@ def test_failed_write_keeps_the_earlier_output(tmp_path, monkeypatch, failing):
     assert target in before
 
     (src / "1.txt").write_text("1,t,1.5,2.5\n1,t,1.5\n1,t,3.25,4.75\n1,t,999,0\n")
-    monkeypatch.setattr(dataset, "open", open_failing_on(target), raising=False)
+    monkeypatch.setattr(mapstore, "open", open_failing_on(target), raising=False)
     enc_dir, dec_dir, store, enc_stats, dec_stats = _round_trip(tmp_path, src)
     if failing.startswith("enc"):
         # the earlier 1.txt carries ids the new map gives to 2.txt: removed
