@@ -137,8 +137,8 @@ def cmd_encrypt(args) -> int:
     saving = time.perf_counter()
     store.save(args.map, map_fingerprint(key))
     log.debug(
-        "save map %s: %s; %d coordinate ids, %d bytes in %.3fs",
-        args.map, store.layout, store.entry_count("lon_int"),
+        "save map %s: %s; %d coordinate ids, %d column bytes held, %d bytes in %.3fs",
+        args.map, store.layout, store.entry_count("lon_int"), store.column_bytes(),
         os.path.getsize(args.map), time.perf_counter() - saving,
     )
     elapsed = time.perf_counter() - started
@@ -159,8 +159,8 @@ def cmd_decrypt(args) -> int:
     started = time.perf_counter()
     store = MappingStore.load(args.map, map_fingerprint(key))
     log.debug(
-        "load map %s: %s; %d coordinate ids, %d bytes in %.3fs",
-        args.map, store.layout, store.entry_count("lon_int"),
+        "load map %s: %s; %d coordinate ids, %d column bytes held, %d bytes in %.3fs",
+        args.map, store.layout, store.entry_count("lon_int"), store.column_bytes(),
         os.path.getsize(args.map), time.perf_counter() - started,
     )
     started = time.perf_counter()

@@ -198,6 +198,19 @@ def _dataset_files(input_dir: Path) -> list[Path]:
     )
 
 
+def _refuse_strays(out_dir: Path, names: set[str]) -> None:
+    """Raise ValueError, before anything is written, when ``out_dir`` holds a
+    ``.txt`` file whose name is not in ``names``, the files the run writes:
+    a reused directory would keep outputs the run does not cover."""
+    if out_dir.is_dir():
+        stray = [p.name for p in _dataset_files(out_dir) if p.name not in names]
+        if stray:
+            raise ValueError(
+                f"{out_dir} holds .txt files that this run would not write: "
+                f"{', '.join(stray)}; use an empty output directory"
+            )
+
+
 def _sidecar(out_path: Path) -> Path:
     return out_path.with_name(f"{out_path.name}.errors")
 
@@ -239,13 +252,15 @@ def encrypt_dataset(
     gets no ids and leaves no output (an earlier run's output at its path is
     removed); the other files are still encrypted.  A file's rows go into the
     store only once its output is written, so the store always matches the
-    output tree.
+    output tree.  An ``out_dir`` holding a ``.txt`` file that no input names
+    is refused with ValueError before anything is written.
     """
     started = time.perf_counter()
     counted = astuple(cipher.counts)
     input_dir, out_dir = Path(input_dir), Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     files = _dataset_files(input_dir)
+    _refuse_strays(out_dir, {path.name for path in files})
+    out_dir.mkdir(parents=True, exist_ok=True)
     stats = EncryptStats(files=len(files))
 
     for path in files:
@@ -500,8 +515,10 @@ def _vehicle_track(cfg: SynthConfig, vid: int) -> list[tuple[float, float]]:
 def generate_synthetic(cfg: SynthConfig, out_dir) -> int:
     """Write cfg.n_vehicles trajectory files of Gaussian hotspot dwells joined
     by jittered drive segments; deterministic for a fixed seed.  Returns the
-    total number of points written."""
+    total number of points written.  An ``out_dir`` that holds other ``.txt``
+    files is refused with ValueError, and nothing is written."""
     out_dir = Path(out_dir)
+    _refuse_strays(out_dir, {f"{vid}.txt" for vid in range(1, cfg.n_vehicles + 1)})
     out_dir.mkdir(parents=True, exist_ok=True)
     start = datetime.datetime(2008, 2, 2, 13, 30, 0)
     total = 0

@@ -18,7 +18,6 @@ import os
 import struct
 import threading
 import zlib
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,8 +32,8 @@ _FINGERPRINT_SIZE = 16
 _HEADER = struct.Struct("<Q3B")
 _WIDTHS = (0, 1, 2, 4, 8)
 _FIELDS = ("enc", "orig", "d")
-# values per column slice of a save or a load; a load reads through one
-# buffer of a slice of 8-byte values (256 KB)
+# values per column slice of a save, and per buffer of the load's checksum
+# pass, which reads a slice of 8-byte values (256 KB) at a time
 _SLICE = 32768
 
 
@@ -57,11 +56,16 @@ class MapLayout:
         return f"{_MAGIC.decode()}, enc/orig/d bytes {widths}"
 
 
+def _bits(col: np.ndarray) -> int:
+    """The bit length of the column's largest value."""
+    return int(col.max()).bit_length() if col.size else 0
+
+
 def _width(col: np.ndarray) -> int:
     """The byte width GFPEMAP2 stores a column in: 0 when every value is 0,
     else the narrowest of 1, 2, 4 and 8 bytes that holds the largest."""
-    top = int(col.max()) if col.size else 0
-    return next(w for w in _WIDTHS if top < 1 << 8 * w)
+    bits = _bits(col)
+    return next(w for w in _WIDTHS if bits <= 8 * w)
 
 
 @dataclass(frozen=True)
@@ -71,25 +75,75 @@ class Ambiguous:
     candidates: int
 
 
-def _view(col: array) -> np.ndarray:
-    """Zero-copy numpy view of an array column."""
-    return np.frombuffer(col, dtype=col.typecode)
+def _zeros(n: int) -> np.ndarray:
+    """A width-0 column of n zeros: a read-only broadcast that holds no bytes."""
+    return np.broadcast_to(np.uint8(0), (n,))
 
 
-def _distinct_entries(enc_col: array, orig_col: array, d_col: array):
-    """The distinct (enc, orig, d) entries of one kind, sorted by enc, orig
-    then d, with the kind's conflict count and conflict rate.  Conflicts are
-    counted over (enc, orig) pairs, whatever their digit counts."""
-    enc, orig, d = _view(enc_col), _view(orig_col), _view(d_col)
-    order = np.lexsort((d, orig, enc))
-    enc, orig, d = enc[order], orig[order], d[order]
-    new_enc = np.r_[True, enc[1:] != enc[:-1]][: enc.size]
-    new_pair = new_enc | np.r_[True, orig[1:] != orig[:-1]][: enc.size]
-    new_entry = new_pair | np.r_[True, d[1:] != d[:-1]][: enc.size]
+def _held(col: np.ndarray) -> int:
+    """The bytes a column holds in memory; a ``_zeros`` column holds none."""
+    return col.nbytes if col.strides[0] else 0
+
+
+def _narrow(values) -> np.ndarray:
+    """A copy of the uint64 values at their GFPEMAP2 width (see ``_width``)."""
+    col = np.asarray(values, dtype=np.uint64)
+    w = _width(col)
+    return col.astype(f"u{w}") if w else _zeros(col.size)
+
+
+def _join(parts: list) -> np.ndarray:
+    """One column of the chunks ``parts``, possibly none, at the widest
+    chunk's width."""
+    if len(parts) == 1:
+        return parts[0]
+    if not any(map(_held, parts)):
+        return _zeros(sum(map(len, parts)))
+    return np.concatenate(parts)
+
+
+def _starts(col: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of a sorted column starts."""
+    starts = np.empty(col.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(col[1:], col[:-1], out=starts[1:])
+    return starts
+
+
+def _distinct_triples(enc: np.ndarray, orig: np.ndarray, d: np.ndarray):
+    """The distinct (enc, orig, d) entries, sorted by enc, orig then d, each
+    at its column's dtype.  When the three fit side by side in 64 bits, as
+    fractions of up to 9 digits do, they are sorted in place as one packed
+    key, in about half the memory of a lexsort's index arrays."""
+    orig_bits, d_bits = _bits(orig), _bits(d)
+    if _bits(enc) + orig_bits + d_bits > 64:
+        order = np.lexsort((d, orig, enc))
+        enc, orig, d = enc[order], orig[order], d[order]
+        new = _starts(enc) | _starts(orig) | _starts(d)
+        return enc[new], orig[new], d[new]
+    key = enc.astype(np.uint64)
+    for col, bits in ((orig, orig_bits), (d, d_bits)):
+        key <<= bits
+        key |= col
+    key.sort()
+    key = key[_starts(key)]
+    return ((key >> orig_bits + d_bits).astype(enc.dtype),
+            (key >> d_bits & (1 << orig_bits) - 1).astype(orig.dtype),
+            (key & (1 << d_bits) - 1).astype(d.dtype))
+
+
+def _distinct_entries(enc: np.ndarray, orig: np.ndarray, d: np.ndarray):
+    """The distinct (enc, orig, d) entries of one kind (see
+    ``_distinct_triples``), with the kind's conflict count and conflict
+    rate.  Conflicts are counted over (enc, orig) pairs, whatever their
+    digit counts."""
+    enc, orig, d = _distinct_triples(enc, orig, d)
+    new_enc = _starts(enc)
+    new_pair = new_enc | _starts(orig)
     n_enc, n_pairs = int(new_enc.sum()), int(new_pair.sum())
     run_sizes = np.diff(np.append(np.flatnonzero(new_enc[new_pair]), n_pairs))
     rate = Fraction(int((run_sizes >= 2).sum()), n_enc) if n_enc else Fraction(0)
-    return enc[new_entry], orig[new_entry], d[new_entry], n_pairs - n_enc, rate
+    return enc, orig, d, n_pairs - n_enc, rate
 
 
 def _read_into(fh, buf: np.ndarray, path) -> None:
@@ -98,10 +152,11 @@ def _read_into(fh, buf: np.ndarray, path) -> None:
         raise MapFormatError(f"{path}: truncated map file")
 
 
-def _read_columns(fh, raw: np.ndarray, end: int, path, fingerprint: bytes):
+def _read_columns(fh, end: int, path, fingerprint: bytes):
     """The columns and column widths of each kind of a GFPEMAP2 file whose
-    CRC has been checked, ``fh`` just past the magic.  The key fingerprint
-    is compared before any section is read."""
+    CRC has been checked, ``fh`` just past the magic.  Each column is read
+    straight into an array of its file width.  The key fingerprint is
+    compared before any section is read."""
     pos = len(_MAGIC) + _FINGERPRINT_SIZE
     if pos > end:
         raise MapFormatError(f"{path}: truncated map file")
@@ -122,15 +177,12 @@ def _read_columns(fh, raw: np.ndarray, end: int, path, fingerprint: bytes):
         pos += _HEADER.size + count * sum(kind_widths)
         if pos > end:
             raise MapFormatError(f"{path}: truncated map file")
-        columns[kind] = cols = (array("Q", [0]) * count, array("Q", [0]) * count,
-                                array("B", [0]) * count)
-        for col, w in zip(cols, kind_widths):
-            view = _view(col)
-            for lo in range(0, count if w else 0, _SLICE):
-                part = view[lo : lo + _SLICE]
-                buf = raw[: part.size * w]
-                _read_into(fh, buf, path)
-                part[:] = buf.view(f"<u{w}")
+        columns[kind] = cols = tuple(
+            [np.empty(count, f"<u{w}") if w else _zeros(count)] for w in kind_widths
+        )
+        for (col,), w in zip(cols, kind_widths):
+            if w:
+                _read_into(fh, col, path)
         widths[kind] = tuple(kind_widths)
     if pos != end:
         raise MapFormatError(f"{path}: {end - pos} trailing bytes")
@@ -164,11 +216,15 @@ def replacing(path, *, binary: bool = False, perms: int = 0o666):
 
 
 class MappingStore:
-    """Per kind, three columns indexed by coordinate id: ``array("Q")``
-    encrypted values, ``array("Q")`` original values and ``array("B")``
-    fraction digit counts.
+    """Per kind, three columns indexed by coordinate id: encrypted values,
+    original values and fraction digit counts, each held as unsigned
+    integers of its GFPEMAP2 width (see ``_width``): 1, 2, 4 or 8 bytes, or
+    none for a column of zeros.  A loaded store holds what its file holds.
 
-    ``append`` gives the next ids of a kind one entry each.  The exact
+    ``append`` gives the next ids of a kind one entry each, kept as a chunk
+    of its own at its own narrowest width; ``save`` streams the chunks, and
+    the first lookup or conflict query of a kind joins its chunks into one
+    column at the widest chunk's width.  The exact
     lookup is ``lookup_exact_batch``, by coordinate id; ``lookup_fuzzy`` is
     the fallback by encrypted value alone.  Both take a digit count and match
     only entries stored with it.  ``lookup_fuzzy``, ``conflicts`` and
@@ -180,8 +236,9 @@ class MappingStore:
     """
 
     def __init__(self) -> None:
-        self._cols: dict[str, tuple[array, array, array]] = {
-            k: (array("Q"), array("Q"), array("B")) for k in KINDS
+        # kind -> the chunks of its enc, orig and d columns
+        self._cols: dict[str, tuple[list, list, list]] = {
+            k: ([], [], []) for k in KINDS
         }
         self._entries: dict[str, tuple] = {}  # kind -> _distinct_entries(...)
         self._lock = threading.Lock()
@@ -190,13 +247,23 @@ class MappingStore:
     def append(self, kind: str, enc, orig, d) -> None:
         """Store one entry per position of the equal-length sequences enc,
         orig and d under the next coordinate ids of ``kind``."""
-        new = (array("Q", enc), array("Q", orig), array("B", d))
+        new = tuple(map(_narrow, (enc, orig, d)))
         if len({len(col) for col in new}) != 1:
             raise ValueError(f"{kind}: column lengths differ: {[len(c) for c in new]}")
+        if new[2].itemsize > 1:
+            raise ValueError(f"{kind}: digit counts must be below 256")
         with self._lock:
-            for col, values in zip(self._cols[kind], new):
-                col.extend(values)
+            for parts, col in zip(self._cols[kind], new):
+                parts.append(col)
             self._entries.pop(kind, None)
+
+    def _joined(self, kind: str) -> tuple:
+        """The enc, orig and d columns of ``kind``, each joined in place
+        from its chunks; the caller holds the lock."""
+        cols = self._cols[kind]
+        for parts in cols:
+            parts[:] = [_join(parts)]
+        return tuple(parts[0] for parts in cols)
 
     def lookup_exact_batch(self, kind: str, coord_ids, enc_values, digits):
         """Exact lookup of arrays of int64 ids, uint64 encrypted values and
@@ -209,7 +276,7 @@ class MappingStore:
         digits = np.broadcast_to(np.asarray(digits), ids.shape)
         found = np.zeros(ids.shape, dtype=np.uint64)
         with self._lock:
-            enc_col, orig_col, d_col = (_view(col) for col in self._cols[kind])
+            enc_col, orig_col, d_col = self._joined(kind)
             hit = (ids >= 0) & (ids < len(enc_col))
             rows = ids[hit]
             match = (enc_col[rows] == enc_values[hit]) & (d_col[rows] == digits[hit])
@@ -223,7 +290,7 @@ class MappingStore:
             with self._lock:
                 entries = self._entries.get(kind)
                 if entries is None:
-                    entries = self._entries[kind] = _distinct_entries(*self._cols[kind])
+                    entries = self._entries[kind] = _distinct_entries(*self._joined(kind))
         return entries
 
     def lookup_fuzzy(self, kind: str, enc_value: int, digits: int) -> int | Ambiguous | None:
@@ -234,10 +301,12 @@ class MappingStore:
         Ambiguous marker with the candidate count when several do, and None
         when none does.
         """
-        if not 0 <= enc_value < 1 << 64:
-            return None
         enc, orig, d, _, _ = self._distinct(kind)
-        lo, hi = (int(np.searchsorted(enc, np.uint64(enc_value), side))
+        # a value wider than the column cannot be in it; a needle of the
+        # column's own dtype keeps searchsorted from copying the column
+        if not 0 <= enc_value < 1 << 8 * enc.itemsize:
+            return None
+        lo, hi = (int(np.searchsorted(enc, enc.dtype.type(enc_value), side))
                   for side in ("left", "right"))
         candidates = orig[lo:hi][d[lo:hi] == digits]
         if len(candidates) > 1:
@@ -252,7 +321,13 @@ class MappingStore:
         return self._distinct(kind)[4]
 
     def entry_count(self, kind: str) -> int:
-        return len(self._cols[kind][0])
+        return sum(map(len, self._cols[kind][0]))
+
+    def column_bytes(self) -> int:
+        """The bytes the columns of every kind hold in memory."""
+        with self._lock:
+            return sum(_held(col) for cols in self._cols.values()
+                       for parts in cols for col in parts)
 
     def save(self, path, fingerprint: bytes) -> None:
         """Write the store as GFPEMAP2: the magic and the 16-byte key
@@ -261,8 +336,9 @@ class MappingStore:
         columns (see ``_width``) and the three columns in coordinate-id
         order, trailed by a CRC32 of everything before it.
 
-        Each column streams out ``_SLICE`` values at a time under a
-        running CRC, so a save holds the columns plus one slice.  The map is
+        Each column streams out chunk by chunk, ``_SLICE`` values at a
+        time cast to the column's width, under a running CRC, so a save holds
+        the columns plus one slice; it does not join the chunks.  The map is
         written through ``replacing`` with mode 0600 and fsynced before it
         replaces ``path``, so a failed save leaves any earlier map there
         untouched."""
@@ -280,12 +356,15 @@ class MappingStore:
 
             write(_MAGIC + fingerprint)
             for kind in KINDS:
-                cols = [_view(col) for col in self._cols[kind]]
-                widths[kind] = kind_widths = tuple(_width(col) for col in cols)
-                write(_HEADER.pack(len(cols[0]), *kind_widths))
-                for col, w in zip(cols, kind_widths):
-                    for lo in range(0, len(col) if w else 0, _SLICE):
-                        write(col[lo : lo + _SLICE].astype(f"<u{w}"))
+                cols = self._cols[kind]
+                widths[kind] = kind_widths = tuple(
+                    max(map(_width, parts), default=0) for parts in cols
+                )
+                write(_HEADER.pack(self.entry_count(kind), *kind_widths))
+                for parts, w in zip(cols, kind_widths):
+                    for col in parts:
+                        for lo in range(0, len(col) if w else 0, _SLICE):
+                            write(col[lo : lo + _SLICE].astype(f"<u{w}"))
             fh.write(struct.pack("<I", crc))
             fh.flush()
             os.fsync(fh.fileno())
@@ -299,9 +378,9 @@ class MappingStore:
 
         A first streaming pass checks the CRC, so a corrupted file reports a
         checksum failure before any other error; the fingerprint is compared
-        next.  A second pass fills each kind's columns, sized from its count,
-        ``_SLICE`` values at a time.  A load holds the columns plus
-        one buffer of a slice of 8-byte values."""
+        next.  A second pass reads each column into an array of its file
+        width, sized from its count.  A load holds the columns plus one
+        buffer of a slice of 8-byte values."""
         with open(path, "rb") as fh:
             end = os.fstat(fh.fileno()).st_size - 4
             if end < len(_MAGIC):
@@ -323,7 +402,7 @@ class MappingStore:
             if fh.read(4) != struct.pack("<I", crc):
                 raise MapFormatError(f"{path}: checksum failure")
             fh.seek(len(_MAGIC))
-            columns, widths = _read_columns(fh, raw, end, path, bytes(fingerprint))
+            columns, widths = _read_columns(fh, end, path, bytes(fingerprint))
         store = cls()
         store._cols = columns
         store.layout = MapLayout(widths)
@@ -332,4 +411,10 @@ class MappingStore:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MappingStore):
             return NotImplemented
-        return self._cols == other._cols
+        with self._lock:
+            mine = [self._joined(kind) for kind in KINDS]
+        with other._lock:
+            theirs = [other._joined(kind) for kind in KINDS]
+        return all(
+            np.array_equal(a, b) for kinds in zip(mine, theirs) for a, b in zip(*kinds)
+        )

@@ -366,11 +366,14 @@ def test_decrypt_debug_log_counts_both_paths(tmp_path, capsys, caplog, key_file)
     assert (tmp_path / "dec" / "1.txt").read_text() == plain
     spans = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
     assert len(spans) == 2
+    # the loaded store holds the map's columns: all but the magic, the
+    # fingerprint, four 11-byte headers and the CRC
     assert re.fullmatch(
         r"load map .*store\.map: GFPEMAP2, enc/orig/d bytes lon_int 1/1/0, "
         r"lon_frac 2/1/1, lat_int 1/1/0, lat_frac 2/1/1; "
-        r"3 coordinate ids, 108 bytes in \d+\.\d{3}s", spans[0]
+        r"3 coordinate ids, 36 column bytes held, 108 bytes in \d+\.\d{3}s", spans[0]
     )
+    assert mp.stat().st_size - (8 + 16 + 4 * 11 + 4) == 36
     assert re.fullmatch(
         r"decrypt .*enc: 1 files, 3 lines restored, 0 record errors "
         r"\(4 fuzzy restores\) in \d+\.\d{3}s", spans[1]
@@ -396,10 +399,11 @@ def test_encrypt_debug_log_spans_the_save(tmp_path, capsys, caplog, key_file):
     # 1+1 (integer parts) or 2+1+1 (fractions) bytes, then the CRC
     assert mp.stat().st_size == 8 + 16 + 4 * 11 + 3 * (2 + 4 + 2 + 4) + 4 == 108
     assert len(spans) == 1
+    # one file's chunks, at the widths of its map's columns
     assert re.fullmatch(
         r"save map .*store\.map: GFPEMAP2, enc/orig/d bytes lon_int 1/1/0, "
         r"lon_frac 2/1/1, lat_int 1/1/0, lat_frac 2/1/1; "
-        r"3 coordinate ids, 108 bytes in \d+\.\d{3}s", spans[0]
+        r"3 coordinate ids, 36 column bytes held, 108 bytes in \d+\.\d{3}s", spans[0]
     )
 
 
@@ -581,6 +585,42 @@ def test_clean_rerun_removes_stale_sidecars(tmp_path, capsys, key_file):
     assert decrypt(mp)[0] == 0
     assert not (dec / "1.txt.errors").exists()
     assert (dec / "1.txt").read_text() == (orig / "1.txt").read_text()
+
+
+def test_encrypt_refuses_an_output_directory_with_stray_files(tmp_path, capsys, key_file):
+    four = _synth(capsys, tmp_path, vehicles=4, points=10)
+    two = tmp_path / "two"
+    two.mkdir()
+    for name in ("1.txt", "2.txt"):
+        (two / name).write_bytes((four / name).read_bytes())
+    enc, mp = tmp_path / "enc", tmp_path / "store.map"
+    assert run(capsys, "encrypt", "--input", str(four), "--output", str(enc),
+               "--key", key_file, "--map", str(mp))[0] == 0
+    before = {p.name: p.read_bytes() for p in (*enc.iterdir(), mp)}
+    # 3.txt and 4.txt would keep ids that the 2-vehicle map gives to others
+    code, out, err = run(capsys, "encrypt", "--input", str(two), "--output", str(enc),
+                         "--key", key_file, "--map", str(mp))
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: {enc} holds .txt files that this run would not write: "
+        "3.txt, 4.txt; use an empty output directory\n"
+    )
+    assert {p.name: p.read_bytes() for p in (*enc.iterdir(), mp)} == before
+
+
+def test_synth_refuses_an_output_directory_with_stray_files(tmp_path, capsys):
+    orig = _synth(capsys, tmp_path, vehicles=3, points=10)
+    before = {p.name: p.read_bytes() for p in orig.iterdir()}
+    (orig / "notes.csv").write_text("kept\n")
+    code, _, err = run(capsys, "synth", "--output", str(orig), "--vehicles", "2",
+                       "--points", "5", "--seed", "8")
+    assert code == 1
+    assert "holds .txt files that this run would not write: 3.txt;" in err
+    assert {p.name: p.read_bytes() for p in orig.iterdir() if p.suffix == ".txt"} == before
+    # the same names, and files of other suffixes, are rewritten or kept
+    assert run(capsys, "synth", "--output", str(orig), "--vehicles", "3",
+               "--points", "5", "--seed", "8")[0] == 0
+    assert (orig / "notes.csv").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

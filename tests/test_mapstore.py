@@ -66,6 +66,14 @@ def test_append_rejects_unequal_lengths():
     assert store.entry_count("lon_int") == 0
 
 
+def test_append_rejects_digit_counts_above_one_byte():
+    # a GFPEMAP2 d column is 0 or 1 byte wide
+    store = MappingStore()
+    with pytest.raises(ValueError, match="below 256"):
+        store.append("lon_frac", [1, 2], [3, 4], [5, 256])
+    assert store.entry_count("lon_frac") == 0
+
+
 def test_lookup_exact_distinguishes_composite_keys():
     store = MappingStore()
     _append(store, "lon_int", (143, 116), (143, 117))
@@ -135,6 +143,23 @@ def test_lookup_fuzzy_full_u64_range():
     assert store.lookup_fuzzy("lat_frac", top, 19) == top
     assert store.lookup_fuzzy("lat_frac", 0, 19) == 1
     assert _exact(store, "lat_frac", 0, top, 19) == top
+
+
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_ciphertext_wider_than_its_column_misses(tmp_path, width):
+    # the top value sets the enc column's width; a query that agrees with a
+    # stored value in the column's low bytes must not wrap onto it
+    stored, top = 5, (1 << 8 * width) - 1
+    store = MappingStore()
+    _append(store, "lon_frac", (stored, 9, 3), (top, 1, 3))
+    store.save(tmp_path / "store.map", FP)
+    assert store.layout.widths["lon_frac"][0] == width
+    wider = stored + 2 ** (8 * width)
+    for s in (store, MappingStore.load(tmp_path / "store.map", FP)):
+        assert _exact(s, "lon_frac", 0, stored, 3) == 9
+        assert _exact(s, "lon_frac", 0, wider, 3) is None
+        assert s.lookup_fuzzy("lon_frac", stored, 3) == 9
+        assert s.lookup_fuzzy("lon_frac", wider, 3) is None
 
 
 def test_conflict_rate():
@@ -392,6 +417,67 @@ def test_save_load_save_round_trip(columns, chunk):
         assert again.read_bytes() == path.read_bytes() == _v2_bytes(columns)
 
 
+# values on either side of each width boundary, so that a later chunk can
+# widen a column that earlier chunks held narrower
+_STRADDLING = st.sampled_from([1, 2**8, 2**16, 2**32, 2**64 - 2]).flatmap(
+    lambda edge: st.integers(edge - 1, edge + 1)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(
+    st.sampled_from(KINDS),
+    st.lists(st.lists(st.tuples(_STRADDLING, _STRADDLING, st.integers(0, 2)), max_size=5),
+             max_size=4),
+))
+def test_chunks_that_widen_a_column_save_as_one_append(chunks):
+    columns = {kind: [e for part in parts for e in part] for kind, parts in chunks.items()}
+    chunked, whole = MappingStore(), _filled(columns)
+    for kind, parts in chunks.items():
+        for part in parts:
+            _append(chunked, kind, *part)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, once = Path(tmp) / "chunked.map", Path(tmp) / "once.map"
+        chunked.save(path, FP)
+        whole.save(once, FP)
+        assert path.read_bytes() == once.read_bytes() == _v2_bytes(columns)
+        loaded = MappingStore.load(path, FP)
+    # the loaded store holds the file's column bytes; chunks hold no more
+    held = len(_v2_bytes(columns)) - (8 + 16 + 4 * 11 + 4)
+    assert chunked.column_bytes() <= loaded.column_bytes() == held
+    for kind in KINDS:
+        entries = columns.get(kind, [])
+        ids = list(range(len(entries) + 1))
+        enc = [e[0] for e in entries] + [0]
+        digits = [e[2] for e in entries] + [0]
+        queries = {(e[0] + delta, e[2]) for e in entries for delta in (-1, 0, 1)}
+        results = []
+        for s in (whole, chunked, loaded):
+            hit, found = s.lookup_exact_batch(kind, ids, enc, digits)
+            results.append((
+                hit.tolist(), found.tolist(),
+                sorted((q, s.lookup_fuzzy(kind, *q)) for q in queries),
+                s.conflicts(kind), s.conflict_rate(kind),
+            ))
+        assert results[0] == results[1] == results[2]
+        # brute force, over values that take the packed sort and the lexsort
+        by_query, by_enc = {}, {}
+        for e, o, d in entries:
+            by_query.setdefault((e, d), set()).add(o)
+            by_enc.setdefault(e, set()).add(o)
+        fuzzy = {q: by_query.get(q, set()) for q in queries}
+        assert results[0][2] == sorted(
+            (q, None if not o else o.pop() if len(o) == 1 else Ambiguous(len(o)))
+            for q, o in fuzzy.items()
+        )
+        assert results[0][3] == sum(len(o) - 1 for o in by_enc.values())
+        assert results[0][4] == (
+            Fraction(sum(len(o) >= 2 for o in by_enc.values()), len(by_enc)) if by_enc else 0
+        )
+        assert results[0][0][:-1] == [True] * len(entries)
+    assert chunked == loaded == whole
+
+
 def test_load_rejects_a_different_key(tmp_path):
     path = tmp_path / "store.map"
     _filled(_GOLDEN_V2).save(path, FP)
@@ -630,17 +716,19 @@ def test_chunked_load_detects_corruption_and_truncation(tmp_path, monkeypatch):
 
 
 def test_save_and_load_hold_the_columns_plus_a_few_chunks(tmp_path):
-    n = 50_000  # per kind: a 200k-entry store
+    n = 50_000  # per kind: a 200k-entry store, appended 10k entries at a time
     rng = np.random.default_rng(7)
     store = MappingStore()
-    for kind in KINDS:
-        store.append(
-            kind,
-            rng.integers(0, 2**63, n, dtype=np.uint64),
-            rng.integers(0, 2**63, n, dtype=np.uint64),
-            rng.integers(0, 20, n, dtype=np.uint8),
-        )
-    columns = 4 * n * (8 + 8 + 1)
+    for kind, top in zip(KINDS, (2**63, 256, 2**63, 256)):
+        for _ in range(5):
+            store.append(
+                kind,
+                rng.integers(0, top, n // 5, dtype=np.uint64),
+                rng.integers(0, top, n // 5, dtype=np.uint64),
+                rng.integers(0, 20 if top > 256 else 1, n // 5, dtype=np.uint8),
+            )
+    # 8-byte enc and orig with 1-byte d, and 1-byte enc and orig with no d
+    columns = 2 * n * (8 + 8 + 1) + 2 * n * (1 + 1)
     slices = 4 * mapstore._SLICE * 8
     path = tmp_path / "store.map"
     tracemalloc.start()
@@ -656,8 +744,10 @@ def test_save_and_load_hold_the_columns_plus_a_few_chunks(tmp_path):
     finally:
         tracemalloc.stop()
     assert loaded == store
-    # 8-byte enc and orig, 1-byte d: 3.4 MB, against 1 MB of 8-byte slices
-    assert path.stat().st_size == 8 + 16 + 4 * (11 + n * 17) + 4
+    # 1.9 MB of columns, against 1 MB of 8-byte slices; a load that held
+    # each kind at 17 bytes per entry would take 3.4 MB
+    assert path.stat().st_size == 8 + 16 + 4 * 11 + columns + 4
+    assert loaded.column_bytes() == store.column_bytes() == columns
     assert saved_peak < slices
     assert loaded_peak < columns + slices
 
