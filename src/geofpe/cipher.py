@@ -19,7 +19,6 @@ codebook that merges into its sorted book only once it holds an eighth of it.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,11 +165,8 @@ class CoordinateCipher:
     call over all its misses, and one insert of the misses into the tail.
     The tail merges into the book only once it holds more than
     1/_TAIL_SHARE of it, so a batch copies the small tail, not the whole
-    book.  The pipeline uses one instance on one thread.  Inserts still
-    take a lock and replace the (book, tail) pair in one step, and a batch
-    gathers only from the pair it looked up and the misses it computed
-    itself, so two threads sharing an instance can cost a recomputation but
-    never a wrong value.
+    book.  Not thread-safe: the codebook and ``counts`` are updated without
+    a lock, so an instance belongs to one thread.
     """
 
     def __init__(self, key: bytes):
@@ -181,7 +177,6 @@ class CoordinateCipher:
         self._rk = np.array(self.round_keys, dtype=np.uint64)
         self._key_hash = md5(self.key).digest()
         self._codebooks: dict[str, tuple] = {}  # kind -> (book, tail)
-        self._lock = threading.Lock()
         self.counts = CipherCounts()
 
     def tweak(self, kind: str, value_text: str) -> int:
@@ -210,10 +205,10 @@ class CoordinateCipher:
         uniq, first, inverse = np.unique(
             component_keys(values, digits), return_index=True, return_inverse=True
         )
-        codebook = self._codebooks.get(kind, _EMPTY_CODEBOOK)
+        book, tail = self._codebooks.get(kind, _EMPTY_CODEBOOK)
         out = np.empty_like(uniq)
         hit = np.zeros(uniq.shape, dtype=bool)
-        for keys, encs in codebook:
+        for keys, encs in (book, tail):
             pos, found = _lookup(keys, uniq)
             out[found] = encs[pos[found]]
             hit |= found
@@ -224,14 +219,16 @@ class CoordinateCipher:
             out[miss] = enc = self._encrypt_misses(
                 kind, values[at], None if digits is None else digits[at]
             )
-            self._merge(kind, codebook, new, enc)
-        with self._lock:
-            counts = self.counts
-            counts.components += values.size
-            counts.distinct += uniq.size
-            counts.hits += uniq.size - new.size
-            counts.kernel_calls += bool(new.size)
-            counts.tweaks += new.size
+            tail = _insert(tail, new, enc)
+            if len(tail[0]) * _TAIL_SHARE > len(book[0]):
+                book, tail = _insert(book, *tail), _EMPTY_BOOK
+            self._codebooks[kind] = (book, tail)
+        counts = self.counts
+        counts.components += values.size
+        counts.distinct += uniq.size
+        counts.hits += uniq.size - new.size
+        counts.kernel_calls += bool(new.size)
+        counts.tweaks += new.size
         return out[inverse]
 
     def _encrypt_misses(
@@ -246,16 +243,3 @@ class CoordinateCipher:
         if int_kind:
             return range_folds(values, c, is_lon(kind))
         return fraction_folds(c, digits)
-
-    def _merge(self, kind: str, seen: tuple, new: np.ndarray, enc: np.ndarray) -> None:
-        """Insert the misses ``new`` of a batch that looked up the codebook
-        ``seen`` and their ciphertexts ``enc``."""
-        with self._lock:
-            book, tail = codebook = self._codebooks.get(kind, _EMPTY_CODEBOOK)
-            if codebook is not seen:  # skip keys another batch inserted meanwhile
-                fresh = ~(_lookup(book[0], new)[1] | _lookup(tail[0], new)[1])
-                new, enc = new[fresh], enc[fresh]
-            tail = _insert(tail, new, enc)
-            if len(tail[0]) * _TAIL_SHARE > len(book[0]):
-                book, tail = _insert(book, *tail), _EMPTY_BOOK
-            self._codebooks[kind] = (book, tail)

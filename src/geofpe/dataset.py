@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime
 import logging
+import math
 import random
 import re
 import time
@@ -334,8 +335,8 @@ def decrypt_dataset(enc_dir, out_dir, store: MappingStore) -> DecryptStats:
     """
     started = time.perf_counter()
     enc_dir, out_dir = Path(enc_dir), Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     files = _dataset_files(enc_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     stats = DecryptStats(files=len(files))
 
     for path in files:
@@ -453,8 +454,10 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_vehicles <= 0 or self.points_per_vehicle <= 0:
             raise ValueError("vehicle and point counts must be positive")
-        if self.hotspot_std <= 0:
-            raise ValueError("hotspot std-dev must be positive")
+        if not (math.isfinite(self.hotspot_std) and self.hotspot_std > 0):
+            raise ValueError(
+                f"hotspot std-dev must be positive and finite, not {self.hotspot_std}"
+            )
         for lon, lat in self.centers:
             if not (-180 <= lon <= 180 and -90 <= lat <= 90):
                 raise ValueError(f"hotspot center out of range: {lon},{lat}")

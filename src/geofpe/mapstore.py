@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import struct
-import threading
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -229,10 +228,13 @@ class MappingStore:
     the fallback by encrypted value alone.  Both take a digit count and match
     only entries stored with it.  ``lookup_fuzzy``, ``conflicts`` and
     ``conflict_rate`` derive from the distinct (enc, orig, d) entries of a
-    kind, built lazily under the lock and dropped on ``append``, so a
-    decrypt whose exact lookups all hit never builds them.  The conflict
-    count of a kind is the number of distinct originals beyond the first
-    over all encrypted values, so it does not depend on id order.
+    kind, built lazily and dropped on ``append``, so a decrypt whose exact
+    lookups all hit never builds them.  The conflict count of a kind is the
+    number of distinct originals beyond the first over all encrypted
+    values, so it does not depend on id order.
+
+    Not thread-safe: even a lookup may join chunks or build the distinct
+    entries in place, so a store belongs to one thread.
     """
 
     def __init__(self) -> None:
@@ -241,7 +243,6 @@ class MappingStore:
             k: ([], [], []) for k in KINDS
         }
         self._entries: dict[str, tuple] = {}  # kind -> _distinct_entries(...)
-        self._lock = threading.Lock()
         self.layout: MapLayout | None = None  # of the map file last saved or loaded
 
     def append(self, kind: str, enc, orig, d) -> None:
@@ -252,14 +253,13 @@ class MappingStore:
             raise ValueError(f"{kind}: column lengths differ: {[len(c) for c in new]}")
         if new[2].itemsize > 1:
             raise ValueError(f"{kind}: digit counts must be below 256")
-        with self._lock:
-            for parts, col in zip(self._cols[kind], new):
-                parts.append(col)
-            self._entries.pop(kind, None)
+        for parts, col in zip(self._cols[kind], new):
+            parts.append(col)
+        self._entries.pop(kind, None)
 
     def _joined(self, kind: str) -> tuple:
         """The enc, orig and d columns of ``kind``, each joined in place
-        from its chunks; the caller holds the lock."""
+        from its chunks."""
         cols = self._cols[kind]
         for parts in cols:
             parts[:] = [_join(parts)]
@@ -275,23 +275,18 @@ class MappingStore:
         enc_values = np.asarray(enc_values, dtype=np.uint64)
         digits = np.broadcast_to(np.asarray(digits), ids.shape)
         found = np.zeros(ids.shape, dtype=np.uint64)
-        with self._lock:
-            enc_col, orig_col, d_col = self._joined(kind)
-            hit = (ids >= 0) & (ids < len(enc_col))
-            rows = ids[hit]
-            match = (enc_col[rows] == enc_values[hit]) & (d_col[rows] == digits[hit])
-            hit[hit] = match
-            found[hit] = orig_col[rows[match]]
+        enc_col, orig_col, d_col = self._joined(kind)
+        hit = (ids >= 0) & (ids < len(enc_col))
+        rows = ids[hit]
+        match = (enc_col[rows] == enc_values[hit]) & (d_col[rows] == digits[hit])
+        hit[hit] = match
+        found[hit] = orig_col[rows[match]]
         return hit, found
 
     def _distinct(self, kind: str) -> tuple:
-        entries = self._entries.get(kind)
-        if entries is None:
-            with self._lock:
-                entries = self._entries.get(kind)
-                if entries is None:
-                    entries = self._entries[kind] = _distinct_entries(*self._joined(kind))
-        return entries
+        if kind not in self._entries:
+            self._entries[kind] = _distinct_entries(*self._joined(kind))
+        return self._entries[kind]
 
     def lookup_fuzzy(self, kind: str, enc_value: int, digits: int) -> int | Ambiguous | None:
         """Fallback lookup by encrypted value and digit count (0 for integer
@@ -325,9 +320,8 @@ class MappingStore:
 
     def column_bytes(self) -> int:
         """The bytes the columns of every kind hold in memory."""
-        with self._lock:
-            return sum(_held(col) for cols in self._cols.values()
-                       for parts in cols for col in parts)
+        return sum(_held(col) for cols in self._cols.values()
+                   for parts in cols for col in parts)
 
     def save(self, path, fingerprint: bytes) -> None:
         """Write the store as GFPEMAP2: the magic and the 16-byte key
@@ -346,7 +340,7 @@ class MappingStore:
         if len(fingerprint) != _FINGERPRINT_SIZE:
             raise ValueError(f"map fingerprint must be {_FINGERPRINT_SIZE} bytes")
         widths = {}
-        with replacing(path, binary=True, perms=0o600) as fh, self._lock:
+        with replacing(path, binary=True, perms=0o600) as fh:
             crc = 0
 
             def write(data) -> None:
@@ -411,10 +405,8 @@ class MappingStore:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MappingStore):
             return NotImplemented
-        with self._lock:
-            mine = [self._joined(kind) for kind in KINDS]
-        with other._lock:
-            theirs = [other._joined(kind) for kind in KINDS]
         return all(
-            np.array_equal(a, b) for kinds in zip(mine, theirs) for a, b in zip(*kinds)
+            np.array_equal(a, b)
+            for kind in KINDS
+            for a, b in zip(self._joined(kind), other._joined(kind))
         )

@@ -2,8 +2,6 @@
 
 import hashlib
 import random
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -299,25 +297,6 @@ def _component_batches(draw):
     return kind, [v for v, _ in pairs], [d for _, d in pairs]
 
 
-def _encrypt_concurrently(cipher, jobs):
-    """Run each (kind, values, digits) job on its own thread, all released at
-    once; returns the ciphertext lists in job order."""
-    barrier = threading.Barrier(len(jobs))
-    results = [None] * len(jobs)
-
-    def run(i):
-        barrier.wait(timeout=10)
-        results[i] = cipher.encrypt_batch(*jobs[i]).tolist()
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join(timeout=30)
-        assert not th.is_alive()
-    return results
-
-
 @settings(max_examples=150, deadline=None)
 @given(_component_batches())
 def test_batch_matches_scalar_component(batch):
@@ -333,10 +312,6 @@ def test_batch_matches_scalar_component(batch):
     assert [
         cipher.encrypt_batch(kind, [v], [d]).tolist()[0] for v, d in zip(values, digits)
     ] == expected
-
-    fresh = CoordinateCipher(STD_KEY)
-    job = (kind, values, digits)
-    assert _encrypt_concurrently(fresh, [job, job]) == [expected, expected]
 
 
 def test_batch_per_value_digits():
@@ -373,32 +348,6 @@ def test_component_keys_round_trip_every_digit_count():
     assert component_keys(int_keys, None) is int_keys
 
 
-def test_codebook_survives_thread_contention():
-    rng = random.Random(5)
-    jobs = [
-        ("lon_frac", [rng.randrange(2000) for _ in range(300)], [4] * 300)
-        for _ in range(8)
-    ]
-    cipher = CoordinateCipher(STD_KEY)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        results = _encrypt_concurrently(cipher, jobs)
-    finally:
-        sys.setswitchinterval(interval)
-    for (kind, values, _), got in zip(jobs, results):
-        assert got == [_scalar_component(v, kind, 4) for v in values]
-    # each distinct value is in the book once, and encrypting them again
-    # hits it for every one
-    distinct = sorted({v for _, values, _ in jobs for v in values})
-    keys = np.concatenate([keys for keys, _ in cipher._codebooks["lon_frac"]])
-    assert sorted(keys.tolist()) == [v + int(REPUNIT[4]) for v in distinct]
-    tweaks = cipher.counts.tweaks
-    got = cipher.encrypt_batch("lon_frac", distinct, [4] * len(distinct)).tolist()
-    assert got == [_scalar_component(v, "lon_frac", 4) for v in distinct]
-    assert cipher.counts.tweaks == tweaks
-
-
 def test_codebook_tail_merges_into_the_book():
     rng = random.Random(17)
     cipher = CoordinateCipher(STD_KEY)
@@ -420,6 +369,14 @@ def test_codebook_tail_merges_into_the_book():
         ]
         tail_sizes.append(len(tail_keys))
     assert 0 in tail_sizes and max(tail_sizes) > 0  # both levels were used
+    # each distinct key sits in the codebook once, and encrypting every
+    # distinct value again hits it for each one: no tweak is computed
+    assert len(both) == len(seen)
+    distinct = sorted(seen)
+    tweaks = cipher.counts.tweaks
+    got = cipher.encrypt_batch("lat_frac", distinct, [6] * len(distinct)).tolist()
+    assert got == [_scalar_component(v, "lat_frac", 6) for v in distinct]
+    assert cipher.counts.tweaks == tweaks
 
 
 def test_batch_domain_errors():

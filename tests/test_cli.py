@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from geofpe.cli import build_parser, main
+from geofpe.dataset import SynthConfig
 from halfwrite import open_failing_on
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -822,6 +823,23 @@ def test_eval_accuracy_rejects_a_missing_directory(tmp_path, capsys):
     assert not (tmp_path / "rep").exists()
 
 
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+def test_encrypt_and_decrypt_reject_a_missing_input(tmp_path, capsys, key_file, command):
+    orig, mp = _synth(capsys, tmp_path, vehicles=2, points=10), tmp_path / "store.map"
+    assert run(capsys, "encrypt", "--input", str(orig), "--output", str(tmp_path / "enc"),
+               "--key", key_file, "--map", str(mp))[0] == 0
+    # encrypt writes a new map; decrypt reads the one just written
+    new_map = tmp_path / "new.map" if command == "encrypt" else mp
+    code, out, err = run(capsys, command, "--input", str(tmp_path / "nope"),
+                         "--output", str(tmp_path / "out"), "--key", key_file,
+                         "--map", str(new_map))
+    assert code == 1
+    assert out == ""
+    assert "No such file or directory" in err and "nope" in err
+    assert not (tmp_path / "out").exists()
+    assert new_map.exists() == (command == "decrypt")
+
+
 def _rdr_trees(tmp_path, bad_line):
     """A plain tree of two vehicles and its 'encrypted' tree, whose vehicle
     1 has ``bad_line`` in place of its first line."""
@@ -889,6 +907,20 @@ def test_synth_centers_flag(tmp_path, capsys):
     )
     assert code == 0
     assert len(list(out.glob("*.txt"))) == 2
+
+
+@pytest.mark.parametrize("std", ["0", "-1", "nan", "inf"])
+def test_synth_rejects_a_hotspot_std_that_is_not_positive_and_finite(tmp_path, capsys, std):
+    message = f"hotspot std-dev must be positive and finite, not {float(std)}"
+    with pytest.raises(ValueError, match=message):
+        SynthConfig(n_vehicles=1, points_per_vehicle=3, centers=[], hotspot_std=float(std))
+    out = tmp_path / "orig"
+    code, stdout, err = run(capsys, "synth", "--output", str(out), f"--hotspot-std={std}",
+                            "--vehicles", "1", "--points", "3")
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_synth_zero_vehicles_is_usage_error(tmp_path, capsys):

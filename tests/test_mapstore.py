@@ -1,4 +1,4 @@
-"""Mapping store semantics: conflicts, lookups, persistence, concurrency."""
+"""Mapping store semantics: conflicts, lookups, persistence, and source lints."""
 
 import ast
 import os
@@ -6,7 +6,6 @@ import random
 import stat
 import struct
 import tempfile
-import threading
 import tracemalloc
 import zlib
 from fractions import Fraction
@@ -221,33 +220,6 @@ def test_order_independence():
         assert len({s.conflicts(kind) for s in stores}) == 1
         assert len({s.conflict_rate(kind) for s in stores}) == 1
         assert len({s.lookup_fuzzy(kind, 7, 5) for s in stores}) == 1
-
-
-def test_concurrent_lookups_match_serial():
-    columns = _random_columns(4000, seed=9)
-    serial = _filled(columns)
-    expected = {
-        kind: [serial.lookup_fuzzy(kind, enc, 5) for enc in range(210)] for kind in KINDS
-    }
-    # eight threads race to build the same kinds' distinct pairs lazily
-    concurrent = _filled(columns)
-    results = {}
-    barrier = threading.Barrier(8)
-
-    def work(i):
-        barrier.wait()
-        kind = KINDS[i % 4]
-        results[i] = [concurrent.lookup_fuzzy(kind, enc, 5) for enc in range(210)]
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for i in range(8):
-        assert results[i] == expected[KINDS[i % 4]]
-    for kind in KINDS:
-        assert concurrent.conflicts(kind) == serial.conflicts(kind)
 
 
 def test_append_refreshes_derived_stats():
@@ -844,6 +816,42 @@ def test_replacing_is_the_only_file_writer():
     assert list(_file_writes(ast.parse("\n".join(caught)))) == list(range(1, len(caught) + 1))
     reads = 'open(p)\nopen(p, "rb")\nopen(p, encoding="utf-8")\nos.open(p, os.O_WRONLY)'
     assert list(_file_writes(ast.parse(reads))) == []
+
+
+_THREAD_MODULES = ("threading", "concurrent", "multiprocessing")
+
+
+def _thread_imports(tree):
+    """The lines of the imports in ``tree`` of _THREAD_MODULES or their
+    submodules."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] in _THREAD_MODULES for name in names):
+            yield node.lineno
+
+
+def test_no_module_imports_threads():
+    """``CoordinateCipher`` and ``MappingStore`` are not thread-safe, so no
+    module may start threads or processes that could share them."""
+    imports = [
+        f"{path.name}:{line}"
+        for path in sorted(_SRC.glob("*.py"))
+        for line in _thread_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert imports == []
+    # the lint sees each of these imports, one a line, and passes the others
+    caught = [
+        "import threading", "import os, multiprocessing.pool",
+        "from concurrent.futures import ThreadPoolExecutor", "from threading import Lock",
+    ]
+    assert list(_thread_imports(ast.parse("\n".join(caught)))) == [1, 2, 3, 4]
+    others = "import os\nfrom . import threading\nimport concurrency\nfrom queue import Queue"
+    assert list(_thread_imports(ast.parse(others))) == []
 
 
 @pytest.mark.parametrize("offset", [-1, -5, -29, -38])
