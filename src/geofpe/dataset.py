@@ -4,7 +4,8 @@ Input files follow the taxi-trace convention "id,datetime,longitude,latitude",
 one file per vehicle named <vehicle_id>.txt.  Encrypted files prepend a
 coordinate id column; decrypted files restore the original four-column layout
 byte for byte.  Each accepted line keeps its own terminator ("\n", "\r\n" or
-none on a last line) through encryption and decryption.
+none on a last line) through encryption and decryption.  scan_lines is the
+one parser of both layouts: encrypt, decrypt and the loaders read its columns.
 """
 
 from __future__ import annotations
@@ -38,66 +39,81 @@ SYNTH_FRAC_DIGITS = 5
 
 
 @dataclass
-class FileScan:
-    rows: list[tuple] = field(default_factory=list)  # see scan_lines
-    errors: list[tuple[int, str]] = field(default_factory=list)  # (line no, reason)
-    parse_errors: int = 0
-    dropped: int = 0
+class FileScan:  # a file's accepted lines as columns, in line order, and its rejects
+    at: list[int]  # index of each accepted line in the file, from 0
+    cids: tuple[str, ...]  # coordinate id texts; empty in the plain layout
+    heads: tuple[str, ...]  # "id,timestamp"
+    lon: tuple  # columns of sign ("-" or ""), int part, fraction value, digits
+    lat: tuple
+    ends: tuple[str, ...]  # "\n", "\r\n", "\r" or "" (a last line)
+    errors: list[tuple[int, str]]  # (line no, reason)
+    parse_errors: int
+    dropped: int
 
 
 # An accepted plain line, less the range check: id and timestamp without
 # separators, canonical lon and lat (at most 3 and 2 integer digits), one
-# terminator.  coords.decompose is the reference grammar.
+# terminator.  An encrypted line puts a canonical coordinate id (at most 18
+# digits, so it fits an int64) in front.  coords.decompose is the reference
+# grammar.
 _PLAIN_BODY = (
     r"([^,\r\n]*,[^,\r\n]*),"
     rf"(-?)(0|[1-9][0-9]{{0,2}})(?:\.([0-9]{{1,{MAX_FRAC_DIGITS}}}))?,"
     rf"(-?)(0|[1-9][0-9]?)(?:\.([0-9]{{1,{MAX_FRAC_DIGITS}}}))?"
 )
-_PLAIN_LINE = re.compile(_PLAIN_BODY + r"(\r\n|\n|\r|)")
+_CID = r"0|[1-9][0-9]{0,17}"
+_CID_TEXT = re.compile(_CID)
+_END = r"(\r\n|\n|\r|)"
+_PLAIN_LINE = re.compile(_PLAIN_BODY + _END)
+_ENC_LINE = re.compile(f"({_CID}),{_PLAIN_BODY}{_END}")
 _INT_PARTS = {str(i): i for i in range(1000)}  # the pattern's int parts; beats int()
+_INSIDE = ({str(i) for i in range(LON_MAX)}, {str(i) for i in range(LAT_MAX)})  # int parts
 
 
-def scan_lines(lines) -> FileScan:
-    """Parse and clean a plain file's lines (terminators kept).  Accepted: a
-    row of "id,timestamp", (sign "-" or "", int, frac, digits) per axis and
-    the terminator.  Rejected: line number and reason.  Blank: skipped."""
-    scan = FileScan()
-    rows, match, ints = scan.rows, _PLAIN_LINE.fullmatch, _INT_PARTS
-    for line_no, line in enumerate(lines, start=1):
+def scan_lines(lines, encrypted=False) -> FileScan:
+    """Parse and clean a file's lines (terminators kept), in the plain
+    layout or, with ``encrypted``, the encrypted one.  Accepted lines become
+    the columns of a FileScan; only the plain layout checks the range.  A
+    rejected line gives its line number and reason, a blank one is skipped."""
+    match = (_ENC_LINE if encrypted else _PLAIN_LINE).fullmatch
+    reject = _enc_reject_reason if encrypted else _reject_reason
+    lon_in, lat_in = _INSIDE
+    at, groups, errors, dropped = [], [], [], 0
+    for i, line in enumerate(lines):
         m = match(line)
         if m is not None:
-            head, lon_s, lon_i, lon_f, lat_s, lat_i, lat_f, end = m.groups()
-            lon_i, lat_i = ints[lon_i], ints[lat_i]
-            lon_f, lon_d = (int(lon_f), len(lon_f)) if lon_f else (0, 0)
-            lat_f, lat_d = (int(lat_f), len(lat_f)) if lat_f else (0, 0)
-            # exact range check; the fractions matter only on a bound
-            if lon_i < LON_MAX and lat_i < LAT_MAX or (
-                (lon_i, lon_f) <= (LON_MAX, 0) and (lat_i, lat_f) <= (LAT_MAX, 0)
-            ):
-                rows.append(
-                    (head, lon_s, lon_i, lon_f, lon_d, lat_s, lat_i, lat_f, lat_d, end)
-                )
+            g = m.groups("")  # the lon and lat int parts are at -6 and -3
+            # in range below both bounds; the reference grammar decides the rest
+            if encrypted or g[-6] in lon_in and g[-3] in lat_in or reject(line) is None:
+                at.append(i)
+                groups.append(g)
                 continue
         elif not line.strip():
             continue
-        reason = _reject_reason(line)
-        scan.errors.append((line_no, reason))
-        if reason.startswith("out of range"):
-            scan.dropped += 1
-        else:
-            scan.parse_errors += 1
-    return scan
+        reason = reject(line)
+        errors.append((i + 1, reason))
+        dropped += reason.startswith("out of range")
+    cols = list(zip(*groups)) or [()] * (9 if encrypted else 8)
+    heads, lon_s, lon_i, lon_f, lat_s, lat_i, lat_f, ends = cols[-8:]
+    return FileScan(at, cols[0] if encrypted else (), heads, _axis(lon_s, lon_i, lon_f),
+                    _axis(lat_s, lat_i, lat_f), ends, errors, len(errors) - dropped, dropped)
 
 
-def scan_file(path: Path) -> FileScan:
-    """scan_lines over one plain trajectory file."""
+def _axis(signs, ints, fracs) -> tuple:
+    """The four columns of an axis from its matched texts."""
+    ints = list(map(_INT_PARTS.__getitem__, ints))
+    return signs, ints, [int(f) if f else 0 for f in fracs], list(map(len, fracs))
+
+
+def scan_file(path: Path, encrypted=False) -> FileScan:
+    """scan_lines over one trajectory file."""
     with open(path, encoding="utf-8", newline="") as fh:
-        return scan_lines(fh)
+        return scan_lines(fh, encrypted)
 
 
-def _reject_reason(line: str) -> str:
-    """The sidecar reason of a non-blank line that scan_lines rejects, found
-    with the reference grammar of coords."""
+def _reject_reason(line: str) -> str | None:
+    """The sidecar reason of a non-blank plain line that scan_lines rejects,
+    found with the reference grammar of coords; None if it accepts it."""
     fields = line.rstrip("\r\n").split(",")
     if len(fields) != 4:
         return f"parse error: expected 4 comma-separated fields, got {len(fields)}"
@@ -111,11 +127,24 @@ def _reject_reason(line: str) -> str:
                 f"parse error: {axis} fraction has {n.frac_digits} digits, "
                 f"more than {MAX_FRAC_DIGITS}"
             )
-    return f"out of range: {validate_point(lon, lat)}"
+    axis = validate_point(lon, lat)
+    return axis and f"out of range: {axis}"
+
+
+def _enc_reject_reason(line: str) -> str:
+    """The sidecar reason of a non-blank encrypted line that scan_lines
+    rejects, found with the reference grammar: the field count, the id,
+    then _reject_reason on the rest."""
+    fields = line.rstrip("\r\n").split(",")
+    if len(fields) != 5:
+        return f"expected 5 fields, got {len(fields)}"
+    if not _CID_TEXT.fullmatch(fields[0]):
+        return f"parse error: malformed coordinate id {fields[0]!r}"
+    return _reject_reason(line.split(",", 1)[1])
 
 
 def _decimal_texts(signs, ints, fracs, digits) -> list[str]:
-    """Coordinate texts of one axis's row columns."""
+    """Coordinate texts of one axis's columns."""
     return [
         f"{s}{i}.{f:0{d}d}" if d else f"{s}{i}"
         for s, i, f, d in zip(signs, ints, fracs, digits)
@@ -125,17 +154,19 @@ def _decimal_texts(signs, ints, fracs, digits) -> list[str]:
 _POW10 = [10**d for d in range(MAX_FRAC_DIGITS + 1)]
 
 
-def _points(rows) -> list[tuple[float, float]]:
-    """(lon, lat) floats of rows.  Python's frac / 10**d divides two exact
+def _floats(signs, ints, fracs, digits) -> list[float]:
+    """Floats of one axis's columns.  Python's frac / 10**d divides two exact
     integers, so each equals DecimalNumber.to_float bit for bit."""
     p = _POW10
     return [
-        (
-            -(lon_i + lon_f / p[lon_d]) if lon_s else lon_i + lon_f / p[lon_d],
-            -(lat_i + lat_f / p[lat_d]) if lat_s else lat_i + lat_f / p[lat_d],
-        )
-        for _, lon_s, lon_i, lon_f, lon_d, lat_s, lat_i, lat_f, lat_d, _ in rows
+        -(i + f / p[d]) if s else i + f / p[d]
+        for s, i, f, d in zip(signs, ints, fracs, digits)
     ]
+
+
+def _points(scan: FileScan) -> list[tuple[float, float]]:
+    """(lon, lat) floats of a scan's accepted lines."""
+    return list(zip(_floats(*scan.lon), _floats(*scan.lat)))
 
 
 def stratified_sample(trajectories, n_total: int, seed) -> list[tuple[str, int]]:
@@ -225,16 +256,16 @@ def _write_sidecar(out_path: Path, errors) -> None:
         _sidecar(out_path).unlink(missing_ok=True)
 
 
-def _encrypt_failed(stats: EncryptStats, out_path: Path, exc: Exception) -> None:
-    """List a file encrypt could not finish, and remove the output and sidecar
-    an earlier run left at its path: their coordinate ids are not in the new
-    map, which may give them to other files."""
+def _file_failed(stats, out_path: Path, exc: Exception) -> None:
+    """List a file the run could not finish, and remove the output and
+    sidecar an earlier run left at its path: their ids may now be another
+    file's, or the eval would score them as this run's."""
     reason = f"{out_path.name}: {exc}"
     try:
         for path in (out_path, _sidecar(out_path)):
             path.unlink(missing_ok=True)
     except OSError as unlink_exc:
-        reason += f"; its earlier output is left and will not decrypt: {unlink_exc}"
+        reason += f"; its earlier output is left: {unlink_exc}"
     stats.failed_files.append(reason)
 
 
@@ -268,30 +299,23 @@ def encrypt_dataset(
         out_path = out_dir / path.name
         try:
             scan = scan_file(path)
-        except (OSError, UnicodeDecodeError) as exc:
-            _encrypt_failed(stats, out_path, exc)
-            continue
-        heads, lon_s, lon_i, lon_f, lon_d, lat_s, lat_i, lat_f, lat_d, ends = (
-            zip(*scan.rows) if scan.rows else [()] * 10
-        )
-        zeros = (0,) * len(heads)
-        parts = [("lon_int", lon_i, zeros), ("lon_frac", lon_f, lon_d),
-                 ("lat_int", lat_i, zeros), ("lat_frac", lat_f, lat_d)]
-        enc = [cipher.encrypt_batch(*part).tolist() for part in parts]
-        start = store.entry_count("lon_int")
-        texts = zip(heads, _decimal_texts(lon_s, enc[0], enc[1], lon_d),
-                    _decimal_texts(lat_s, enc[2], enc[3], lat_d), ends)
-        try:
+            (lon_s, lon_i, lon_f, lon_d), (lat_s, lat_i, lat_f, lat_d) = scan.lon, scan.lat
+            zeros = (0,) * len(scan.heads)
+            parts = [("lon_int", lon_i, zeros), ("lon_frac", lon_f, lon_d),
+                     ("lat_int", lat_i, zeros), ("lat_frac", lat_f, lat_d)]
+            enc = [cipher.encrypt_batch(*part).tolist() for part in parts]
+            texts = zip(scan.heads, _decimal_texts(lon_s, enc[0], enc[1], lon_d),
+                        _decimal_texts(lat_s, enc[2], enc[3], lat_d), scan.ends)
             _write_sidecar(out_path, scan.errors)
             with replacing(out_path) as fh:
-                fh.writelines(f"{cid},{head},{lon},{lat}{end}"
-                              for cid, (head, lon, lat, end) in enumerate(texts, start))
-        except OSError as exc:
-            _encrypt_failed(stats, out_path, exc)
+                fh.writelines(f"{cid},{head},{lon},{lat}{end}" for cid, (head, lon, lat, end)
+                              in enumerate(texts, store.entry_count("lon_int")))
+        except (OSError, UnicodeDecodeError) as exc:
+            _file_failed(stats, out_path, exc)
             continue
         for (kind, orig, d), enc_col in zip(parts, enc):
             store.append(kind, enc_col, orig, d)
-        stats.records += len(heads)
+        stats.records += len(scan.heads)
         stats.dropped += scan.dropped
         stats.parse_errors += scan.parse_errors
     components, distinct, hits, kernel_calls, tweaks = (
@@ -306,54 +330,33 @@ def encrypt_dataset(
     return stats
 
 
-# An encrypted line: a canonical coordinate id (at most 18 digits, so it fits
-# an int64), then a plain line.
-_CID = r"0|[1-9][0-9]{0,17}"
-_ENC_LINE = re.compile(f"({_CID})," + _PLAIN_LINE.pattern)
-_CID_TEXT = re.compile(_CID)
-# A whole file of lines that _ENC_LINE matches or that are blank (only the
-# whitespace str.strip removes), in one match: the line pattern without its
-# groups, and terminators as readlines splits them.  The lines' contents
-# and terminators cannot overlap, so a failed match does not backtrack far.
-_ENC_BODY = re.sub(r"\((?!\?)", "(?:", f"({_CID})," + _PLAIN_BODY)
-_ENC_TEXT = re.compile(
-    rf"(?:(?:{_ENC_BODY}|[^\S\r\n]*)(?:\r\n|\n|\r(?!\n)))*(?:{_ENC_BODY}|[^\S\r\n]*)"
-)
-
-
 def decrypt_dataset(enc_dir, out_dir, store: MappingStore) -> DecryptStats:
     """Restore original coordinate text from encrypted files via the store.
 
-    Every line goes through _decrypt_lines: an exact lookup by coordinate id
+    Every file goes through _decrypt_lines: an exact lookup by coordinate id
     first, then on a miss a fuzzy lookup by encrypted value alone, accepted
     when unambiguous.  Both lookups match a fraction only to entries stored
     with the line's digit count.  Lines outside the encrypted grammar, and
     records that still cannot be resolved, are reported in a per-file
-    .errors sidecar; the rest of the file is written regardless.  A file
-    that cannot be read, decoded or written is listed in ``failed_files``
-    with its reason; the other files are still decrypted.
+    .errors sidecar; the rest of the file is written regardless.  Failed
+    files and stray outputs are handled as in encrypt_dataset.
     """
     started = time.perf_counter()
     enc_dir, out_dir = Path(enc_dir), Path(out_dir)
     files = _dataset_files(enc_dir)
+    _refuse_strays(out_dir, {path.name for path in files})
     out_dir.mkdir(parents=True, exist_ok=True)
     stats = DecryptStats(files=len(files))
 
     for path in files:
-        try:
-            with open(path, encoding="utf-8", newline="") as fh:
-                source = fh.readlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            stats.failed_files.append(f"{path.name}: {exc}")
-            continue
-        lines, errors, fuzzy = _decrypt_lines(source, store)
         out_path = out_dir / path.name
         try:
+            lines, errors, fuzzy = _decrypt_lines(scan_file(path, encrypted=True), store)
             _write_sidecar(out_path, errors)
             with replacing(out_path) as fh:
                 fh.writelines(lines)
-        except OSError as exc:
-            stats.failed_files.append(f"{path.name}: {exc}")
+        except (OSError, UnicodeDecodeError) as exc:
+            _file_failed(stats, out_path, exc)
             continue
         stats.records += len(lines)
         stats.record_errors += len(errors)
@@ -367,37 +370,24 @@ def decrypt_dataset(enc_dir, out_dir, store: MappingStore) -> DecryptStats:
     return stats
 
 
-def _decrypt_lines(source, store: MappingStore):
+def _decrypt_lines(scan: FileScan, store: MappingStore):
     """The decrypted lines, the (line no, reason) errors and the number of
-    fuzzy restores, of one encrypted file's lines.
+    fuzzy restores, of one encrypted file's scan.
 
-    Lines that _ENC_LINE matches are restored as columns: one exact lookup
-    per kind, fractions at the line's digit count.  A row that misses gets a
-    fuzzy lookup of that component, unless an earlier kind has already
-    failed it; the first kind whose fuzzy lookup fails gives the row's
-    reason.  A restored fraction must fit its digit count.  Every other
-    non-blank line gets a reason from the reference grammar."""
-    rows, errors = [], []
-    match, ints = _ENC_LINE.fullmatch, _INT_PARTS
-    for i, line in enumerate(source):
-        m = match(line)
-        if m is not None:
-            cid, head, lon_s, lon_i, lon_f, lat_s, lat_i, lat_f, end = m.groups()
-            lon_f, lon_d = (int(lon_f), len(lon_f)) if lon_f else (0, 0)
-            lat_f, lat_d = (int(lat_f), len(lat_f)) if lat_f else (0, 0)
-            rows.append((i, int(cid), head, lon_s, ints[lon_i], lon_f, lon_d,
-                         lat_s, ints[lat_i], lat_f, lat_d, end))
-        elif line.strip():
-            errors.append((i + 1, _enc_reject_reason(line)))
-    at, cids, heads, lon_s, lon_i, lon_f, lon_d, lat_s, lat_i, lat_f, lat_d, ends = (
-        zip(*rows) if rows else [()] * 12
-    )
-    zeros = (0,) * len(rows)
+    The accepted lines are restored as columns, one exact lookup per kind,
+    fractions at the line's digit count.  A row that misses gets a fuzzy
+    lookup of that component, unless an earlier kind has already failed it;
+    the first kind whose fuzzy lookup fails gives the row's reason.  A
+    restored fraction must fit its digit count.  The scan's rejected lines
+    keep their reasons."""
+    (lon_s, lon_i, lon_f, lon_d), (lat_s, lat_i, lat_f, lat_d) = scan.lon, scan.lat
+    cids, ids = scan.cids, np.asarray(scan.cids, dtype=np.int64)
+    zeros = (0,) * len(cids)
     failed, fuzzy, orig = {}, [], []  # row -> reason; a row per fuzzy restore
     for kind, enc, digits in zip(
         KINDS, (lon_i, lon_f, lat_i, lat_f), (zeros, lon_d, zeros, lat_d)
     ):
-        hit, found = store.lookup_exact_batch(kind, cids, enc, digits)
+        hit, found = store.lookup_exact_batch(kind, ids, enc, digits)
         for r in np.flatnonzero(~hit).tolist():
             if r in failed:
                 continue
@@ -412,31 +402,19 @@ def _decrypt_lines(source, store: MappingStore):
                 )
         orig.append(found)
     for kind, col, digits in (("lon_frac", orig[1], lon_d), ("lat_frac", orig[3], lat_d)):
-        for r in np.flatnonzero(col >= POW10[list(digits)]).tolist():
+        for r in np.flatnonzero(col >= POW10[digits]).tolist():
             failed.setdefault(r, f"{kind} mapping for coord_id {cids[r]} needs more "
                                  f"than {digits[r]} digits")
     lon_i, lon_f, lat_i, lat_f = (col.tolist() for col in orig)
-    texts = zip(heads, _decimal_texts(lon_s, lon_i, lon_f, lon_d),
-                _decimal_texts(lat_s, lat_i, lat_f, lat_d), ends)
+    texts = zip(scan.heads, _decimal_texts(lon_s, lon_i, lon_f, lon_d),
+                _decimal_texts(lat_s, lat_i, lat_f, lat_d), scan.ends)
     out = [
         f"{head},{lon},{lat}{end}"
         for r, (head, lon, lat, end) in enumerate(texts) if r not in failed
     ]
-    errors.extend((at[r] + 1, reason) for r, reason in failed.items())
+    errors = scan.errors + [(scan.at[r] + 1, reason) for r, reason in failed.items()]
     errors.sort()
     return out, errors, sum(r not in failed for r in fuzzy)
-
-
-def _enc_reject_reason(line: str) -> str:
-    """The sidecar reason of a non-blank line that _ENC_LINE rejects, found
-    with the reference grammar: the field count, the id, then
-    _reject_reason on the rest."""
-    fields = line.rstrip("\r\n").split(",")
-    if len(fields) != 5:
-        return f"expected 5 fields, got {len(fields)}"
-    if not _CID_TEXT.fullmatch(fields[0]):
-        return f"parse error: malformed coordinate id {fields[0]!r}"
-    return _reject_reason(line.split(",", 1)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -545,22 +523,31 @@ def generate_synthetic(cfg: SynthConfig, out_dir) -> int:
 
 def load_plain_points(input_dir) -> dict[str, list[tuple[float, float]]]:
     """Cleaned per-vehicle (lon, lat) floats in file order, by file stem."""
-    return {
-        path.stem: _points(scan_file(path).rows) for path in _dataset_files(input_dir)
-    }
+    return {path.stem: _points(scan_file(path)) for path in _dataset_files(input_dir)}
+
+
+# A whole file of lines that _ENC_LINE matches or that are blank (only the
+# whitespace str.strip removes), in one match: the line pattern without its
+# groups, and terminators as readlines splits them.  The lines' contents
+# and terminators cannot overlap, so a failed match does not backtrack far.
+_ENC_BODY = re.sub(r"\((?!\?)", "(?:", f"({_CID})," + _PLAIN_BODY)
+_ENC_TEXT = re.compile(
+    rf"(?:(?:{_ENC_BODY}|[^\S\r\n]*)(?:\r\n|\n|\r(?!\n)))*(?:{_ENC_BODY}|[^\S\r\n]*)"
+)
 
 
 def load_points_auto(input_dir, rejects=None) -> dict[str, list[tuple[float, float]]]:
     """Load a directory in either layout, detected per file by column count.
 
     A file whose every non-blank line has five columns is an encrypted file
-    (coordinate id first); each of its lines must match the encrypted
-    grammar (_ENC_LINE).  At the first line that does not, the file's
-    ``(line no, reason)`` goes into the dict ``rejects`` under its stem and
-    the file is left out; without ``rejects`` it raises ValueError
-    "<path>:<line no>: <reason>".  Any other file is read in the plain
-    layout, which gets the usual cleaning.  Lets the identity checks point
-    an eval at a plain tree.
+    (coordinate id first); each of its lines must be in the encrypted
+    layout.  At the first line that is not, the file's ``(line no,
+    reason)`` goes into the dict ``rejects`` under its stem and the file is
+    left out; without ``rejects`` it raises ValueError "<path>:<line no>:
+    <reason>".  Any other file is read in the plain layout, which gets the
+    usual cleaning.  Lets the identity checks point an eval at a plain tree.
+    A good encrypted file takes one whole-file match and ``float`` per field,
+    correctly rounded and faster than scan_lines, which names a bad line.
     """
     out = {}
     for path in _dataset_files(input_dir):
@@ -568,15 +555,12 @@ def load_points_auto(input_dir, rejects=None) -> dict[str, list[tuple[float, flo
             lines = fh.readlines()
         rows = [line.rstrip("\r\n").split(",") for line in lines if line.strip()]
         if not (rows and all(len(fields) == 5 for fields in rows)):
-            out[path.stem] = _points(scan_lines(lines).rows)
+            out[path.stem] = _points(scan_lines(lines))
         elif _ENC_TEXT.fullmatch("".join(lines)):
             out[path.stem] = [(float(fields[3]), float(fields[4])) for fields in rows]
         else:
-            line_no, line = next(
-                (i, line) for i, line in enumerate(lines, start=1)
-                if line.strip() and not _ENC_LINE.fullmatch(line)
-            )
+            line_no, reason = scan_lines(lines, encrypted=True).errors[0]
             if rejects is None:
-                raise ValueError(f"{path}:{line_no}: {_enc_reject_reason(line)}")
-            rejects[path.stem] = (line_no, _enc_reject_reason(line))
+                raise ValueError(f"{path}:{line_no}: {reason}")
+            rejects[path.stem] = (line_no, reason)
     return out

@@ -462,7 +462,7 @@ def _match(orig_rows, dec_rows) -> tuple[int, int]:
         record = records[j] if j < len(records) else None
         if fields is not None and fields == record:
             matched += 1
-        elif not scan_lines((line,)).rows:
+        elif not scan_lines((line,)).heads:
             continue
         elif record is None or fields[:2] != record[:2]:
             points += 1

@@ -111,14 +111,14 @@ def test_criterion_2_format_validity(pipeline):
     dirs = pipeline["dirs"]
     checked = 0
     for orig_path in sorted(dirs["orig"].glob("*.txt")):
-        orig_rows = scan_file(orig_path).rows
+        scan = scan_file(orig_path)
         enc_lines = (dirs["enc"] / orig_path.name).read_text().splitlines()
-        assert len(orig_rows) == len(enc_lines)
-        for row, line in zip(orig_rows, enc_lines):
+        assert len(scan.heads) == len(enc_lines)
+        for lon, lat, line in zip(zip(*scan.lon), zip(*scan.lat), enc_lines):
             _cid, _vid, _ts, lon_text, lat_text = line.split(",")
             enc_lon, enc_lat = decompose(lon_text), decompose(lat_text)
             assert validate_point(enc_lon, enc_lat) is None
-            for orig, enc_n in ((row[1:5], enc_lon), (row[5:9], enc_lat)):
+            for orig, enc_n in ((lon, enc_lon), (lat, enc_lat)):
                 sign, int_part, _, digits = orig
                 assert len(str(enc_n.int_part)) == len(str(int_part))
                 assert enc_n.frac_digits == digits

@@ -609,6 +609,41 @@ def test_encrypt_refuses_an_output_directory_with_stray_files(tmp_path, capsys, 
     assert {p.name: p.read_bytes() for p in (*enc.iterdir(), mp)} == before
 
 
+def test_decrypt_refuses_an_output_directory_with_stray_files(tmp_path, capsys, key_file):
+    orig = _synth(capsys, tmp_path, vehicles=3, points=10)
+    _, (code, _, _), enc, dec = _encrypt_decrypt(capsys, tmp_path, key_file, orig)
+    assert code == 0
+    (dec / "9.txt").write_bytes((orig / "1.txt").read_bytes())
+    before = {p.name: p.read_bytes() for p in dec.iterdir()}
+    # eval accuracy would score 9.txt, which no encrypted file restores
+    code, out, err = run(capsys, "decrypt", "--input", str(enc), "--output", str(dec),
+                         "--key", key_file, "--map", str(tmp_path / "store.map"))
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: {dec} holds .txt files that this run would not write: "
+        "9.txt; use an empty output directory\n"
+    )
+    assert {p.name: p.read_bytes() for p in dec.iterdir()} == before
+
+
+def test_decrypt_removes_the_earlier_output_of_a_failed_file(tmp_path, capsys, key_file):
+    orig = _synth(capsys, tmp_path, vehicles=3, points=10)
+    _, (code, _, _), enc, dec = _encrypt_decrypt(capsys, tmp_path, key_file, orig)
+    assert code == 0 and (dec / "2.txt").read_bytes() == (orig / "2.txt").read_bytes()
+    (dec / "2.txt.errors").write_text("1: stale\n")
+    with open(enc / "2.txt", "ab") as fh:
+        fh.write(b"\xff\xfe")
+    code, _, err = run(capsys, "decrypt", "--input", str(enc), "--output", str(dec),
+                       "--key", key_file, "--map", str(tmp_path / "store.map"))
+    assert code == 1
+    assert err.startswith("error: failed file 2.txt: ") and "decode" in err
+    # the earlier 2.txt would be scored as restored by this run
+    assert sorted(p.name for p in dec.iterdir()) == ["1.txt", "3.txt"]
+    out = run(capsys, "eval", "accuracy", "--orig", str(orig), "--dec", str(dec),
+              "--out", str(tmp_path / "rep"))[1]
+    assert "OMR 66.67% (20/30 points, 2/3 files fully matched)" in out
+
+
 def test_synth_refuses_an_output_directory_with_stray_files(tmp_path, capsys):
     orig = _synth(capsys, tmp_path, vehicles=3, points=10)
     before = {p.name: p.read_bytes() for p in orig.iterdir()}

@@ -47,6 +47,12 @@ def _scan_text(tmp_path, text):
     return scan_file(path)
 
 
+def _rows(scan):
+    """A scan's columns as one (head, lon sign, int, frac, digits, lat sign,
+    int, frac, digits, terminator) row per accepted line."""
+    return list(zip(scan.heads, *scan.lon, *scan.lat, scan.ends))
+
+
 def _components(text):
     """Sign, integer part, fraction value and digit count of coordinate text
     by the reference grammar, as a scan row holds them."""
@@ -57,7 +63,7 @@ def _components(text):
 def test_parse_line_tdrive_format(tmp_path):
     scan = _scan_text(tmp_path, "1,2008-02-02 15:36:08,116.51172,39.92123\n")
     assert scan.errors == []
-    [row] = scan.rows
+    [row] = _rows(scan)
     assert row[0] == "1,2008-02-02 15:36:08"
     assert row[1:5] == _components("116.51172")
     assert row[5:9] == _components("39.92123")
@@ -67,13 +73,13 @@ def test_parse_line_tdrive_format(tmp_path):
 
 def test_parse_line_wrong_field_count(tmp_path):
     scan = _scan_text(tmp_path, "1,t,116.5")
-    assert scan.rows == [] and scan.parse_errors == 1
+    assert _rows(scan) == [] and scan.parse_errors == 1
     assert scan.errors == [(1, "parse error: expected 4 comma-separated fields, got 3")]
 
 
 def test_parse_line_bad_decimal(tmp_path):
     scan = _scan_text(tmp_path, "1,t,abc,39.9")
-    assert scan.rows == [] and scan.parse_errors == 1
+    assert _rows(scan) == [] and scan.parse_errors == 1
     assert scan.errors == [(1, "parse error: malformed decimal text: 'abc'")]
 
 
@@ -87,7 +93,7 @@ def test_scan_file_range_boundaries(tmp_path):
         "1,t,0,-90.5\n"
     )
     scan = scan_file(path)
-    assert [(row[1:5], row[5:9]) for row in scan.rows] == [
+    assert [(row[1:5], row[5:9]) for row in _rows(scan)] == [
         (_components("-180"), _components("90")),
         (_components("180.000"), _components("-90.0")),
     ]
@@ -103,21 +109,21 @@ def test_clean_drops_out_of_range(tmp_path):
     path = tmp_path / "1.txt"
     path.write_text("1,t,116.5,39.9\n1,t,181,0\n")
     scan = scan_file(path)
-    assert len(scan.rows) == 1 and scan.dropped == 1
+    assert len(scan.heads) == 1 and scan.dropped == 1
 
 
 def test_clean_keeps_all_valid(tmp_path):
     path = tmp_path / "1.txt"
     path.write_text("1,t,116.5,39.9\n1,t,-180,90\n")
     scan = scan_file(path)
-    assert len(scan.rows) == 2 and scan.dropped == 0
+    assert len(scan.heads) == 2 and scan.dropped == 0
 
 
 def test_scan_file_empty(tmp_path):
     path = tmp_path / "1.txt"
     path.write_text("")
     scan = scan_file(path)
-    assert scan.rows == [] and scan.errors == [] and scan.dropped == 0
+    assert _rows(scan) == [] and scan.errors == [] and scan.dropped == 0
 
 
 def test_scan_file_counts_reasons(tmp_path):
@@ -129,7 +135,7 @@ def test_scan_file_counts_reasons(tmp_path):
         "1,t,116.6,40.0\n"
     )
     scan = scan_file(path)
-    assert len(scan.rows) == 2
+    assert len(scan.heads) == 2
     assert scan.parse_errors == 1
     assert scan.dropped == 1
     assert [line_no for line_no, _ in scan.errors] == [2, 3]
@@ -212,9 +218,9 @@ def test_synth_shape_and_validity(tmp_path):
     files = sorted(out.glob("*.txt"))
     assert len(files) == 6
     scan = scan_file(files[0])
-    assert len(scan.rows) == 200
+    assert len(scan.heads) == 200
     assert not scan.errors
-    assert all(row[4] == 5 for row in scan.rows)
+    assert all(row[4] == 5 for row in _rows(scan))
 
 
 def test_synth_hotspots_found_by_dbscan(tmp_path):
@@ -436,7 +442,7 @@ def test_parse_line_rejects_plus_sign(tmp_path):
     path = tmp_path / "1.txt"
     path.write_text("1,t,116.5,39.9\n1,t,+116.5,39.9\n1,t,116.5,+39.9\n")
     scan = scan_file(path)
-    assert len(scan.rows) == 1 and scan.parse_errors == 2
+    assert len(scan.heads) == 1 and scan.parse_errors == 2
     assert scan.errors == [
         (2, "parse error: malformed decimal text: '+116.5'"),
         (3, "parse error: malformed decimal text: '+39.9'"),
@@ -629,25 +635,30 @@ def test_second_encrypt_into_one_store_continues_the_ids(tmp_path):
 
 
 @pytest.mark.parametrize("failing", ["enc/1.txt", "enc/1.txt.errors", "dec/1.txt"])
-def test_failed_write_keeps_the_earlier_output(tmp_path, monkeypatch, failing):
+def test_failed_write_removes_the_earlier_output(tmp_path, monkeypatch, failing):
     src = tmp_path / "src"
     src.mkdir()
     (src / "1.txt").write_text("1,t,116.5,39.9\n1,t,bad,39.9\n1,t,-0.25,2.5\n")
     (src / "2.txt").write_text("2,t,116.25,39.5\n2,t,-0.5,-2.75\n")
     _round_trip(tmp_path, src)
-    before = {p: p.read_bytes() for p in tmp_path.glob("*/*") if p.parent != src}
     target = tmp_path / failing
-    assert target in before
+    assert target.is_file()
 
     (src / "1.txt").write_text("1,t,1.5,2.5\n1,t,1.5\n1,t,3.25,4.75\n1,t,999,0\n")
     monkeypatch.setattr(mapstore, "open", open_failing_on(target), raising=False)
-    enc_dir, dec_dir, store, enc_stats, dec_stats = _round_trip(tmp_path, src)
+    enc_dir, dec_dir = tmp_path / "enc", tmp_path / "dec"
+    store = MappingStore()
+    enc_stats = encrypt_dataset(src, enc_dir, CoordinateCipher(KEY), store)
     if failing.startswith("enc"):
-        # the earlier 1.txt carries ids the new map gives to 2.txt: removed
-        assert not (enc_dir / "1.txt").exists()
-        assert not (enc_dir / "1.txt.errors").exists()
-    else:
-        assert target.read_bytes() == before[target]
+        # the earlier dec/1.txt has no encrypted file now: decrypt refuses it
+        with pytest.raises(ValueError, match="would not write: 1.txt;"):
+            decrypt_dataset(enc_dir, dec_dir, store)
+        dec_dir = tmp_path / "dec2"
+    dec_stats = decrypt_dataset(enc_dir, dec_dir, store)
+    # the earlier enc/1.txt carries ids the new map gives to 2.txt, and the
+    # earlier dec/1.txt would be scored as this run's: both are removed
+    assert not target.parent.joinpath("1.txt").exists()
+    assert not target.parent.joinpath("1.txt.errors").exists()
     assert list(tmp_path.glob("*/*.tmp")) == []
     failed, passed = (enc_stats, dec_stats) if failing.startswith("enc") else (dec_stats, enc_stats)
     assert len(failed.failed_files) == 1
@@ -835,9 +846,10 @@ def _row_parts(n):
 
 
 def _reference_scan(text):
-    """Rows, errors and (lon, lat) float.hex pairs of a plain file, line by
-    line through decompose, validate_point and DecimalNumber.to_float."""
-    rows, errors, floats = [], [], []
+    """Rows, their line indices, errors and (lon, lat) float.hex pairs of a
+    plain file, line by line through decompose, validate_point and
+    DecimalNumber.to_float."""
+    rows, at, errors, floats = [], [], [], []
     for line_no, line in enumerate(io.StringIO(text, newline=""), start=1):
         if not line.strip():
             continue
@@ -867,8 +879,9 @@ def _reference_scan(text):
             (f"{fields[0]},{fields[1]}", *_row_parts(lon), *_row_parts(lat),
              line[len(body):])
         )
+        at.append(line_no - 1)
         floats.append((lon.to_float().hex(), lat.to_float().hex()))
-    return rows, errors, floats
+    return rows, at, errors, floats
 
 
 @settings(max_examples=200, deadline=None)
@@ -893,12 +906,13 @@ def test_eval_loaders_equal_scan_file_floats(lines, last_end):
     text = "".join(body + end for body, end in lines[:-1])
     if lines:
         text += lines[-1][0] + last_end
-    rows, errors, floats = _reference_scan(text)
+    rows, at, errors, floats = _reference_scan(text)
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         (tree / "7.txt").write_bytes(text.encode())
         scan = scan_file(tree / "7.txt")
-        assert scan.rows == rows
+        assert _rows(scan) == rows
+        assert scan.at == at and scan.cids == ()
         assert scan.errors == errors
         assert scan.dropped == sum(r.startswith("out of range") for _, r in errors)
         assert scan.parse_errors == len(errors) - scan.dropped
@@ -912,6 +926,49 @@ def test_eval_loaders_equal_scan_file_floats(lines, last_end):
             fields = [line.rstrip("\r\n").split(",") for line in fh if line.strip()]
         if not (fields and all(len(f) == 5 for f in fields)):
             assert hexed(load_points_auto(tree)) == floats
+
+
+def _scan_columns(scan):
+    return scan.at, scan.heads, scan.lon, scan.lat, scan.ends
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        _accepted_line().map(lambda line: line[0]),
+        _rejected_line().map(lambda line: line[0]),
+        _edge_line(),
+    ),
+    st.sampled_from(["\n", "\r\n", "\r", ""]),
+    st.integers(0, 10**18 - 1),
+)
+def test_the_two_layouts_share_one_grammar(body, end, cid):
+    # An encrypted line is a coordinate id and a plain line: the encrypted
+    # layout accepts what the plain one does, with the same columns, and
+    # rejects what it cannot parse, for the same reason.  It does not check
+    # the range.
+    plain = dataset.scan_lines([body + end])
+    enc = dataset.scan_lines([f"{cid},{body}{end}"], encrypted=True)
+    assert plain.cids == ()
+    if plain.heads:
+        assert enc.cids == (str(cid),)
+        assert _scan_columns(enc) == _scan_columns(plain)
+        assert enc.errors == []
+    elif plain.parse_errors:
+        [(line_no, reason)] = plain.errors
+        fields = re.fullmatch(r"parse error: expected 4 comma-separated fields, got (\d+)",
+                              reason)
+        if fields:
+            reason = f"expected 5 fields, got {int(fields[1]) + 1}"
+        assert enc.heads == () and enc.parse_errors == 1
+        assert enc.errors == [(line_no, reason)]
+    else:  # out of range, which only the plain layout checks
+        vid, stamp, lon, lat = body.split(",")
+        if decompose(lon).int_part < 1000 and decompose(lat).int_part < 100:
+            assert enc.errors == []
+            assert _rows(enc) == [(f"{vid},{stamp}", *_components(lon), *_components(lat), end)]
+        else:  # longer int parts than the grammar allows
+            assert enc.heads == () and enc.errors == plain.errors
 
 
 # ---------------------------------------------------------------------------

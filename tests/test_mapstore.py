@@ -818,6 +818,50 @@ def test_replacing_is_the_only_file_writer():
     assert list(_file_writes(ast.parse(reads))) == []
 
 
+_LINE_PATTERNS = ("_PLAIN_LINE", "_ENC_LINE")
+
+
+def _line_parsers(tree):
+    """The lines, inside a function other than ``scan_lines``, that use the
+    per-line pattern of either trace layout."""
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.Lambda)) and (
+            getattr(func, "name", None) != "scan_lines"
+        ):
+            for node in ast.walk(func):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name in _LINE_PATTERNS:
+                    yield node.lineno
+
+
+def test_scan_lines_is_the_only_line_parser():
+    """Only ``dataset.scan_lines`` matches lines against the layouts'
+    patterns, so one grammar decides what every command accepts.  The
+    encrypted eval loader's whole-file ``_ENC_TEXT`` match is allowed."""
+    parsers, found = 0, []
+    for path in sorted(_SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parsers += sum(isinstance(node, ast.FunctionDef) and node.name == "scan_lines"
+                       for node in ast.walk(tree))
+        found += [f"{path.name}:{line}" for line in _line_parsers(tree)]
+    assert parsers == 1
+    assert found == []
+    # the lint sees each of these, one a line, and passes the pattern
+    # definitions, scan_lines itself and the whole-file match
+    caught = [
+        "def f(line): return _PLAIN_LINE.fullmatch(line)",
+        "def f(lines): return [dataset._ENC_LINE.match(x) for x in lines]",
+        "f = lambda line: _ENC_LINE.fullmatch(line)",
+    ]
+    assert list(_line_parsers(ast.parse("\n".join(caught)))) == [1, 2, 3]
+    passed = (
+        "_ENC_LINE = re.compile(_PLAIN_LINE.pattern)\n"
+        "def scan_lines(lines): return _ENC_LINE.fullmatch\n"
+        "def f(text): return _ENC_TEXT.fullmatch(text)"
+    )
+    assert list(_line_parsers(ast.parse(passed))) == []
+
+
 _THREAD_MODULES = ("threading", "concurrent", "multiprocessing")
 
 
