@@ -16,6 +16,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .cipher import BACKEND, KINDS, CoordinateCipher, map_fingerprint
 from .dataset import (
     SynthConfig,
@@ -207,13 +209,14 @@ def _aligned_vehicles(orig, other, other_name: str, left_out=()) -> list[str]:
 
 def _load_tree(loader, path, name: str, *args):
     started = time.perf_counter()
-    points = loader(path, *args)
+    tree = loader(path, *args)
     log.debug(
-        "load %s %s: %d points in %d files in %.3fs",
-        name, path, sum(len(v) for v in points.values()), len(points),
-        time.perf_counter() - started,
+        "load %s %s: %d points in %d files in %.3fs; %d lines read one by one, "
+        "%d exact float fallbacks, %d gather slices",
+        name, path, len(tree.xy), len(tree.rows), time.perf_counter() - started,
+        tree.line_path, tree.exact, tree.slices,
     )
-    return points
+    return tree
 
 
 def cmd_eval_rdr(args) -> int:
@@ -223,10 +226,11 @@ def cmd_eval_rdr(args) -> int:
     per_trajectory = {}
     skipped = {vid: f"line {line_no}: {reason}" for vid, (line_no, reason) in rejected.items()}
     started = time.perf_counter()
-    for vid in _aligned_vehicles(orig, enc, "encrypted", rejected):
+    for vid in _aligned_vehicles(orig.rows, enc.rows, "encrypted", rejected):
         try:
             per_trajectory[vid] = metrics.rdr_trajectory(
-                orig[vid], enc[vid], n_samples=args.samples, seed=f"{args.seed}:{vid}"
+                orig[vid].tolist(), enc[vid].tolist(), n_samples=args.samples,
+                seed=f"{args.seed}:{vid}",
             )
         except ValueError as exc:
             skipped[vid] = str(exc)
@@ -264,16 +268,17 @@ def cmd_eval_hotspots(args) -> int:
     orig = _load_tree(load_plain_points, args.orig, "original")
     enc = _load_tree(load_points_auto, args.enc, "encrypted")
     dec = _load_tree(load_plain_points, args.dec, "decrypted")
-    _aligned_vehicles(orig, enc, "encrypted")
-    _aligned_vehicles(orig, dec, "decrypted")
+    _aligned_vehicles(orig.rows, enc.rows, "encrypted")
+    _aligned_vehicles(orig.rows, dec.rows, "decrypted")
 
     started = time.perf_counter()
-    population = sum(len(v) for v in orig.values())
+    population = len(orig.xy)
     n_sample = args.sample_size or min(5000, population)
-    sample = stratified_sample(orig, n_sample, args.seed)
-    orig_pts = [orig[vid][i] for vid, i in sample]
-    enc_pts = [enc[vid][i] for vid, i in sample]
-    dec_pts = [dec[vid][i] for vid, i in sample]
+    sample = stratified_sample(orig.rows, n_sample, args.seed)
+    # the trees hold the same files, in name order, with as many rows each,
+    # so a sampled point has one row in all three
+    at = np.array([orig.rows[vid][i] for vid, i in sample], dtype=np.int64)
+    orig_pts, enc_pts, dec_pts = orig.xy[at], enc.xy[at], dec.xy[at]
     log.debug(
         "sample: %d of %d points in %.3fs",
         len(sample), population, time.perf_counter() - started,

@@ -11,8 +11,8 @@ import re
 from dataclasses import dataclass
 
 # Canonical decimal text: optional minus sign, integer part without leading
-# zeros, optional fraction.  No plus sign (recombine could not restore it) and
-# no exponent notation.
+# zeros, optional fraction.  No plus sign (the formatted text could not restore
+# it) and no exponent notation.
 _DECIMAL_RE = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?")
 
 LON_MAX = 180
@@ -52,17 +52,13 @@ class DecimalNumber:
                 f"{self.frac_digits} digits"
             )
 
-    def to_float(self) -> float:
-        """Approximate float value; for metrics only, never for round trips."""
-        return self.sign * (self.int_part + self.frac_value / 10**self.frac_digits)
-
 
 def decompose(text: str) -> DecimalNumber:
     """Split decimal text into (sign, int part, fraction value, digit count).
 
     Accepts canonical decimal strings only (no plus sign, no exponent, no
     leading zeros on the integer part, fraction digits present when a '.'
-    is), so recombine gives the input text back.  Raises
+    is), so formatting the four parts gives the input text back.  Raises
     ParseError naming the offending input otherwise.
     """
     if not _DECIMAL_RE.fullmatch(text):
@@ -73,18 +69,6 @@ def decompose(text: str) -> DecimalNumber:
         int_text, frac_text = body.split(".", 1)
         return DecimalNumber(sign, int(int_text), int(frac_text), len(frac_text))
     return DecimalNumber(sign, int(body), 0, 0)
-
-
-def recombine(n: DecimalNumber) -> str:
-    """Inverse of decompose: canonical text with exactly ``frac_digits`` digits.
-
-    Positive values carry no sign character; a zero digit count emits no
-    decimal point.
-    """
-    sign = "-" if n.sign < 0 else ""
-    if n.frac_digits == 0:
-        return f"{sign}{n.int_part}"
-    return f"{sign}{n.int_part}.{n.frac_value:0{n.frac_digits}d}"
 
 
 def _abs_within(n: DecimalNumber, bound: int) -> bool:

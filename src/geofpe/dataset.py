@@ -5,7 +5,10 @@ one file per vehicle named <vehicle_id>.txt.  Encrypted files prepend a
 coordinate id column; decrypted files restore the original four-column layout
 byte for byte.  Each accepted line keeps its own terminator ("\n", "\r\n" or
 none on a last line) through encryption and decryption.  scan_lines is the
-one parser of both layouts: encrypt, decrypt and the loaders read its columns.
+one line parser of both layouts, and encrypt and decrypt read its columns.
+The eval loaders walk whole texts with patterns built from the same body,
+send each line where the walk stops to scan_lines' reject reasons, and
+gather the accepted text's floats with numpy.
 """
 
 from __future__ import annotations
@@ -149,24 +152,6 @@ def _decimal_texts(signs, ints, fracs, digits) -> list[str]:
         f"{s}{i}.{f:0{d}d}" if d else f"{s}{i}"
         for s, i, f, d in zip(signs, ints, fracs, digits)
     ]
-
-
-_POW10 = [10**d for d in range(MAX_FRAC_DIGITS + 1)]
-
-
-def _floats(signs, ints, fracs, digits) -> list[float]:
-    """Floats of one axis's columns.  Python's frac / 10**d divides two exact
-    integers, so each equals DecimalNumber.to_float bit for bit."""
-    p = _POW10
-    return [
-        -(i + f / p[d]) if s else i + f / p[d]
-        for s, i, f, d in zip(signs, ints, fracs, digits)
-    ]
-
-
-def _points(scan: FileScan) -> list[tuple[float, float]]:
-    """(lon, lat) floats of a scan's accepted lines."""
-    return list(zip(_floats(*scan.lon), _floats(*scan.lat)))
 
 
 def stratified_sample(trajectories, n_total: int, seed) -> list[tuple[str, int]]:
@@ -521,46 +506,191 @@ def generate_synthetic(cfg: SynthConfig, out_dir) -> int:
 # Loaders for the evaluation harness
 
 
-def load_plain_points(input_dir) -> dict[str, list[tuple[float, float]]]:
-    """Cleaned per-vehicle (lon, lat) floats in file order, by file stem."""
-    return {path.stem: _points(scan_file(path)) for path in _dataset_files(input_dir)}
+@dataclass
+class TreePoints:
+    """The (lon, lat) floats of a tree's accepted lines as one float64 array,
+    files in name order, and each file stem's rows of it; ``tree[stem]`` is a
+    view of that file's rows.  The counts say how the loader read them."""
+
+    xy: np.ndarray  # shape (n, 2)
+    rows: dict[str, range]
+    line_path: int = 0  # lines read one by one: rejects and range candidates
+    exact: int = 0  # values the float rule could not convert, converted in Python
+    slices: int = 0  # slices of text gathered
+
+    def __getitem__(self, stem: str) -> np.ndarray:
+        rows = self.rows[stem]
+        return self.xy[rows.start : rows.stop]
 
 
-# A whole file of lines that _ENC_LINE matches or that are blank (only the
-# whitespace str.strip removes), in one match: the line pattern without its
-# groups, and terminators as readlines splits them.  The lines' contents
-# and terminators cannot overlap, so a failed match does not backtrack far.
-_ENC_BODY = re.sub(r"\((?!\?)", "(?:", f"({_CID})," + _PLAIN_BODY)
-_ENC_TEXT = re.compile(
-    rf"(?:(?:{_ENC_BODY}|[^\S\r\n]*)(?:\r\n|\n|\r(?!\n)))*(?:{_ENC_BODY}|[^\S\r\n]*)"
-)
+def _text_pattern(line_body: str) -> re.Pattern:
+    """A whole text of lines that ``line_body`` matches or that are blank (only
+    the whitespace str.strip removes), in one match: the line pattern without
+    its groups, and terminators as readlines splits them.  The lines' contents
+    and terminators cannot overlap, so a failed match does not backtrack far."""
+    body = re.sub(r"\((?!\?)", "(?:", line_body)
+    return re.compile(rf"(?:(?:{body}|[^\S\r\n]*)(?:\r\n|\n|\r(?!\n)))*(?:{body}|[^\S\r\n]*)")
 
 
-def load_points_auto(input_dir, rejects=None) -> dict[str, list[tuple[float, float]]]:
+_PLAIN_TEXT = _text_pattern(_PLAIN_BODY)
+_ENC_TEXT = _text_pattern(f"({_CID}),{_PLAIN_BODY}")
+_EOL = re.compile(r"\r\n?|\n")
+_SLICE_CHARS = 1 << 20  # text gathered at once
+_PAD = " " * (MAX_FRAC_DIGITS + 1)  # so that a gather never reads past the buffer
+_P10 = np.array([10**d for d in range(MAX_FRAC_DIGITS + 1)], dtype=np.uint64)
+_P10F = _P10.astype(np.float64)  # exact: 10**19 = 2**19 * 5**19, and 5**19 < 2**53
+_EXACT = np.uint64(2**53)  # a smaller uint64 converts to float64 exactly
+
+
+def _stops(match, text: str):
+    """The (start, end) of each line, terminator included, that stops the
+    whole-text ``match``: neither blank nor taken by its line pattern.  Each
+    step is one match from the end of the last such line."""
+    pos = 0
+    while (e := match(text, pos).end()) < len(text):
+        start = max(text.rfind("\n", pos, e), text.rfind("\r", pos, e), pos - 1) + 1
+        eol = _EOL.search(text, e)
+        pos = eol.end() if eol else len(text)
+        yield start, pos
+
+
+def load_plain_points(input_dir) -> TreePoints:
+    """The floats of a tree's cleaned lines, read in the plain layout."""
+    return _load(input_dir, auto=False)
+
+
+def load_points_auto(input_dir, rejects=None) -> TreePoints:
     """Load a directory in either layout, detected per file by column count.
 
     A file whose every non-blank line has five columns is an encrypted file
     (coordinate id first); each of its lines must be in the encrypted
-    layout.  At the first line that is not, the file's ``(line no,
-    reason)`` goes into the dict ``rejects`` under its stem and the file is
-    left out; without ``rejects`` it raises ValueError "<path>:<line no>:
-    <reason>".  Any other file is read in the plain layout, which gets the
-    usual cleaning.  Lets the identity checks point an eval at a plain tree.
-    A good encrypted file takes one whole-file match and ``float`` per field,
-    correctly rounded and faster than scan_lines, which names a bad line.
+    layout.  At the first line that is not, the file's ``(line no, reason)``
+    goes into the dict ``rejects`` under its stem and the file is left out;
+    without ``rejects`` it raises ValueError "<path>:<line no>: <reason>".
+    Any other file is read in the plain layout, which gets the usual
+    cleaning.  Lets the identity checks point an eval at a plain tree.  An
+    encrypted field's float is ``float`` of its text, correctly rounded; a
+    plain one's is Python's ``i + f / 10**d`` of its parts.
     """
-    out = {}
+    return _load(input_dir, auto=True, rejects=rejects)
+
+
+def _load(input_dir, auto: bool, rejects=None) -> TreePoints:
+    """The one eval loader.  Each file's text is walked with one whole-text
+    match per run of accepted lines; a line where the match stops is a
+    reject of scan_lines.  The accepted text of many files is gathered in
+    slices of about _SLICE_CHARS characters, one layout each."""
+    tree = TreePoints(np.empty((0, 2)), {})
+    blocks, pending, size, layout = [], [], 0, False
     for path in _dataset_files(input_dir):
         with open(path, encoding="utf-8", newline="") as fh:
-            lines = fh.readlines()
-        rows = [line.rstrip("\r\n").split(",") for line in lines if line.strip()]
-        if not (rows and all(len(fields) == 5 for fields in rows)):
-            out[path.stem] = _points(scan_lines(lines))
-        elif _ENC_TEXT.fullmatch("".join(lines)):
-            out[path.stem] = [(float(fields[3]), float(fields[4])) for fields in rows]
-        else:
-            line_no, reason = scan_lines(lines, encrypted=True).errors[0]
-            if rejects is None:
-                raise ValueError(f"{path}:{line_no}: {reason}")
-            rejects[path.stem] = (line_no, reason)
-    return out
+            text = fh.read()
+        encrypted = auto
+        if auto and (stop := next(_stops(_ENC_TEXT.match, text), None)):
+            start, end = stop
+            encrypted = text.count(",", start, end) == 4 and all(
+                line.count(",") == 4 for line in _EOL.split(text) if line.strip()
+            )
+            if encrypted:
+                tree.line_path += 1
+                line_no = len(_EOL.findall(text, 0, start)) + 1
+                reason = _enc_reject_reason(text[start:end])
+                if rejects is None:
+                    raise ValueError(f"{path}:{line_no}: {reason}")
+                rejects[path.stem] = (line_no, reason)
+                continue
+        if not encrypted:
+            kept, pos = [], 0
+            for start, end in _stops(_PLAIN_TEXT.match, text):
+                kept.append(text[pos:start])
+                pos = end
+                tree.line_path += 1
+            kept.append(text[pos:])
+            text = "".join(kept)
+        if text and text[-1] not in "\r\n":
+            text += "\n"
+        if pending and encrypted != layout:
+            _gather(tree, blocks, pending, layout)
+            pending, size = [], 0
+        pending.append((path.stem, text))
+        size, layout = size + len(text), encrypted
+        if size >= _SLICE_CHARS:
+            _gather(tree, blocks, pending, layout)
+            pending, size = [], 0
+    if pending:
+        _gather(tree, blocks, pending, layout)
+    if blocks:
+        tree.xy = np.concatenate(blocks)
+    return tree
+
+
+def _gather(tree: TreePoints, blocks: list, pending: list, encrypted: bool) -> None:
+    """Gather the accepted lines of the ``pending`` (stem, text) files, each
+    line terminated, as one slice: the floats go into ``blocks`` and each
+    file gets its rows in ``tree``.  A plain line whose int parts are at or
+    past a range bound is kept only if _reject_reason accepts it."""
+    text = "".join(text for _, text in pending)
+    buf = np.frombuffer((text + _PAD).encode(), dtype=np.uint8)
+    commas = np.flatnonzero(buf == 44).reshape(-1, 4 if encrypted else 3)
+    eols = np.flatnonzero((buf == 10) | (buf == 13))
+    dots = np.append(np.flatnonzero(buf == 46), len(buf))
+    lat_start = commas[:, -1] + 1
+    lat_end = eols[np.searchsorted(eols, lat_start)]
+    xy = np.empty((len(commas), 2))
+    ints = []
+    for axis, start, end in ((0, commas[:, -2] + 1, commas[:, -1]), (1, lat_start, lat_end)):
+        xy[:, axis], axis_ints, exact = _floats(buf, dots, start, end, encrypted)
+        ints.append(axis_ints)
+        tree.exact += exact
+    counts = np.array([text.count(",") for _, text in pending]) // commas.shape[1]
+    if not encrypted:
+        near = np.flatnonzero((ints[0] >= LON_MAX) | (ints[1] >= LAT_MAX))
+        starts = np.append(0, eols + 1)[np.searchsorted(eols, commas[near, 0])]
+        dropped = [
+            r for r, a, b in zip(near.tolist(), starts.tolist(), lat_end[near].tolist())
+            if _reject_reason(buf[a:b].tobytes().decode()) is not None
+        ]
+        tree.line_path += len(near)
+        if dropped:
+            files = np.searchsorted(np.cumsum(counts), dropped, side="right")
+            counts -= np.bincount(files, minlength=len(counts))
+            xy = np.delete(xy, dropped, axis=0)
+    n = sum(map(len, blocks))
+    for (stem, _), k in zip(pending, counts.tolist()):
+        tree.rows[stem] = range(n, n + k)
+        n += k
+    blocks.append(xy)
+    tree.slices += 1
+
+
+def _floats(buf, dots, start, end, encrypted: bool):
+    """The floats and int parts of the coordinate fields at ``buf[start:end]``
+    per row, and how many of them the exact fallback converted.  A plain
+    field's float is ``i + f / 10**d`` and an encrypted one's ``(i * 10**d +
+    f) / 10**d``: in float64 both equal Python's result while f, or the
+    numerator, is below 2**53, and other values are converted in Python."""
+    neg = buf[start] == 45  # "-"
+    start = start + neg
+    dot = dots[np.searchsorted(dots, start)]
+    int_end = np.minimum(dot, end)
+    ints = buf[start].astype(np.int64) - 48
+    for k in (1, 2):  # at most 3 int digits
+        ints = np.where(int_end > start + k, ints * 10 + buf[start + k] - 48, ints)
+    digits = np.maximum(end - int_end - 1, 0)
+    fracs = np.zeros(len(start), dtype=np.uint64)
+    for k in range(int(digits.max(initial=0))):
+        np.multiply(fracs, 10, out=fracs, where=digits > k)
+        np.add(fracs, buf[int_end + 1 + k] - 48, out=fracs, where=digits > k)
+    if encrypted:
+        num = ints.astype(np.uint64) * _P10[np.minimum(digits, 15)] + fracs
+        fast = (num < _EXACT) & ((digits <= 15) | (ints == 0))
+        values = num.astype(np.float64) / _P10F[digits]
+    else:
+        fast = fracs < _EXACT
+        values = ints + fracs.astype(np.float64) / _P10F[digits]
+    slow = np.flatnonzero(~fast)
+    for r, i, f, d in zip(slow.tolist(), ints[slow].tolist(), fracs[slow].tolist(),
+                          digits[slow].tolist()):
+        values[r] = (i * 10**d + f) / 10**d if encrypted else i + f / 10**d
+    np.negative(values, out=values, where=neg)
+    return values, ints, len(slow)

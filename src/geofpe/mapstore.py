@@ -109,30 +109,39 @@ def _starts(col: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _distinct_triples(enc: np.ndarray, orig: np.ndarray, d: np.ndarray):
-    """The distinct (enc, orig, d) entries, sorted by enc, orig then d, each
-    at its column's dtype.  When the three fit side by side in 64 bits, as
-    fractions of up to 9 digits do, they are sorted in place as one packed
-    key, in about half the memory of a lexsort's index arrays."""
-    orig_bits, d_bits = _bits(orig), _bits(d)
-    if _bits(enc) + orig_bits + d_bits > 64:
+def _distinct_triples(enc: list, orig: list, d: list):
+    """The distinct (enc, orig, d) entries of the chunks of three columns,
+    sorted by enc, orig then d, each at its joined column's dtype.  When the
+    three fit side by side in 64 bits, as fractions of up to 9 digits do,
+    they are packed chunk by chunk into one key, sorted in place, in about
+    half the memory of a lexsort's index arrays, and the chunks stay as
+    they are."""
+    enc_bits, orig_bits, d_bits = (max(map(_bits, parts), default=0) for parts in (enc, orig, d))
+    dtypes = [np.result_type(*parts) if parts else np.uint8 for parts in (enc, orig, d)]
+    if enc_bits + orig_bits + d_bits > 64:
+        enc, orig, d = map(_join, (enc, orig, d))
         order = np.lexsort((d, orig, enc))
         enc, orig, d = enc[order], orig[order], d[order]
         new = _starts(enc) | _starts(orig) | _starts(d)
         return enc[new], orig[new], d[new]
-    key = enc.astype(np.uint64)
-    for col, bits in ((orig, orig_bits), (d, d_bits)):
-        key <<= bits
-        key |= col
+    key = np.empty(sum(map(len, enc)), dtype=np.uint64)
+    at = 0
+    for chunk in zip(enc, orig, d):
+        part = key[at : at + len(chunk[0])]
+        part[:] = chunk[0]
+        for col, bits in zip(chunk[1:], (orig_bits, d_bits)):
+            part <<= bits
+            part |= col
+        at += len(part)
     key.sort()
     key = key[_starts(key)]
-    return ((key >> orig_bits + d_bits).astype(enc.dtype),
-            (key >> d_bits & (1 << orig_bits) - 1).astype(orig.dtype),
-            (key & (1 << d_bits) - 1).astype(d.dtype))
+    return ((key >> orig_bits + d_bits).astype(dtypes[0]),
+            (key >> d_bits & (1 << orig_bits) - 1).astype(dtypes[1]),
+            (key & (1 << d_bits) - 1).astype(dtypes[2]))
 
 
-def _distinct_entries(enc: np.ndarray, orig: np.ndarray, d: np.ndarray):
-    """The distinct (enc, orig, d) entries of one kind (see
+def _distinct_entries(enc: list, orig: list, d: list):
+    """The distinct (enc, orig, d) entries of one kind's column chunks (see
     ``_distinct_triples``), with the kind's conflict count and conflict
     rate.  Conflicts are counted over (enc, orig) pairs, whatever their
     digit counts."""
@@ -285,7 +294,7 @@ class MappingStore:
 
     def _distinct(self, kind: str) -> tuple:
         if kind not in self._entries:
-            self._entries[kind] = _distinct_entries(*self._joined(kind))
+            self._entries[kind] = _distinct_entries(*self._cols[kind])
         return self._entries[kind]
 
     def lookup_fuzzy(self, kind: str, enc_value: int, digits: int) -> int | Ambiguous | None:

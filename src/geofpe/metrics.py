@@ -323,23 +323,17 @@ def dbscan(points, eps: float, min_pts: int) -> list[int]:
 
 
 def cluster_centroids(points, labels) -> list[dict]:
-    """Centroid (mean lon/lat in degrees) and size per cluster, by cluster id."""
-    clusters: dict[int, list] = {}
-    for point, label in zip(points, labels):
-        if label != NOISE:
-            clusters.setdefault(label, []).append(point)
+    """Centroid (mean lon/lat in degrees) and size per cluster, by cluster
+    id.  Each mean is Python's sum of the members' floats in input order."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    labels = np.asarray(labels, dtype=np.int64)
+    members = np.flatnonzero(labels != NOISE)
+    members = members[np.argsort(labels[members], kind="stable")]
+    _, starts, sizes = np.unique(labels[members], return_index=True, return_counts=True)
     out = []
-    for label in sorted(clusters):
-        members = clusters[label]
-        out.append(
-            {
-                "centroid": [
-                    sum(p[0] for p in members) / len(members),
-                    sum(p[1] for p in members) / len(members),
-                ],
-                "size": len(members),
-            }
-        )
+    for start, size in zip(starts.tolist(), sizes.tolist()):
+        lon, lat = pts[members[start : start + size]].T.tolist()
+        out.append({"centroid": [sum(lon) / size, sum(lat) / size], "size": size})
     return out
 
 

@@ -21,12 +21,23 @@ from geofpe.coords import (
     DecimalNumber,
     ParseError,
     decompose,
-    recombine,
     validate_point,
 )
 from geofpe.dataset import DecryptStats
 
 _ID = re.compile(r"0|[1-9][0-9]{0,17}")
+
+
+def recombine(n: DecimalNumber) -> str:
+    """Inverse of decompose: canonical text with exactly ``frac_digits`` digits.
+
+    Positive values carry no sign character; a zero digit count emits no
+    decimal point.
+    """
+    sign = "-" if n.sign < 0 else ""
+    if n.frac_digits == 0:
+        return f"{sign}{n.int_part}"
+    return f"{sign}{n.int_part}.{n.frac_value:0{n.frac_digits}d}"
 
 
 def _grammar_reason(enc_lon, enc_lat):

@@ -200,7 +200,7 @@ def test_criterion_6_hotspot_reduction(pipeline):
     orig = load_plain_points(dirs["orig"])
     enc = load_points_auto(dirs["enc"])
     dec = load_plain_points(dirs["dec"])
-    sample = stratified_sample(orig, 6000, seed="acceptance")
+    sample = stratified_sample(orig.rows, 6000, seed="acceptance")
     report = metrics.hotspot_analysis(
         [orig[v][i] for v, i in sample],
         [enc[v][i] for v, i in sample],

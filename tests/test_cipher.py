@@ -19,7 +19,7 @@ from geofpe.cipher import (
     is_int_part,
     is_lon,
 )
-from geofpe.coords import MAX_FRAC_DIGITS, DecimalNumber, decompose, recombine
+from geofpe.coords import MAX_FRAC_DIGITS, DecimalNumber, decompose
 from geofpe.ranges import (
     INT_MASK_BITS,
     fraction_constrain,
@@ -28,6 +28,7 @@ from geofpe.ranges import (
     range_type,
 )
 from geofpe.sm4 import derive_round_keys
+from oracle_decrypt import recombine
 
 STD_KEY = bytes.fromhex("0123456789ABCDEFFEDCBA9876543210")
 ZERO_KEY = bytes(16)

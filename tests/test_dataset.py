@@ -5,6 +5,7 @@ import time
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,11 @@ def _rows(scan):
     """A scan's columns as one (head, lon sign, int, frac, digits, lat sign,
     int, frac, digits, terminator) row per accepted line."""
     return list(zip(scan.heads, *scan.lon, *scan.lat, scan.ends))
+
+
+def _points(tree):
+    """A loaded tree as {stem: [(lon, lat), ...]} of Python floats."""
+    return {stem: list(map(tuple, tree[stem].tolist())) for stem in tree.rows}
 
 
 def _components(text):
@@ -226,7 +232,7 @@ def test_synth_shape_and_validity(tmp_path):
 def test_synth_hotspots_found_by_dbscan(tmp_path):
     out = tmp_path / "synth"
     generate_synthetic(_small_cfg(n_vehicles=10), out)
-    points = [p for pts in load_plain_points(out).values() for p in pts]
+    points = load_plain_points(out).xy
     labels = dbscan(points, eps=0.005, min_pts=10)
     assert len({c for c in labels if c >= 0}) >= 3
 
@@ -234,7 +240,7 @@ def test_synth_hotspots_found_by_dbscan(tmp_path):
 def test_synth_pure_walk_has_no_hotspots(tmp_path):
     out = tmp_path / "walk"
     generate_synthetic(_small_cfg(centers=[], n_vehicles=4), out)
-    points = [p for pts in load_plain_points(out).values() for p in pts]
+    points = load_plain_points(out).xy
     labels = dbscan(points, eps=0.005, min_pts=10)
     assert {c for c in labels if c >= 0} == set()
 
@@ -305,8 +311,8 @@ def test_encrypted_format_is_preserved(tmp_path, synth_dir):
             cid, vid, ts, lon_text, lat_text = line.split(",")
             lon, lat = decompose(lon_text), decompose(lat_text)
             assert lon.frac_digits == 5 and lat.frac_digits == 5
-            assert -180 <= lon.to_float() <= 180
-            assert -90 <= lat.to_float() <= 90
+            assert -180 <= to_float(lon) <= 180
+            assert -90 <= to_float(lat) <= 90
 
 
 def test_encrypt_assigns_sequential_coord_ids(tmp_path, synth_dir):
@@ -399,13 +405,13 @@ def test_parse_errors_produce_sidecar_not_failure(tmp_path):
 
 def test_load_points_auto_reads_both_layouts(tmp_path, synth_dir):
     enc_dir, _, _, _, _ = _round_trip(tmp_path, synth_dir)
-    points = load_points_auto(enc_dir)
+    points = _points(load_points_auto(enc_dir))
     assert set(points) == {p.stem for p in synth_dir.glob("*.txt")}
     assert all(len(v) == 200 for v in points.values())
     first = sorted(enc_dir.glob("*.txt"))[0]
     _cid, _vid, _ts, lon, lat = first.read_text().splitlines()[0].split(",")
     assert points[first.stem][0] == (float(lon), float(lat))
-    assert load_points_auto(synth_dir) == load_plain_points(synth_dir)
+    assert _points(load_points_auto(synth_dir)) == _points(load_plain_points(synth_dir))
 
 
 def test_load_points_auto_reads_ragged_file_as_plain(tmp_path):
@@ -415,8 +421,8 @@ def test_load_points_auto_reads_ragged_file_as_plain(tmp_path):
     tree.mkdir()
     (tree / "1.txt").write_text("x,1,t,116.5,39.9\n1,t,116.5,39.9\n1,t,116.25,-39.125\n")
     (tree / "2.txt").write_text("0,1,t,116.5,39.9\n1,1,t,116.6\n")
-    assert load_points_auto(tree) == load_plain_points(tree)
-    assert load_points_auto(tree)["1"] == [(116.5, 39.9), (116.25, -39.125)]
+    assert _points(load_points_auto(tree)) == _points(load_plain_points(tree))
+    assert _points(load_points_auto(tree))["1"] == [(116.5, 39.9), (116.25, -39.125)]
 
 
 def test_load_points_auto_holds_encrypted_files_to_the_grammar(tmp_path):
@@ -428,7 +434,7 @@ def test_load_points_auto_holds_encrypted_files_to_the_grammar(tmp_path):
     (tree / "2.txt").write_text("2,2,t,116.5,39.9\n3,2,t,1e2,39.9\n4,2,t,nan,1\n")
     (tree / "3.txt").write_text("5,3,t,116.5,39.9\n\n007,3,t,116.5,39.9\n")
     rejects = {}
-    assert load_points_auto(tree, rejects) == {"1": [(116.5, 39.9), (-0.25, 1.0)]}
+    assert _points(load_points_auto(tree, rejects)) == {"1": [(116.5, 39.9), (-0.25, 1.0)]}
     assert rejects == {
         "2": (2, "parse error: malformed decimal text: '1e2'"),
         "3": (3, "parse error: malformed coordinate id '007'"),
@@ -845,10 +851,16 @@ def _row_parts(n):
     return "-" if n.sign < 0 else "", n.int_part, n.frac_value, n.frac_digits
 
 
+def to_float(n):
+    """The float of a DecimalNumber, as the plain layout's loaders give it:
+    Python's ``frac / 10**d`` divides two exact integers, correctly rounded."""
+    return n.sign * (n.int_part + n.frac_value / 10**n.frac_digits)
+
+
 def _reference_scan(text):
     """Rows, their line indices, errors and (lon, lat) float.hex pairs of a
     plain file, line by line through decompose, validate_point and
-    DecimalNumber.to_float."""
+    to_float."""
     rows, at, errors, floats = [], [], [], []
     for line_no, line in enumerate(io.StringIO(text, newline=""), start=1):
         if not line.strip():
@@ -880,7 +892,7 @@ def _reference_scan(text):
              line[len(body):])
         )
         at.append(line_no - 1)
-        floats.append((lon.to_float().hex(), lat.to_float().hex()))
+        floats.append((to_float(lon).hex(), to_float(lat).hex()))
     return rows, at, errors, floats
 
 
@@ -917,15 +929,136 @@ def test_eval_loaders_equal_scan_file_floats(lines, last_end):
         assert scan.dropped == sum(r.startswith("out of range") for _, r in errors)
         assert scan.parse_errors == len(errors) - scan.dropped
 
-        def hexed(points):
-            assert set(points) == {"7"}
-            return [(lon.hex(), lat.hex()) for lon, lat in points["7"]]
+        def hexed(tree):
+            assert set(tree.rows) == {"7"}
+            return [(lon.hex(), lat.hex()) for lon, lat in _points(tree)["7"]]
 
         assert hexed(load_plain_points(tree)) == floats
         with open(tree / "7.txt", encoding="utf-8", newline="") as fh:
             fields = [line.rstrip("\r\n").split(",") for line in fh if line.strip()]
         if not (fields and all(len(f) == 5 for f in fields)):
             assert hexed(load_points_auto(tree)) == floats
+
+
+# Values around the loaders' float rule and range check: fractions of 16 to
+# 19 digits, which may pass 2**53; 3-digit ints with 13 or more fraction
+# digits, whose encrypted numerator i * 10**d + f may; negative zeros; and
+# the range bounds, which only the plain layout checks.
+_LOADER_EDGE = [
+    "-0", "-0.000", "179", "180", "180.0", "180.0001", "-180.0000000000000000000",
+    "89", "90", "-90.0", "90.0001", "0.9007199254740993", "-0.99999999999999999",
+    "1.1234567890123456789", "179.9999999999999999999", "999.1234567890123",
+    "-901.0000000000001", "123.99999999999999", "99.12345678901234567",
+]
+
+
+@st.composite
+def _loader_line(draw):
+    lon, lat = (draw(st.one_of(
+        st.sampled_from(_LOADER_EDGE), _coordinate(bound), _coordinate(bound, min_digits=16)
+    )) for bound in (180, 90))
+    return f"{draw(_FIELD)},{draw(_FIELD)},{lon},{lat}"
+
+
+@st.composite
+def _loader_tree(draw):
+    """The texts of 1 to 4 files: accepted, rejected, edge, blank and
+    whitespace lines with any terminator; only a file's last line may lack
+    one."""
+    files = []
+    for _ in range(draw(st.integers(1, 4))):
+        bodies = draw(st.lists(st.one_of(
+            _accepted_line().map(lambda line: line[0]),
+            _rejected_line().map(lambda line: line[0]),
+            _edge_line(), _loader_line(), _loader_line(), _WHITESPACE_LINE,
+        ), max_size=8))
+        ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in bodies]
+        if ends:
+            ends[-1] = draw(st.sampled_from(["\n", "\r\n", "\r", ""]))
+        files.append("".join(map(str.__add__, bodies, ends)))
+    return files
+
+
+def _in_encrypted_grammar(body):
+    """Whether the encrypted layout takes ``cid,body``: four fields, canonical
+    coordinates of at most 19 fraction digits and 3 (lon) or 2 (lat) int
+    digits, whatever their range."""
+    fields = body.split(",")
+    try:
+        lon, lat = decompose(fields[2]), decompose(fields[3])
+    except (IndexError, ParseError):
+        return False
+    return (len(fields) == 4 and lon.int_part < 1000 and lat.int_part < 100
+            and max(lon.frac_digits, lat.frac_digits) <= MAX_FRAC_DIGITS)
+
+
+def _hexed(tree):
+    return {stem: [(lon.hex(), lat.hex()) for lon, lat in pts]
+            for stem, pts in _points(tree).items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_loader_tree(), st.sampled_from([1, 80, 1 << 20]), st.integers(0, 10**18 - 1))
+def test_loaders_equal_the_references_across_files(files, slice_chars, cid):
+    # The loaders gather the accepted lines of many files at once, in slices
+    # of about slice_chars characters.  Every float equals, bit for bit,
+    # to_float of the reference grammar in the plain layout and float() of
+    # the field's text in the encrypted one; the debug counts say which
+    # lines took the per-line path and which values the exact fallback.
+    stems = [str(k) for k in range(len(files))]
+    plain_floats, enc_floats, line_path, exact = {}, {}, 0, [0, 0]
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(dataset, "_SLICE_CHARS", slice_chars):
+        plain, enc = Path(tmp, "plain"), Path(tmp, "enc")
+        plain.mkdir()
+        enc.mkdir()
+        for stem, text in zip(stems, files):
+            (plain / f"{stem}.txt").write_bytes(text.encode())
+            _, at, errors, plain_floats[stem] = _reference_scan(text)
+            lines = io.StringIO(text, newline="").readlines()
+            coordinates = [lines[i].rstrip("\r\n").split(",")[2:] for i in at]
+            line_path += len(errors) + sum(
+                decompose(lon).int_part == 180 or decompose(lat).int_part == 90
+                for lon, lat in coordinates
+            )
+            # the lines in the grammar: gathered in both layouts
+            enc_lines = [f"{cid},{line}" for line in lines
+                         if _in_encrypted_grammar(line.rstrip("\r\n"))]
+            (enc / f"{stem}.txt").write_bytes("".join(enc_lines).encode())
+            fields = [line.rstrip("\r\n").split(",")[3:] for line in enc_lines]
+            enc_floats[stem] = [(float(lon).hex(), float(lat).hex()) for lon, lat in fields]
+            for n in (decompose(text) for f in fields for text in f):
+                exact[0] += n.frac_value >= 2**53
+                exact[1] += n.int_part * 10**n.frac_digits + n.frac_value >= 2**53
+        tree = load_plain_points(plain)
+        assert _hexed(tree) == plain_floats
+        sizes = [len(floats) for floats in plain_floats.values()]
+        starts = [sum(sizes[:k]) for k in range(len(sizes))]
+        assert [rows.start for rows in tree.rows.values()] == starts
+        assert len(tree.xy) == sum(sizes)
+        assert (tree.line_path, tree.exact) == (line_path, exact[0])
+        rejects = {}
+        tree = load_points_auto(enc, rejects)
+        assert rejects == {}
+        assert _hexed(tree) == enc_floats
+        assert (tree.line_path, tree.exact) == (0, exact[1])
+        auto = _hexed(load_points_auto(plain, rejects))
+        for stem, text in zip(stems, files):
+            body = [line for line in io.StringIO(text, newline="") if line.strip()]
+            if not body or any(line.count(",") != 4 for line in body):
+                assert auto[stem] == plain_floats[stem]
+
+
+@pytest.mark.parametrize("bad", ["1,t,1e5,1", "1,t,116.5,39.5,x", "1,t,181.5,1"])
+def test_load_plain_points_reads_a_half_bad_file_in_linear_time(tmp_path, bad):
+    # every second line stops the whole-text match or is a range candidate,
+    # and each costs one step of the walk
+    (tmp_path / "1.txt").write_text("\n".join(["1,t,116.12345,39.12345", bad] * 10_000) + "\n")
+    started = time.perf_counter()
+    tree = load_plain_points(tmp_path)
+    assert time.perf_counter() - started < 5
+    assert len(tree.xy) == tree.line_path == 10_000
+    assert _points(tree)["1"] == [(116.12345, 39.12345)] * 10_000
 
 
 def _scan_columns(scan):
@@ -1102,7 +1235,7 @@ def test_load_points_auto_checks_each_encrypted_line(case):
         for name, data in files.items():
             (tree / name).write_bytes(data)
         rejects = {}
-        points = load_points_auto(tree, rejects)
+        points = _points(load_points_auto(tree, rejects))
     for name, data in files.items():
         stem, lines = name[:-4], io.StringIO(data.decode(), newline="").readlines()
         body = [line for line in lines if line.strip()]

@@ -425,12 +425,14 @@ def test_chunks_that_widen_a_column_save_as_one_append(chunks):
         queries = {(e[0] + delta, e[2]) for e in entries for delta in (-1, 0, 1)}
         results = []
         for s in (whole, chunked, loaded):
+            # the conflict count and fuzzy entries come from the chunks as
+            # appended, which they leave unjoined; the exact lookup joins
+            fuzzy_found = sorted((q, s.lookup_fuzzy(kind, *q)) for q in queries)
+            conflicts = s.conflicts(kind), s.conflict_rate(kind)
+            if s is chunked:
+                assert len(s._cols[kind][0]) == len(chunks.get(kind, []))
             hit, found = s.lookup_exact_batch(kind, ids, enc, digits)
-            results.append((
-                hit.tolist(), found.tolist(),
-                sorted((q, s.lookup_fuzzy(kind, *q)) for q in queries),
-                s.conflicts(kind), s.conflict_rate(kind),
-            ))
+            results.append((hit.tolist(), found.tolist(), fuzzy_found, *conflicts))
         assert results[0] == results[1] == results[2]
         # brute force, over values that take the packed sort and the lexsort
         by_query, by_enc = {}, {}
@@ -819,47 +821,72 @@ def test_replacing_is_the_only_file_writer():
 
 
 _LINE_PATTERNS = ("_PLAIN_LINE", "_ENC_LINE")
+_TEXT_PATTERNS = ("_PLAIN_TEXT", "_ENC_TEXT")
 
 
-def _line_parsers(tree):
-    """The lines, inside a function other than ``scan_lines``, that use the
-    per-line pattern of either trace layout."""
+def _pattern_users(tree, patterns=_LINE_PATTERNS, owner="scan_lines"):
+    """The lines, inside a function other than ``owner``, that name one of
+    ``patterns``."""
     for func in ast.walk(tree):
         if isinstance(func, (ast.FunctionDef, ast.Lambda)) and (
-            getattr(func, "name", None) != "scan_lines"
+            getattr(func, "name", None) != owner
         ):
             for node in ast.walk(func):
                 name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-                if name in _LINE_PATTERNS:
+                if name in patterns:
                     yield node.lineno
+
+
+def _src_pattern_users(patterns, owner):
+    """How many functions of src/geofpe are named ``owner``, and the
+    ``file:line`` of each other use of ``patterns`` there."""
+    owners, found = 0, []
+    for path in sorted(_SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners += sum(isinstance(node, ast.FunctionDef) and node.name == owner
+                      for node in ast.walk(tree))
+        found += [f"{path.name}:{line}" for line in _pattern_users(tree, patterns, owner)]
+    return owners, found
 
 
 def test_scan_lines_is_the_only_line_parser():
     """Only ``dataset.scan_lines`` matches lines against the layouts'
-    patterns, so one grammar decides what every command accepts.  The
-    encrypted eval loader's whole-file ``_ENC_TEXT`` match is allowed."""
-    parsers, found = 0, []
-    for path in sorted(_SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        parsers += sum(isinstance(node, ast.FunctionDef) and node.name == "scan_lines"
-                       for node in ast.walk(tree))
-        found += [f"{path.name}:{line}" for line in _line_parsers(tree)]
-    assert parsers == 1
-    assert found == []
+    patterns, so one grammar decides what every command accepts."""
+    assert _src_pattern_users(_LINE_PATTERNS, "scan_lines") == (1, [])
     # the lint sees each of these, one a line, and passes the pattern
-    # definitions, scan_lines itself and the whole-file match
+    # definitions, scan_lines itself and the whole-text patterns
     caught = [
         "def f(line): return _PLAIN_LINE.fullmatch(line)",
         "def f(lines): return [dataset._ENC_LINE.match(x) for x in lines]",
         "f = lambda line: _ENC_LINE.fullmatch(line)",
     ]
-    assert list(_line_parsers(ast.parse("\n".join(caught)))) == [1, 2, 3]
+    assert list(_pattern_users(ast.parse("\n".join(caught)))) == [1, 2, 3]
     passed = (
         "_ENC_LINE = re.compile(_PLAIN_LINE.pattern)\n"
         "def scan_lines(lines): return _ENC_LINE.fullmatch\n"
         "def f(text): return _ENC_TEXT.fullmatch(text)"
     )
-    assert list(_line_parsers(ast.parse(passed))) == []
+    assert list(_pattern_users(ast.parse(passed))) == []
+
+
+def test_the_eval_loader_is_the_only_whole_text_parser():
+    """Only ``dataset._load`` walks a file's text with the layouts'
+    whole-text patterns; a line where the walk stops goes to the per-line
+    reject path, so the whole-text patterns add no second grammar."""
+    assert _src_pattern_users(_TEXT_PATTERNS, "_load") == (1, [])
+    caught = [
+        "def f(text): return _ENC_TEXT.fullmatch(text)",
+        "def load_points_auto(d): return dataset._PLAIN_TEXT.match",
+        "f = lambda text: _PLAIN_TEXT.match(text)",
+    ]
+    found = _pattern_users(ast.parse("\n".join(caught)), _TEXT_PATTERNS, "_load")
+    assert list(found) == [1, 2, 3]
+    passed = (
+        "_PLAIN_TEXT = _text_pattern(_PLAIN_BODY)\n"
+        "def _load(d): return _ENC_TEXT.match, _PLAIN_TEXT.match\n"
+        "def f(line): return _ENC_LINE.fullmatch(line)"
+    )
+    assert list(_pattern_users(ast.parse(passed), _TEXT_PATTERNS, "_load")) == []
 
 
 _THREAD_MODULES = ("threading", "concurrent", "multiprocessing")

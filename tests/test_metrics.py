@@ -296,6 +296,37 @@ def test_cluster_centroids():
     assert info == [{"centroid": [1.0, 1.0], "size": 2}]
 
 
+def _centroids_loop(points, labels):
+    """cluster_centroids one point at a time: Python sums in input order."""
+    clusters = {}
+    for point, label in zip(points, labels):
+        if label != -1:
+            clusters.setdefault(label, []).append(point)
+    return [
+        {"centroid": [sum(p[0] for p in members) / len(members),
+                      sum(p[1] for p in members) / len(members)],
+         "size": len(members)}
+        for members in (clusters[label] for label in sorted(clusters))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    st.tuples(st.floats(-180, 180) | st.sampled_from([-0.0, 0.1, 0.2, 0.3]),
+              st.floats(-90, 90) | st.sampled_from([-0.0, 1e-300])),
+    st.integers(-1, 4),
+), max_size=40))
+def test_cluster_centroids_equal_the_per_point_sums(labelled):
+    # the means must keep Python's left-to-right sums: np.mean sums
+    # pairwise and would change the bits in hotspots.json
+    points = [point for point, _ in labelled]
+    labels = [label for _, label in labelled]
+    got = cluster_centroids(points, labels)
+    want = _centroids_loop(points, labels)
+    assert [(c["size"], [v.hex() for v in c["centroid"]]) for c in got] == \
+        [(c["size"], [v.hex() for v in c["centroid"]]) for c in want]
+
+
 # ---------------------------------------------------------------------------
 # Hotspot analysis
 
