@@ -16,8 +16,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .cipher import BACKEND, KINDS, CoordinateCipher, map_fingerprint
 from .dataset import (
     SynthConfig,
@@ -274,11 +272,10 @@ def cmd_eval_hotspots(args) -> int:
     started = time.perf_counter()
     population = len(orig.xy)
     n_sample = args.sample_size or min(5000, population)
-    sample = stratified_sample(orig.rows, n_sample, args.seed)
     # the trees hold the same files, in name order, with as many rows each,
     # so a sampled point has one row in all three
-    at = np.array([orig.rows[vid][i] for vid, i in sample], dtype=np.int64)
-    orig_pts, enc_pts, dec_pts = orig.xy[at], enc.xy[at], dec.xy[at]
+    sample = stratified_sample(orig.rows, n_sample, args.seed)
+    orig_pts, enc_pts, dec_pts = orig.xy[sample], enc.xy[sample], dec.xy[sample]
     log.debug(
         "sample: %d of %d points in %.3fs",
         len(sample), population, time.perf_counter() - started,

@@ -3,16 +3,22 @@
 Input files follow the taxi-trace convention "id,datetime,longitude,latitude",
 one file per vehicle named <vehicle_id>.txt.  Encrypted files prepend a
 coordinate id column; decrypted files restore the original four-column layout
-byte for byte.  Each accepted line keeps its own terminator ("\n", "\r\n" or
-none on a last line) through encryption and decryption.  scan_lines is the
-one line parser of both layouts, and encrypt and decrypt read its columns.
-The eval loaders walk whole texts with patterns built from the same body,
-send each line where the walk stops to scan_lines' reject reasons, and
-gather the accepted text's floats with numpy.
+byte for byte.  Each accepted line keeps its own terminator ("\n", "\r\n",
+"\r" or none on a last line) through encryption and decryption.
+
+_read is the one reader of both layouts, for encrypt, decrypt and the eval
+loaders.  It reads files in name order into slices of text and walks each
+file with one whole-text match per run of accepted lines; a line where the
+walk stops is blanked to spaces in the slice and gets its reason from the
+reference grammar.  A slice's accepted lines are then gathered from its bytes with
+numpy into columns: byte positions, and per axis the integer part,
+fraction value and digit count.  Encrypt and decrypt write the new digits
+back into the slice's bytes; the eval loaders turn the columns into floats.
 """
 
 from __future__ import annotations
 
+import bisect
 import datetime
 import logging
 import math
@@ -40,83 +46,46 @@ log = logging.getLogger("geofpe.dataset")
 
 SYNTH_FRAC_DIGITS = 5
 
-
-@dataclass
-class FileScan:  # a file's accepted lines as columns, in line order, and its rejects
-    at: list[int]  # index of each accepted line in the file, from 0
-    cids: tuple[str, ...]  # coordinate id texts; empty in the plain layout
-    heads: tuple[str, ...]  # "id,timestamp"
-    lon: tuple  # columns of sign ("-" or ""), int part, fraction value, digits
-    lat: tuple
-    ends: tuple[str, ...]  # "\n", "\r\n", "\r" or "" (a last line)
-    errors: list[tuple[int, str]]  # (line no, reason)
-    parse_errors: int
-    dropped: int
-
-
 # An accepted plain line, less the range check: id and timestamp without
-# separators, canonical lon and lat (at most 3 and 2 integer digits), one
-# terminator.  An encrypted line puts a canonical coordinate id (at most 18
-# digits, so it fits an int64) in front.  coords.decompose is the reference
-# grammar.
+# separators, canonical lon and lat (at most 3 and 2 integer digits).  An
+# encrypted line puts a canonical coordinate id (at most 18 digits, so it
+# fits an int64) in front.  coords.decompose is the reference grammar.
 _PLAIN_BODY = (
-    r"([^,\r\n]*,[^,\r\n]*),"
-    rf"(-?)(0|[1-9][0-9]{{0,2}})(?:\.([0-9]{{1,{MAX_FRAC_DIGITS}}}))?,"
-    rf"(-?)(0|[1-9][0-9]?)(?:\.([0-9]{{1,{MAX_FRAC_DIGITS}}}))?"
+    r"[^,\r\n]*,[^,\r\n]*,"
+    rf"-?(?:0|[1-9][0-9]{{0,2}})(?:\.[0-9]{{1,{MAX_FRAC_DIGITS}}})?,"
+    rf"-?(?:0|[1-9][0-9]?)(?:\.[0-9]{{1,{MAX_FRAC_DIGITS}}})?"
 )
-_CID = r"0|[1-9][0-9]{0,17}"
+_CID = r"(?:0|[1-9][0-9]{0,17})"
 _CID_TEXT = re.compile(_CID)
-_END = r"(\r\n|\n|\r|)"
-_PLAIN_LINE = re.compile(_PLAIN_BODY + _END)
-_ENC_LINE = re.compile(f"({_CID}),{_PLAIN_BODY}{_END}")
-_INT_PARTS = {str(i): i for i in range(1000)}  # the pattern's int parts; beats int()
-_INSIDE = ({str(i) for i in range(LON_MAX)}, {str(i) for i in range(LAT_MAX)})  # int parts
 
 
-def scan_lines(lines, encrypted=False) -> FileScan:
-    """Parse and clean a file's lines (terminators kept), in the plain
-    layout or, with ``encrypted``, the encrypted one.  Accepted lines become
-    the columns of a FileScan; only the plain layout checks the range.  A
-    rejected line gives its line number and reason, a blank one is skipped."""
-    match = (_ENC_LINE if encrypted else _PLAIN_LINE).fullmatch
-    reject = _enc_reject_reason if encrypted else _reject_reason
-    lon_in, lat_in = _INSIDE
-    at, groups, errors, dropped = [], [], [], 0
-    for i, line in enumerate(lines):
-        m = match(line)
-        if m is not None:
-            g = m.groups("")  # the lon and lat int parts are at -6 and -3
-            # in range below both bounds; the reference grammar decides the rest
-            if encrypted or g[-6] in lon_in and g[-3] in lat_in or reject(line) is None:
-                at.append(i)
-                groups.append(g)
-                continue
-        elif not line.strip():
-            continue
-        reason = reject(line)
-        errors.append((i + 1, reason))
-        dropped += reason.startswith("out of range")
-    cols = list(zip(*groups)) or [()] * (9 if encrypted else 8)
-    heads, lon_s, lon_i, lon_f, lat_s, lat_i, lat_f, ends = cols[-8:]
-    return FileScan(at, cols[0] if encrypted else (), heads, _axis(lon_s, lon_i, lon_f),
-                    _axis(lat_s, lat_i, lat_f), ends, errors, len(errors) - dropped, dropped)
+def _text_pattern(body: str) -> re.Pattern:
+    """A whole text of lines that ``body`` matches or that are blank (only the
+    whitespace str.strip removes), in one match, with terminators as
+    readlines splits them.  The lines' contents and terminators cannot
+    overlap, so a failed match does not backtrack far, and the repeat over
+    lines is possessive, so it keeps no backtracking state per line."""
+    return re.compile(rf"(?:(?:{body}|[^\S\r\n]*)(?:\r\n|\n|\r(?!\n)))*+(?:{body}|[^\S\r\n]*)")
 
 
-def _axis(signs, ints, fracs) -> tuple:
-    """The four columns of an axis from its matched texts."""
-    ints = list(map(_INT_PARTS.__getitem__, ints))
-    return signs, ints, [int(f) if f else 0 for f in fracs], list(map(len, fracs))
-
-
-def scan_file(path: Path, encrypted=False) -> FileScan:
-    """scan_lines over one trajectory file."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        return scan_lines(fh, encrypted)
+_PLAIN_TEXT = _text_pattern(_PLAIN_BODY)
+_ENC_TEXT = _text_pattern(f"{_CID},{_PLAIN_BODY}")
+_EOL = re.compile(r"\r\n?|\n")
+# Bytes of text read per slice.  Encrypt and decrypt hold a slice's bytes
+# and columns through the cipher or the map lookups and build each file's
+# output from them, so their slices stay small: at 256 KB their peak memory
+# per point grew by a tenth.  The eval loaders keep only the floats, and
+# 1 MB slices load a tree about 15% faster than 64 KB ones.
+_CIPHER_SLICE = 1 << 16
+_LOAD_SLICE = 1 << 20
+_PAD = b" " * (MAX_FRAC_DIGITS + 1)  # so that a gather never reads past the buffer
+_P10F = POW10.astype(np.float64)  # exact: 10**19 = 2**19 * 5**19, and 5**19 < 2**53
+_EXACT = np.uint64(2**53)  # a smaller uint64 converts to float64 exactly
 
 
 def _reject_reason(line: str) -> str | None:
-    """The sidecar reason of a non-blank plain line that scan_lines rejects,
-    found with the reference grammar of coords; None if it accepts it."""
+    """The sidecar reason of a non-blank plain line, found with the reference
+    grammar of coords; None if the line is accepted."""
     fields = line.rstrip("\r\n").split(",")
     if len(fields) != 4:
         return f"parse error: expected 4 comma-separated fields, got {len(fields)}"
@@ -135,9 +104,9 @@ def _reject_reason(line: str) -> str | None:
 
 
 def _enc_reject_reason(line: str) -> str:
-    """The sidecar reason of a non-blank encrypted line that scan_lines
-    rejects, found with the reference grammar: the field count, the id,
-    then _reject_reason on the rest."""
+    """The sidecar reason of a non-blank line outside the encrypted layout,
+    found with the reference grammar: the field count, the id, then
+    _reject_reason on the rest."""
     fields = line.rstrip("\r\n").split(",")
     if len(fields) != 5:
         return f"expected 5 fields, got {len(fields)}"
@@ -146,19 +115,292 @@ def _enc_reject_reason(line: str) -> str:
     return _reject_reason(line.split(",", 1)[1])
 
 
-def _decimal_texts(signs, ints, fracs, digits) -> list[str]:
-    """Coordinate texts of one axis's columns."""
-    return [
-        f"{s}{i}.{f:0{d}d}" if d else f"{s}{i}"
-        for s, i, f, d in zip(signs, ints, fracs, digits)
-    ]
+# ---------------------------------------------------------------------------
+# The reader
 
 
-def stratified_sample(trajectories, n_total: int, seed) -> list[tuple[str, int]]:
-    """Sample n_total (vehicle, position) pairs, quota per vehicle proportional
-    to its point count (largest-remainder rounding), uniform without
-    replacement inside each vehicle.  Deterministic for a fixed seed."""
-    sizes = {vid: len(seq) for vid, seq in trajectories.items()}
+@dataclass
+class _Axis:
+    """A coordinate field of each gathered line."""
+
+    neg: np.ndarray  # a "-" leads it
+    start: np.ndarray  # byte of its first integer digit
+    dot: np.ndarray  # byte past its integer digits: the "." or the field's end
+    ints: np.ndarray  # uint64 integer parts
+    fracs: np.ndarray  # uint64 fraction values
+    digits: np.ndarray  # fraction digit counts
+
+
+@dataclass
+class _Rows:
+    """The accepted lines of a slice as columns, in line order."""
+
+    start: np.ndarray  # byte of the line's start
+    comma: np.ndarray  # byte of its first comma
+    eol: np.ndarray  # byte of its terminator, or of the "\n" after its file
+    end: np.ndarray  # byte past its terminator
+    lon: _Axis
+    lat: _Axis
+
+    def take(self, index) -> _Rows:
+        """The rows at ``index``."""
+        axes = [_Axis(*(col[index] for col in vars(a).values())) for a in (self.lon, self.lat)]
+        return _Rows(self.start[index], self.comma[index], self.eol[index],
+                     self.end[index], *axes)
+
+    def components(self) -> list[tuple]:
+        """(kind, values, digit counts) of each component kind, in KINDS order."""
+        zeros = np.zeros(len(self.start), dtype=np.int64)
+        lon, lat = self.lon, self.lat
+        return list(zip(KINDS, (lon.ints, lon.fracs, lat.ints, lat.fracs),
+                        (zeros, lon.digits, zeros, lat.digits)))
+
+
+@dataclass
+class _Part:
+    """A file of a slice."""
+
+    path: Path
+    start: int  # its bytes in the slice
+    end: int
+    rows: range = range(0)  # its rows of the slice's columns
+    stops: list = field(default_factory=list)  # (byte in the file, line) where the walk stopped
+    dropped: list = field(default_factory=list)  # (byte, reason) of its rows out of range
+    failure: Exception | None = None  # it could not be read or decoded
+    rejected: tuple | None = None  # read as encrypted in auto mode: (line no, reason)
+
+
+@dataclass
+class _Slice:
+    """Files read at once: their text as bytes, each followed by a "\n",
+    every line where the walk stopped blanked to spaces, and _PAD; the
+    columns of their accepted lines, and the lines read one by one (stops
+    and range candidates)."""
+
+    encrypted: bool
+    buf: np.ndarray  # writable uint8
+    parts: list[_Part]
+    rows: _Rows | None = None
+    line_path: int = 0
+    _ends: np.ndarray | None = None  # bytes that end a line
+
+    def line_nos(self, part: _Part, at) -> list[int]:
+        """The line numbers in ``part`` of the lines that start at bytes ``at``."""
+        if self._ends is None:
+            buf = self.buf
+            eols = np.flatnonzero((buf == 10) | (buf == 13))
+            self._ends = eols[(buf[eols] == 10) | (buf[eols + 1] != 10)]  # "\r\n" ends one
+        ends = self._ends
+        return (np.searchsorted(ends, at) - np.searchsorted(ends, part.start) + 1).tolist()
+
+    def errors(self, part: _Part) -> list[tuple[int, str]]:
+        """The (line no, reason) of each line of ``part`` that is rejected, in
+        order: its stop lines, with the reason of the slice's layout, and
+        its rows out of range."""
+        reason = _enc_reject_reason if self.encrypted else _reject_reason
+        marks = [(part.start + at, reason(line)) for at, line in part.stops] + part.dropped
+        if not marks:
+            return []
+        at, why = zip(*sorted(marks))
+        return list(zip(self.line_nos(part, at), why))
+
+
+def _stops(match, text: str):
+    """The (start, end) of each line, terminator included, that stops the
+    whole-text ``match``: neither blank nor taken by its line pattern.  Each
+    step is one match from the end of the last such line."""
+    pos = 0
+    while (e := match(text, pos).end()) < len(text):
+        start = max(text.rfind("\n", pos, e), text.rfind("\r", pos, e), pos - 1) + 1
+        eol = _EOL.search(text, e)
+        pos = eol.end() if eol else len(text)
+        yield start, pos
+
+
+def _walk(part: _Part, encrypted):
+    """Read the file of ``part`` and walk it in its layout: plain, encrypted,
+    or with ``encrypted`` None, as load_points_auto detects it.  Returns its
+    UTF-8 bytes with each stop line blanked to as many spaces, terminator
+    kept, so that no terminator moves; and its layout.  No bytes if it
+    cannot be read or decoded, or is auto-read as encrypted and has a stop
+    line."""
+    try:
+        with open(part.path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        part.failure = exc
+        return None, encrypted
+    stops = _stops(_PLAIN_TEXT.match if encrypted is False else _ENC_TEXT.match, text)
+    if encrypted is None:
+        first = next(stops, None)
+        encrypted = first is None or text.count(",", *first) == 4 and all(
+            line.count(",") == 4 for line in _EOL.split(text) if line.strip()
+        )
+        if encrypted and first:
+            start, end = first
+            part.rejected = (len(_EOL.findall(text, 0, start)) + 1,
+                             _enc_reject_reason(text[start:end]))
+            return None, encrypted
+        if not encrypted:
+            stops = _stops(_PLAIN_TEXT.match, text)
+    pieces, pos, at = [], 0, 0
+    for start, end in stops:
+        line = text[start:end]
+        body = line.rstrip("\r\n")
+        pieces.append(text[pos:start].encode())
+        at += len(pieces[-1])
+        part.stops.append((at, line))
+        pieces.append(b" " * len(body.encode()) + line[len(body):].encode())
+        at += len(pieces[-1])
+        pos = end
+    pieces.append(text[pos:].encode())
+    return b"".join(pieces), encrypted
+
+
+def _read(paths, encrypted, size: int):
+    """The files at ``paths``, in order, as slices of about ``size`` bytes of
+    text, each of one layout (see _walk).  A file with no bytes to gather
+    is a part of the slice all the same."""
+    parts, chunks, at, layout = [], [], 0, encrypted
+    for path in paths:
+        part = _Part(path, at, at)
+        data, enc = _walk(part, encrypted)
+        if data is not None:
+            if chunks and enc != layout:
+                yield _slice(layout, parts, chunks)
+                parts, at = [], 0
+            layout = enc
+            part.start, part.end = at, at + len(data)
+            chunks += (data, b"\n")
+            at = part.end + 1
+        parts.append(part)
+        if at >= size:
+            yield _slice(layout, parts, chunks)
+            parts, at = [], 0
+    if parts:
+        yield _slice(layout, parts, chunks)
+
+
+def _slice(encrypted, parts: list[_Part], chunks: list[bytes]) -> _Slice:
+    """The slice of ``parts``, from their bytes in ``chunks``, which it
+    empties: the columns of their accepted lines, less the plain lines whose
+    integer part is at or past 180 or 90 that _reject_reason rejects, and
+    each part's rows."""
+    buf = np.frombuffer(bytearray().join([*chunks, _PAD]), np.uint8)
+    chunks.clear()
+    sl = _Slice(bool(encrypted), buf, parts)
+    sl.line_path = sum(len(part.stops) for part in parts)
+    rows = _gather(buf, sl.encrypted)
+    if not encrypted:
+        near = np.flatnonzero((rows.lon.ints >= LON_MAX) | (rows.lat.ints >= LAT_MAX))
+        sl.line_path += len(near)
+        starts, dropped = [part.start for part in parts], []
+        for r, a, b in zip(near.tolist(), rows.start[near].tolist(), rows.eol[near].tolist()):
+            why = _reject_reason(buf[a:b].tobytes().decode())
+            if why is not None:
+                dropped.append(r)
+                parts[bisect.bisect_right(starts, a) - 1].dropped.append((a, why))
+        if dropped:
+            rows = rows.take(np.delete(np.arange(len(rows.start)), dropped))
+    bounds = np.searchsorted(rows.start, [(part.start, part.end) for part in parts])
+    for part, (lo, hi) in zip(parts, bounds.tolist()):
+        part.rows = range(lo, hi)
+    sl.rows = rows
+    return sl
+
+
+def _gather(buf: np.ndarray, encrypted: bool) -> _Rows:
+    """The columns of the accepted lines of a slice's bytes, where every
+    non-blank line has 3 commas, or 4 encrypted, and ends in a terminator."""
+    commas = np.flatnonzero(buf == 44).reshape(-1, 4 if encrypted else 3)
+    eols = np.flatnonzero((buf == 10) | (buf == 13))
+    dots = np.append(np.flatnonzero(buf == 46), len(buf))
+    lat_start = commas[:, -1] + 1
+    eol = eols[np.searchsorted(eols, lat_start)]
+    start = np.append(0, eols + 1)[np.searchsorted(eols, commas[:, 0])]
+    end = eol + 1 + ((buf[eol] == 13) & (buf[eol + 1] == 10))
+    # both axes in one pass: the lon fields, then the lat ones
+    both = _axis(buf, dots, np.concatenate((commas[:, -2] + 1, lat_start)),
+                 np.concatenate((commas[:, -1], eol)))
+    lon, lat = (_Axis(*(col[half] for col in vars(both).values()))
+                for half in (slice(len(start)), slice(len(start), None)))
+    return _Rows(start, commas[:, 0].copy(), eol, end, lon, lat)
+
+
+def _axis(buf, dots, start, end) -> _Axis:
+    """The coordinate fields at ``buf[start:end]``."""
+    neg = buf[start] == 45  # "-"
+    start = start + neg
+    dot = np.minimum(dots[np.searchsorted(dots, start)], end)
+    digits = np.maximum(end - dot - 1, 0)
+    return _Axis(neg, start, dot, _number(buf, start, dot - start),
+                 _number(buf, dot + 1, digits), digits)
+
+
+def _number(buf, start, width) -> np.ndarray:
+    """The uint64 value of the decimal digits at ``buf[start:start + width]``
+    of each row, one digit a pass."""
+    value = np.zeros(len(start), dtype=np.uint64)
+    for k in range(int(width.max(initial=0))):
+        value = np.where(width > k, value * 10 + (buf[start + k] - 48), value)
+    return value
+
+
+def _put(buf, start, values, widths) -> None:
+    """Write each of the uint64 ``values`` as decimal digits, zero-padded to
+    its width, at ``buf[start:start + width]``, one digit a pass from the
+    last."""
+    end = start + widths
+    values = np.array(values, dtype=np.uint64)
+    digit = np.empty_like(values)
+    for k in range(1, int(widths.max(initial=0)) + 1):
+        np.divmod(values, 10, out=(values, digit))
+        at = widths >= k
+        buf[end[at] - k] = digit[at] + 48
+
+
+def _widths(values) -> np.ndarray:
+    """The digit count of each of the uint64 ``values``."""
+    return np.maximum(np.searchsorted(POW10, values, side="right"), 1)
+
+
+def _texts(values, comma: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The decimal texts of uint64 ``values``, each followed by a comma if
+    ``comma``, as one uint8 array; and the length of each."""
+    widths = _widths(values)
+    lens = widths + comma
+    text = np.full(int(lens.sum()), 44, dtype=np.uint8)
+    _put(text, np.cumsum(lens) - lens, values, widths)
+    return text, lens
+
+
+def _spans(n: int, starts, ends) -> np.ndarray:
+    """A mask of ``n`` bytes, True in each of the sorted, disjoint spans
+    [starts[i], ends[i])."""
+    lengths = np.diff(np.stack((starts, ends), axis=-1).ravel(), prepend=0, append=n)
+    inside = np.zeros(len(lengths), dtype=bool)
+    inside[1::2] = True
+    return np.repeat(inside, lengths)
+
+
+def _splice(buf, keep, at, text, lens, edges=()):
+    """The bytes of ``buf`` that ``keep`` marks, with the pieces of ``text``
+    (of ``lens``) inserted before the bytes at ``at``; and where each byte
+    at ``edges`` lands, after the pieces inserted before it."""
+    cut = np.flatnonzero(~keep)
+    out = np.insert(buf[keep], np.repeat(at - np.searchsorted(cut, at), lens), text)
+    edges = np.asarray(edges, dtype=np.int64)
+    pieces = np.append(0, np.cumsum(lens))[np.searchsorted(at, edges)]
+    return out, edges - np.searchsorted(cut, edges) + pieces
+
+
+def stratified_sample(rows, n_total: int, seed) -> np.ndarray:
+    """Sample n_total points of a tree whose ``rows`` map each vehicle to its
+    range of rows: a quota per vehicle proportional to its point count
+    (largest-remainder rounding), uniform without replacement inside each
+    vehicle.  Returns their rows as int64, vehicles in sorted order and each
+    one's rows in increasing order.  Deterministic for a fixed seed."""
+    sizes = {vid: len(r) for vid, r in rows.items()}
     population = sum(sizes.values())
     if n_total > population:
         raise ValueError(f"sample size {n_total} exceeds population {population}")
@@ -176,15 +418,15 @@ def stratified_sample(trajectories, n_total: int, seed) -> list[tuple[str, int]]
     remainders.sort()
     for _, vid in remainders[: n_total - assigned]:
         quotas[vid] += 1
-    sample = []
+    sample = [np.empty(0, dtype=np.int64)]
     for vid in vids:
         k = quotas[vid]
         if k == 0:
             continue
         rng = random.Random(f"{seed}:{vid}")
-        for idx in sorted(rng.sample(range(sizes[vid]), k)):
-            sample.append((vid, idx))
-    return sample
+        picks = np.array(sorted(rng.sample(range(sizes[vid]), k)), dtype=np.int64)
+        sample.append(rows[vid].start + picks)
+    return np.concatenate(sample)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +483,13 @@ def _write_sidecar(out_path: Path, errors) -> None:
         _sidecar(out_path).unlink(missing_ok=True)
 
 
+def _write(out_path: Path, errors, data: np.ndarray) -> None:
+    """Write a file's sidecar, then its bytes."""
+    _write_sidecar(out_path, errors)
+    with replacing(out_path, binary=True) as fh:
+        fh.write(data)
+
+
 def _file_failed(stats, out_path: Path, exc: Exception) -> None:
     """List a file the run could not finish, and remove the output and
     sidecar an earlier run left at its path: their ids may now be another
@@ -262,15 +511,16 @@ def encrypt_dataset(
 ) -> EncryptStats:
     """Encrypt every trajectory file under input_dir into out_dir.
 
-    Files are taken in sorted-filename order.  Each is parsed once and its
-    components encrypted as batches; coordinate ids are assigned sequentially
-    over the cleaned records as the store's next rows.  A file that cannot be
-    read, decoded or written is listed in ``failed_files`` with its reason,
-    gets no ids and leaves no output (an earlier run's output at its path is
-    removed); the other files are still encrypted.  A file's rows go into the
-    store only once its output is written, so the store always matches the
-    output tree.  An ``out_dir`` holding a ``.txt`` file that no input names
-    is refused with ValueError before anything is written.
+    Files are read in sorted-filename order, several to a slice, and each
+    slice is encrypted by _encrypt_slice.  Coordinate ids are assigned
+    sequentially over the written files' records as the store's next rows.
+    A file that cannot be read, decoded or written is listed in
+    ``failed_files`` with its reason, gets no ids and leaves no output (an
+    earlier run's output at its path is removed); the other files are still
+    encrypted.  A file's rows go into the store only once its output is
+    written, so the store always matches the output tree.  An ``out_dir``
+    holding a ``.txt`` file that no input names is refused with ValueError
+    before anything is written.
     """
     started = time.perf_counter()
     counted = astuple(cipher.counts)
@@ -279,52 +529,73 @@ def encrypt_dataset(
     _refuse_strays(out_dir, {path.name for path in files})
     out_dir.mkdir(parents=True, exist_ok=True)
     stats = EncryptStats(files=len(files))
-
-    for path in files:
-        out_path = out_dir / path.name
-        try:
-            scan = scan_file(path)
-            (lon_s, lon_i, lon_f, lon_d), (lat_s, lat_i, lat_f, lat_d) = scan.lon, scan.lat
-            zeros = (0,) * len(scan.heads)
-            parts = [("lon_int", lon_i, zeros), ("lon_frac", lon_f, lon_d),
-                     ("lat_int", lat_i, zeros), ("lat_frac", lat_f, lat_d)]
-            enc = [cipher.encrypt_batch(*part).tolist() for part in parts]
-            texts = zip(scan.heads, _decimal_texts(lon_s, enc[0], enc[1], lon_d),
-                        _decimal_texts(lat_s, enc[2], enc[3], lat_d), scan.ends)
-            _write_sidecar(out_path, scan.errors)
-            with replacing(out_path) as fh:
-                fh.writelines(f"{cid},{head},{lon},{lat}{end}" for cid, (head, lon, lat, end)
-                              in enumerate(texts, store.entry_count("lon_int")))
-        except (OSError, UnicodeDecodeError) as exc:
-            _file_failed(stats, out_path, exc)
-            continue
-        for (kind, orig, d), enc_col in zip(parts, enc):
-            store.append(kind, enc_col, orig, d)
-        stats.records += len(scan.heads)
-        stats.dropped += scan.dropped
-        stats.parse_errors += scan.parse_errors
+    next_id, line_path, slices = store.entry_count("lon_int"), 0, 0
+    for sl in _read(files, False, _CIPHER_SLICE):
+        next_id = _encrypt_slice(sl, cipher, store, out_dir, stats, next_id)
+        line_path += sl.line_path
+        slices += 1
+        del sl  # before the next slice is read
     components, distinct, hits, kernel_calls, tweaks = (
         now - then for now, then in zip(astuple(cipher.counts), counted)
     )
     log.debug(
         "encrypt %s: %d files, %d components, %d distinct keys, %d codebook hits, "
-        "%d kernel calls, %d tweaks in %.3fs",
+        "%d kernel calls, %d tweaks in %.3fs; %d lines read one by one, %d gather slices",
         input_dir, stats.files, components, distinct, hits, kernel_calls, tweaks,
-        time.perf_counter() - started,
+        time.perf_counter() - started, line_path, slices,
     )
     return stats
+
+
+def _encrypt_slice(sl: _Slice, cipher, store, out_dir: Path, stats, next_id: int) -> int:
+    """Encrypt a slice's components, one batch per kind, and write their
+    digits over the slice's own; then write each of its files, every
+    accepted line behind its coordinate id, from ``next_id`` on, and append
+    the written files' rows to the store.  Returns the next id."""
+    rows, buf = sl.rows, sl.buf
+    components = rows.components()
+    enc = [cipher.encrypt_batch(kind, values, digits) for kind, values, digits in components]
+    # the fold keeps an integer part's digit class and a fraction's digit count
+    lon, lat = rows.lon, rows.lat
+    _put(buf, np.concatenate((lon.start, lon.dot + 1, lat.start, lat.dot + 1)),
+         np.concatenate(enc),
+         np.concatenate((lon.dot - lon.start, lon.digits, lat.dot - lat.start, lat.digits)))
+    keep = _spans(len(buf), rows.start, rows.end)
+    written = np.zeros(len(rows.start), dtype=bool)
+    for part in sl.parts:
+        out_path = out_dir / part.path.name
+        if part.failure is not None:
+            _file_failed(stats, out_path, part.failure)
+            continue
+        lines, n = slice(part.rows.start, part.rows.stop), len(part.rows)
+        s, e = part.start, part.end
+        ids = np.arange(next_id, next_id + n, dtype=np.uint64)
+        errors = sl.errors(part)
+        try:
+            _write(out_path, errors, _splice(buf[s:e], keep[s:e], rows.start[lines] - s,
+                                             *_texts(ids, comma=True))[0])
+        except OSError as exc:
+            _file_failed(stats, out_path, exc)
+            continue
+        written[lines] = True
+        next_id += n
+        dropped = sum(reason.startswith("out of range") for _, reason in errors)
+        stats.records += n
+        stats.dropped += dropped
+        stats.parse_errors += len(errors) - dropped
+    for (kind, orig, digits), col in zip(components, enc):
+        store.append(kind, col[written], orig[written], digits[written])
+    return next_id
 
 
 def decrypt_dataset(enc_dir, out_dir, store: MappingStore) -> DecryptStats:
     """Restore original coordinate text from encrypted files via the store.
 
-    Every file goes through _decrypt_lines: an exact lookup by coordinate id
-    first, then on a miss a fuzzy lookup by encrypted value alone, accepted
-    when unambiguous.  Both lookups match a fraction only to entries stored
-    with the line's digit count.  Lines outside the encrypted grammar, and
-    records that still cannot be resolved, are reported in a per-file
-    .errors sidecar; the rest of the file is written regardless.  Failed
-    files and stray outputs are handled as in encrypt_dataset.
+    Files are read as encrypt reads them, several to a slice, and each
+    slice is restored by _decrypt_slice.  Lines outside the encrypted
+    grammar, and records that cannot be resolved, are reported in a
+    per-file .errors sidecar; the rest of the file is written regardless.
+    Failed files and stray outputs are handled as in encrypt_dataset.
     """
     started = time.perf_counter()
     enc_dir, out_dir = Path(enc_dir), Path(out_dir)
@@ -332,74 +603,101 @@ def decrypt_dataset(enc_dir, out_dir, store: MappingStore) -> DecryptStats:
     _refuse_strays(out_dir, {path.name for path in files})
     out_dir.mkdir(parents=True, exist_ok=True)
     stats = DecryptStats(files=len(files))
-
-    for path in files:
-        out_path = out_dir / path.name
-        try:
-            lines, errors, fuzzy = _decrypt_lines(scan_file(path, encrypted=True), store)
-            _write_sidecar(out_path, errors)
-            with replacing(out_path) as fh:
-                fh.writelines(lines)
-        except (OSError, UnicodeDecodeError) as exc:
-            _file_failed(stats, out_path, exc)
-            continue
-        stats.records += len(lines)
-        stats.record_errors += len(errors)
-        stats.fuzzy_restored += fuzzy
+    line_path = slices = 0
+    for sl in _read(files, True, _CIPHER_SLICE):
+        _decrypt_slice(sl, store, out_dir, stats)
+        line_path += sl.line_path
+        slices += 1
+        del sl  # before the next slice is read
     log.debug(
         "decrypt %s: %d files, %d lines restored, %d record errors "
-        "(%d fuzzy restores) in %.3fs",
+        "(%d fuzzy restores) in %.3fs; %d lines read one by one, %d gather slices",
         enc_dir, stats.files, stats.records, stats.record_errors,
-        stats.fuzzy_restored, time.perf_counter() - started,
+        stats.fuzzy_restored, time.perf_counter() - started, line_path, slices,
     )
     return stats
 
 
-def _decrypt_lines(scan: FileScan, store: MappingStore):
-    """The decrypted lines, the (line no, reason) errors and the number of
-    fuzzy restores, of one encrypted file's scan.
+def _decrypt_slice(sl: _Slice, store: MappingStore, out_dir: Path, stats) -> None:
+    """Restore a slice's accepted lines through _lookups and write each of
+    its files: a restored line is its text less the coordinate id, with the
+    original fractions written over the encrypted ones and the original
+    integer parts, which may differ in width, put in their place."""
+    rows, buf = sl.rows, sl.buf
+    ids = _number(buf, rows.start, rows.comma - rows.start).astype(np.int64)
+    orig, failed, fuzzy = _lookups(store, ids, rows)
+    ok = np.ones(len(ids), dtype=bool)
+    ok[list(failed)] = False
+    fuzzy = np.bincount(fuzzy, minlength=len(ids)) * ok  # per restored row
+    lon, lat = rows.lon, rows.lat
+    ints, starts = np.column_stack((orig[0], orig[2])), np.column_stack((lon.start, lat.start))
+    widths = np.column_stack((lon.dot, lat.dot)) - starts
+    same = _widths(ints) == widths
+    _put(buf, starts[same], ints[same], widths[same])
+    _put(buf, np.concatenate((lon.dot, lat.dot)) + 1, np.concatenate((orig[1], orig[3])),
+         np.concatenate((lon.digits, lat.digits)))
+    # a restored line is its bytes past the id; an integer part of another
+    # width than the encrypted one is cut out, and its text inserted
+    moved = ok[:, None] & ~same
+    keep = _spans(len(buf), np.sort(np.concatenate((rows.comma[ok] + 1, (starts + widths)[moved]))),
+                  np.sort(np.concatenate((starts[moved], rows.end[ok]))))
+    at = starts[moved]
+    text, lens = _texts(ints[moved])
+    edges = [(part.start, part.end) for part in sl.parts]
+    out, bounds = _splice(buf, keep, at, text, lens, edges)
+    bad = np.array(sorted(failed), dtype=np.int64)
+    for part, (a, b) in zip(sl.parts, bounds.tolist()):
+        out_path = out_dir / part.path.name
+        if part.failure is not None:
+            _file_failed(stats, out_path, part.failure)
+            continue
+        errors = sl.errors(part)
+        lo, hi = np.searchsorted(bad, (part.rows.start, part.rows.stop))
+        if hi > lo:
+            errors += zip(sl.line_nos(part, rows.start[bad[lo:hi]]),
+                          map(failed.get, bad[lo:hi].tolist()))
+            errors.sort()
+        try:
+            _write(out_path, errors, out[a:b])
+        except OSError as exc:
+            _file_failed(stats, out_path, exc)
+            continue
+        stats.records += int(ok[part.rows.start : part.rows.stop].sum())
+        stats.record_errors += len(errors)
+        stats.fuzzy_restored += int(fuzzy[part.rows.start : part.rows.stop].sum())
 
-    The accepted lines are restored as columns, one exact lookup per kind,
-    fractions at the line's digit count.  A row that misses gets a fuzzy
-    lookup of that component, unless an earlier kind has already failed it;
-    the first kind whose fuzzy lookup fails gives the row's reason.  A
-    restored fraction must fit its digit count.  The scan's rejected lines
-    keep their reasons."""
-    (lon_s, lon_i, lon_f, lon_d), (lat_s, lat_i, lat_f, lat_d) = scan.lon, scan.lat
-    cids, ids = scan.cids, np.asarray(scan.cids, dtype=np.int64)
-    zeros = (0,) * len(cids)
+
+def _lookups(store: MappingStore, ids, rows: _Rows):
+    """The originals of each component kind of encrypted rows, the reason
+    of each row that cannot be restored, and a row per fuzzy restore.
+
+    Each kind takes one exact lookup.  A row that misses gets a fuzzy
+    lookup of that component, unless an earlier kind has already failed
+    it; the first kind whose fuzzy lookup fails gives the row's reason.  A
+    restored fraction must fit its digit count."""
     failed, fuzzy, orig = {}, [], []  # row -> reason; a row per fuzzy restore
-    for kind, enc, digits in zip(
-        KINDS, (lon_i, lon_f, lat_i, lat_f), (zeros, lon_d, zeros, lat_d)
-    ):
+    for kind, enc, digits in rows.components():
         hit, found = store.lookup_exact_batch(kind, ids, enc, digits)
-        for r in np.flatnonzero(~hit).tolist():
+        miss = np.flatnonzero(~hit)
+        for r, value, d in zip(miss.tolist(), enc[miss].tolist(), digits[miss].tolist()):
             if r in failed:
                 continue
-            value = store.lookup_fuzzy(kind, enc[r], digits[r])
+            value = store.lookup_fuzzy(kind, value, d)
             if isinstance(value, int):
                 found[r] = value
                 fuzzy.append(r)
             else:
                 failed[r] = (
-                    f"no {kind} mapping for coord_id {cids[r]} "
+                    f"no {kind} mapping for coord_id {ids[r]} "
                     f"(fuzzy: {'ambiguous' if value else 'not found'})"
                 )
         orig.append(found)
-    for kind, col, digits in (("lon_frac", orig[1], lon_d), ("lat_frac", orig[3], lat_d)):
+    for kind, col, digits in (("lon_frac", orig[1], rows.lon.digits),
+                              ("lat_frac", orig[3], rows.lat.digits)):
         for r in np.flatnonzero(col >= POW10[digits]).tolist():
-            failed.setdefault(r, f"{kind} mapping for coord_id {cids[r]} needs more "
+            failed.setdefault(r, f"{kind} mapping for coord_id {ids[r]} needs more "
                                  f"than {digits[r]} digits")
-    lon_i, lon_f, lat_i, lat_f = (col.tolist() for col in orig)
-    texts = zip(scan.heads, _decimal_texts(lon_s, lon_i, lon_f, lon_d),
-                _decimal_texts(lat_s, lat_i, lat_f, lat_d), scan.ends)
-    out = [
-        f"{head},{lon},{lat}{end}"
-        for r, (head, lon, lat, end) in enumerate(texts) if r not in failed
-    ]
-    errors = scan.errors + [(scan.at[r] + 1, reason) for r, reason in failed.items()]
-    errors.sort()
-    return out, errors, sum(r not in failed for r in fuzzy)
+    return orig, failed, fuzzy
 
 
 # ---------------------------------------------------------------------------
@@ -523,37 +821,6 @@ class TreePoints:
         return self.xy[rows.start : rows.stop]
 
 
-def _text_pattern(line_body: str) -> re.Pattern:
-    """A whole text of lines that ``line_body`` matches or that are blank (only
-    the whitespace str.strip removes), in one match: the line pattern without
-    its groups, and terminators as readlines splits them.  The lines' contents
-    and terminators cannot overlap, so a failed match does not backtrack far."""
-    body = re.sub(r"\((?!\?)", "(?:", line_body)
-    return re.compile(rf"(?:(?:{body}|[^\S\r\n]*)(?:\r\n|\n|\r(?!\n)))*(?:{body}|[^\S\r\n]*)")
-
-
-_PLAIN_TEXT = _text_pattern(_PLAIN_BODY)
-_ENC_TEXT = _text_pattern(f"({_CID}),{_PLAIN_BODY}")
-_EOL = re.compile(r"\r\n?|\n")
-_SLICE_CHARS = 1 << 20  # text gathered at once
-_PAD = " " * (MAX_FRAC_DIGITS + 1)  # so that a gather never reads past the buffer
-_P10 = np.array([10**d for d in range(MAX_FRAC_DIGITS + 1)], dtype=np.uint64)
-_P10F = _P10.astype(np.float64)  # exact: 10**19 = 2**19 * 5**19, and 5**19 < 2**53
-_EXACT = np.uint64(2**53)  # a smaller uint64 converts to float64 exactly
-
-
-def _stops(match, text: str):
-    """The (start, end) of each line, terminator included, that stops the
-    whole-text ``match``: neither blank nor taken by its line pattern.  Each
-    step is one match from the end of the last such line."""
-    pos = 0
-    while (e := match(text, pos).end()) < len(text):
-        start = max(text.rfind("\n", pos, e), text.rfind("\r", pos, e), pos - 1) + 1
-        eol = _EOL.search(text, e)
-        pos = eol.end() if eol else len(text)
-        yield start, pos
-
-
 def load_plain_points(input_dir) -> TreePoints:
     """The floats of a tree's cleaned lines, read in the plain layout."""
     return _load(input_dir, auto=False)
@@ -576,113 +843,44 @@ def load_points_auto(input_dir, rejects=None) -> TreePoints:
 
 
 def _load(input_dir, auto: bool, rejects=None) -> TreePoints:
-    """The one eval loader.  Each file's text is walked with one whole-text
-    match per run of accepted lines; a line where the match stops is a
-    reject of scan_lines.  The accepted text of many files is gathered in
-    slices of about _SLICE_CHARS characters, one layout each."""
+    """The one eval loader: the floats of _read's slices of a tree.  A file
+    that cannot be read or decoded raises its error."""
     tree = TreePoints(np.empty((0, 2)), {})
-    blocks, pending, size, layout = [], [], 0, False
-    for path in _dataset_files(input_dir):
-        with open(path, encoding="utf-8", newline="") as fh:
-            text = fh.read()
-        encrypted = auto
-        if auto and (stop := next(_stops(_ENC_TEXT.match, text), None)):
-            start, end = stop
-            encrypted = text.count(",", start, end) == 4 and all(
-                line.count(",") == 4 for line in _EOL.split(text) if line.strip()
-            )
-            if encrypted:
+    blocks, n = [], 0
+    for sl in _read(_dataset_files(input_dir), None if auto else False, _LOAD_SLICE):
+        for part in sl.parts:
+            if part.failure is not None:
+                raise part.failure
+            if part.rejected is not None:
                 tree.line_path += 1
-                line_no = len(_EOL.findall(text, 0, start)) + 1
-                reason = _enc_reject_reason(text[start:end])
                 if rejects is None:
-                    raise ValueError(f"{path}:{line_no}: {reason}")
-                rejects[path.stem] = (line_no, reason)
+                    raise ValueError(f"{part.path}:{part.rejected[0]}: {part.rejected[1]}")
+                rejects[part.path.stem] = part.rejected
                 continue
-        if not encrypted:
-            kept, pos = [], 0
-            for start, end in _stops(_PLAIN_TEXT.match, text):
-                kept.append(text[pos:start])
-                pos = end
-                tree.line_path += 1
-            kept.append(text[pos:])
-            text = "".join(kept)
-        if text and text[-1] not in "\r\n":
-            text += "\n"
-        if pending and encrypted != layout:
-            _gather(tree, blocks, pending, layout)
-            pending, size = [], 0
-        pending.append((path.stem, text))
-        size, layout = size + len(text), encrypted
-        if size >= _SLICE_CHARS:
-            _gather(tree, blocks, pending, layout)
-            pending, size = [], 0
-    if pending:
-        _gather(tree, blocks, pending, layout)
+            tree.rows[part.path.stem] = range(n + part.rows.start, n + part.rows.stop)
+        xy = np.empty((len(sl.rows.start), 2))
+        for axis, coordinate in enumerate((sl.rows.lon, sl.rows.lat)):
+            xy[:, axis], exact = _floats(coordinate, sl.encrypted)
+            tree.exact += exact
+        blocks.append(xy)
+        n += len(xy)
+        tree.line_path += sl.line_path
+        tree.slices += len(sl.buf) > len(_PAD)
+        del sl  # before the next slice is read
     if blocks:
         tree.xy = np.concatenate(blocks)
     return tree
 
 
-def _gather(tree: TreePoints, blocks: list, pending: list, encrypted: bool) -> None:
-    """Gather the accepted lines of the ``pending`` (stem, text) files, each
-    line terminated, as one slice: the floats go into ``blocks`` and each
-    file gets its rows in ``tree``.  A plain line whose int parts are at or
-    past a range bound is kept only if _reject_reason accepts it."""
-    text = "".join(text for _, text in pending)
-    buf = np.frombuffer((text + _PAD).encode(), dtype=np.uint8)
-    commas = np.flatnonzero(buf == 44).reshape(-1, 4 if encrypted else 3)
-    eols = np.flatnonzero((buf == 10) | (buf == 13))
-    dots = np.append(np.flatnonzero(buf == 46), len(buf))
-    lat_start = commas[:, -1] + 1
-    lat_end = eols[np.searchsorted(eols, lat_start)]
-    xy = np.empty((len(commas), 2))
-    ints = []
-    for axis, start, end in ((0, commas[:, -2] + 1, commas[:, -1]), (1, lat_start, lat_end)):
-        xy[:, axis], axis_ints, exact = _floats(buf, dots, start, end, encrypted)
-        ints.append(axis_ints)
-        tree.exact += exact
-    counts = np.array([text.count(",") for _, text in pending]) // commas.shape[1]
-    if not encrypted:
-        near = np.flatnonzero((ints[0] >= LON_MAX) | (ints[1] >= LAT_MAX))
-        starts = np.append(0, eols + 1)[np.searchsorted(eols, commas[near, 0])]
-        dropped = [
-            r for r, a, b in zip(near.tolist(), starts.tolist(), lat_end[near].tolist())
-            if _reject_reason(buf[a:b].tobytes().decode()) is not None
-        ]
-        tree.line_path += len(near)
-        if dropped:
-            files = np.searchsorted(np.cumsum(counts), dropped, side="right")
-            counts -= np.bincount(files, minlength=len(counts))
-            xy = np.delete(xy, dropped, axis=0)
-    n = sum(map(len, blocks))
-    for (stem, _), k in zip(pending, counts.tolist()):
-        tree.rows[stem] = range(n, n + k)
-        n += k
-    blocks.append(xy)
-    tree.slices += 1
-
-
-def _floats(buf, dots, start, end, encrypted: bool):
-    """The floats and int parts of the coordinate fields at ``buf[start:end]``
-    per row, and how many of them the exact fallback converted.  A plain
-    field's float is ``i + f / 10**d`` and an encrypted one's ``(i * 10**d +
-    f) / 10**d``: in float64 both equal Python's result while f, or the
-    numerator, is below 2**53, and other values are converted in Python."""
-    neg = buf[start] == 45  # "-"
-    start = start + neg
-    dot = dots[np.searchsorted(dots, start)]
-    int_end = np.minimum(dot, end)
-    ints = buf[start].astype(np.int64) - 48
-    for k in (1, 2):  # at most 3 int digits
-        ints = np.where(int_end > start + k, ints * 10 + buf[start + k] - 48, ints)
-    digits = np.maximum(end - int_end - 1, 0)
-    fracs = np.zeros(len(start), dtype=np.uint64)
-    for k in range(int(digits.max(initial=0))):
-        np.multiply(fracs, 10, out=fracs, where=digits > k)
-        np.add(fracs, buf[int_end + 1 + k] - 48, out=fracs, where=digits > k)
+def _floats(axis: _Axis, encrypted: bool):
+    """The floats of a coordinate field of each row, and how many of them
+    the exact fallback converted.  A plain field's float is ``i + f /
+    10**d`` and an encrypted one's ``(i * 10**d + f) / 10**d``: in float64
+    both equal Python's result while f, or the numerator, is below 2**53,
+    and other values are converted in Python."""
+    ints, fracs, digits = axis.ints, axis.fracs, axis.digits
     if encrypted:
-        num = ints.astype(np.uint64) * _P10[np.minimum(digits, 15)] + fracs
+        num = ints * POW10[np.minimum(digits, 15)] + fracs
         fast = (num < _EXACT) & ((digits <= 15) | (ints == 0))
         values = num.astype(np.float64) / _P10F[digits]
     else:
@@ -692,5 +890,5 @@ def _floats(buf, dots, start, end, encrypted: bool):
     for r, i, f, d in zip(slow.tolist(), ints[slow].tolist(), fracs[slow].tolist(),
                           digits[slow].tolist()):
         values[r] = (i * 10**d + f) / 10**d if encrypted else i + f / 10**d
-    np.negative(values, out=values, where=neg)
-    return values, ints, len(slow)
+    np.negative(values, out=values, where=axis.neg)
+    return values, len(slow)

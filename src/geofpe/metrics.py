@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import _dataset_files, scan_lines
+from .dataset import _dataset_files, _reject_reason
 
 log = logging.getLogger("geofpe.metrics")
 
@@ -456,7 +456,7 @@ def _match(orig_rows, dec_rows) -> tuple[int, int]:
         record = records[j] if j < len(records) else None
         if fields is not None and fields == record:
             matched += 1
-        elif not scan_lines((line,)).heads:
+        elif _reject_reason(line) is not None:
             continue
         elif record is None or fields[:2] != record[:2]:
             points += 1

@@ -25,11 +25,11 @@ from geofpe.dataset import (
     generate_synthetic,
     load_plain_points,
     load_points_auto,
-    scan_file,
     stratified_sample,
 )
 from geofpe.mapstore import MappingStore
 from geofpe.sm4 import derive_round_keys
+from one_file import scan_file
 from oracle_dbscan import dbscan_oracle
 
 KEY = bytes.fromhex("0123456789ABCDEFFEDCBA9876543210")
@@ -202,9 +202,9 @@ def test_criterion_6_hotspot_reduction(pipeline):
     dec = load_plain_points(dirs["dec"])
     sample = stratified_sample(orig.rows, 6000, seed="acceptance")
     report = metrics.hotspot_analysis(
-        [orig[v][i] for v, i in sample],
-        [enc[v][i] for v, i in sample],
-        [dec[v][i] for v, i in sample],
+        orig.xy[sample],
+        enc.xy[sample],
+        dec.xy[sample],
         eps_orig=0.005,
         min_pts=10,
     )

@@ -377,7 +377,8 @@ def test_decrypt_debug_log_counts_both_paths(tmp_path, capsys, caplog, key_file)
     assert mp.stat().st_size - (8 + 16 + 4 * 11 + 4) == 36
     assert re.fullmatch(
         r"decrypt .*enc: 1 files, 3 lines restored, 0 record errors "
-        r"\(4 fuzzy restores\) in \d+\.\d{3}s", spans[1]
+        r"\(4 fuzzy restores\) in \d+\.\d{3}s; 0 lines read one by one, 1 gather slices",
+        spans[1],
     )
 
 

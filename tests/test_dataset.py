@@ -7,8 +7,9 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geofpe import dataset, mapstore
@@ -22,17 +23,18 @@ from geofpe.coords import (
 )
 from geofpe.dataset import (
     SynthConfig,
+    _read,
     decrypt_dataset,
     encrypt_dataset,
     generate_synthetic,
     load_plain_points,
     load_points_auto,
-    scan_file,
     stratified_sample,
 )
 from geofpe.mapstore import MappingStore
 from geofpe.metrics import accuracy, dbscan
 from halfwrite import open_failing_on
+from one_file import scan_file, scan_text
 from oracle_decrypt import decrypt_oracle
 
 KEY = bytes.fromhex("0123456789ABCDEFFEDCBA9876543210")
@@ -151,46 +153,59 @@ def test_scan_file_counts_reasons(tmp_path):
 # Stratified sampling
 
 
+def _tree_rows(sizes):
+    """The rows of a tree whose vehicles hold ``sizes`` points, in order."""
+    rows, n = {}, 0
+    for vid, size in sizes.items():
+        rows[vid] = range(n, n + size)
+        n += size
+    return rows
+
+
+def _per_vehicle(rows, sample):
+    """How many of the sampled rows each vehicle holds."""
+    return {vid: sum(row in r for row in sample.tolist()) for vid, r in rows.items()}
+
+
 def test_stratified_sample_equal_quotas():
-    trajectories = {"a": list(range(50)), "b": list(range(50))}
-    sample = stratified_sample(trajectories, 10, seed=1)
-    counts = {"a": 0, "b": 0}
-    for vid, _ in sample:
-        counts[vid] += 1
-    assert counts == {"a": 5, "b": 5}
+    rows = _tree_rows({"a": 50, "b": 50})
+    sample = stratified_sample(rows, 10, seed=1)
+    assert sample.dtype == np.int64
+    assert _per_vehicle(rows, sample) == {"a": 5, "b": 5}
 
 
 def test_stratified_sample_identity():
-    trajectories = {"a": list(range(7))}
-    sample = stratified_sample(trajectories, 7, seed=1)
-    assert sample == [("a", i) for i in range(7)]
+    rows = _tree_rows({"x": 3, "a": 7})
+    sample = stratified_sample(rows, 10, seed=1)
+    assert sample.tolist() == list(range(3, 10)) + list(range(3))
+
+
+def test_stratified_sample_keeps_its_draws():
+    # vehicles in sorted order, each drawn by random.Random(f"{seed}:{vid}"),
+    # whatever the order of the tree's rows
+    rows = _tree_rows({"b": 5, "a": 10})
+    assert stratified_sample(rows, 6, seed=4).tolist() == [5, 6, 9, 14, 0, 3]
 
 
 def test_stratified_sample_reproducible():
-    trajectories = {str(v): list(range(20 + v)) for v in range(5)}
-    assert stratified_sample(trajectories, 31, seed=9) == stratified_sample(
-        trajectories, 31, seed=9
-    )
+    rows = _tree_rows({str(v): 20 + v for v in range(5)})
+    assert (stratified_sample(rows, 31, seed=9) == stratified_sample(rows, 31, seed=9)).all()
 
 
 def test_stratified_sample_proportionality():
-    trajectories = {"a": list(range(300)), "b": list(range(100))}
-    sample = stratified_sample(trajectories, 40, seed=2)
-    counts = {"a": 0, "b": 0}
-    for vid, _ in sample:
-        counts[vid] += 1
-    assert counts == {"a": 30, "b": 10}
+    rows = _tree_rows({"a": 300, "b": 100})
+    sample = stratified_sample(rows, 40, seed=2)
+    assert _per_vehicle(rows, sample) == {"a": 30, "b": 10}
 
 
 def test_stratified_sample_population_error():
     with pytest.raises(ValueError):
-        stratified_sample({"a": [1, 2]}, 3, seed=0)
+        stratified_sample({"a": range(2)}, 3, seed=0)
 
 
 def test_stratified_sample_no_replacement():
-    trajectories = {"a": list(range(100))}
-    sample = stratified_sample(trajectories, 60, seed=3)
-    assert len(set(sample)) == 60
+    sample = stratified_sample({"a": range(100)}, 60, seed=3)
+    assert len(set(sample.tolist())) == 60
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +320,9 @@ def test_encrypted_format_is_preserved(tmp_path, synth_dir):
     enc_dir, _, _, _, _ = _round_trip(tmp_path, synth_dir)
     orig = load_plain_points(synth_dir)
     for path in sorted(enc_dir.glob("*.txt")):
-        scan_lines = path.read_text().splitlines()
-        assert len(scan_lines) == len(orig[path.stem])
-        for line in scan_lines:
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(orig[path.stem])
+        for line in lines:
             cid, vid, ts, lon_text, lat_text = line.split(",")
             lon, lat = decompose(lon_text), decompose(lat_text)
             assert lon.frac_digits == 5 and lat.frac_digits == 5
@@ -592,7 +607,10 @@ def test_decrypt_rejects_ids_and_coordinates_outside_the_grammar(tmp_path):
 def test_encrypt_debug_line_counts_cipher_work(tmp_path, caplog):
     src = tmp_path / "src"
     src.mkdir()
-    (src / "1.txt").write_text("1,t,116.5,39.9\n1,t,116.25,-39.125\n1,t,-0.125,0.5\n")
+    # a line that stops the whole-text match, and a range candidate it drops
+    (src / "1.txt").write_text(
+        "1,t,116.5,39.9\nbad\n1,t,116.25,-39.125\n1,t,181.5,0.5\n1,t,-0.125,0.5\n"
+    )
     cipher, store = CoordinateCipher(KEY), MappingStore()
     with caplog.at_level("DEBUG", logger="geofpe"):
         for run in ("a", "b"):
@@ -600,11 +618,11 @@ def test_encrypt_debug_line_counts_cipher_work(tmp_path, caplog):
     spans = [r.getMessage() for r in caplog.records if r.name == "geofpe.dataset"]
     # 12 components; lon_int 116, 116, 0 and lat_int 39, 39, 0 repeat, the
     # fractions 5, 25, 125 and 9, 125, 5 differ in value or digit count
-    assert [re.sub(r" in \d+\.\d{3}s$", "", span.split(": ", 1)[1]) for span in spans] == [
+    assert [re.sub(r" in \d+\.\d{3}s;", ";", span.split(": ", 1)[1]) for span in spans] == [
         "1 files, 12 components, 10 distinct keys, 0 codebook hits, "
-        "4 kernel calls, 10 tweaks",
+        "4 kernel calls, 10 tweaks; 2 lines read one by one, 1 gather slices",
         "1 files, 12 components, 10 distinct keys, 10 codebook hits, "
-        "0 kernel calls, 0 tweaks",
+        "0 kernel calls, 0 tweaks; 2 lines read one by one, 1 gather slices",
     ]
 
 
@@ -809,6 +827,108 @@ def test_accepted_lines_round_trip_and_rejected_lines_are_reported(lines):
             assert reported[line_no].startswith(reason)
 
 
+@st.composite
+def _round_trip_tree(draw):
+    """The texts of 1 to 4 files of accepted, edge, rejected and blank lines
+    with any terminator, only a file's last line without one; sometimes one
+    more file with no accepted line."""
+    line = st.one_of(
+        _accepted_line().map(lambda line: line[0]), _loader_line(),
+        _rejected_line().map(lambda line: line[0]), _WHITESPACE_LINE,
+    )
+    junk = st.one_of(_rejected_line().map(lambda line: line[0]), _WHITESPACE_LINE)
+    files = []
+    for lines in [draw(st.lists(line, max_size=8)) for _ in range(draw(st.integers(1, 4)))] + (
+        [draw(st.lists(junk, min_size=1, max_size=4))] if draw(st.booleans()) else []
+    ):
+        ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+        if ends:
+            ends[-1] = draw(st.sampled_from(["\n", "\r\n", "\r", ""]))
+        files.append("".join(map(str.__add__, lines, ends)))
+    return draw(st.permutations(files))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_round_trip_tree(), st.sampled_from([1, 100, 1 << 16]))
+# a "\r" before a last line that stops the walk and has no terminator
+@example([",,0,0\n,,180,0\r,,+1.5,0"], 1)
+def test_trees_round_trip_across_slices(files, slice_bytes):
+    # Encrypt and decrypt read several files to a slice, in slices of about
+    # slice_bytes, whose bounds fall between any two files.  Each file still
+    # decrypts to its accepted lines, its sidecar gives the reference
+    # grammar's line numbers and reasons, the ids are dense over the tree,
+    # and decrypt equals the line-by-line oracle.
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(dataset, "_CIPHER_SLICE", slice_bytes):
+        root = Path(tmp)
+        (root / "src").mkdir()
+        for k, text in enumerate(files):
+            (root / "src" / f"{k}.txt").write_bytes(text.encode())
+        enc_dir, dec_dir, store, enc_stats, dec_stats = _round_trip(root, root / "src")
+        assert enc_stats.failed_files == dec_stats.failed_files == []
+        ids = []
+        for k, text in enumerate(files):
+            _, at, errors, _ = _reference_scan(text)
+            lines = io.StringIO(text, newline="").readlines()
+            assert (dec_dir / f"{k}.txt").read_bytes() == "".join(lines[i] for i in at).encode()
+            sidecar = enc_dir / f"{k}.txt.errors"
+            assert (sidecar.read_text(encoding="utf-8") if sidecar.exists() else "") == "".join(
+                f"{line_no}: {reason}\n" for line_no, reason in errors
+            )
+            with open(enc_dir / f"{k}.txt", encoding="utf-8", newline="") as fh:
+                ids += [int(line.split(",", 1)[0]) for line in fh]
+        assert ids == list(range(enc_stats.records))
+        assert store.entry_count("lat_frac") == enc_stats.records
+        assert (dec_stats.records, dec_stats.record_errors) == (enc_stats.records, 0)
+        assert dec_stats == decrypt_oracle(enc_dir, root / "oracle", store)
+        assert _tree_bytes(dec_dir) == _tree_bytes(root / "oracle")
+
+
+def test_a_write_failure_mid_slice_keeps_the_ids_dense(tmp_path, monkeypatch):
+    # The three files are read as one slice; the second's output fails half
+    # written.  It gets no ids, the third's ids follow the first's, and the
+    # store holds the rows of the written files alone.
+    texts = {
+        "1.txt": "1,t,116.5,39.9\n1,t,bad,39.9\n1,t,-0.25,2.5\n",
+        "2.txt": "2,t,1.5,2.5\n2,t,3.25,4.75\n",
+        "3.txt": "3,t,116.25,39.5\r\n3,t,-0.5,-2.75",
+    }
+    (tmp_path / "src").mkdir()
+    for name, text in texts.items():
+        (tmp_path / "src" / name).write_bytes(text.encode())
+    enc_dir, store = tmp_path / "enc", MappingStore()
+    monkeypatch.setattr(mapstore, "open", open_failing_on(enc_dir / "2.txt"), raising=False)
+    read = []
+    monkeypatch.setattr(dataset, "_read", lambda *a: read.extend(_read(*a)) or iter(read))
+    stats = encrypt_dataset(tmp_path / "src", enc_dir, CoordinateCipher(KEY), store)
+    monkeypatch.undo()
+    assert [[part.path.name for part in sl.parts] for sl in read] == [sorted(texts)]
+    assert [reason.split(":")[0] for reason in stats.failed_files] == ["2.txt"]
+    assert sorted(p.name for p in enc_dir.iterdir()) == ["1.txt", "1.txt.errors", "3.txt"]
+    ids = [int(line.split(",", 1)[0]) for name in ("1.txt", "3.txt")
+           for line in (enc_dir / name).read_text().splitlines()]
+    assert ids == list(range(stats.records)) == [0, 1, 2, 3]
+    assert [store.entry_count(kind) for kind in KINDS] == [4] * 4
+    dec_stats = decrypt_dataset(enc_dir, tmp_path / "dec", store)
+    assert (dec_stats.records, dec_stats.record_errors, dec_stats.fuzzy_restored) == (4, 0, 0)
+    assert (tmp_path / "dec" / "1.txt").read_text() == "1,t,116.5,39.9\n1,t,-0.25,2.5\n"
+    assert (tmp_path / "dec" / "3.txt").read_bytes() == texts["3.txt"].encode()
+
+
+def test_decrypt_debug_line_counts_its_reads(tmp_path, caplog, synth_dir):
+    enc_dir, _, store, _, _ = _round_trip(tmp_path, synth_dir)
+    with open(sorted(enc_dir.glob("*.txt"))[0], "a") as fh:
+        fh.write("x,1,t,1,1\n")
+    with caplog.at_level("DEBUG", logger="geofpe"), \
+            mock.patch.object(dataset, "_CIPHER_SLICE", 1):  # a slice per file
+        decrypt_dataset(enc_dir, tmp_path / "dec2", store)
+    [span] = [r.getMessage() for r in caplog.records if r.name == "geofpe.dataset"]
+    assert re.fullmatch(
+        r"decrypt .*enc: 6 files, 1200 lines restored, 1 record errors \(0 fuzzy restores\) "
+        r"in \d+\.\d{3}s; 1 lines read one by one, 6 gather slices", span
+    )
+
+
 # ---------------------------------------------------------------------------
 # Plain reader property
 
@@ -992,6 +1112,13 @@ def _in_encrypted_grammar(body):
             and max(lon.frac_digits, lat.frac_digits) <= MAX_FRAC_DIGITS)
 
 
+def _in_encrypted_layout(line):
+    """Whether ``line`` is a canonical coordinate id, a comma and a line in
+    the encrypted grammar."""
+    cid, _, body = line.rstrip("\r\n").partition(",")
+    return bool(re.fullmatch(r"0|[1-9][0-9]{0,17}", cid)) and _in_encrypted_grammar(body)
+
+
 def _hexed(tree):
     return {stem: [(lon.hex(), lat.hex()) for lon, lat in pts]
             for stem, pts in _points(tree).items()}
@@ -1008,7 +1135,7 @@ def test_loaders_equal_the_references_across_files(files, slice_chars, cid):
     stems = [str(k) for k in range(len(files))]
     plain_floats, enc_floats, line_path, exact = {}, {}, 0, [0, 0]
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(dataset, "_SLICE_CHARS", slice_chars):
+            mock.patch.object(dataset, "_LOAD_SLICE", slice_chars):
         plain, enc = Path(tmp, "plain"), Path(tmp, "enc")
         plain.mkdir()
         enc.mkdir()
@@ -1021,6 +1148,9 @@ def test_loaders_equal_the_references_across_files(files, slice_chars, cid):
                 decompose(lon).int_part == 180 or decompose(lat).int_part == 90
                 for lon, lat in coordinates
             )
+            # the plain layout converts only the accepted lines' floats
+            exact[0] += sum(decompose(text).frac_value >= 2**53
+                            for pair in coordinates for text in pair)
             # the lines in the grammar: gathered in both layouts
             enc_lines = [f"{cid},{line}" for line in lines
                          if _in_encrypted_grammar(line.rstrip("\r\n"))]
@@ -1028,7 +1158,6 @@ def test_loaders_equal_the_references_across_files(files, slice_chars, cid):
             fields = [line.rstrip("\r\n").split(",")[3:] for line in enc_lines]
             enc_floats[stem] = [(float(lon).hex(), float(lat).hex()) for lon, lat in fields]
             for n in (decompose(text) for f in fields for text in f):
-                exact[0] += n.frac_value >= 2**53
                 exact[1] += n.int_part * 10**n.frac_digits + n.frac_value >= 2**53
         tree = load_plain_points(plain)
         assert _hexed(tree) == plain_floats
@@ -1061,6 +1190,36 @@ def test_load_plain_points_reads_a_half_bad_file_in_linear_time(tmp_path, bad):
     assert _points(tree)["1"] == [(116.12345, 39.12345)] * 10_000
 
 
+@pytest.mark.parametrize("bad", ["1,t,1e5,1", "1,t,116.5,39.5,x", "1,t,181.5,1"])
+def test_encrypt_and_decrypt_read_a_half_bad_file_in_linear_time(tmp_path, bad):
+    # every second line stops the whole-text match or is a range candidate;
+    # the encrypted file then gets every second line out of the grammar
+    good = "1,t,116.12345,39.12345\n"
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "1.txt").write_text((good + bad + "\n") * 10_000)
+    store = MappingStore()
+    started = time.perf_counter()
+    stats = encrypt_dataset(tmp_path / "src", tmp_path / "enc", CoordinateCipher(KEY), store)
+    assert time.perf_counter() - started < 5
+    assert stats.records == stats.parse_errors + stats.dropped == 10_000
+    reason = dataset._reject_reason(bad)
+    assert (tmp_path / "enc" / "1.txt.errors").read_text() == "".join(
+        f"{line_no}: {reason}\n" for line_no in range(2, 20_001, 2)
+    )
+    (tmp_path / "mixed").mkdir()
+    encrypted = (tmp_path / "enc" / "1.txt").read_text().splitlines(keepends=True)
+    # a leading zero puts each copy's coordinate id out of the grammar
+    (tmp_path / "mixed" / "1.txt").write_text("".join(line + "0" + line for line in encrypted))
+    started = time.perf_counter()
+    stats = decrypt_dataset(tmp_path / "mixed", tmp_path / "dec", store)
+    assert time.perf_counter() - started < 5
+    assert (stats.records, stats.record_errors, stats.fuzzy_restored) == (10_000, 10_000, 0)
+    assert (tmp_path / "dec" / "1.txt").read_text() == good * 10_000
+    assert (tmp_path / "dec" / "1.txt.errors").read_text() == "".join(
+        f"{2 * i + 2}: parse error: malformed coordinate id '0{i}'\n" for i in range(10_000)
+    )
+
+
 def _scan_columns(scan):
     return scan.at, scan.heads, scan.lon, scan.lat, scan.ends
 
@@ -1080,8 +1239,8 @@ def test_the_two_layouts_share_one_grammar(body, end, cid):
     # layout accepts what the plain one does, with the same columns, and
     # rejects what it cannot parse, for the same reason.  It does not check
     # the range.
-    plain = dataset.scan_lines([body + end])
-    enc = dataset.scan_lines([f"{cid},{body}{end}"], encrypted=True)
+    plain = scan_text(body + end)
+    enc = scan_text(f"{cid},{body}{end}", encrypted=True)
     assert plain.cids == ()
     if plain.heads:
         assert enc.cids == (str(cid),)
@@ -1226,8 +1385,8 @@ def test_decrypt_equals_the_line_by_line_oracle(case):
 @given(_decrypt_case())
 def test_load_points_auto_checks_each_encrypted_line(case):
     # One match over the whole file accepts exactly the files whose every
-    # non-blank line _ENC_LINE matches; the first line it does not match is
-    # the one reported.
+    # non-blank line is in the encrypted grammar; the first line that is not
+    # is the one reported.
     _, files = case
     files.pop("3.txt", None)  # undecodable: eval stops on it
     with tempfile.TemporaryDirectory() as tmp:
@@ -1242,7 +1401,7 @@ def test_load_points_auto_checks_each_encrypted_line(case):
         if not body or any(line.count(",") != 4 for line in body):
             continue  # read in the plain layout
         bad = [(i, line) for i, line in enumerate(lines, start=1)
-               if line.strip() and not dataset._ENC_LINE.fullmatch(line)]
+               if line.strip() and not _in_encrypted_layout(line)]
         if bad:
             assert stem not in points
             assert rejects[stem] == (bad[0][0], dataset._enc_reject_reason(bad[0][1]))

@@ -824,17 +824,22 @@ _LINE_PATTERNS = ("_PLAIN_LINE", "_ENC_LINE")
 _TEXT_PATTERNS = ("_PLAIN_TEXT", "_ENC_TEXT")
 
 
-def _pattern_users(tree, patterns=_LINE_PATTERNS, owner="scan_lines"):
+def _name_uses(node, names):
+    """The lines in ``node`` that name one of ``names``."""
+    for sub in ast.walk(node):
+        name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+        if name in names:
+            yield sub.lineno
+
+
+def _pattern_users(tree, patterns=_TEXT_PATTERNS, owner="_walk"):
     """The lines, inside a function other than ``owner``, that name one of
     ``patterns``."""
     for func in ast.walk(tree):
         if isinstance(func, (ast.FunctionDef, ast.Lambda)) and (
             getattr(func, "name", None) != owner
         ):
-            for node in ast.walk(func):
-                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-                if name in patterns:
-                    yield node.lineno
+            yield from _name_uses(func, patterns)
 
 
 def _src_pattern_users(patterns, owner):
@@ -849,44 +854,52 @@ def _src_pattern_users(patterns, owner):
     return owners, found
 
 
-def test_scan_lines_is_the_only_line_parser():
-    """Only ``dataset.scan_lines`` matches lines against the layouts'
-    patterns, so one grammar decides what every command accepts."""
-    assert _src_pattern_users(_LINE_PATTERNS, "scan_lines") == (1, [])
-    # the lint sees each of these, one a line, and passes the pattern
-    # definitions, scan_lines itself and the whole-text patterns
+def test_no_line_pattern_is_left():
+    """No module defines or uses a per-line pattern of the layouts: lines
+    are matched only as whole texts by ``dataset._walk``, and a line where
+    that match stops gets the reference grammar's reason, so one grammar
+    decides what every command accepts."""
+    uses = [
+        f"{path.name}:{line}"
+        for path in sorted(_SRC.glob("*.py"))
+        for line in _name_uses(ast.parse(path.read_text(encoding="utf-8")), _LINE_PATTERNS)
+    ]
+    assert uses == []
+    # the lint sees each of these, one a line, and passes the whole-text
+    # patterns and the reference grammar
     caught = [
+        "_ENC_LINE = re.compile(_PLAIN_BODY)",
         "def f(line): return _PLAIN_LINE.fullmatch(line)",
         "def f(lines): return [dataset._ENC_LINE.match(x) for x in lines]",
         "f = lambda line: _ENC_LINE.fullmatch(line)",
     ]
-    assert list(_pattern_users(ast.parse("\n".join(caught)))) == [1, 2, 3]
+    assert sorted(_name_uses(ast.parse("\n".join(caught)), _LINE_PATTERNS)) == [1, 2, 3, 4]
     passed = (
-        "_ENC_LINE = re.compile(_PLAIN_LINE.pattern)\n"
-        "def scan_lines(lines): return _ENC_LINE.fullmatch\n"
-        "def f(text): return _ENC_TEXT.fullmatch(text)"
+        "_ENC_TEXT = _text_pattern(_PLAIN_BODY)\n"
+        "def _walk(text): return _ENC_TEXT.match(text)\n"
+        "def f(line): return _reject_reason(line)"
     )
-    assert list(_pattern_users(ast.parse(passed))) == []
+    assert list(_name_uses(ast.parse(passed), _LINE_PATTERNS)) == []
 
 
-def test_the_eval_loader_is_the_only_whole_text_parser():
-    """Only ``dataset._load`` walks a file's text with the layouts'
-    whole-text patterns; a line where the walk stops goes to the per-line
-    reject path, so the whole-text patterns add no second grammar."""
-    assert _src_pattern_users(_TEXT_PATTERNS, "_load") == (1, [])
+def test_walk_is_the_only_whole_text_parser():
+    """Only ``dataset._walk`` walks a file's text with the layouts'
+    whole-text patterns, for encrypt, decrypt and the eval loaders alike; a
+    line where the walk stops goes to the reference grammar's reasons, so
+    the whole-text patterns add no second grammar."""
+    assert _src_pattern_users(_TEXT_PATTERNS, "_walk") == (1, [])
     caught = [
         "def f(text): return _ENC_TEXT.fullmatch(text)",
-        "def load_points_auto(d): return dataset._PLAIN_TEXT.match",
+        "def _read(d): return dataset._PLAIN_TEXT.match",
         "f = lambda text: _PLAIN_TEXT.match(text)",
     ]
-    found = _pattern_users(ast.parse("\n".join(caught)), _TEXT_PATTERNS, "_load")
-    assert list(found) == [1, 2, 3]
+    assert sorted(_pattern_users(ast.parse("\n".join(caught)))) == [1, 2, 3]
     passed = (
         "_PLAIN_TEXT = _text_pattern(_PLAIN_BODY)\n"
-        "def _load(d): return _ENC_TEXT.match, _PLAIN_TEXT.match\n"
-        "def f(line): return _ENC_LINE.fullmatch(line)"
+        "def _walk(part): return _ENC_TEXT.match, _PLAIN_TEXT.match\n"
+        "def f(line): return _reject_reason(line)"
     )
-    assert list(_pattern_users(ast.parse(passed), _TEXT_PATTERNS, "_load")) == []
+    assert list(_pattern_users(ast.parse(passed))) == []
 
 
 _THREAD_MODULES = ("threading", "concurrent", "multiprocessing")
