@@ -18,7 +18,6 @@ back into the slice's bytes; the eval loaders turn the columns into floats.
 
 from __future__ import annotations
 
-import bisect
 import datetime
 import logging
 import math
@@ -31,14 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .cipher import KINDS, CoordinateCipher
-from .coords import (
-    LAT_MAX,
-    LON_MAX,
-    MAX_FRAC_DIGITS,
-    ParseError,
-    decompose,
-    validate_point,
-)
+from .coords import MAX_FRAC_DIGITS, ParseError, decompose, validate_point
 from .mapstore import MappingStore, replacing
 from .ranges import POW10
 
@@ -46,14 +38,19 @@ log = logging.getLogger("geofpe.dataset")
 
 SYNTH_FRAC_DIGITS = 5
 
-# An accepted plain line, less the range check: id and timestamp without
-# separators, canonical lon and lat (at most 3 and 2 integer digits).  An
-# encrypted line puts a canonical coordinate id (at most 18 digits, so it
-# fits an int64) in front.  coords.decompose is the reference grammar.
+# An accepted plain line: id and timestamp without separators, canonical lon
+# in [-180, 180] and lat in [-90, 90] (at the bound, only zeros follow the
+# dot).  An encrypted line puts a canonical coordinate id (at most 18
+# digits, so it fits an int64) in front.  Each coordinate's alternatives run
+# longest first: on an unterminated last line nothing follows the lat, so a
+# shorter alternative would end the match inside it.  _reject_reason, on
+# coords.decompose, is the reference grammar.
+_FRAC = rf"(?:\.[0-9]{{1,{MAX_FRAC_DIGITS}}})?"
+_ZEROS = rf"(?:\.0{{1,{MAX_FRAC_DIGITS}}})?"
 _PLAIN_BODY = (
     r"[^,\r\n]*,[^,\r\n]*,"
-    rf"-?(?:0|[1-9][0-9]{{0,2}})(?:\.[0-9]{{1,{MAX_FRAC_DIGITS}}})?,"
-    rf"-?(?:0|[1-9][0-9]?)(?:\.[0-9]{{1,{MAX_FRAC_DIGITS}}})?"
+    rf"-?(?:180{_ZEROS}|(?:1[0-7][0-9]|[1-9][0-9]?|0){_FRAC}),"
+    rf"-?(?:90{_ZEROS}|(?:[1-8][0-9]|[1-9]|0){_FRAC})"
 )
 _CID = r"(?:0|[1-9][0-9]{0,17})"
 _CID_TEXT = re.compile(_CID)
@@ -142,12 +139,6 @@ class _Rows:
     lon: _Axis
     lat: _Axis
 
-    def take(self, index) -> _Rows:
-        """The rows at ``index``."""
-        axes = [_Axis(*(col[index] for col in vars(a).values())) for a in (self.lon, self.lat)]
-        return _Rows(self.start[index], self.comma[index], self.eol[index],
-                     self.end[index], *axes)
-
     def components(self) -> list[tuple]:
         """(kind, values, digit counts) of each component kind, in KINDS order."""
         zeros = np.zeros(len(self.start), dtype=np.int64)
@@ -165,7 +156,6 @@ class _Part:
     end: int
     rows: range = range(0)  # its rows of the slice's columns
     stops: list = field(default_factory=list)  # (byte in the file, line) where the walk stopped
-    dropped: list = field(default_factory=list)  # (byte, reason) of its rows out of range
     failure: Exception | None = None  # it could not be read or decoded
     rejected: tuple | None = None  # read as encrypted in auto mode: (line no, reason)
 
@@ -174,8 +164,8 @@ class _Part:
 class _Slice:
     """Files read at once: their text as bytes, each followed by a "\n",
     every line where the walk stopped blanked to spaces, and _PAD; the
-    columns of their accepted lines, and the lines read one by one (stops
-    and range candidates)."""
+    columns of their accepted lines, and the lines read one by one (the
+    stop lines)."""
 
     encrypted: bool
     buf: np.ndarray  # writable uint8
@@ -194,15 +184,13 @@ class _Slice:
         return (np.searchsorted(ends, at) - np.searchsorted(ends, part.start) + 1).tolist()
 
     def errors(self, part: _Part) -> list[tuple[int, str]]:
-        """The (line no, reason) of each line of ``part`` that is rejected, in
-        order: its stop lines, with the reason of the slice's layout, and
-        its rows out of range."""
-        reason = _enc_reject_reason if self.encrypted else _reject_reason
-        marks = [(part.start + at, reason(line)) for at, line in part.stops] + part.dropped
-        if not marks:
+        """The (line no, reason) of each stop line of ``part``, in order, with
+        the reason of the slice's layout."""
+        if not part.stops:
             return []
-        at, why = zip(*sorted(marks))
-        return list(zip(self.line_nos(part, at), why))
+        reason = _enc_reject_reason if self.encrypted else _reject_reason
+        at, lines = zip(*part.stops)
+        return list(zip(self.line_nos(part, np.add(at, part.start)), map(reason, lines)))
 
 
 def _stops(match, text: str):
@@ -283,25 +271,12 @@ def _read(paths, encrypted, size: int):
 
 def _slice(encrypted, parts: list[_Part], chunks: list[bytes]) -> _Slice:
     """The slice of ``parts``, from their bytes in ``chunks``, which it
-    empties: the columns of their accepted lines, less the plain lines whose
-    integer part is at or past 180 or 90 that _reject_reason rejects, and
-    each part's rows."""
+    empties: the columns of their accepted lines, and each part's rows."""
     buf = np.frombuffer(bytearray().join([*chunks, _PAD]), np.uint8)
     chunks.clear()
     sl = _Slice(bool(encrypted), buf, parts)
     sl.line_path = sum(len(part.stops) for part in parts)
     rows = _gather(buf, sl.encrypted)
-    if not encrypted:
-        near = np.flatnonzero((rows.lon.ints >= LON_MAX) | (rows.lat.ints >= LAT_MAX))
-        sl.line_path += len(near)
-        starts, dropped = [part.start for part in parts], []
-        for r, a, b in zip(near.tolist(), rows.start[near].tolist(), rows.eol[near].tolist()):
-            why = _reject_reason(buf[a:b].tobytes().decode())
-            if why is not None:
-                dropped.append(r)
-                parts[bisect.bisect_right(starts, a) - 1].dropped.append((a, why))
-        if dropped:
-            rows = rows.take(np.delete(np.arange(len(rows.start)), dropped))
     bounds = np.searchsorted(rows.start, [(part.start, part.end) for part in parts])
     for part, (lo, hi) in zip(parts, bounds.tolist()):
         part.rows = range(lo, hi)
@@ -457,11 +432,15 @@ def _dataset_files(input_dir: Path) -> list[Path]:
     )
 
 
-def _refuse_strays(out_dir: Path, names: set[str]) -> None:
-    """Raise ValueError, before anything is written, when ``out_dir`` holds a
-    ``.txt`` file whose name is not in ``names``, the files the run writes:
-    a reused directory would keep outputs the run does not cover."""
+def _refuse_strays(out_dir: Path, names: set[str], input_dir: Path | None = None) -> None:
+    """Raise ValueError, before anything is written, when ``out_dir`` is
+    ``input_dir``, or holds a ``.txt`` file whose name is not in ``names``,
+    the files the run writes: a reused directory would keep outputs the run
+    does not cover."""
     if out_dir.is_dir():
+        if input_dir is not None and out_dir.samefile(input_dir):
+            raise ValueError(f"{out_dir} is the input directory, whose files the run "
+                             "would overwrite; use another output directory")
         stray = [p.name for p in _dataset_files(out_dir) if p.name not in names]
         if stray:
             raise ValueError(
@@ -519,14 +498,14 @@ def encrypt_dataset(
     earlier run's output at its path is removed); the other files are still
     encrypted.  A file's rows go into the store only once its output is
     written, so the store always matches the output tree.  An ``out_dir``
-    holding a ``.txt`` file that no input names is refused with ValueError
-    before anything is written.
+    that is ``input_dir``, or holds a ``.txt`` file that no input names, is
+    refused with ValueError before anything is written.
     """
     started = time.perf_counter()
     counted = astuple(cipher.counts)
     input_dir, out_dir = Path(input_dir), Path(out_dir)
     files = _dataset_files(input_dir)
-    _refuse_strays(out_dir, {path.name for path in files})
+    _refuse_strays(out_dir, {path.name for path in files}, input_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stats = EncryptStats(files=len(files))
     next_id, line_path, slices = store.entry_count("lon_int"), 0, 0
@@ -600,7 +579,7 @@ def decrypt_dataset(enc_dir, out_dir, store: MappingStore) -> DecryptStats:
     started = time.perf_counter()
     enc_dir, out_dir = Path(enc_dir), Path(out_dir)
     files = _dataset_files(enc_dir)
-    _refuse_strays(out_dir, {path.name for path in files})
+    _refuse_strays(out_dir, {path.name for path in files}, enc_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stats = DecryptStats(files=len(files))
     line_path = slices = 0
@@ -812,7 +791,7 @@ class TreePoints:
 
     xy: np.ndarray  # shape (n, 2)
     rows: dict[str, range]
-    line_path: int = 0  # lines read one by one: rejects and range candidates
+    line_path: int = 0  # lines read one by one: the rejected ones
     exact: int = 0  # values the float rule could not convert, converted in Python
     slices: int = 0  # slices of text gathered
 

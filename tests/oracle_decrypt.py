@@ -3,8 +3,8 @@
 Independent of geofpe.dataset's decrypt code: every non-blank line is split
 on commas, its id checked against the canonical id grammar (at most 18
 digits, no leading zero) and its coordinates parsed with coords.decompose.
-A coordinate outside the encrypted grammar (a fraction over 19 digits, an
-integer part over 999 for lon or 99 for lat) gets the plain-line reason.
+A coordinate outside the encrypted grammar (a fraction over 19 digits, or
+a point outside [-180, 180] x [-90, 90]) gets the plain-line reason.
 Each component is then restored through a one-element
 MappingStore.lookup_exact_batch, then lookup_fuzzy on a miss; both lookups
 of a fraction are given the line's digit count.  A restored fraction that
@@ -49,9 +49,8 @@ def _grammar_reason(enc_lon, enc_lat):
                 f"parse error: {axis} fraction has {n.frac_digits} digits, "
                 f"more than {MAX_FRAC_DIGITS}"
             )
-    if enc_lon.int_part > 999 or enc_lat.int_part > 99:
-        return f"out of range: {validate_point(enc_lon, enc_lat)}"
-    return None
+    axis = validate_point(enc_lon, enc_lat)
+    return axis and f"out of range: {axis}"
 
 
 def _restore(line, store, stats):

@@ -233,11 +233,12 @@ def test_eval_accuracy_counts_a_line_decrypt_dropped(tmp_path, capsys, key_file)
         capsys, "encrypt", "--input", str(orig), "--output", str(enc_dir),
         "--key", key_file, "--map", str(tmp_path / "store.map"),
     )
-    # Line 2 gets an unknown coordinate id and a longitude integer no entry
-    # holds, so decrypt can restore it neither exactly nor by the fuzzy lookup.
+    # Line 2 gets an unknown coordinate id and an in-range longitude integer
+    # that no entry holds (each holds a three-digit one), so decrypt can
+    # restore it neither exactly nor by the fuzzy lookup.
     lines = (enc_dir / "1.txt").read_text().splitlines(keepends=True)
     _cid, vid, stamp, lon, lat = lines[1].rstrip("\n").split(",")
-    lines[1] = f"999,{vid},{stamp},263.{lon.partition('.')[2]},{lat}\n"
+    lines[1] = f"999,{vid},{stamp},7.{lon.partition('.')[2]},{lat}\n"
     (enc_dir / "1.txt").write_text("".join(lines))
     dec = tmp_path / "dec"
     code, _, _ = run(
@@ -387,8 +388,8 @@ def test_eval_debug_log_spans_each_tree_load(tmp_path, capsys, caplog, key_file)
     orig.mkdir()
     (orig / "1.txt").write_text(
         "1,t,116.5,39.9\n1,t,116.25,-39.125\n"
-        "1,t,180.0,0.5\n1,t,180.5,0.5\n"  # range candidates: kept, dropped
-        "1,t,1e5,1\n"  # stops the whole-text match
+        "1,t,180.0,0.5\n"  # on the bound: accepted
+        "1,t,180.5,0.5\n1,t,1e5,1\n"  # out of range, malformed: both stop the walk
         "1,t,0.12345678901234567,1.5\n"  # a fraction past 2**53: the exact fallback
         "1,t,-0.125,0.5\n"
     )
@@ -403,7 +404,7 @@ def test_eval_debug_log_spans_each_tree_load(tmp_path, capsys, caplog, key_file)
              if r.name == "geofpe.cli" and r.getMessage().startswith("load ")]
     assert len(spans) == 2
     assert re.fullmatch(
-        r"load original .*orig: 5 points in 1 files in \d+\.\d{3}s; 3 lines read one "
+        r"load original .*orig: 5 points in 1 files in \d+\.\d{3}s; 2 lines read one "
         r"by one, 1 exact float fallbacks, 1 gather slices", spans[0]
     )
     assert re.fullmatch(
@@ -655,6 +656,31 @@ def test_decrypt_refuses_an_output_directory_with_stray_files(tmp_path, capsys, 
         "9.txt; use an empty output directory\n"
     )
     assert {p.name: p.read_bytes() for p in dec.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+def test_encrypt_and_decrypt_refuse_their_input_as_output(tmp_path, capsys, key_file, command):
+    # Written in place, the outputs would overwrite the inputs, and the
+    # undecodable 2.txt would be removed as a failed file's earlier output.
+    orig = tmp_path / "orig"
+    orig.mkdir()
+    (orig / "1.txt").write_text("1,t,116.5,39.9\n1,t,bad,39.9\n")
+    mp = tmp_path / "store.map"
+    if command == "encrypt":
+        src = orig
+    else:
+        src = tmp_path / "enc"
+        assert run(capsys, "encrypt", "--input", str(orig), "--output", str(src),
+                   "--key", key_file, "--map", str(mp))[0] == 0
+    (src / "2.txt").write_bytes(b"0,1,t,1.5,2.5\n\xff\xfe\n")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    same = src / ".." / src.name  # the same directory under another name
+    code, out, err = run(capsys, command, "--input", str(src), "--output", str(same),
+                         "--key", key_file, "--map", str(mp))
+    assert code == 1 and out == ""
+    assert err == (f"error: {same} is the input directory, whose files the run would "
+                   "overwrite; use another output directory\n")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 def test_decrypt_removes_the_earlier_output_of_a_failed_file(tmp_path, capsys, key_file):
@@ -930,6 +956,8 @@ def _rdr_trees(tmp_path, bad_line):
         ("0,1,t,1e2,1.5", "parse error: malformed decimal text: '1e2'"),
         ("0,1,t, 1.5,1.5", "parse error: malformed decimal text: ' 1.5'"),
         ("x,1,t,116.5,39.9", "parse error: malformed coordinate id 'x'"),
+        ("0,1,t,263.5,39.9", "out of range: lon"),
+        ("0,1,t,116.5,90.5", "out of range: lat"),
     ],
 )
 def test_eval_rdr_skips_a_vehicle_with_an_encrypted_line_out_of_grammar(
@@ -954,6 +982,14 @@ def test_eval_hotspots_fails_on_an_encrypted_line_out_of_grammar(tmp_path, capsy
     assert out == ""
     assert err == f"error: {enc / '1.txt'}:1: parse error: malformed decimal text: 'nan'\n"
     assert not (tmp_path / "rep").exists()
+
+
+def test_eval_hotspots_fails_on_an_encrypted_line_out_of_range(tmp_path, capsys):
+    orig, enc = _rdr_trees(tmp_path, "0,1,t,-180.5,39.9")
+    code, _, err = run(capsys, "eval", "hotspots", "--orig", str(orig), "--enc", str(enc),
+                       "--dec", str(orig), "--out", str(tmp_path / "rep"))
+    assert code == 1
+    assert err == f"error: {enc / '1.txt'}:1: out of range: lon\n"
 
 
 def test_eval_rdr_still_checks_the_vehicle_sets(tmp_path, capsys):
@@ -1019,23 +1055,55 @@ def test_readme_cli_lines_parse():
         parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
+def _bench_modules(monkeypatch, *names):
+    """The pipebench modules ``names``, loaded in order from their files,
+    which are only read; a later one imports an earlier one by its name."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    modules = []
+    for name in names:
+        spec = importlib.util.spec_from_file_location(name, SRC.parent / "pipebench" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)  # also for its dataclasses
+        spec.loader.exec_module(module)
+        modules.append(module)
+    return modules
+
+
 def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
     """Every command line the benchmark runs is one the parser takes, so a
     renamed or dropped flag fails here rather than in every pipeline."""
-    bench = SRC.parent / "pipebench"
-    monkeypatch.syspath_prepend(str(bench))
-    for name in ("check", "workloads"):  # run.py imports them by these names
-        monkeypatch.delitem(sys.modules, name, raising=False)
-    spec = importlib.util.spec_from_file_location("pipebench_run", bench / "run.py")
-    bench_run = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, bench_run)  # for its dataclasses
-    spec.loader.exec_module(bench_run)
+    *_, bench_run = _bench_modules(monkeypatch, "workloads", "check", "run")
     parser = build_parser()
     for workload in bench_run.WORKLOADS.values():
         argvs = [argv for _, argv in bench_run.commands(workload, bench_run.Paths(tmp_path))]
         assert [argv[0] for argv in argvs] == ["encrypt", "decrypt", "eval", "eval", "eval"]
         for argv in argvs:
             parser.parse_args(argv)
+
+
+def test_the_benchmark_gate_passes_on_the_walk(tmp_path, capsys, monkeypatch):
+    """The benchmark's own correctness gate on its walk workload (seed 1):
+    every valid line comes back byte for byte, and each planted bad line,
+    about half of them out of range, has its reason in the sidecar."""
+    workloads, check = _bench_modules(monkeypatch, "workloads", "check")
+    orig, enc, dec, reports = (tmp_path / name for name in ("orig", "enc", "dec", "reports"))
+    expected = workloads.write_walk(orig, seed="1")
+    key, mp = tmp_path / "bench.key", tmp_path / "store.map"
+    key.write_bytes(workloads.key_for("1"))
+    codes = {
+        "encrypt": main(["encrypt", "--input", str(orig), "--output", str(enc),
+                         "--key", str(key), "--map", str(mp)]),
+        "decrypt": main(["decrypt", "--input", str(enc), "--output", str(dec),
+                         "--key", str(key), "--map", str(mp)]),
+        "eval accuracy": main(["eval", "accuracy", "--orig", str(orig), "--dec", str(dec),
+                               "--out", str(reports)]),
+    }
+    capsys.readouterr()
+    verdict = check.check_pipeline(expected, codes, enc, dec, mp, reports)
+    assert (verdict.failed, verdict.problems) == (0, [])
+    assert verdict.restored == expected.accepted and verdict.cli_omr == 1.0
+    reasons = [reason for bad in expected.bad.values() for reason in bad.values()]
+    assert sum(reason.startswith("out of range") for reason in reasons) > len(reasons) / 3
 
 
 @pytest.mark.parametrize(

@@ -567,8 +567,8 @@ def test_decrypt_checks_the_stored_digit_count(tmp_path):
 
 def test_fuzzy_restores_count_only_restored_lines(tmp_path):
     # Id 5 is beyond the store: lon_int 70 and lon_frac 1234 have unique
-    # fuzzy matches, lat_int 99 none, so the line fails and counts none.
-    stats, out, errors = _decrypt_text(tmp_path, _two_id_store(), "5,1,t,70.01234,99.4\n")
+    # fuzzy matches, lat_int 77 none, so the line fails and counts none.
+    stats, out, errors = _decrypt_text(tmp_path, _two_id_store(), "5,1,t,70.01234,77.4\n")
     assert (stats.records, stats.record_errors, stats.fuzzy_restored) == (0, 1, 0)
     assert out == ""
     assert errors == "1: no lat_int mapping for coord_id 5 (fuzzy: not found)\n"
@@ -607,7 +607,7 @@ def test_decrypt_rejects_ids_and_coordinates_outside_the_grammar(tmp_path):
 def test_encrypt_debug_line_counts_cipher_work(tmp_path, caplog):
     src = tmp_path / "src"
     src.mkdir()
-    # a line that stops the whole-text match, and a range candidate it drops
+    # two lines that stop the whole-text match: a malformed one, one out of range
     (src / "1.txt").write_text(
         "1,t,116.5,39.9\nbad\n1,t,116.25,-39.125\n1,t,181.5,0.5\n1,t,-0.125,0.5\n"
     )
@@ -1063,7 +1063,7 @@ def test_eval_loaders_equal_scan_file_floats(lines, last_end):
 # Values around the loaders' float rule and range check: fractions of 16 to
 # 19 digits, which may pass 2**53; 3-digit ints with 13 or more fraction
 # digits, whose encrypted numerator i * 10**d + f may; negative zeros; and
-# the range bounds, which only the plain layout checks.
+# the range bounds.
 _LOADER_EDGE = [
     "-0", "-0.000", "179", "180", "180.0", "180.0001", "-180.0000000000000000000",
     "89", "90", "-90.0", "90.0001", "0.9007199254740993", "-0.99999999999999999",
@@ -1099,24 +1099,11 @@ def _loader_tree(draw):
     return files
 
 
-def _in_encrypted_grammar(body):
-    """Whether the encrypted layout takes ``cid,body``: four fields, canonical
-    coordinates of at most 19 fraction digits and 3 (lon) or 2 (lat) int
-    digits, whatever their range."""
-    fields = body.split(",")
-    try:
-        lon, lat = decompose(fields[2]), decompose(fields[3])
-    except (IndexError, ParseError):
-        return False
-    return (len(fields) == 4 and lon.int_part < 1000 and lat.int_part < 100
-            and max(lon.frac_digits, lat.frac_digits) <= MAX_FRAC_DIGITS)
-
-
 def _in_encrypted_layout(line):
-    """Whether ``line`` is a canonical coordinate id, a comma and a line in
-    the encrypted grammar."""
+    """Whether ``line`` is a canonical coordinate id, a comma and a line that
+    the plain layout's reference grammar accepts."""
     cid, _, body = line.rstrip("\r\n").partition(",")
-    return bool(re.fullmatch(r"0|[1-9][0-9]{0,17}", cid)) and _in_encrypted_grammar(body)
+    return bool(re.fullmatch(r"0|[1-9][0-9]{0,17}", cid)) and bool(_reference_scan(body)[0])
 
 
 def _hexed(tree):
@@ -1144,16 +1131,12 @@ def test_loaders_equal_the_references_across_files(files, slice_chars, cid):
             _, at, errors, plain_floats[stem] = _reference_scan(text)
             lines = io.StringIO(text, newline="").readlines()
             coordinates = [lines[i].rstrip("\r\n").split(",")[2:] for i in at]
-            line_path += len(errors) + sum(
-                decompose(lon).int_part == 180 or decompose(lat).int_part == 90
-                for lon, lat in coordinates
-            )
+            line_path += len(errors)
             # the plain layout converts only the accepted lines' floats
             exact[0] += sum(decompose(text).frac_value >= 2**53
                             for pair in coordinates for text in pair)
-            # the lines in the grammar: gathered in both layouts
-            enc_lines = [f"{cid},{line}" for line in lines
-                         if _in_encrypted_grammar(line.rstrip("\r\n"))]
+            # the accepted lines: gathered in both layouts
+            enc_lines = [f"{cid},{lines[i]}" for i in at]
             (enc / f"{stem}.txt").write_bytes("".join(enc_lines).encode())
             fields = [line.rstrip("\r\n").split(",")[3:] for line in enc_lines]
             enc_floats[stem] = [(float(lon).hex(), float(lat).hex()) for lon, lat in fields]
@@ -1180,8 +1163,8 @@ def test_loaders_equal_the_references_across_files(files, slice_chars, cid):
 
 @pytest.mark.parametrize("bad", ["1,t,1e5,1", "1,t,116.5,39.5,x", "1,t,181.5,1"])
 def test_load_plain_points_reads_a_half_bad_file_in_linear_time(tmp_path, bad):
-    # every second line stops the whole-text match or is a range candidate,
-    # and each costs one step of the walk
+    # every second line stops the whole-text match, and each costs one step
+    # of the walk
     (tmp_path / "1.txt").write_text("\n".join(["1,t,116.12345,39.12345", bad] * 10_000) + "\n")
     started = time.perf_counter()
     tree = load_plain_points(tmp_path)
@@ -1192,8 +1175,8 @@ def test_load_plain_points_reads_a_half_bad_file_in_linear_time(tmp_path, bad):
 
 @pytest.mark.parametrize("bad", ["1,t,1e5,1", "1,t,116.5,39.5,x", "1,t,181.5,1"])
 def test_encrypt_and_decrypt_read_a_half_bad_file_in_linear_time(tmp_path, bad):
-    # every second line stops the whole-text match or is a range candidate;
-    # the encrypted file then gets every second line out of the grammar
+    # every second line stops the whole-text match; the encrypted file then
+    # gets every second line out of the grammar
     good = "1,t,116.12345,39.12345\n"
     (tmp_path / "src").mkdir()
     (tmp_path / "src" / "1.txt").write_text((good + bad + "\n") * 10_000)
@@ -1237,8 +1220,8 @@ def _scan_columns(scan):
 def test_the_two_layouts_share_one_grammar(body, end, cid):
     # An encrypted line is a coordinate id and a plain line: the encrypted
     # layout accepts what the plain one does, with the same columns, and
-    # rejects what it cannot parse, for the same reason.  It does not check
-    # the range.
+    # rejects what it cannot parse or what is out of range, for the same
+    # reason.
     plain = scan_text(body + end)
     enc = scan_text(f"{cid},{body}{end}", encrypted=True)
     assert plain.cids == ()
@@ -1254,13 +1237,45 @@ def test_the_two_layouts_share_one_grammar(body, end, cid):
             reason = f"expected 5 fields, got {int(fields[1]) + 1}"
         assert enc.heads == () and enc.parse_errors == 1
         assert enc.errors == [(line_no, reason)]
-    else:  # out of range, which only the plain layout checks
-        vid, stamp, lon, lat = body.split(",")
-        if decompose(lon).int_part < 1000 and decompose(lat).int_part < 100:
-            assert enc.errors == []
-            assert _rows(enc) == [(f"{vid},{stamp}", *_components(lon), *_components(lat), end)]
-        else:  # longer int parts than the grammar allows
-            assert enc.heads == () and enc.errors == plain.errors
+    else:  # out of range
+        assert enc.heads == () and enc.errors == plain.errors
+
+
+# Integer and fraction texts around the range bounds and the grammar's
+# edges: signs, leading zeros, 19 and 20 fraction digits, a bare dot and an
+# exponent.
+_GRID_LON = ["0", "-0", "1", "9", "10", "99", "100", "179", "180", "181", "999", "1000",
+             "0180", "-180", "-181", "01"]
+_GRID_LAT = ["0", "9", "10", "89", "90", "91", "99", "100", "-90", "-91", "09"]
+_GRID_FRAC = ["", ".0", ".5", ".0001", "." + "0" * 19, "." + "0" * 20, "." + "9" * 19,
+              ".", ".1e3"]
+
+
+def _grid_coordinate(grid):
+    ints = st.sampled_from(grid) | st.from_regex(r"-?[0-9]{1,4}", fullmatch=True)
+    fracs = st.sampled_from(_GRID_FRAC) | st.text("0123456789", max_size=21).map(".".__add__)
+    return st.builds(str.__add__, ints, fracs)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_FIELD, _FIELD, _grid_coordinate(_GRID_LON), _grid_coordinate(_GRID_LAT),
+       st.integers(0, 10**18 - 1))
+def test_the_whole_text_patterns_accept_what_the_reference_grammar_does(
+    vid, stamp, lon, lat, cid
+):
+    # One pattern decides each line, range included: the plain layout takes
+    # a line exactly when _reject_reason has no reason for it, and the
+    # encrypted layout takes the same line behind a coordinate id.  As the
+    # unterminated last line of a file, an accepted line does not stop the
+    # walk, and a rejected one stops it whole.
+    line = f"{vid},{stamp},{lon},{lat}"
+    accepted = dataset._reject_reason(line) is None
+    for pattern, cid_text in ((dataset._PLAIN_TEXT, ""), (dataset._ENC_TEXT, f"{cid},")):
+        assert bool(pattern.fullmatch(f"{cid_text}{line}\n")) == accepted
+        head = f"{cid_text}1,t,116.5,39.9\n"
+        text = f"{head}{cid_text}{line}"
+        stops = list(dataset._stops(pattern.match, text))
+        assert stops == ([] if accepted else [(len(head), len(text))])
 
 
 # ---------------------------------------------------------------------------
@@ -1297,8 +1312,8 @@ def _tamper_coordinate(draw, coordinate, lon):
     """One change to a (sign, int text, frac text or None) coordinate."""
     sign, int_text, frac_text = coordinate
     change = draw(st.sampled_from(["int", "wide", "digits", "value"]))
-    if change == "int":  # longer than the plain grammar allows
-        int_text = str(draw(st.integers(1000 if lon else 100, 10**6)))
+    if change == "int":  # out of range
+        int_text = str(draw(st.integers(181 if lon else 91, 10**6)))
     elif change == "wide":
         frac_text = draw(st.text("0123456789", min_size=19, max_size=20))
     elif change == "digits":
