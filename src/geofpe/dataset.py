@@ -146,6 +146,19 @@ class _Rows:
         return list(zip(KINDS, (lon.ints, lon.fracs, lat.ints, lat.fracs),
                         (zeros, lon.digits, zeros, lat.digits)))
 
+    def widths(self) -> list[np.ndarray]:
+        """The digit count of each kind's field of each row, in KINDS order."""
+        lon, lat = self.lon, self.lat
+        return [lon.dot - lon.start, lon.digits, lat.dot - lat.start, lat.digits]
+
+    def put(self, buf, values) -> None:
+        """Write one uint64 column of ``values`` per kind, in KINDS order,
+        over each row's field of that kind in ``buf``, zero-padded to its
+        width."""
+        lon, lat = self.lon, self.lat
+        _put(buf, np.concatenate((lon.start, lon.dot + 1, lat.start, lat.dot + 1)),
+             np.concatenate(values), np.concatenate(self.widths()))
+
 
 @dataclass
 class _Part:
@@ -339,11 +352,11 @@ def _widths(values) -> np.ndarray:
     return np.maximum(np.searchsorted(POW10, values, side="right"), 1)
 
 
-def _texts(values, comma: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The decimal texts of uint64 ``values``, each followed by a comma if
-    ``comma``, as one uint8 array; and the length of each."""
+def _texts(values) -> tuple[np.ndarray, np.ndarray]:
+    """The decimal texts of uint64 ``values``, each followed by a comma, as
+    one uint8 array; and the length of each."""
     widths = _widths(values)
-    lens = widths + comma
+    lens = widths + 1
     text = np.full(int(lens.sum()), 44, dtype=np.uint8)
     _put(text, np.cumsum(lens) - lens, values, widths)
     return text, lens
@@ -358,15 +371,11 @@ def _spans(n: int, starts, ends) -> np.ndarray:
     return np.repeat(inside, lengths)
 
 
-def _splice(buf, keep, at, text, lens, edges=()):
+def _splice(buf, keep, at, text, lens) -> np.ndarray:
     """The bytes of ``buf`` that ``keep`` marks, with the pieces of ``text``
-    (of ``lens``) inserted before the bytes at ``at``; and where each byte
-    at ``edges`` lands, after the pieces inserted before it."""
+    (of ``lens``) inserted before the bytes at ``at``."""
     cut = np.flatnonzero(~keep)
-    out = np.insert(buf[keep], np.repeat(at - np.searchsorted(cut, at), lens), text)
-    edges = np.asarray(edges, dtype=np.int64)
-    pieces = np.append(0, np.cumsum(lens))[np.searchsorted(at, edges)]
-    return out, edges - np.searchsorted(cut, edges) + pieces
+    return np.insert(buf[keep], np.repeat(at - np.searchsorted(cut, at), lens), text)
 
 
 def stratified_sample(rows, n_total: int, seed) -> np.ndarray:
@@ -534,11 +543,7 @@ def _encrypt_slice(sl: _Slice, cipher, store, out_dir: Path, stats, next_id: int
     rows, buf = sl.rows, sl.buf
     components = rows.components()
     enc = [cipher.encrypt_batch(kind, values, digits) for kind, values, digits in components]
-    # the fold keeps an integer part's digit class and a fraction's digit count
-    lon, lat = rows.lon, rows.lat
-    _put(buf, np.concatenate((lon.start, lon.dot + 1, lat.start, lat.dot + 1)),
-         np.concatenate(enc),
-         np.concatenate((lon.dot - lon.start, lon.digits, lat.dot - lat.start, lat.digits)))
+    rows.put(buf, enc)  # the fold keeps every field's digit count
     keep = _spans(len(buf), rows.start, rows.end)
     written = np.zeros(len(rows.start), dtype=bool)
     for part in sl.parts:
@@ -552,7 +557,7 @@ def _encrypt_slice(sl: _Slice, cipher, store, out_dir: Path, stats, next_id: int
         errors = sl.errors(part)
         try:
             _write(out_path, errors, _splice(buf[s:e], keep[s:e], rows.start[lines] - s,
-                                             *_texts(ids, comma=True))[0])
+                                             *_texts(ids)))
         except OSError as exc:
             _file_failed(stats, out_path, exc)
             continue
@@ -598,34 +603,19 @@ def decrypt_dataset(enc_dir, out_dir, store: MappingStore) -> DecryptStats:
 
 
 def _decrypt_slice(sl: _Slice, store: MappingStore, out_dir: Path, stats) -> None:
-    """Restore a slice's accepted lines through _lookups and write each of
-    its files: a restored line is its text less the coordinate id, with the
-    original fractions written over the encrypted ones and the original
-    integer parts, which may differ in width, put in their place."""
+    """Restore a slice's accepted lines through _lookups, write the original
+    digits over the encrypted ones as encrypt writes them, and write each of
+    its files: a restored line is its bytes past the coordinate id."""
     rows, buf = sl.rows, sl.buf
     ids = _number(buf, rows.start, rows.comma - rows.start).astype(np.int64)
     orig, failed, fuzzy = _lookups(store, ids, rows)
     ok = np.ones(len(ids), dtype=bool)
     ok[list(failed)] = False
     fuzzy = np.bincount(fuzzy, minlength=len(ids)) * ok  # per restored row
-    lon, lat = rows.lon, rows.lat
-    ints, starts = np.column_stack((orig[0], orig[2])), np.column_stack((lon.start, lat.start))
-    widths = np.column_stack((lon.dot, lat.dot)) - starts
-    same = _widths(ints) == widths
-    _put(buf, starts[same], ints[same], widths[same])
-    _put(buf, np.concatenate((lon.dot, lat.dot)) + 1, np.concatenate((orig[1], orig[3])),
-         np.concatenate((lon.digits, lat.digits)))
-    # a restored line is its bytes past the id; an integer part of another
-    # width than the encrypted one is cut out, and its text inserted
-    moved = ok[:, None] & ~same
-    keep = _spans(len(buf), np.sort(np.concatenate((rows.comma[ok] + 1, (starts + widths)[moved]))),
-                  np.sort(np.concatenate((starts[moved], rows.end[ok]))))
-    at = starts[moved]
-    text, lens = _texts(ints[moved])
-    edges = [(part.start, part.end) for part in sl.parts]
-    out, bounds = _splice(buf, keep, at, text, lens, edges)
+    rows.put(buf, orig)  # a restored value has its field's digit count
+    keep = _spans(len(buf), rows.comma[ok] + 1, rows.end[ok])
     bad = np.array(sorted(failed), dtype=np.int64)
-    for part, (a, b) in zip(sl.parts, bounds.tolist()):
+    for part in sl.parts:
         out_path = out_dir / part.path.name
         if part.failure is not None:
             _file_failed(stats, out_path, part.failure)
@@ -636,8 +626,9 @@ def _decrypt_slice(sl: _Slice, store: MappingStore, out_dir: Path, stats) -> Non
             errors += zip(sl.line_nos(part, rows.start[bad[lo:hi]]),
                           map(failed.get, bad[lo:hi].tolist()))
             errors.sort()
+        s, e = part.start, part.end
         try:
-            _write(out_path, errors, out[a:b])
+            _write(out_path, errors, buf[s:e][keep[s:e]])
         except OSError as exc:
             _file_failed(stats, out_path, exc)
             continue
@@ -652,8 +643,10 @@ def _lookups(store: MappingStore, ids, rows: _Rows):
 
     Each kind takes one exact lookup.  A row that misses gets a fuzzy
     lookup of that component, unless an earlier kind has already failed
-    it; the first kind whose fuzzy lookup fails gives the row's reason.  A
-    restored fraction must fit its digit count."""
+    it; the first kind whose fuzzy lookup fails gives the row's reason.
+    Then each restored value must fit its field: a fraction its digit
+    count, and an integer part its field's digit count exactly, as the
+    fold keeps it; the first kind that does not gives the reason."""
     failed, fuzzy, orig = {}, [], []  # row -> reason; a row per fuzzy restore
     for kind, enc, digits in rows.components():
         hit, found = store.lookup_exact_batch(kind, ids, enc, digits)
@@ -671,11 +664,16 @@ def _lookups(store: MappingStore, ids, rows: _Rows):
                     f"(fuzzy: {'ambiguous' if value else 'not found'})"
                 )
         orig.append(found)
-    for kind, col, digits in (("lon_frac", orig[1], rows.lon.digits),
-                              ("lat_frac", orig[3], rows.lat.digits)):
-        for r in np.flatnonzero(col >= POW10[digits]).tolist():
-            failed.setdefault(r, f"{kind} mapping for coord_id {ids[r]} needs more "
-                                 f"than {digits[r]} digits")
+    for kind, col, width in zip(KINDS, orig, rows.widths()):
+        if kind.endswith("_int"):
+            need = _widths(col)
+            for r in np.flatnonzero(need != width).tolist():
+                failed.setdefault(r, f"{kind} mapping for coord_id {ids[r]} needs "
+                                     f"{need[r]} digits, not {width[r]}")
+        else:
+            for r in np.flatnonzero(col >= POW10[width]).tolist():
+                failed.setdefault(r, f"{kind} mapping for coord_id {ids[r]} needs more "
+                                     f"than {width[r]} digits")
     return orig, failed, fuzzy
 
 
@@ -814,9 +812,9 @@ def load_points_auto(input_dir, rejects=None) -> TreePoints:
     goes into the dict ``rejects`` under its stem and the file is left out;
     without ``rejects`` it raises ValueError "<path>:<line no>: <reason>".
     Any other file is read in the plain layout, which gets the usual
-    cleaning.  Lets the identity checks point an eval at a plain tree.  An
-    encrypted field's float is ``float`` of its text, correctly rounded; a
-    plain one's is Python's ``i + f / 10**d`` of its parts.
+    cleaning.  Lets the identity checks point an eval at a plain tree.  In
+    either layout a field's float is ``float`` of its text, correctly
+    rounded.
     """
     return _load(input_dir, auto=True, rejects=rejects)
 
@@ -839,7 +837,7 @@ def _load(input_dir, auto: bool, rejects=None) -> TreePoints:
             tree.rows[part.path.stem] = range(n + part.rows.start, n + part.rows.stop)
         xy = np.empty((len(sl.rows.start), 2))
         for axis, coordinate in enumerate((sl.rows.lon, sl.rows.lat)):
-            xy[:, axis], exact = _floats(coordinate, sl.encrypted)
+            xy[:, axis], exact = _floats(coordinate)
             tree.exact += exact
         blocks.append(xy)
         n += len(xy)
@@ -851,23 +849,19 @@ def _load(input_dir, auto: bool, rejects=None) -> TreePoints:
     return tree
 
 
-def _floats(axis: _Axis, encrypted: bool):
+def _floats(axis: _Axis):
     """The floats of a coordinate field of each row, and how many of them
-    the exact fallback converted.  A plain field's float is ``i + f /
-    10**d`` and an encrypted one's ``(i * 10**d + f) / 10**d``: in float64
-    both equal Python's result while f, or the numerator, is below 2**53,
-    and other values are converted in Python."""
+    the exact fallback converted.  A field's float is ``(i * 10**d + f) /
+    10**d``, which is ``float`` of its text: in float64 it equals Python's
+    result while the numerator is below 2**53, and other values are
+    converted in Python."""
     ints, fracs, digits = axis.ints, axis.fracs, axis.digits
-    if encrypted:
-        num = ints * POW10[np.minimum(digits, 15)] + fracs
-        fast = (num < _EXACT) & ((digits <= 15) | (ints == 0))
-        values = num.astype(np.float64) / _P10F[digits]
-    else:
-        fast = fracs < _EXACT
-        values = ints + fracs.astype(np.float64) / _P10F[digits]
+    num = ints * POW10[np.minimum(digits, 15)] + fracs
+    fast = (num < _EXACT) & ((digits <= 15) | (ints == 0))
+    values = num.astype(np.float64) / _P10F[digits]
     slow = np.flatnonzero(~fast)
     for r, i, f, d in zip(slow.tolist(), ints[slow].tolist(), fracs[slow].tolist(),
                           digits[slow].tolist()):
-        values[r] = (i * 10**d + f) / 10**d if encrypted else i + f / 10**d
+        values[r] = (i * 10**d + f) / 10**d
     np.negative(values, out=values, where=axis.neg)
     return values, len(slow)

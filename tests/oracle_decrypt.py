@@ -7,8 +7,10 @@ A coordinate outside the encrypted grammar (a fraction over 19 digits, or
 a point outside [-180, 180] x [-90, 90]) gets the plain-line reason.
 Each component is then restored through a one-element
 MappingStore.lookup_exact_batch, then lookup_fuzzy on a miss; both lookups
-of a fraction are given the line's digit count.  A restored fraction that
-needs more digits than the line gives is a per-line error.  Fuzzy restores
+of a fraction are given the line's digit count.  A restored integer part
+of another digit count than the line's, or a restored fraction that needs
+more digits than the line gives, is a per-line error, the first in the
+order lon_int, lon_frac, lat_int, lat_frac giving its reason.  Fuzzy restores
 are counted only on lines that are restored.  Outputs and sidecars are
 written in place, as plain files.
 """
@@ -90,6 +92,11 @@ def _restore(line, store, stats):
         parts[kind] = orig
     texts = []
     for axis, enc in (("lon", enc_lon), ("lat", enc_lat)):
+        need, width = len(str(parts[f"{axis}_int"])), len(str(enc.int_part))
+        if need != width:
+            return None, (
+                f"{axis}_int mapping for coord_id {cid} needs {need} digits, not {width}"
+            )
         try:
             n = DecimalNumber(
                 enc.sign, parts[f"{axis}_int"], parts[f"{axis}_frac"], enc.frac_digits

@@ -242,6 +242,18 @@ def test_component_class_preservation_sweep():
             assert lo <= c < hi
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.binary(min_size=16, max_size=16))
+def test_integer_parts_keep_their_digit_count_under_any_key(key):
+    # decrypt writes an original integer part in place over its ciphertext,
+    # so every integer part in range must keep its digit count
+    cipher = CoordinateCipher(key)
+    for kind, bound in (("lon_int", 180), ("lat_int", 90)):
+        values = list(range(bound + 1))
+        enc = cipher.encrypt_batch(kind, values).tolist()
+        assert [len(str(c)) for c in enc] == [len(str(v)) for v in values]
+
+
 def test_component_rejects_oversized_fraction():
     with pytest.raises(DomainError):
         _encrypt_one(100, "lon_frac", 2)

@@ -35,7 +35,7 @@ from geofpe.mapstore import MappingStore
 from geofpe.metrics import accuracy, dbscan
 from halfwrite import open_failing_on
 from one_file import scan_file, scan_text
-from oracle_decrypt import decrypt_oracle
+from oracle_decrypt import _restore, decrypt_oracle
 
 KEY = bytes.fromhex("0123456789ABCDEFFEDCBA9876543210")
 
@@ -471,26 +471,27 @@ def test_parse_line_rejects_plus_sign(tmp_path):
 
 
 def test_decrypt_tampered_coord_ids_and_values(tmp_path):
-    # Every component maps enc 5 to two originals, so the fuzzy fallback is
-    # ambiguous and only a correct exact hit can restore a line.
+    # Every component maps its encrypted value (lon_int 105, lat_int 15, the
+    # fractions 5) to two originals, so the fuzzy fallback is ambiguous and
+    # only a correct exact hit can restore a line.
     store = MappingStore()
-    for kind in ("lon_int", "lat_int"):
-        store.append(kind, [5, 5], [116, 117], [0, 0])
+    store.append("lon_int", [105, 105], [116, 117], [0, 0])
+    store.append("lat_int", [15, 15], [39, 40], [0, 0])
     for kind in ("lon_frac", "lat_frac"):
         store.append(kind, [5, 5], [3, 4], [1, 1])
     enc_dir = tmp_path / "enc"
     enc_dir.mkdir()
     (enc_dir / "1.txt").write_text(
-        "0,1,t,5.5,5.5\n"
-        "-1,1,t,5.5,5.5\n"
-        "2,1,t,5.5,5.5\n"
-        f"1,1,t,{2**64}.5,5.5\n"
-        "1,1,t,5.5,5.5\n"
+        "0,1,t,105.5,15.5\n"
+        "-1,1,t,105.5,15.5\n"
+        "2,1,t,105.5,15.5\n"
+        f"1,1,t,{2**64}.5,15.5\n"
+        "1,1,t,105.5,15.5\n"
     )
     stats = decrypt_dataset(enc_dir, tmp_path / "dec", store)
     assert stats.records == 2 and stats.record_errors == 3
     restored = (tmp_path / "dec" / "1.txt").read_text()
-    assert restored == "1,t,116.3,116.3\n1,t,117.4,117.4\n"
+    assert restored == "1,t,116.3,39.3\n1,t,117.4,40.4\n"
     assert (tmp_path / "dec" / "1.txt.errors").read_text().splitlines() == [
         "2: parse error: malformed coordinate id '-1'",
         "3: no lon_int mapping for coord_id 2 (fuzzy: ambiguous)",
@@ -499,18 +500,19 @@ def test_decrypt_tampered_coord_ids_and_values(tmp_path):
 
 
 def test_decrypt_reports_a_fraction_wider_than_its_digits(tmp_path):
-    # Id 0's encrypted longitude 65.08736 is shortened to 65.8736: the value
-    # 8736 is still id 0's, but its entry holds five digits, so no lookup
-    # matches.  That line goes to the sidecar; the rest is still written.
+    # Id 0's encrypted longitude 165.08736 is shortened to 165.8736: the
+    # value 8736 is still id 0's, but its entry holds five digits, so no
+    # lookup matches.  That line goes to the sidecar; the rest is still
+    # written.
     store = MappingStore()
-    store.append("lon_int", [65, 70], [116, 117], [0, 0])
+    store.append("lon_int", [165, 170], [116, 117], [0, 0])
     store.append("lon_frac", [8736, 1234], [77678, 5], [5, 5])
     store.append("lat_int", [12, 13], [39, 40], [0, 0])
     store.append("lat_frac", [3, 4], [9, 8], [1, 1])
     enc_dir, dec_dir = tmp_path / "enc", tmp_path / "dec"
     enc_dir.mkdir()
-    (enc_dir / "1.txt").write_text("0,1,t,65.8736,12.3\n1,1,t,70.01234,13.4\n")
-    (enc_dir / "2.txt").write_text("0,2,t,-65.08736,12.3\n1,2,t,70.01234,-13.4\n")
+    (enc_dir / "1.txt").write_text("0,1,t,165.8736,12.3\n1,1,t,170.01234,13.4\n")
+    (enc_dir / "2.txt").write_text("0,2,t,-165.08736,12.3\n1,2,t,170.01234,-13.4\n")
     stats = decrypt_dataset(enc_dir, dec_dir, store)
     assert (stats.files, stats.records, stats.record_errors) == (2, 3, 1)
     assert (dec_dir / "1.txt").read_text() == "1,t,117.00005,40.8\n"
@@ -524,7 +526,7 @@ def test_decrypt_reports_a_fraction_wider_than_its_digits(tmp_path):
 def _two_id_store():
     """Ids 0 and 1; id 0's lon_frac 8736 holds five digits and maps to 77678."""
     store = MappingStore()
-    store.append("lon_int", [65, 70], [116, 117], [0, 0])
+    store.append("lon_int", [165, 170], [116, 117], [0, 0])
     store.append("lon_frac", [8736, 1234], [77678, 5], [5, 5])
     store.append("lat_int", [12, 13], [39, 40], [0, 0])
     store.append("lat_frac", [3, 4], [9, 8], [1, 1])
@@ -552,10 +554,10 @@ def test_decrypt_checks_the_stored_digit_count(tmp_path):
     # line's digit count too.
     store = _two_id_store()
     stats, out, errors = _decrypt_text(tmp_path, store, (
-        "0,1,t,65.008736,12.3\n"
-        "5,1,t,65.008736,12.3\n"
-        "5,1,t,65.08736,12.3\n"
-        "0,1,t,65.08736,12.3\n"
+        "0,1,t,165.008736,12.3\n"
+        "5,1,t,165.008736,12.3\n"
+        "5,1,t,165.08736,12.3\n"
+        "0,1,t,165.08736,12.3\n"
     ))
     assert (stats.records, stats.record_errors, stats.fuzzy_restored) == (2, 2, 4)
     assert out == "1,t,116.77678,39.9\n1,t,116.77678,39.9\n"
@@ -566,9 +568,9 @@ def test_decrypt_checks_the_stored_digit_count(tmp_path):
 
 
 def test_fuzzy_restores_count_only_restored_lines(tmp_path):
-    # Id 5 is beyond the store: lon_int 70 and lon_frac 1234 have unique
+    # Id 5 is beyond the store: lon_int 170 and lon_frac 1234 have unique
     # fuzzy matches, lat_int 77 none, so the line fails and counts none.
-    stats, out, errors = _decrypt_text(tmp_path, _two_id_store(), "5,1,t,70.01234,77.4\n")
+    stats, out, errors = _decrypt_text(tmp_path, _two_id_store(), "5,1,t,170.01234,77.4\n")
     assert (stats.records, stats.record_errors, stats.fuzzy_restored) == (0, 1, 0)
     assert out == ""
     assert errors == "1: no lat_int mapping for coord_id 5 (fuzzy: not found)\n"
@@ -579,17 +581,17 @@ def test_decrypt_rejects_ids_and_coordinates_outside_the_grammar(tmp_path):
     # keeps a line with a lenient id from being restored.  An in-grammar id
     # beyond the store still restores through the fuzzy lookup.
     store = MappingStore()
-    store.append("lon_int", [5], [116], [0])
+    store.append("lon_int", [105], [116], [0])
     store.append("lon_frac", [3], [4], [1])
-    store.append("lat_int", [6], [39], [0])
+    store.append("lat_int", [16], [39], [0])
     store.append("lat_frac", [7], [9], [1])
     ids = ["0001", "+0", " 0", "0_0", "\u0660", "-1", "1" + "0" * 18]
-    lines = [f"{cid},1,t,5.3,6.7\n" for cid in ids] + [
-        f"{10**9},1,t,5.3,6.7\n",
-        "0,1,t,1000.3,6.7\n",
-        "0,1,t,5.3,100.7\n",
-        f"0,1,t,5.{'3' * 20},6.7\n",
-        "0,1,t,5.3,6.7\n",
+    lines = [f"{cid},1,t,105.3,16.7\n" for cid in ids] + [
+        f"{10**9},1,t,105.3,16.7\n",
+        "0,1,t,1000.3,16.7\n",
+        "0,1,t,105.3,100.7\n",
+        f"0,1,t,105.{'3' * 20},16.7\n",
+        "0,1,t,105.3,16.7\n",
     ]
     stats, out, errors = _decrypt_text(tmp_path, store, "".join(lines))
     assert (stats.records, stats.record_errors, stats.fuzzy_restored) == (2, 10, 4)
@@ -601,6 +603,33 @@ def test_decrypt_rejects_ids_and_coordinates_outside_the_grammar(tmp_path):
         "9: out of range: lon",
         "10: out of range: lat",
         "11: parse error: lon fraction has 20 digits, more than 19",
+    ]
+
+
+def test_decrypt_refuses_an_integer_part_of_another_width(tmp_path):
+    # Encrypt's fold keeps an integer part's digit count, and decrypt writes
+    # the original over the ciphertext in place.  Only a hand-built map
+    # restores lon_int 5 to 116 or lat_int 40 to 7; such a line goes to the
+    # sidecar, exactly as the oracle reports it, also through a fuzzy
+    # restore (id 9 is beyond the store).
+    store = MappingStore()
+    store.append("lon_int", [5, 116, 117], [116, 117, 118], [0, 0, 0])
+    store.append("lon_frac", [3, 3, 3], [4, 4, 4], [1, 1, 1])
+    store.append("lat_int", [39, 40, 41], [39, 7, 42], [0, 0, 0])
+    store.append("lat_frac", [7, 7, 7], [9, 9, 9], [1, 1, 1])
+    lines = ["0,1,t,5.3,39.7\n", "1,1,t,-116.3,40.7\n", "2,1,t,117.3,41.7\n",
+             "9,1,t,5.3,41.7\n"]
+    stats, out, errors = _decrypt_text(tmp_path, store, "".join(lines))
+    assert (stats.records, stats.record_errors, stats.fuzzy_restored) == (1, 3, 0)
+    assert out == "1,t,118.4,42.9\n"
+    reasons = [
+        "lon_int mapping for coord_id 0 needs 3 digits, not 1",
+        "lat_int mapping for coord_id 1 needs 1 digits, not 2",
+        "lon_int mapping for coord_id 9 needs 3 digits, not 1",
+    ]
+    assert errors.splitlines() == [f"{n}: {r}" for n, r in zip((1, 2, 4), reasons)]
+    assert [_restore(lines[k], store, dataset.DecryptStats()) for k in (0, 1, 3)] == [
+        (None, reason) for reason in reasons
     ]
 
 
@@ -972,9 +1001,11 @@ def _row_parts(n):
 
 
 def to_float(n):
-    """The float of a DecimalNumber, as the plain layout's loaders give it:
-    Python's ``frac / 10**d`` divides two exact integers, correctly rounded."""
-    return n.sign * (n.int_part + n.frac_value / 10**n.frac_digits)
+    """The float of a DecimalNumber, as the loaders give it: Python's
+    ``(i * 10**d + f) / 10**d`` divides two exact integers, correctly
+    rounded, so it is ``float`` of the text."""
+    d = n.frac_digits
+    return n.sign * ((n.int_part * 10**d + n.frac_value) / 10**d)
 
 
 def _reference_scan(text):
@@ -1062,7 +1093,7 @@ def test_eval_loaders_equal_scan_file_floats(lines, last_end):
 
 # Values around the loaders' float rule and range check: fractions of 16 to
 # 19 digits, which may pass 2**53; 3-digit ints with 13 or more fraction
-# digits, whose encrypted numerator i * 10**d + f may; negative zeros; and
+# digits, whose numerator i * 10**d + f may; negative zeros; and
 # the range bounds.
 _LOADER_EDGE = [
     "-0", "-0.000", "179", "180", "180.0", "180.0001", "-180.0000000000000000000",
@@ -1106,6 +1137,10 @@ def _in_encrypted_layout(line):
     return bool(re.fullmatch(r"0|[1-9][0-9]{0,17}", cid)) and bool(_reference_scan(body)[0])
 
 
+def _numerator(n):
+    return n.int_part * 10**n.frac_digits + n.frac_value
+
+
 def _hexed(tree):
     return {stem: [(lon.hex(), lat.hex()) for lon, lat in pts]
             for stem, pts in _points(tree).items()}
@@ -1116,11 +1151,11 @@ def _hexed(tree):
 def test_loaders_equal_the_references_across_files(files, slice_chars, cid):
     # The loaders gather the accepted lines of many files at once, in slices
     # of about slice_chars characters.  Every float equals, bit for bit,
-    # to_float of the reference grammar in the plain layout and float() of
-    # the field's text in the encrypted one; the debug counts say which
-    # lines took the per-line path and which values the exact fallback.
+    # float() of the field's text in either layout; the debug counts say
+    # which lines took the per-line path and which values the exact
+    # fallback: those whose numerator i * 10**d + f reaches 2**53.
     stems = [str(k) for k in range(len(files))]
-    plain_floats, enc_floats, line_path, exact = {}, {}, 0, [0, 0]
+    floats, line_path, exact = {}, 0, 0
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(dataset, "_LOAD_SLICE", slice_chars):
         plain, enc = Path(tmp, "plain"), Path(tmp, "enc")
@@ -1128,37 +1163,32 @@ def test_loaders_equal_the_references_across_files(files, slice_chars, cid):
         enc.mkdir()
         for stem, text in zip(stems, files):
             (plain / f"{stem}.txt").write_bytes(text.encode())
-            _, at, errors, plain_floats[stem] = _reference_scan(text)
+            _, at, errors, _ = _reference_scan(text)
             lines = io.StringIO(text, newline="").readlines()
             coordinates = [lines[i].rstrip("\r\n").split(",")[2:] for i in at]
             line_path += len(errors)
-            # the plain layout converts only the accepted lines' floats
-            exact[0] += sum(decompose(text).frac_value >= 2**53
-                            for pair in coordinates for text in pair)
-            # the accepted lines: gathered in both layouts
-            enc_lines = [f"{cid},{lines[i]}" for i in at]
-            (enc / f"{stem}.txt").write_bytes("".join(enc_lines).encode())
-            fields = [line.rstrip("\r\n").split(",")[3:] for line in enc_lines]
-            enc_floats[stem] = [(float(lon).hex(), float(lat).hex()) for lon, lat in fields]
-            for n in (decompose(text) for f in fields for text in f):
-                exact[1] += n.int_part * 10**n.frac_digits + n.frac_value >= 2**53
+            floats[stem] = [(float(lon).hex(), float(lat).hex()) for lon, lat in coordinates]
+            exact += sum(_numerator(decompose(field)) >= 2**53
+                         for pair in coordinates for field in pair)
+            # the accepted lines behind an id: the same fields, encrypted layout
+            (enc / f"{stem}.txt").write_bytes("".join(f"{cid},{lines[i]}" for i in at).encode())
         tree = load_plain_points(plain)
-        assert _hexed(tree) == plain_floats
-        sizes = [len(floats) for floats in plain_floats.values()]
+        assert _hexed(tree) == floats
+        sizes = [len(pairs) for pairs in floats.values()]
         starts = [sum(sizes[:k]) for k in range(len(sizes))]
         assert [rows.start for rows in tree.rows.values()] == starts
         assert len(tree.xy) == sum(sizes)
-        assert (tree.line_path, tree.exact) == (line_path, exact[0])
+        assert (tree.line_path, tree.exact) == (line_path, exact)
         rejects = {}
         tree = load_points_auto(enc, rejects)
         assert rejects == {}
-        assert _hexed(tree) == enc_floats
-        assert (tree.line_path, tree.exact) == (0, exact[1])
+        assert _hexed(tree) == floats
+        assert (tree.line_path, tree.exact) == (0, exact)
         auto = _hexed(load_points_auto(plain, rejects))
         for stem, text in zip(stems, files):
             body = [line for line in io.StringIO(text, newline="") if line.strip()]
             if not body or any(line.count(",") != 4 for line in body):
-                assert auto[stem] == plain_floats[stem]
+                assert auto[stem] == floats[stem]
 
 
 @pytest.mark.parametrize("bad", ["1,t,1e5,1", "1,t,116.5,39.5,x", "1,t,181.5,1"])
@@ -1297,7 +1327,10 @@ def _decrypt_store(draw):
             digits = [0] * n
             enc = draw(st.lists(st.integers(0, 2) | st.integers(0, 1200),
                                 min_size=n, max_size=n))
-            orig = draw(st.lists(st.integers(0, 180), min_size=n, max_size=n))
+            # mostly of the encrypted value's digit count, as encrypt maps them
+            orig = [draw(st.integers(10 ** (len(str(e)) - 1) if e > 9 else 0,
+                                     10 ** len(str(e)) - 1) | st.integers(0, 180))
+                    for e in enc]
         else:
             digits = draw(st.lists(st.integers(0, MAX_FRAC_DIGITS), min_size=n, max_size=n))
             enc = [draw(st.integers(0, min(2, 10**d - 1)) | st.integers(0, 10**d - 1))
