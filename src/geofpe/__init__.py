@@ -6,9 +6,9 @@ by coordinate id makes the lossy range constraints exactly reversible.  The metr
 subpackage reproduces the privacy evaluation protocols (RDR, DBSCAN hotspot
 disruption, decryption accuracy).
 
-The package exports the user API only; the decimal grammar, range rules and
-key schedule are importable from ``geofpe.coords``, ``geofpe.ranges`` and
-``geofpe.sm4``.
+The package exports the user API only; the decimal grammar, the cipher's
+rules and the key schedule are importable from ``geofpe.coords``,
+``geofpe.cipher`` and ``geofpe.sm4``.
 """
 
 from .cipher import BACKEND, KINDS, CoordinateCipher, DomainError

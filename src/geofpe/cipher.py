@@ -15,6 +15,14 @@ part's key is its value.  One batch of a kind is then deduplicated with one
 through one call of the numpy round kernel, with per-element mask widths,
 tweaks and range folds.  The misses go into a small sorted tail of the
 codebook that merges into its sorted book only once it holds an eighth of it.
+
+The mask width is 16 bits for an integer part; a fraction's width tiers by
+value: 8 bits below 100, 10 below 1000, else the narrowest width that holds
+every d-digit fraction.  The fold keeps the format: an integer part falls into a
+digit class of its axis (lon [0, 10), [10, 100), [100, 180]; lat [0, 10),
+[10, 90]) and its ciphertext is folded back into that class, and a d-digit
+fraction's ciphertext is taken modulo 10**d.  ``tests/oracle_cipher.py``
+holds the scalar reference of each rule.
 """
 
 from __future__ import annotations
@@ -28,15 +36,7 @@ try:  # the built-in MD5 spares every command the OpenSSL load of hashlib
 except ImportError:  # an interpreter built without _md5
     from hashlib import md5
 
-from . import _rounds
 from .coords import MAX_FRAC_DIGITS
-from .ranges import (
-    INT_MASK_BITS,
-    POW10,
-    fraction_folds,
-    mask_widths,
-    range_folds,
-)
 
 BACKEND = "numpy"
 
@@ -51,6 +51,25 @@ _EMPTY_CODEBOOK = (_EMPTY_BOOK, _EMPTY_BOOK)
 # a codebook's tail merges into its book once the tail holds more than
 # 1/_TAIL_SHARE of the book's entries
 _TAIL_SHARE = 8
+
+INT_MASK_BITS = 16
+POW10 = np.array([10**d for d in range(MAX_FRAC_DIGITS + 1)], dtype=np.uint64)
+# the mask width of a d-digit fraction of at least 1000
+_FRAC_TOP_WIDTHS = np.array(
+    [max((10**d - 1).bit_length(), 1) for d in range(MAX_FRAC_DIGITS + 1)],
+    dtype=np.uint64,
+)
+# per axis (is_lon): the upper edges of the integer digit classes
+# (searchsorted "right"), and each class's fold base + v_prime % modulus; a
+# value past the last edge passes through
+_FOLDS = {
+    is_lon: tuple(np.array(col, dtype=np.uint64) for col in cols)
+    for is_lon, cols in (
+        (True, ([10, 100, 181], [0, 10, 100], [10, 90, 80])),  # [0, 10), [10, 100), [100, 180]
+        (False, ([10, 91], [0, 10], [10, 80])),  # [0, 10), [10, 90]
+    )
+}
+_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 
 class DomainError(ValueError):
@@ -110,6 +129,54 @@ def _check_batch(kind: str, values, digits) -> tuple[np.ndarray, np.ndarray | No
         v, d = int(values[i]), int(digits[i])
         raise DomainError(f"fraction {v} does not fit in {d} digits")
     return values, digits
+
+
+def mask_widths(values: np.ndarray, digits, is_int: bool) -> np.ndarray:
+    """uint64 mask widths of uint64 values and their digit counts (ignored
+    for integer parts)."""
+    if is_int:
+        return np.full(values.shape, INT_MASK_BITS, dtype=np.uint64)
+    top = _FRAC_TOP_WIDTHS[digits]
+    return np.where(values < 100, np.uint64(8), np.where(values < 1000, np.uint64(10), top))
+
+
+def range_folds(values: np.ndarray, v_prime: np.ndarray, is_lon: bool) -> np.ndarray:
+    """Post-cipher values ``v_prime`` of uint64 integer parts ``values``,
+    each folded into its value's digit class."""
+    edges, base, mod = _FOLDS[is_lon]
+    cls = np.searchsorted(edges, values, side="right")
+    inside = cls < len(edges)
+    cls = np.minimum(cls, len(edges) - 1)
+    return np.where(inside, base[cls] + v_prime % mod[cls], v_prime)
+
+
+def fraction_folds(v_prime: np.ndarray, digits) -> np.ndarray:
+    """Post-cipher fractions folded below 10**d, d their digit counts."""
+    return v_prime % POW10[digits]
+
+
+def encrypt_rounds_u64(v, w, t, rk, n_rounds: int) -> np.ndarray:
+    """The tweak-driven XOR/rotate rounds over uint64 arrays.
+
+    ``v``, ``w`` and ``t`` broadcast together, so each element carries its
+    own mask width, with 0 <= v < 2**w and 1 <= w <= 64; ``rk`` holds the 32
+    round keys.  Round i XORs in round key (i + t) mod 32 and rotates left by
+    s = ((i ^ (t mod 8)) mod 7 + 1) mod w, 0 read as 1; s equals w only when
+    w is 1, and the rotation is then the identity.
+    """
+    w = np.asarray(w, dtype=np.uint64)
+    t = np.asarray(t, dtype=np.uint64)
+    rk = np.asarray(rk, dtype=np.uint64)
+    mask = _ALL_ONES >> (np.uint64(64) - w)
+    x = (np.asarray(v, dtype=np.uint64) ^ t) & mask
+    tk = t & np.uint64(31)
+    ts = t & np.uint64(7)
+    for i in range(n_rounds):
+        s = ((ts ^ np.uint64(i)) % np.uint64(7) + np.uint64(1)) % w
+        s = np.maximum(s, np.uint64(1))
+        x ^= rk[(tk + np.uint64(i)) & np.uint64(31)] & mask
+        x = ((x << s) | (x >> (w - s))) & mask
+    return x
 
 
 def component_keys(values: np.ndarray, digits: np.ndarray | None) -> np.ndarray:
@@ -179,16 +246,9 @@ class CoordinateCipher:
         self._codebooks: dict[str, tuple] = {}  # kind -> (book, tail)
         self.counts = CipherCounts()
 
-    def tweak(self, kind: str, value_text: str) -> int:
-        """32-bit tweak: leading four bytes (big-endian) of
-        MD5(kind ':' value_text MD5(key)).  The reference for ``_tweaks``."""
-        digest = md5(
-            kind.encode("ascii") + b":" + value_text.encode("ascii") + self._key_hash
-        ).digest()
-        return int.from_bytes(digest[:4], "big")
-
     def _tweaks(self, kind: str, values: np.ndarray) -> np.ndarray:
-        """``tweak(kind, str(v))`` of each value, as uint64."""
+        """The 32-bit tweak of each value v, as uint64: the leading four bytes
+        (big-endian) of MD5(kind ':' str(v) MD5(key))."""
         prefix, key_hash = kind.encode("ascii") + b":", self._key_hash
         digests = b"".join(
             [md5(b"%b%d%b" % (prefix, v, key_hash)).digest()[:4] for v in values.tolist()]
@@ -237,9 +297,7 @@ class CoordinateCipher:
         """Tweaks, round kernel and range fold of one kind's components."""
         int_kind = is_int_part(kind)
         widths = mask_widths(values, digits, int_kind)
-        c = _rounds.encrypt_rounds_u64(
-            values, widths, self._tweaks(kind, values), self._rk, ROUNDS
-        )
+        c = encrypt_rounds_u64(values, widths, self._tweaks(kind, values), self._rk, ROUNDS)
         if int_kind:
             return range_folds(values, c, is_lon(kind))
         return fraction_folds(c, digits)

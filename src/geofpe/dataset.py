@@ -29,10 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .cipher import KINDS, CoordinateCipher
+from .cipher import KINDS, POW10, CoordinateCipher
 from .coords import MAX_FRAC_DIGITS, ParseError, decompose, validate_point
 from .mapstore import MappingStore, replacing
-from .ranges import POW10
 
 log = logging.getLogger("geofpe.dataset")
 
@@ -156,8 +155,9 @@ class _Rows:
         over each row's field of that kind in ``buf``, zero-padded to its
         width."""
         lon, lat = self.lon, self.lat
-        _put(buf, np.concatenate((lon.start, lon.dot + 1, lat.start, lat.dot + 1)),
-             np.concatenate(values), np.concatenate(self.widths()))
+        for start, col, width in zip((lon.start, lon.dot + 1, lat.start, lat.dot + 1),
+                                     values, self.widths()):
+            _put(buf, start, col, width)
 
 
 @dataclass

@@ -410,12 +410,3 @@ class MappingStore:
         store._cols = columns
         store.layout = MapLayout(widths)
         return store
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MappingStore):
-            return NotImplemented
-        return all(
-            np.array_equal(a, b)
-            for kind in KINDS
-            for a, b in zip(self._joined(kind), other._joined(kind))
-        )

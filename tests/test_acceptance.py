@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from geofpe import metrics
-from geofpe._rounds import decrypt_rounds_raw, encrypt_rounds_raw
 from geofpe.cipher import CoordinateCipher, map_fingerprint
 from geofpe.cli import main as cli_main
 from geofpe.coords import decompose, validate_point
@@ -30,6 +29,7 @@ from geofpe.dataset import (
 from geofpe.mapstore import MappingStore
 from geofpe.sm4 import derive_round_keys
 from one_file import scan_file
+from oracle_cipher import decrypt_rounds_raw, encrypt_rounds_raw
 from oracle_dbscan import dbscan_oracle
 
 KEY = bytes.fromhex("0123456789ABCDEFFEDCBA9876543210")

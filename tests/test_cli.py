@@ -1081,6 +1081,23 @@ def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
             parser.parse_args(argv)
 
 
+def test_the_benchmark_tracer_installs_and_restores(monkeypatch):
+    """pipebench's ``--trace 1`` tracer imports every geofpe module it
+    patches and wraps the encrypt entry point; restore puts it back."""
+    (tracing,) = _bench_modules(monkeypatch, "tracing")
+    import geofpe.cli as cli
+
+    original = cli.encrypt_dataset
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.encrypt_dataset is not original
+        assert "dataset.encrypt_dataset" not in tracer.missing
+    finally:
+        tracer.restore()
+    assert cli.encrypt_dataset is original
+
+
 def test_the_benchmark_gate_passes_on_the_walk(tmp_path, capsys, monkeypatch):
     """The benchmark's own correctness gate on its walk workload (seed 1):
     every valid line comes back byte for byte, and each planted bad line,

@@ -5,16 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geofpe.cipher import fraction_folds, mask_widths, range_folds
 from geofpe.coords import MAX_FRAC_DIGITS
-from geofpe.ranges import (
-    fraction_constrain,
-    fraction_folds,
-    mask_width,
-    mask_widths,
-    range_constrain,
-    range_folds,
-    range_type,
-)
+from oracle_cipher import fraction_constrain, mask_width, range_constrain, range_type
 
 # (rt, interval) pairs from the five digit-class ranges
 _INTERVALS = {1: (0, 10), 2: (10, 100), 3: (100, 180), 4: (0, 10), 5: (10, 90)}
