@@ -3,12 +3,11 @@
 Encrypts longitude/latitude text while keeping ciphertexts inside valid
 geographic ranges and preserving the decimal format; a mapping store indexed
 by coordinate id makes the lossy range constraints exactly reversible.  The metrics
-subpackage reproduces the privacy evaluation protocols (RDR, DBSCAN hotspot
+module reproduces the privacy evaluation protocols (RDR, DBSCAN hotspot
 disruption, decryption accuracy).
 
-The package exports the user API only; the decimal grammar, the cipher's
-rules and the key schedule are importable from ``geofpe.coords``,
-``geofpe.cipher`` and ``geofpe.sm4``.
+The package exports the user API only; the cipher's rules and the key
+schedule are importable from ``geofpe.cipher`` and ``geofpe.sm4``.
 """
 
 from .cipher import BACKEND, KINDS, CoordinateCipher, DomainError

@@ -46,9 +46,8 @@ def load_key(path) -> bytes:
     """Read a key file: 32 hex chars for .hex, 16 raw bytes otherwise."""
     path = Path(path)
     if path.suffix == ".hex":
-        text = path.read_text(encoding="ascii").strip()
-        try:
-            key = bytes.fromhex(text)
+        try:  # a non-ASCII byte raises UnicodeDecodeError, a ValueError
+            key = bytes.fromhex(path.read_text(encoding="ascii").strip())
         except ValueError:
             raise ValueError(f"{path}: not valid hex") from None
     else:
@@ -73,10 +72,11 @@ def _parse_centers(text: str) -> list[tuple[float, float]]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise argparse.ArgumentTypeError(f"bad center {chunk!r}, want lon,lat")
-        centers.append((float(parts[0]), float(parts[1])))
+        try:
+            lon, lat = map(float, chunk.split(","))
+        except ValueError:  # not two fields, or not numbers
+            raise argparse.ArgumentTypeError(f"bad center {chunk!r}, want lon,lat") from None
+        centers.append((lon, lat))
     return centers
 
 

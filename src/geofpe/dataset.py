@@ -10,7 +10,7 @@ _read is the one reader of both layouts, for encrypt, decrypt and the eval
 loaders.  It reads files in name order into slices of text and walks each
 file with one whole-text match per run of accepted lines; a line where the
 walk stops is blanked to spaces in the slice and gets its reason from the
-reference grammar.  A slice's accepted lines are then gathered from its bytes with
+pattern's own pieces.  A slice's accepted lines are then gathered from its bytes with
 numpy into columns: byte positions, and per axis the integer part,
 fraction value and digit count.  Encrypt and decrypt write the new digits
 back into the slice's bytes; the eval loaders turn the columns into floats.
@@ -29,8 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cipher import KINDS, POW10, CoordinateCipher
-from .coords import MAX_FRAC_DIGITS, ParseError, decompose, validate_point
+from .cipher import KINDS, MAX_FRAC_DIGITS, POW10, CoordinateCipher
 from .mapstore import MappingStore, replacing
 
 log = logging.getLogger("geofpe.dataset")
@@ -42,15 +41,15 @@ SYNTH_FRAC_DIGITS = 5
 # dot).  An encrypted line puts a canonical coordinate id (at most 18
 # digits, so it fits an int64) in front.  Each coordinate's alternatives run
 # longest first: on an unterminated last line nothing follows the lat, so a
-# shorter alternative would end the match inside it.  _reject_reason, on
-# coords.decompose, is the reference grammar.
+# shorter alternative would end the match inside it.  _reject_reason words
+# a stopped line's reason from the same pieces, _LON and _LAT.
 _FRAC = rf"(?:\.[0-9]{{1,{MAX_FRAC_DIGITS}}})?"
 _ZEROS = rf"(?:\.0{{1,{MAX_FRAC_DIGITS}}})?"
-_PLAIN_BODY = (
-    r"[^,\r\n]*,[^,\r\n]*,"
-    rf"-?(?:180{_ZEROS}|(?:1[0-7][0-9]|[1-9][0-9]?|0){_FRAC}),"
-    rf"-?(?:90{_ZEROS}|(?:[1-8][0-9]|[1-9]|0){_FRAC})"
-)
+_LON = rf"-?(?:180{_ZEROS}|(?:1[0-7][0-9]|[1-9][0-9]?|0){_FRAC})"
+_LAT = rf"-?(?:90{_ZEROS}|(?:[1-8][0-9]|[1-9]|0){_FRAC})"
+_PLAIN_BODY = rf"[^,\r\n]*,[^,\r\n]*,{_LON},{_LAT}"
+# Canonical decimal text: no plus sign, no leading zero, no exponent.
+_DECIMAL = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?")
 _CID = r"(?:0|[1-9][0-9]{0,17})"
 _CID_TEXT = re.compile(_CID)
 
@@ -80,29 +79,29 @@ _EXACT = np.uint64(2**53)  # a smaller uint64 converts to float64 exactly
 
 
 def _reject_reason(line: str) -> str | None:
-    """The sidecar reason of a non-blank plain line, found with the reference
-    grammar of coords; None if the line is accepted."""
+    """The sidecar reason of a non-blank plain line, None if it is accepted:
+    the field count, then each coordinate's decimal text, fraction width
+    and range, lon before lat, checked with the line pattern's pieces."""
     fields = line.rstrip("\r\n").split(",")
     if len(fields) != 4:
         return f"parse error: expected 4 comma-separated fields, got {len(fields)}"
-    try:
-        lon, lat = decompose(fields[2]), decompose(fields[3])
-    except ParseError as exc:
-        return f"parse error: {exc}"
-    for axis, n in (("lon", lon), ("lat", lat)):
-        if n.frac_digits > MAX_FRAC_DIGITS:
-            return (
-                f"parse error: {axis} fraction has {n.frac_digits} digits, "
-                f"more than {MAX_FRAC_DIGITS}"
-            )
-    axis = validate_point(lon, lat)
-    return axis and f"out of range: {axis}"
+    axes = (("lon", fields[2], _LON), ("lat", fields[3], _LAT))
+    for text in fields[2:]:
+        if not _DECIMAL.fullmatch(text):
+            return f"parse error: malformed decimal text: {text!r}"
+    for axis, text, _ in axes:
+        digits = len(text.partition(".")[2])
+        if digits > MAX_FRAC_DIGITS:
+            return f"parse error: {axis} fraction has {digits} digits, more than {MAX_FRAC_DIGITS}"
+    for axis, text, pattern in axes:
+        if not re.fullmatch(pattern, text):
+            return f"out of range: {axis}"
+    return None
 
 
 def _enc_reject_reason(line: str) -> str:
-    """The sidecar reason of a non-blank line outside the encrypted layout,
-    found with the reference grammar: the field count, the id, then
-    _reject_reason on the rest."""
+    """The sidecar reason of a non-blank line outside the encrypted layout:
+    the field count, the id, then _reject_reason on the rest."""
     fields = line.rstrip("\r\n").split(",")
     if len(fields) != 5:
         return f"expected 5 fields, got {len(fields)}"

@@ -1,14 +1,19 @@
-"""Exact decimal representation of geographic coordinates.
+"""The reference decimal grammar of coordinate text, and the reject reason
+of a plain line built on it.
 
-Coordinates are carried as sign / integer-part / fraction-value / digit-count
-quadruples end to end, never as binary floats, so a decrypt can reproduce the
-original text byte for byte.
+Independent of geofpe.dataset's line patterns: a coordinate is split with
+a canonical-decimal regex into sign / integer-part / fraction-value /
+digit-count quadruples, never binary floats, and checked against the
+ranges with exact integer arithmetic.  The tests check the library's
+patterns and reasons against ``reject_reason``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+
+from geofpe.cipher import MAX_FRAC_DIGITS
 
 # Canonical decimal text: optional minus sign, integer part without leading
 # zeros, optional fraction.  No plus sign (the formatted text could not restore
@@ -17,10 +22,6 @@ _DECIMAL_RE = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?")
 
 LON_MAX = 180
 LAT_MAX = 90
-
-# Widest fraction whose value fits the map's u64 field and the uint64 round
-# kernel: 10**19 - 1 < 2**64 <= 10**20 - 1.
-MAX_FRAC_DIGITS = 19
 
 
 class ParseError(ValueError):
@@ -88,3 +89,23 @@ def validate_point(lon: DecimalNumber, lat: DecimalNumber) -> str | None:
     if not _abs_within(lat, LAT_MAX):
         return "lat"
     return None
+
+
+def reject_reason(line: str) -> str | None:
+    """The sidecar reason of a non-blank plain line; None if the line is
+    accepted."""
+    fields = line.rstrip("\r\n").split(",")
+    if len(fields) != 4:
+        return f"parse error: expected 4 comma-separated fields, got {len(fields)}"
+    try:
+        lon, lat = decompose(fields[2]), decompose(fields[3])
+    except ParseError as exc:
+        return f"parse error: {exc}"
+    for axis, n in (("lon", lon), ("lat", lat)):
+        if n.frac_digits > MAX_FRAC_DIGITS:
+            return (
+                f"parse error: {axis} fraction has {n.frac_digits} digits, "
+                f"more than {MAX_FRAC_DIGITS}"
+            )
+    axis = validate_point(lon, lat)
+    return axis and f"out of range: {axis}"

@@ -2,9 +2,11 @@
 
 Independent of geofpe.dataset's decrypt code: every non-blank line is split
 on commas, its id checked against the canonical id grammar (at most 18
-digits, no leading zero) and its coordinates parsed with coords.decompose.
-A coordinate outside the encrypted grammar (a fraction over 19 digits, or
-a point outside [-180, 180] x [-90, 90]) gets the plain-line reason.
+digits, no leading zero) and its coordinates parsed with the reference
+grammar of oracle_coords, not with the library's line patterns.  A line
+whose coordinates that grammar rejects (malformed text, a fraction over 19
+digits, or a point outside [-180, 180] x [-90, 90]) gets the plain-line
+reason of oracle_coords.reject_reason.
 Each component is then restored through a one-element
 MappingStore.lookup_exact_batch, then lookup_fuzzy on a miss; both lookups
 of a fraction are given the line's digit count.  A restored integer part
@@ -18,14 +20,8 @@ written in place, as plain files.
 import re
 from pathlib import Path
 
-from geofpe.coords import (
-    MAX_FRAC_DIGITS,
-    DecimalNumber,
-    ParseError,
-    decompose,
-    validate_point,
-)
 from geofpe.dataset import DecryptStats
+from oracle_coords import DecimalNumber, decompose, reject_reason
 
 _ID = re.compile(r"0|[1-9][0-9]{0,17}")
 
@@ -42,19 +38,6 @@ def recombine(n: DecimalNumber) -> str:
     return f"{sign}{n.int_part}.{n.frac_value:0{n.frac_digits}d}"
 
 
-def _grammar_reason(enc_lon, enc_lat):
-    """The reason of coordinates that decompose accepts but the encrypted
-    grammar does not, or None."""
-    for axis, n in (("lon", enc_lon), ("lat", enc_lat)):
-        if n.frac_digits > MAX_FRAC_DIGITS:
-            return (
-                f"parse error: {axis} fraction has {n.frac_digits} digits, "
-                f"more than {MAX_FRAC_DIGITS}"
-            )
-    axis = validate_point(enc_lon, enc_lat)
-    return axis and f"out of range: {axis}"
-
-
 def _restore(line, store, stats):
     """(text, None) or (None, reason) for one non-blank encrypted line."""
     body = line.rstrip("\r\n")
@@ -64,15 +47,11 @@ def _restore(line, store, stats):
     cid_text, vid, timestamp, enc_lon_text, enc_lat_text = fields
     if not _ID.fullmatch(cid_text):
         return None, f"parse error: malformed coordinate id {cid_text!r}"
-    cid = int(cid_text)
-    try:
-        enc_lon = decompose(enc_lon_text)
-        enc_lat = decompose(enc_lat_text)
-    except ParseError as exc:
-        return None, f"parse error: {exc}"
-    reason = _grammar_reason(enc_lon, enc_lat)
+    reason = reject_reason(body.split(",", 1)[1])
     if reason is not None:
         return None, reason
+    cid = int(cid_text)
+    enc_lon, enc_lat = decompose(enc_lon_text), decompose(enc_lat_text)
     parts, fuzzy = {}, 0
     for kind, enc_value, digits in (
         ("lon_int", enc_lon.int_part, 0),

@@ -16,7 +16,6 @@ import pytest
 from geofpe import metrics
 from geofpe.cipher import CoordinateCipher, map_fingerprint
 from geofpe.cli import main as cli_main
-from geofpe.coords import decompose, validate_point
 from geofpe.dataset import (
     SynthConfig,
     decrypt_dataset,
@@ -30,6 +29,7 @@ from geofpe.mapstore import MappingStore
 from geofpe.sm4 import derive_round_keys
 from one_file import scan_file
 from oracle_cipher import decrypt_rounds_raw, encrypt_rounds_raw
+from oracle_coords import decompose, validate_point
 from oracle_dbscan import dbscan_oracle
 
 KEY = bytes.fromhex("0123456789ABCDEFFEDCBA9876543210")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from geofpe.cipher import (
     _TAIL_SHARE,
     INT_MASK_BITS,
+    MAX_FRAC_DIGITS,
     REPUNIT,
     CoordinateCipher,
     DomainError,
@@ -20,7 +21,6 @@ from geofpe.cipher import (
     is_int_part,
     is_lon,
 )
-from geofpe.coords import MAX_FRAC_DIGITS, DecimalNumber, decompose
 from geofpe.sm4 import derive_round_keys
 from oracle_cipher import (
     decrypt_rounds_raw,
@@ -31,6 +31,7 @@ from oracle_cipher import (
     range_type,
     tweak,
 )
+from oracle_coords import DecimalNumber, decompose
 from oracle_decrypt import recombine
 
 STD_KEY = bytes.fromhex("0123456789ABCDEFFEDCBA9876543210")

@@ -52,6 +52,16 @@ def test_keygen_hex(tmp_path, capsys):
     assert len(out.read_text().strip()) == 32
 
 
+@pytest.mark.parametrize("text", [b"\xff" * 32, b"0123456789abcdefghij0123456789ab"])
+def test_a_hex_key_that_is_not_hex_is_named(tmp_path, capsys, text):
+    key = tmp_path / "k.hex"
+    key.write_bytes(text)
+    code, _, err = run(capsys, "encrypt", "--input", str(tmp_path / "in"), "--output",
+                       str(tmp_path / "out"), "--key", str(key), "--map", str(tmp_path / "m"))
+    assert code == 1
+    assert err == f"error: {key}: not valid hex\n"
+
+
 @pytest.fixture
 def umask_022():
     umask = os.umask(0o022)
@@ -1009,6 +1019,16 @@ def test_synth_centers_flag(tmp_path, capsys):
     )
     assert code == 0
     assert len(list(out.glob("*.txt"))) == 2
+
+
+@pytest.mark.parametrize("centers", ["a,b", "116.4", "116.4,39.9,1", "116.4,39.9;x,39.9"])
+def test_synth_rejects_a_bad_center(tmp_path, capsys, centers):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--output", str(tmp_path / "x"), "--centers", centers])
+    assert exc.value.code == 2
+    bad = centers.split(";")[-1]
+    assert f"argument --centers: bad center {bad!r}, want lon,lat" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("std", ["0", "-1", "nan", "inf"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geofpe.coords import (
+from oracle_coords import (
     DecimalNumber,
     ParseError,
     decompose,

@@ -13,14 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geofpe import dataset, mapstore
-from geofpe.cipher import KINDS, CoordinateCipher
+from geofpe.cipher import KINDS, MAX_FRAC_DIGITS, CoordinateCipher
 from geofpe.cli import main as cli_main
-from geofpe.coords import (
-    MAX_FRAC_DIGITS,
-    ParseError,
-    decompose,
-    validate_point,
-)
 from geofpe.dataset import (
     SynthConfig,
     _read,
@@ -35,6 +29,7 @@ from geofpe.mapstore import MappingStore
 from geofpe.metrics import accuracy, dbscan
 from halfwrite import open_failing_on
 from one_file import scan_file, scan_text
+from oracle_coords import decompose, reject_reason
 from oracle_decrypt import _restore, decrypt_oracle
 
 KEY = bytes.fromhex("0123456789ABCDEFFEDCBA9876543210")
@@ -1010,34 +1005,19 @@ def to_float(n):
 
 def _reference_scan(text):
     """Rows, their line indices, errors and (lon, lat) float.hex pairs of a
-    plain file, line by line through decompose, validate_point and
+    plain file, line by line through reject_reason, decompose and
     to_float."""
     rows, at, errors, floats = [], [], [], []
     for line_no, line in enumerate(io.StringIO(text, newline=""), start=1):
         if not line.strip():
             continue
+        reason = reject_reason(line)
+        if reason is not None:
+            errors.append((line_no, reason))
+            continue
         body = line.rstrip("\r\n")
         fields = body.split(",")
-        if len(fields) != 4:
-            errors.append(
-                (line_no, f"parse error: expected 4 comma-separated fields, got {len(fields)}")
-            )
-            continue
-        try:
-            lon, lat = decompose(fields[2]), decompose(fields[3])
-        except ParseError as exc:
-            errors.append((line_no, f"parse error: {exc}"))
-            continue
-        wide = [
-            f"parse error: {axis} fraction has {n.frac_digits} digits, "
-            f"more than {MAX_FRAC_DIGITS}"
-            for axis, n in (("lon", lon), ("lat", lat))
-            if n.frac_digits > MAX_FRAC_DIGITS
-        ]
-        axis = validate_point(lon, lat)
-        if wide or axis:
-            errors.append((line_no, wide[0] if wide else f"out of range: {axis}"))
-            continue
+        lon, lat = decompose(fields[2]), decompose(fields[3])
         rows.append(
             (f"{fields[0]},{fields[1]}", *_row_parts(lon), *_row_parts(lat),
              line[len(body):])
@@ -1065,7 +1045,7 @@ def _reference_scan(text):
 )
 def test_eval_loaders_equal_scan_file_floats(lines, last_end):
     # scan_file and the eval loaders share one reader; all three are checked
-    # against the reference grammar of coords, line by line.
+    # against the reference grammar of oracle_coords, line by line.
     text = "".join(body + end for body, end in lines[:-1])
     if lines:
         text += lines[-1][0] + last_end
@@ -1272,13 +1252,13 @@ def test_the_two_layouts_share_one_grammar(body, end, cid):
 
 
 # Integer and fraction texts around the range bounds and the grammar's
-# edges: signs, leading zeros, 19 and 20 fraction digits, a bare dot and an
-# exponent.
+# edges: signs, leading zeros, 19, 20 and 21 fraction digits, a bare dot and
+# an exponent.
 _GRID_LON = ["0", "-0", "1", "9", "10", "99", "100", "179", "180", "181", "999", "1000",
              "0180", "-180", "-181", "01"]
 _GRID_LAT = ["0", "9", "10", "89", "90", "91", "99", "100", "-90", "-91", "09"]
 _GRID_FRAC = ["", ".0", ".5", ".0001", "." + "0" * 19, "." + "0" * 20, "." + "9" * 19,
-              ".", ".1e3"]
+              "." + "0" * 21, ".", ".1e3"]
 
 
 def _grid_coordinate(grid):
@@ -1294,12 +1274,15 @@ def test_the_whole_text_patterns_accept_what_the_reference_grammar_does(
     vid, stamp, lon, lat, cid
 ):
     # One pattern decides each line, range included: the plain layout takes
-    # a line exactly when _reject_reason has no reason for it, and the
-    # encrypted layout takes the same line behind a coordinate id.  As the
-    # unterminated last line of a file, an accepted line does not stop the
-    # walk, and a rejected one stops it whole.
+    # a line exactly when the reference grammar has no reason for it, and
+    # the encrypted layout takes the same line behind a coordinate id.  As
+    # the unterminated last line of a file, an accepted line does not stop
+    # the walk, and a rejected one stops it whole.  _reject_reason, built
+    # from the pattern's pieces, gives the reference grammar's reason.
     line = f"{vid},{stamp},{lon},{lat}"
-    accepted = dataset._reject_reason(line) is None
+    reason = reject_reason(line)
+    assert dataset._reject_reason(line) == reason
+    accepted = reason is None
     for pattern, cid_text in ((dataset._PLAIN_TEXT, ""), (dataset._ENC_TEXT, f"{cid},")):
         assert bool(pattern.fullmatch(f"{cid_text}{line}\n")) == accepted
         head = f"{cid_text}1,t,116.5,39.9\n"

@@ -859,6 +859,32 @@ def test_every_function_in_src_has_a_caller_in_src():
     assert _unreferenced([("s.py", ast.parse(snippet))]) == ["s.py:2 unused"]
 
 
+def _imported_modules(tree):
+    """The geofpe modules that ``tree`` imports, as ``from .x import``,
+    ``from . import x`` or ``from geofpe.x import`` name them."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1 and not module:
+                yield from (alias.name for alias in node.names)
+            elif node.level == 1 or module.startswith("geofpe."):
+                yield module.removeprefix("geofpe.").split(".")[0]
+
+
+def test_every_module_in_src_is_imported_by_another():
+    """Every library module but the entry points, ``cli`` and ``__init__``,
+    is imported by another library module: a module that only the tests
+    use belongs in the tests."""
+    imported = set()
+    for path in _SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported |= set(_imported_modules(tree)) - {path.stem}
+    modules = {path.stem for path in _SRC.glob("*.py")} - {"cli", "__init__"}
+    assert sorted(modules - imported) == []
+    snippet = "from .a import x\nfrom . import b, c\nfrom geofpe.d import y\nfrom os import path\n"
+    assert sorted(_imported_modules(ast.parse(snippet))) == ["a", "b", "c", "d"]
+
+
 _LINE_PATTERNS = ("_PLAIN_LINE", "_ENC_LINE")
 _TEXT_PATTERNS = ("_PLAIN_TEXT", "_ENC_TEXT")
 
