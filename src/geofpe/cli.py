@@ -3,13 +3,15 @@
 Exit codes: 0 success, 1 partial failure, 2 usage error.  All sampling and
 synthesis randomness flows from explicit --seed flags; report files are
 byte-identical across runs.
+
+Every child process imports this module, so it imports only what keygen,
+encrypt and decrypt run; synth and the eval commands import their modules
+(``geofpe.synth``, ``geofpe.metrics``, ``json``, ``csv``) when they run.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import logging
 import os
 import sys
@@ -17,17 +19,8 @@ import time
 from pathlib import Path
 
 from .cipher import BACKEND, KINDS, CoordinateCipher, map_fingerprint
-from .dataset import (
-    SynthConfig,
-    decrypt_dataset,
-    encrypt_dataset,
-    generate_synthetic,
-    load_plain_points,
-    load_points_auto,
-    stratified_sample,
-)
+from .dataset import decrypt_dataset, encrypt_dataset
 from .mapstore import MappingStore, replacing
-from . import metrics
 
 log = logging.getLogger("geofpe.cli")
 
@@ -91,11 +84,15 @@ def _say(text: str) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
+    import json
+
     with replacing(path) as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    import csv
+
     with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -124,16 +121,16 @@ def _print_store_summary(store: MappingStore) -> None:
         _say(
             f"  {kind}: {store.entry_count(kind)} entries, "
             f"{store.conflicts(kind)} conflicts, "
-            f"CR {float(store.conflict_rate(kind)):.6f}"
+            f"CR {store.conflict_rate(kind):.6f}"
         )
 
 
 def cmd_encrypt(args) -> int:
     key = load_key(args.key)
-    cipher = CoordinateCipher(key)
     store = MappingStore()
     started = time.perf_counter()
-    stats = encrypt_dataset(args.input, args.output, cipher, store)
+    # no name holds the cipher, so its codebook is freed before the save
+    stats = encrypt_dataset(args.input, args.output, CoordinateCipher(key), store)
     saving = time.perf_counter()
     store.save(args.map, map_fingerprint(key))
     log.debug(
@@ -177,6 +174,8 @@ def cmd_decrypt(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synth import SynthConfig, generate_synthetic
+
     cfg = SynthConfig(
         n_vehicles=args.vehicles,
         points_per_vehicle=args.points,
@@ -218,9 +217,11 @@ def _load_tree(loader, path, name: str, *args):
 
 
 def cmd_eval_rdr(args) -> int:
-    orig = _load_tree(load_plain_points, args.orig, "original")
+    from . import metrics
+
+    orig = _load_tree(metrics.load_plain_points, args.orig, "original")
     rejected = {}  # vehicle -> (line no, reason) of an encrypted line out of grammar
-    enc = _load_tree(load_points_auto, args.enc, "encrypted", rejected)
+    enc = _load_tree(metrics.load_points_auto, args.enc, "encrypted", rejected)
     per_trajectory = {}
     skipped = {vid: f"line {line_no}: {reason}" for vid, (line_no, reason) in rejected.items()}
     started = time.perf_counter()
@@ -263,9 +264,11 @@ def cmd_eval_rdr(args) -> int:
 
 
 def cmd_eval_hotspots(args) -> int:
-    orig = _load_tree(load_plain_points, args.orig, "original")
-    enc = _load_tree(load_points_auto, args.enc, "encrypted")
-    dec = _load_tree(load_plain_points, args.dec, "decrypted")
+    from . import metrics
+
+    orig = _load_tree(metrics.load_plain_points, args.orig, "original")
+    enc = _load_tree(metrics.load_points_auto, args.enc, "encrypted")
+    dec = _load_tree(metrics.load_plain_points, args.dec, "decrypted")
     _aligned_vehicles(orig.rows, enc.rows, "encrypted")
     _aligned_vehicles(orig.rows, dec.rows, "decrypted")
 
@@ -274,7 +277,7 @@ def cmd_eval_hotspots(args) -> int:
     n_sample = args.sample_size or min(5000, population)
     # the trees hold the same files, in name order, with as many rows each,
     # so a sampled point has one row in all three
-    sample = stratified_sample(orig.rows, n_sample, args.seed)
+    sample = metrics.stratified_sample(orig.rows, n_sample, args.seed)
     orig_pts, enc_pts, dec_pts = orig.xy[sample], enc.xy[sample], dec.xy[sample]
     log.debug(
         "sample: %d of %d points in %.3fs",
@@ -306,6 +309,8 @@ def cmd_eval_hotspots(args) -> int:
 
 
 def cmd_eval_accuracy(args) -> int:
+    from . import metrics
+
     report = metrics.accuracy(args.orig, args.dec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Trajectory dataset pipeline: parse, clean, sample, encrypt, decrypt, synthesize.
+"""Trajectory dataset pipeline: the reader of both layouts, encrypt, decrypt.
 
 Input files follow the taxi-trace convention "id,datetime,longitude,latitude",
 one file per vehicle named <vehicle_id>.txt.  Encrypted files prepend a
@@ -7,21 +7,19 @@ byte for byte.  Each accepted line keeps its own terminator ("\n", "\r\n",
 "\r" or none on a last line) through encryption and decryption.
 
 _read is the one reader of both layouts, for encrypt, decrypt and the eval
-loaders.  It reads files in name order into slices of text and walks each
-file with one whole-text match per run of accepted lines; a line where the
-walk stops is blanked to spaces in the slice and gets its reason from the
-pattern's own pieces.  A slice's accepted lines are then gathered from its bytes with
-numpy into columns: byte positions, and per axis the integer part,
-fraction value and digit count.  Encrypt and decrypt write the new digits
-back into the slice's bytes; the eval loaders turn the columns into floats.
+loaders of ``geofpe.metrics``.  It reads files in name order into slices of
+text and walks each file with one whole-text match per run of accepted
+lines; a line where the walk stops is blanked to spaces in the slice and
+gets its reason from the pattern's own pieces.  A slice's accepted lines are
+then gathered from its bytes with numpy into columns: byte positions, and
+per axis the integer part, fraction value and digit count.  Encrypt and
+decrypt write the new digits back into the slice's bytes; the eval loaders
+turn the columns into floats.
 """
 
 from __future__ import annotations
 
-import datetime
 import logging
-import math
-import random
 import re
 import time
 from dataclasses import astuple, dataclass, field
@@ -34,20 +32,23 @@ from .mapstore import MappingStore, replacing
 
 log = logging.getLogger("geofpe.dataset")
 
-SYNTH_FRAC_DIGITS = 5
-
 # An accepted plain line: id and timestamp without separators, canonical lon
 # in [-180, 180] and lat in [-90, 90] (at the bound, only zeros follow the
 # dot).  An encrypted line puts a canonical coordinate id (at most 18
-# digits, so it fits an int64) in front.  Each coordinate's alternatives run
-# longest first: on an unterminated last line nothing follows the lat, so a
-# shorter alternative would end the match inside it.  _reject_reason words
-# a stopped line's reason from the same pieces, _LON and _LAT.
-_FRAC = rf"(?:\.[0-9]{{1,{MAX_FRAC_DIGITS}}})?"
-_ZEROS = rf"(?:\.0{{1,{MAX_FRAC_DIGITS}}})?"
-_LON = rf"-?(?:180{_ZEROS}|(?:1[0-7][0-9]|[1-9][0-9]?|0){_FRAC})"
-_LAT = rf"-?(?:90{_ZEROS}|(?:[1-8][0-9]|[1-9]|0){_FRAC})"
-_PLAIN_BODY = rf"[^,\r\n]*,[^,\r\n]*,{_LON},{_LAT}"
+# digits, so it fits an int64) in front.  Each coordinate is an atomic
+# group, and its fraction a possessive repeat, so a match keeps no
+# backtracking state in them.  They accept the lines that plain groups do:
+# any shorter match of a coordinate stops before a digit, where its comma
+# or line end cannot be.  That holds while each coordinate's alternatives
+# run longest first, which an unterminated last line needs anyway: nothing
+# follows its lat, so a shorter alternative would end the match inside it.
+# _reject_reason words a stopped line's reason from the same pieces, _LON
+# and _LAT.
+_FRAC = rf"(?:\.[0-9]{{1,{MAX_FRAC_DIGITS}}}+)?+"
+_ZEROS = rf"(?:\.0{{1,{MAX_FRAC_DIGITS}}}+)?+"
+_LON = rf"-?(?>180{_ZEROS}|(?:1[0-7][0-9]|[1-9][0-9]?|0){_FRAC})"
+_LAT = rf"-?(?>90{_ZEROS}|(?:[1-8][0-9]|[1-9]|0){_FRAC})"
+_PLAIN_BODY = rf"[^,\r\n]*+,[^,\r\n]*+,{_LON},{_LAT}"
 # Canonical decimal text: no plus sign, no leading zero, no exponent.
 _DECIMAL = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?")
 _CID = r"(?:0|[1-9][0-9]{0,17})"
@@ -69,13 +70,10 @@ _EOL = re.compile(r"\r\n?|\n")
 # Bytes of text read per slice.  Encrypt and decrypt hold a slice's bytes
 # and columns through the cipher or the map lookups and build each file's
 # output from them, so their slices stay small: at 256 KB their peak memory
-# per point grew by a tenth.  The eval loaders keep only the floats, and
-# 1 MB slices load a tree about 15% faster than 64 KB ones.
+# per point grew by a tenth.  The eval loaders keep only the floats, so
+# theirs are larger (``metrics._LOAD_SLICE``).
 _CIPHER_SLICE = 1 << 16
-_LOAD_SLICE = 1 << 20
 _PAD = b" " * (MAX_FRAC_DIGITS + 1)  # so that a gather never reads past the buffer
-_P10F = POW10.astype(np.float64)  # exact: 10**19 = 2**19 * 5**19, and 5**19 < 2**53
-_EXACT = np.uint64(2**53)  # a smaller uint64 converts to float64 exactly
 
 
 def _reject_reason(line: str) -> str | None:
@@ -377,41 +375,6 @@ def _splice(buf, keep, at, text, lens) -> np.ndarray:
     return np.insert(buf[keep], np.repeat(at - np.searchsorted(cut, at), lens), text)
 
 
-def stratified_sample(rows, n_total: int, seed) -> np.ndarray:
-    """Sample n_total points of a tree whose ``rows`` map each vehicle to its
-    range of rows: a quota per vehicle proportional to its point count
-    (largest-remainder rounding), uniform without replacement inside each
-    vehicle.  Returns their rows as int64, vehicles in sorted order and each
-    one's rows in increasing order.  Deterministic for a fixed seed."""
-    sizes = {vid: len(r) for vid, r in rows.items()}
-    population = sum(sizes.values())
-    if n_total > population:
-        raise ValueError(f"sample size {n_total} exceeds population {population}")
-    if n_total < 0:
-        raise ValueError("sample size must be non-negative")
-    vids = sorted(sizes)
-    quotas = {}
-    remainders = []
-    assigned = 0
-    for vid in vids:
-        q, r = divmod(n_total * sizes[vid], population)
-        quotas[vid] = q
-        assigned += q
-        remainders.append((-r, vid))
-    remainders.sort()
-    for _, vid in remainders[: n_total - assigned]:
-        quotas[vid] += 1
-    sample = [np.empty(0, dtype=np.int64)]
-    for vid in vids:
-        k = quotas[vid]
-        if k == 0:
-            continue
-        rng = random.Random(f"{seed}:{vid}")
-        picks = np.array(sorted(rng.sample(range(sizes[vid]), k)), dtype=np.int64)
-        sample.append(rows[vid].start + picks)
-    return np.concatenate(sample)
-
-
 # ---------------------------------------------------------------------------
 # Encryption / decryption pipeline
 
@@ -674,193 +637,3 @@ def _lookups(store: MappingStore, ids, rows: _Rows):
                 failed.setdefault(r, f"{kind} mapping for coord_id {ids[r]} needs more "
                                      f"than {width[r]} digits")
     return orig, failed, fuzzy
-
-
-# ---------------------------------------------------------------------------
-# Synthetic trajectory generation
-
-
-@dataclass
-class SynthConfig:
-    n_vehicles: int
-    points_per_vehicle: int
-    centers: list[tuple[float, float]]  # (lon, lat) hotspot centers
-    hotspot_std: float = 0.001  # degrees
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_vehicles <= 0 or self.points_per_vehicle <= 0:
-            raise ValueError("vehicle and point counts must be positive")
-        if not (math.isfinite(self.hotspot_std) and self.hotspot_std > 0):
-            raise ValueError(
-                f"hotspot std-dev must be positive and finite, not {self.hotspot_std}"
-            )
-        for lon, lat in self.centers:
-            if not (-180 <= lon <= 180 and -90 <= lat <= 90):
-                raise ValueError(f"hotspot center out of range: {lon},{lat}")
-
-
-def _clamp(value: float, bound: float) -> float:
-    return max(-bound, min(bound, value))
-
-
-def _format_point(lon: float, lat: float) -> tuple[str, str]:
-    return (
-        f"{_clamp(lon, 180.0):.{SYNTH_FRAC_DIGITS}f}",
-        f"{_clamp(lat, 90.0):.{SYNTH_FRAC_DIGITS}f}",
-    )
-
-
-def _vehicle_track(cfg: SynthConfig, vid: int) -> list[tuple[float, float]]:
-    rng = random.Random(f"{cfg.seed}:vehicle:{vid}")
-    n = cfg.points_per_vehicle
-    points: list[tuple[float, float]] = []
-    if not cfg.centers:
-        # pure random walk
-        lon = rng.uniform(-170.0, 170.0)
-        lat = rng.uniform(-80.0, 80.0)
-        for _ in range(n):
-            lon += rng.gauss(0.0, 0.02)
-            lat += rng.gauss(0.0, 0.02)
-            points.append((lon, lat))
-        return points
-    cur = rng.choice(cfg.centers)
-    while len(points) < n:
-        # dwell at the current hotspot
-        for _ in range(rng.randint(50, 90)):
-            if len(points) >= n:
-                break
-            points.append(
-                (cur[0] + rng.gauss(0.0, cfg.hotspot_std),
-                 cur[1] + rng.gauss(0.0, cfg.hotspot_std))
-            )
-        if len(points) >= n:
-            break
-        # drive to the next hotspot
-        nxt = rng.choice(cfg.centers)
-        steps = rng.randint(18, 30)
-        jitter = 3.0 * cfg.hotspot_std
-        for step in range(1, steps + 1):
-            if len(points) >= n:
-                break
-            frac = step / (steps + 1)
-            points.append(
-                (cur[0] + (nxt[0] - cur[0]) * frac + rng.gauss(0.0, jitter),
-                 cur[1] + (nxt[1] - cur[1]) * frac + rng.gauss(0.0, jitter))
-            )
-        cur = nxt
-    return points
-
-
-def generate_synthetic(cfg: SynthConfig, out_dir) -> int:
-    """Write cfg.n_vehicles trajectory files of Gaussian hotspot dwells joined
-    by jittered drive segments; deterministic for a fixed seed.  Returns the
-    total number of points written.  An ``out_dir`` that holds other ``.txt``
-    files is refused with ValueError, and nothing is written."""
-    out_dir = Path(out_dir)
-    _refuse_strays(out_dir, {f"{vid}.txt" for vid in range(1, cfg.n_vehicles + 1)})
-    out_dir.mkdir(parents=True, exist_ok=True)
-    start = datetime.datetime(2008, 2, 2, 13, 30, 0)
-    total = 0
-    for vid in range(1, cfg.n_vehicles + 1):
-        track = _vehicle_track(cfg, vid)
-        with replacing(out_dir / f"{vid}.txt") as fh:
-            for i, (lon, lat) in enumerate(track):
-                stamp = (start + datetime.timedelta(seconds=15 * i)).strftime(
-                    "%Y-%m-%d %H:%M:%S"
-                )
-                lon_text, lat_text = _format_point(lon, lat)
-                fh.write(f"{vid},{stamp},{lon_text},{lat_text}\n")
-        total += len(track)
-    log.info("synthesized %d vehicles, %d points", cfg.n_vehicles, total)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Loaders for the evaluation harness
-
-
-@dataclass
-class TreePoints:
-    """The (lon, lat) floats of a tree's accepted lines as one float64 array,
-    files in name order, and each file stem's rows of it; ``tree[stem]`` is a
-    view of that file's rows.  The counts say how the loader read them."""
-
-    xy: np.ndarray  # shape (n, 2)
-    rows: dict[str, range]
-    line_path: int = 0  # lines read one by one: the rejected ones
-    exact: int = 0  # values the float rule could not convert, converted in Python
-    slices: int = 0  # slices of text gathered
-
-    def __getitem__(self, stem: str) -> np.ndarray:
-        rows = self.rows[stem]
-        return self.xy[rows.start : rows.stop]
-
-
-def load_plain_points(input_dir) -> TreePoints:
-    """The floats of a tree's cleaned lines, read in the plain layout."""
-    return _load(input_dir, auto=False)
-
-
-def load_points_auto(input_dir, rejects=None) -> TreePoints:
-    """Load a directory in either layout, detected per file by column count.
-
-    A file whose every non-blank line has five columns is an encrypted file
-    (coordinate id first); each of its lines must be in the encrypted
-    layout.  At the first line that is not, the file's ``(line no, reason)``
-    goes into the dict ``rejects`` under its stem and the file is left out;
-    without ``rejects`` it raises ValueError "<path>:<line no>: <reason>".
-    Any other file is read in the plain layout, which gets the usual
-    cleaning.  Lets the identity checks point an eval at a plain tree.  In
-    either layout a field's float is ``float`` of its text, correctly
-    rounded.
-    """
-    return _load(input_dir, auto=True, rejects=rejects)
-
-
-def _load(input_dir, auto: bool, rejects=None) -> TreePoints:
-    """The one eval loader: the floats of _read's slices of a tree.  A file
-    that cannot be read or decoded raises its error."""
-    tree = TreePoints(np.empty((0, 2)), {})
-    blocks, n = [], 0
-    for sl in _read(_dataset_files(input_dir), None if auto else False, _LOAD_SLICE):
-        for part in sl.parts:
-            if part.failure is not None:
-                raise part.failure
-            if part.rejected is not None:
-                tree.line_path += 1
-                if rejects is None:
-                    raise ValueError(f"{part.path}:{part.rejected[0]}: {part.rejected[1]}")
-                rejects[part.path.stem] = part.rejected
-                continue
-            tree.rows[part.path.stem] = range(n + part.rows.start, n + part.rows.stop)
-        xy = np.empty((len(sl.rows.start), 2))
-        for axis, coordinate in enumerate((sl.rows.lon, sl.rows.lat)):
-            xy[:, axis], exact = _floats(coordinate)
-            tree.exact += exact
-        blocks.append(xy)
-        n += len(xy)
-        tree.line_path += sl.line_path
-        tree.slices += len(sl.buf) > len(_PAD)
-        del sl  # before the next slice is read
-    if blocks:
-        tree.xy = np.concatenate(blocks)
-    return tree
-
-
-def _floats(axis: _Axis):
-    """The floats of a coordinate field of each row, and how many of them
-    the exact fallback converted.  A field's float is ``(i * 10**d + f) /
-    10**d``, which is ``float`` of its text: in float64 it equals Python's
-    result while the numerator is below 2**53, and other values are
-    converted in Python."""
-    ints, fracs, digits = axis.ints, axis.fracs, axis.digits
-    num = ints * POW10[np.minimum(digits, 15)] + fracs
-    fast = (num < _EXACT) & ((digits <= 15) | (ints == 0))
-    values = num.astype(np.float64) / _P10F[digits]
-    slow = np.flatnonzero(~fast)
-    for r, i, f, d in zip(slow.tolist(), ints[slow].tolist(), fracs[slow].tolist(),
-                          digits[slow].tolist()):
-        values[r] = (i * 10**d + f) / 10**d
-    np.negative(values, out=values, where=axis.neg)
-    return values, len(slow)

@@ -19,7 +19,6 @@ import struct
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -150,7 +149,7 @@ def _distinct_entries(enc: list, orig: list, d: list):
     new_pair = new_enc | _starts(orig)
     n_enc, n_pairs = int(new_enc.sum()), int(new_pair.sum())
     run_sizes = np.diff(np.append(np.flatnonzero(new_enc[new_pair]), n_pairs))
-    rate = Fraction(int((run_sizes >= 2).sum()), n_enc) if n_enc else Fraction(0)
+    rate = int((run_sizes >= 2).sum()) / n_enc if n_enc else 0.0
     return enc, orig, d, n_pairs - n_enc, rate
 
 
@@ -320,8 +319,10 @@ class MappingStore:
     def conflicts(self, kind: str) -> int:
         return self._distinct(kind)[3]
 
-    def conflict_rate(self, kind: str) -> Fraction:
-        """Share of distinct encrypted values mapping to >= 2 originals."""
+    def conflict_rate(self, kind: str) -> float:
+        """Share of distinct encrypted values mapping to >= 2 originals: the
+        count over the distinct encrypted values, divided as ints, so the
+        float is the correctly rounded quotient (0.0 for an empty kind)."""
         return self._distinct(kind)[4]
 
     def entry_count(self, kind: str) -> int:

@@ -9,24 +9,17 @@ import json
 import math
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
 from geofpe import metrics
 from geofpe.cipher import CoordinateCipher, map_fingerprint
 from geofpe.cli import main as cli_main
-from geofpe.dataset import (
-    SynthConfig,
-    decrypt_dataset,
-    encrypt_dataset,
-    generate_synthetic,
-    load_plain_points,
-    load_points_auto,
-    stratified_sample,
-)
+from geofpe.dataset import decrypt_dataset, encrypt_dataset
 from geofpe.mapstore import MappingStore
+from geofpe.metrics import load_plain_points, load_points_auto, stratified_sample
 from geofpe.sm4 import derive_round_keys
+from geofpe.synth import SynthConfig, generate_synthetic
 from one_file import scan_file
 from oracle_cipher import decrypt_rounds_raw, encrypt_rounds_raw
 from oracle_coords import decompose, validate_point
@@ -269,9 +262,7 @@ def test_criterion_8_conflict_accounting(tmp_path):
         index = by_kind[kind]
         expected_conflicts = sum(len(s) - 1 for s in index.values())
         expected_cr = (
-            Fraction(sum(1 for s in index.values() if len(s) >= 2), len(index))
-            if index
-            else Fraction(0)
+            sum(1 for s in index.values() if len(s) >= 2) / len(index) if index else 0.0
         )
         assert store.conflicts(kind) == expected_conflicts, kind
         assert store.conflict_rate(kind) == expected_cr, kind

@@ -9,12 +9,13 @@ import shlex
 import stat
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 from geofpe.cli import build_parser, main
-from geofpe.dataset import SynthConfig
+from geofpe.synth import SynthConfig
 from halfwrite import open_failing_on
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -544,6 +545,61 @@ def test_cli_import_loads_no_openssl():
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert probe.stdout == "[]\n"
+
+
+def test_encrypt_and_decrypt_load_no_eval_or_synthesis_module(tmp_path, key_file):
+    # every command's child imports geofpe.cli; what encrypt and decrypt do
+    # not run, such as the eval harness, synthesis and fractions, costs
+    # each of them memory to load and compile
+    orig = tmp_path / "orig"
+    orig.mkdir()
+    (orig / "1.txt").write_text("1,t,116.5,39.9\n1,t,bad,39.9\n1,t,-0.25,1\n")
+    code = (
+        "import sys\n"
+        "from geofpe import cli\n"
+        "orig, enc, dec, key, store = sys.argv[1:]\n"
+        "codes = [cli.main(['encrypt', '--input', orig, '--output', enc, '--key', key,\n"
+        "                   '--map', store]),\n"
+        "         cli.main(['decrypt', '--input', enc, '--output', dec, '--key', key,\n"
+        "                   '--map', store])]\n"
+        "eval_only = {'fractions', 'decimal', 'json', 'csv', 'geofpe.metrics', 'geofpe.synth'}\n"
+        "print(codes, sorted(eval_only & set(sys.modules)))\n"
+    )
+    probe = subprocess.run(
+        [sys.executable, "-c", code, str(orig), str(tmp_path / "enc"), str(tmp_path / "dec"),
+         key_file, str(tmp_path / "store.map")],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert probe.stdout.splitlines()[-1] == "[0, 0] []"
+    assert (tmp_path / "dec" / "1.txt").read_text() == "1,t,116.5,39.9\n1,t,-0.25,1\n"
+
+
+def test_encrypt_frees_the_cipher_before_it_saves_the_map(tmp_path, capsys, key_file,
+                                                          monkeypatch):
+    # the cipher's codebook would add to encrypt's peak memory through the
+    # map save and the conflict summary
+    import geofpe.cli as cli
+
+    ciphers, alive_at_save = [], []
+
+    class Cipher(cli.CoordinateCipher):
+        def __init__(self, key):
+            super().__init__(key)
+            ciphers.append(weakref.ref(self))
+
+    save = cli.MappingStore.save
+
+    def checked_save(store, *args):
+        alive_at_save.append([ref() is not None for ref in ciphers])
+        save(store, *args)
+
+    monkeypatch.setattr(cli, "CoordinateCipher", Cipher)
+    monkeypatch.setattr(cli.MappingStore, "save", checked_save)
+    orig = _synth(capsys, tmp_path)
+    (code, _, _), _, _, _ = _encrypt_decrypt(capsys, tmp_path, key_file, orig)
+    assert code == 0
+    assert alive_at_save == [[False]]
 
 
 def test_eval_accuracy_reports_undecodable_files(tmp_path, capsys, key_file):

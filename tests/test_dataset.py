@@ -12,21 +12,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geofpe import dataset, mapstore
+from geofpe import dataset, mapstore, metrics
 from geofpe.cipher import KINDS, MAX_FRAC_DIGITS, CoordinateCipher
 from geofpe.cli import main as cli_main
-from geofpe.dataset import (
-    SynthConfig,
-    _read,
-    decrypt_dataset,
-    encrypt_dataset,
-    generate_synthetic,
+from geofpe.dataset import _read, decrypt_dataset, encrypt_dataset
+from geofpe.mapstore import MappingStore
+from geofpe.metrics import (
+    accuracy,
+    dbscan,
     load_plain_points,
     load_points_auto,
     stratified_sample,
 )
-from geofpe.mapstore import MappingStore
-from geofpe.metrics import accuracy, dbscan
+from geofpe.synth import SynthConfig, generate_synthetic
 from halfwrite import open_failing_on
 from one_file import scan_file, scan_text
 from oracle_coords import decompose, reject_reason
@@ -1137,7 +1135,7 @@ def test_loaders_equal_the_references_across_files(files, slice_chars, cid):
     stems = [str(k) for k in range(len(files))]
     floats, line_path, exact = {}, 0, 0
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(dataset, "_LOAD_SLICE", slice_chars):
+            mock.patch.object(metrics, "_LOAD_SLICE", slice_chars):
         plain, enc = Path(tmp, "plain"), Path(tmp, "enc")
         plain.mkdir()
         enc.mkdir()

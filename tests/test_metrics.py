@@ -2,10 +2,11 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geofpe import metrics
@@ -446,8 +447,6 @@ def test_accuracy_pairs_lines_by_id_and_timestamp(tmp_path):
 
 def test_accuracy_omr_is_point_weighted_fmr_mean(tmp_path):
     rng = random.Random(53)
-    from fractions import Fraction
-
     for name, n_points, n_bad in (("1.txt", 10, 0), ("2.txt", 7, 3), ("3.txt", 13, 13)):
         lines = [f"v,t{i},116.{i:05d},39.{i:05d}\n" for i in range(n_points)]
         _write(tmp_path / "orig", name, lines)
@@ -461,3 +460,15 @@ def test_accuracy_omr_is_point_weighted_fmr_mean(tmp_path):
     ) / sum(f["total"] for f in report["per_file"])
     assert Fraction(report["matched_points"], report["total_points"]) == weighted
     assert report["omr"] == float(weighted)
+
+
+@given(st.integers(1, 2**53 - 1).flatmap(lambda b: st.tuples(st.integers(0, b), st.just(b))))
+@example((1, 3))
+@example((2**53 - 2, 2**53 - 1))
+def test_int_true_division_is_the_rounded_fraction(pair):
+    # accuracy's fmr, omr and mmr and the store's conflict rate divide ints
+    # below 2**53: Python rounds a / b correctly, so it is float of the
+    # exact quotient, and (b - a) / b is float of its complement
+    a, b = pair
+    assert a / b == float(Fraction(a, b))
+    assert (b - a) / b == float(1 - Fraction(a, b))
