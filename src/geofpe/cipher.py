@@ -36,13 +36,12 @@ try:  # the built-in MD5 spares every command the OpenSSL load of hashlib
 except ImportError:  # an interpreter built without _md5
     from hashlib import md5
 
+from .text import MAX_FRAC_DIGITS
+
 BACKEND = "numpy"
 
 KINDS = ("lon_int", "lon_frac", "lat_int", "lat_frac")
 ROUNDS = 8
-# Widest fraction whose value fits the map's u64 field and the uint64 round
-# kernel: 10**19 - 1 < 2**64 <= 10**20 - 1.
-MAX_FRAC_DIGITS = 19
 
 # REPUNIT[d] = 11...1 (d ones): the codebook key of a d-digit fraction is
 # value + REPUNIT[d], so the keys of d digits fill [REPUNIT[d], REPUNIT[d + 1])

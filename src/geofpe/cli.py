@@ -4,25 +4,37 @@ Exit codes: 0 success, 1 partial failure, 2 usage error.  All sampling and
 synthesis randomness flows from explicit --seed flags; report files are
 byte-identical across runs.
 
-Every child process imports this module, so it imports only what keygen,
-encrypt and decrypt run; synth and the eval commands import their modules
-(``geofpe.synth``, ``geofpe.metrics``, ``json``, ``csv``) when they run.
+Every child process imports this module, so it imports only the standard
+library and ``geofpe.text``, which keygen and ``eval accuracy`` need.  The
+other commands import their modules when they run: encrypt and decrypt the
+numpy layers (``geofpe.cipher``, ``geofpe.mapstore``, ``geofpe.dataset``),
+synth ``geofpe.synth``, and the other eval commands ``geofpe.metrics``;
+``json`` and ``csv`` load with the reports that use them.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import logging
 import os
 import sys
 import time
 from pathlib import Path
 
-from .cipher import BACKEND, KINDS, CoordinateCipher, map_fingerprint
-from .dataset import decrypt_dataset, encrypt_dataset
-from .mapstore import MappingStore, replacing
+from .text import UNREADABLE, accuracy, replacing
 
 log = logging.getLogger("geofpe.cli")
+
+# names read from this module that live in a numpy layer, which loads on first use
+_LAZY = {"BACKEND": "cipher", "KINDS": "cipher", "CoordinateCipher": "cipher",
+         "map_fingerprint": "cipher", "MappingStore": "mapstore"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -116,7 +128,9 @@ def cmd_keygen(args) -> int:
     return 0
 
 
-def _print_store_summary(store: MappingStore) -> None:
+def _print_store_summary(store) -> None:
+    from .cipher import KINDS
+
     for kind in KINDS:
         _say(
             f"  {kind}: {store.entry_count(kind)} entries, "
@@ -125,7 +139,24 @@ def _print_store_summary(store: MappingStore) -> None:
         )
 
 
+def encrypt_dataset(*args):
+    """``geofpe.dataset.encrypt_dataset``, looked up here by the benchmark's tracer."""
+    from . import dataset
+
+    return dataset.encrypt_dataset(*args)
+
+
+def decrypt_dataset(*args):
+    """``geofpe.dataset.decrypt_dataset``, looked up here by the benchmark's tracer."""
+    from . import dataset
+
+    return dataset.decrypt_dataset(*args)
+
+
 def cmd_encrypt(args) -> int:
+    from .cipher import BACKEND, CoordinateCipher, map_fingerprint
+    from .mapstore import MappingStore
+
     key = load_key(args.key)
     store = MappingStore()
     started = time.perf_counter()
@@ -151,6 +182,9 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
+    from .cipher import map_fingerprint
+    from .mapstore import MappingStore
+
     # decryption is map-driven; the key only has to match the map's fingerprint
     key = load_key(args.key)
     started = time.perf_counter()
@@ -309,9 +343,7 @@ def cmd_eval_hotspots(args) -> int:
 
 
 def cmd_eval_accuracy(args) -> int:
-    from . import metrics
-
-    report = metrics.accuracy(args.orig, args.dec)
+    report = accuracy(args.orig, args.dec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "accuracy.json", report)
@@ -323,7 +355,7 @@ def cmd_eval_accuracy(args) -> int:
     unreadable = [
         f"{entry['file']}: {entry['error']}"
         for entry in report["per_file"]
-        if entry.get("error", "").startswith(metrics.UNREADABLE)
+        if entry.get("error", "").startswith(UNREADABLE)
     ]
     for failure in unreadable:
         print(f"error: failed file {failure}", file=sys.stderr)

@@ -8,9 +8,9 @@ byte for byte.  Each accepted line keeps its own terminator ("\n", "\r\n",
 
 _read is the one reader of both layouts, for encrypt, decrypt and the eval
 loaders of ``geofpe.metrics``.  It reads files in name order into slices of
-text and walks each file with one whole-text match per run of accepted
-lines; a line where the walk stops is blanked to spaces in the slice and
-gets its reason from the pattern's own pieces.  A slice's accepted lines are
+text, each walked by ``geofpe.text`` with one whole-text match per run of
+accepted lines; a line where the walk stops is blanked to spaces in the
+slice and gets its reason from the pattern's own pieces.  A slice's accepted lines are
 then gathered from its bytes with numpy into columns: byte positions, and
 per axis the integer part, fraction value and digit count.  Encrypt and
 decrypt write the new digits back into the slice's bytes; the eval loaders
@@ -20,53 +20,26 @@ turn the columns into floats.
 from __future__ import annotations
 
 import logging
-import re
 import time
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .cipher import KINDS, MAX_FRAC_DIGITS, POW10, CoordinateCipher
-from .mapstore import MappingStore, replacing
+from .cipher import KINDS, POW10, CoordinateCipher
+from .mapstore import MappingStore
+from .text import (
+    MAX_FRAC_DIGITS,
+    _dataset_files,
+    _enc_reject_reason,
+    _Part,
+    _reject_reason,
+    _walk,
+    replacing,
+)
 
 log = logging.getLogger("geofpe.dataset")
 
-# An accepted plain line: id and timestamp without separators, canonical lon
-# in [-180, 180] and lat in [-90, 90] (at the bound, only zeros follow the
-# dot).  An encrypted line puts a canonical coordinate id (at most 18
-# digits, so it fits an int64) in front.  Each coordinate is an atomic
-# group, and its fraction a possessive repeat, so a match keeps no
-# backtracking state in them.  They accept the lines that plain groups do:
-# any shorter match of a coordinate stops before a digit, where its comma
-# or line end cannot be.  That holds while each coordinate's alternatives
-# run longest first, which an unterminated last line needs anyway: nothing
-# follows its lat, so a shorter alternative would end the match inside it.
-# _reject_reason words a stopped line's reason from the same pieces, _LON
-# and _LAT.
-_FRAC = rf"(?:\.[0-9]{{1,{MAX_FRAC_DIGITS}}}+)?+"
-_ZEROS = rf"(?:\.0{{1,{MAX_FRAC_DIGITS}}}+)?+"
-_LON = rf"-?(?>180{_ZEROS}|(?:1[0-7][0-9]|[1-9][0-9]?|0){_FRAC})"
-_LAT = rf"-?(?>90{_ZEROS}|(?:[1-8][0-9]|[1-9]|0){_FRAC})"
-_PLAIN_BODY = rf"[^,\r\n]*+,[^,\r\n]*+,{_LON},{_LAT}"
-# Canonical decimal text: no plus sign, no leading zero, no exponent.
-_DECIMAL = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?")
-_CID = r"(?:0|[1-9][0-9]{0,17})"
-_CID_TEXT = re.compile(_CID)
-
-
-def _text_pattern(body: str) -> re.Pattern:
-    """A whole text of lines that ``body`` matches or that are blank (only the
-    whitespace str.strip removes), in one match, with terminators as
-    readlines splits them.  The lines' contents and terminators cannot
-    overlap, so a failed match does not backtrack far, and the repeat over
-    lines is possessive, so it keeps no backtracking state per line."""
-    return re.compile(rf"(?:(?:{body}|[^\S\r\n]*)(?:\r\n|\n|\r(?!\n)))*+(?:{body}|[^\S\r\n]*)")
-
-
-_PLAIN_TEXT = _text_pattern(_PLAIN_BODY)
-_ENC_TEXT = _text_pattern(f"{_CID},{_PLAIN_BODY}")
-_EOL = re.compile(r"\r\n?|\n")
 # Bytes of text read per slice.  Encrypt and decrypt hold a slice's bytes
 # and columns through the cipher or the map lookups and build each file's
 # output from them, so their slices stay small: at 256 KB their peak memory
@@ -74,38 +47,6 @@ _EOL = re.compile(r"\r\n?|\n")
 # theirs are larger (``metrics._LOAD_SLICE``).
 _CIPHER_SLICE = 1 << 16
 _PAD = b" " * (MAX_FRAC_DIGITS + 1)  # so that a gather never reads past the buffer
-
-
-def _reject_reason(line: str) -> str | None:
-    """The sidecar reason of a non-blank plain line, None if it is accepted:
-    the field count, then each coordinate's decimal text, fraction width
-    and range, lon before lat, checked with the line pattern's pieces."""
-    fields = line.rstrip("\r\n").split(",")
-    if len(fields) != 4:
-        return f"parse error: expected 4 comma-separated fields, got {len(fields)}"
-    axes = (("lon", fields[2], _LON), ("lat", fields[3], _LAT))
-    for text in fields[2:]:
-        if not _DECIMAL.fullmatch(text):
-            return f"parse error: malformed decimal text: {text!r}"
-    for axis, text, _ in axes:
-        digits = len(text.partition(".")[2])
-        if digits > MAX_FRAC_DIGITS:
-            return f"parse error: {axis} fraction has {digits} digits, more than {MAX_FRAC_DIGITS}"
-    for axis, text, pattern in axes:
-        if not re.fullmatch(pattern, text):
-            return f"out of range: {axis}"
-    return None
-
-
-def _enc_reject_reason(line: str) -> str:
-    """The sidecar reason of a non-blank line outside the encrypted layout:
-    the field count, the id, then _reject_reason on the rest."""
-    fields = line.rstrip("\r\n").split(",")
-    if len(fields) != 5:
-        return f"expected 5 fields, got {len(fields)}"
-    if not _CID_TEXT.fullmatch(fields[0]):
-        return f"parse error: malformed coordinate id {fields[0]!r}"
-    return _reject_reason(line.split(",", 1)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -158,19 +99,6 @@ class _Rows:
 
 
 @dataclass
-class _Part:
-    """A file of a slice."""
-
-    path: Path
-    start: int  # its bytes in the slice
-    end: int
-    rows: range = range(0)  # its rows of the slice's columns
-    stops: list = field(default_factory=list)  # (byte in the file, line) where the walk stopped
-    failure: Exception | None = None  # it could not be read or decoded
-    rejected: tuple | None = None  # read as encrypted in auto mode: (line no, reason)
-
-
-@dataclass
 class _Slice:
     """Files read at once: their text as bytes, each followed by a "\n",
     every line where the walk stopped blanked to spaces, and _PAD; the
@@ -201,58 +129,6 @@ class _Slice:
         reason = _enc_reject_reason if self.encrypted else _reject_reason
         at, lines = zip(*part.stops)
         return list(zip(self.line_nos(part, np.add(at, part.start)), map(reason, lines)))
-
-
-def _stops(match, text: str):
-    """The (start, end) of each line, terminator included, that stops the
-    whole-text ``match``: neither blank nor taken by its line pattern.  Each
-    step is one match from the end of the last such line."""
-    pos = 0
-    while (e := match(text, pos).end()) < len(text):
-        start = max(text.rfind("\n", pos, e), text.rfind("\r", pos, e), pos - 1) + 1
-        eol = _EOL.search(text, e)
-        pos = eol.end() if eol else len(text)
-        yield start, pos
-
-
-def _walk(part: _Part, encrypted):
-    """Read the file of ``part`` and walk it in its layout: plain, encrypted,
-    or with ``encrypted`` None, as load_points_auto detects it.  Returns its
-    UTF-8 bytes with each stop line blanked to as many spaces, terminator
-    kept, so that no terminator moves; and its layout.  No bytes if it
-    cannot be read or decoded, or is auto-read as encrypted and has a stop
-    line."""
-    try:
-        with open(part.path, encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        part.failure = exc
-        return None, encrypted
-    stops = _stops(_PLAIN_TEXT.match if encrypted is False else _ENC_TEXT.match, text)
-    if encrypted is None:
-        first = next(stops, None)
-        encrypted = first is None or text.count(",", *first) == 4 and all(
-            line.count(",") == 4 for line in _EOL.split(text) if line.strip()
-        )
-        if encrypted and first:
-            start, end = first
-            part.rejected = (len(_EOL.findall(text, 0, start)) + 1,
-                             _enc_reject_reason(text[start:end]))
-            return None, encrypted
-        if not encrypted:
-            stops = _stops(_PLAIN_TEXT.match, text)
-    pieces, pos, at = [], 0, 0
-    for start, end in stops:
-        line = text[start:end]
-        body = line.rstrip("\r\n")
-        pieces.append(text[pos:start].encode())
-        at += len(pieces[-1])
-        part.stops.append((at, line))
-        pieces.append(b" " * len(body.encode()) + line[len(body):].encode())
-        at += len(pieces[-1])
-        pos = end
-    pieces.append(text[pos:].encode())
-    return b"".join(pieces), encrypted
 
 
 def _read(paths, encrypted, size: int):
@@ -395,12 +271,6 @@ class DecryptStats:
     record_errors: int = 0
     fuzzy_restored: int = 0
     failed_files: list[str] = field(default_factory=list)
-
-
-def _dataset_files(input_dir: Path) -> list[Path]:
-    return sorted(
-        p for p in Path(input_dir).iterdir() if p.is_file() and p.suffix == ".txt"
-    )
 
 
 def _refuse_strays(out_dir: Path, names: set[str], input_dir: Path | None = None) -> None:

@@ -17,12 +17,12 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cipher import KINDS
+from .text import replacing
 
 _MAGIC = b"GFPEMAP2"
 _FINGERPRINT_SIZE = 16
@@ -194,32 +194,6 @@ def _read_columns(fh, end: int, path, fingerprint: bytes):
     if pos != end:
         raise MapFormatError(f"{path}: {end - pos} trailing bytes")
     return columns, widths
-
-
-@contextmanager
-def replacing(path, *, binary: bool = False, perms: int = 0o666):
-    """Open a new ``<path>.tmp`` for writing, UTF-8 text with newlines kept
-    as written unless ``binary``, and ``os.replace`` it onto ``path`` when
-    the block ends; on any exception it is removed, so an earlier file at
-    ``path`` is left as it was.  Whatever is at ``<path>.tmp`` beforehand, a
-    stale file or a symlink, is removed first, and the file is created with
-    ``O_EXCL`` and mode ``perms`` less the umask, so neither its mode nor a
-    symlink's target carries over.  Every file geofpe writes goes through
-    here."""
-    tmp = f"{os.fspath(path)}.tmp"
-    if os.path.lexists(tmp):
-        os.unlink(tmp)
-    fh = open(tmp, "xb" if binary else "x", encoding=None if binary else "utf-8",
-              newline=None if binary else "",
-              opener=lambda name, flags: os.open(name, flags, perms))
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.lexists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 class MappingStore:

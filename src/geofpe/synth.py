@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dataset import _refuse_strays
-from .mapstore import replacing
+from .text import replacing
 
 log = logging.getLogger("geofpe.synth")
 

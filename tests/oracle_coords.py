@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from geofpe.cipher import MAX_FRAC_DIGITS
+from geofpe.text import MAX_FRAC_DIGITS
 
 # Canonical decimal text: optional minus sign, integer part without leading
 # zeros, optional fraction.  No plus sign (the formatted text could not restore

@@ -20,6 +20,7 @@ from geofpe.mapstore import MappingStore
 from geofpe.metrics import load_plain_points, load_points_auto, stratified_sample
 from geofpe.sm4 import derive_round_keys
 from geofpe.synth import SynthConfig, generate_synthetic
+from geofpe.text import accuracy
 from one_file import scan_file
 from oracle_cipher import decrypt_rounds_raw, encrypt_rounds_raw
 from oracle_coords import decompose, validate_point
@@ -268,7 +269,7 @@ def test_criterion_8_conflict_accounting(tmp_path):
         assert store.conflict_rate(kind) == expected_cr, kind
 
     decrypt_dataset(tmp_path / "enc", tmp_path / "dec", store)
-    report = metrics.accuracy(src, tmp_path / "dec")
+    report = accuracy(src, tmp_path / "dec")
     ok = report["omr"] == 1.0
     conflicts = {k: store.conflicts(k) for k in KINDS}
     _report(

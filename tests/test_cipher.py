@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from geofpe.cipher import (
     _TAIL_SHARE,
     INT_MASK_BITS,
-    MAX_FRAC_DIGITS,
     REPUNIT,
     CoordinateCipher,
     DomainError,
@@ -22,6 +21,7 @@ from geofpe.cipher import (
     is_lon,
 )
 from geofpe.sm4 import derive_round_keys
+from geofpe.text import MAX_FRAC_DIGITS
 from oracle_cipher import (
     decrypt_rounds_raw,
     encrypt_rounds_raw,

@@ -424,6 +424,38 @@ def test_eval_debug_log_spans_each_tree_load(tmp_path, capsys, caplog, key_file)
     )
 
 
+def test_eval_accuracy_debug_log_counts_whole_and_walked_files(tmp_path, capsys, caplog,
+                                                               key_file):
+    orig = tmp_path / "orig"
+    orig.mkdir()
+    for vid in (1, 2):
+        (orig / f"{vid}.txt").write_text(
+            "".join(f"{vid},t{i},116.5000{i},39.9000{i}\n" for i in range(3))
+            + f"{vid},t,bad,39.9\n"  # a stop line: cut before the whole comparison
+        )
+    enc, dec, mp = tmp_path / "enc", tmp_path / "dec", tmp_path / "store.map"
+    run(capsys, "encrypt", "--input", str(orig), "--output", str(enc),
+        "--key", key_file, "--map", str(mp))
+    # decrypt drops line 2 of 2.txt: an unknown coordinate id and a one-digit
+    # longitude integer, which no entry holds
+    lines = (enc / "2.txt").read_text().splitlines(keepends=True)
+    _cid, vid, stamp, lon, lat = lines[1].split(",")
+    lines[1] = f"999,{vid},{stamp},7.{lon.partition('.')[2]},{lat}"
+    (enc / "2.txt").write_text("".join(lines))
+    assert run(capsys, "decrypt", "--input", str(enc), "--output", str(dec),
+               "--key", key_file, "--map", str(mp))[0] == 1
+    with caplog.at_level(logging.DEBUG, logger="geofpe"):
+        code, out, _ = run(capsys, "eval", "accuracy", "--orig", str(orig), "--dec", str(dec),
+                           "--out", str(tmp_path / "reports"))
+    assert code == 0
+    assert "(5/6 points, 1/2 files fully matched)" in out
+    [span] = [r.getMessage() for r in caplog.records if r.name == "geofpe.text"]
+    assert re.fullmatch(
+        r"accuracy .*orig vs .*dec: 2 files, 1 compared whole, 1 walked line by line "
+        r"in \d+\.\d{3}s", span
+    )
+
+
 def test_encrypt_debug_log_spans_the_save(tmp_path, capsys, caplog, key_file):
     orig = tmp_path / "orig"
     orig.mkdir()
@@ -575,27 +607,58 @@ def test_encrypt_and_decrypt_load_no_eval_or_synthesis_module(tmp_path, key_file
     assert (tmp_path / "dec" / "1.txt").read_text() == "1,t,116.5,39.9\n1,t,-0.25,1\n"
 
 
+def test_keygen_and_eval_accuracy_load_no_numpy_layer(tmp_path, key_file, monkeypatch):
+    # keygen and eval accuracy only write and compare text, so their
+    # children start without numpy and the layers built on it
+    orig = tmp_path / "orig"
+    orig.mkdir()
+    (orig / "1.txt").write_text("1,t,116.5,39.9\n1,t,bad,39.9\n")
+    code = (
+        "import sys\n"
+        "from geofpe import cli\n"
+        "key, orig, out = sys.argv[1:]\n"
+        "codes = [cli.main(['keygen', key]),\n"
+        "         cli.main(['eval', 'accuracy', '--orig', orig, '--dec', orig, '--out', out])]\n"
+        "layers = {'numpy', 'geofpe.cipher', 'geofpe.sm4', 'geofpe.dataset', 'geofpe.mapstore',\n"
+        "          'geofpe.metrics'}\n"
+        "print(codes, sorted(layers & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    probe = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "new.key"), str(orig), str(tmp_path / "r")],
+        capture_output=True, text=True, check=True, timeout=120, env=env,
+    )
+    assert probe.stdout.splitlines()[-1] == "[0, 0] []"
+    # the benchmark's set-up child still reaches the cipher and the store
+    # through geofpe.cli, and geofpe.BACKEND through the package
+    *_, bench_run = _bench_modules(monkeypatch, "workloads", "check", "run")
+    setup = subprocess.run([sys.executable, "-c", bench_run.SETUP_CODE, key_file],
+                           capture_output=True, text=True, timeout=120, env=env)
+    assert (setup.returncode, setup.stdout) == (0, "numpy\n")
+
+
 def test_encrypt_frees_the_cipher_before_it_saves_the_map(tmp_path, capsys, key_file,
                                                           monkeypatch):
     # the cipher's codebook would add to encrypt's peak memory through the
     # map save and the conflict summary
-    import geofpe.cli as cli
+    import geofpe.cipher as cipher
+    import geofpe.mapstore as mapstore
 
     ciphers, alive_at_save = [], []
 
-    class Cipher(cli.CoordinateCipher):
+    class Cipher(cipher.CoordinateCipher):
         def __init__(self, key):
             super().__init__(key)
             ciphers.append(weakref.ref(self))
 
-    save = cli.MappingStore.save
+    save = mapstore.MappingStore.save
 
     def checked_save(store, *args):
         alive_at_save.append([ref() is not None for ref in ciphers])
         save(store, *args)
 
-    monkeypatch.setattr(cli, "CoordinateCipher", Cipher)
-    monkeypatch.setattr(cli.MappingStore, "save", checked_save)
+    monkeypatch.setattr(cipher, "CoordinateCipher", Cipher)
+    monkeypatch.setattr(mapstore.MappingStore, "save", checked_save)
     orig = _synth(capsys, tmp_path)
     (code, _, _), _, _, _ = _encrypt_decrypt(capsys, tmp_path, key_file, orig)
     assert code == 0

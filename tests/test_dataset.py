@@ -12,19 +12,28 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import geofpe.text
 from geofpe import dataset, mapstore, metrics
-from geofpe.cipher import KINDS, MAX_FRAC_DIGITS, CoordinateCipher
+from geofpe.cipher import KINDS, CoordinateCipher
 from geofpe.cli import main as cli_main
 from geofpe.dataset import _read, decrypt_dataset, encrypt_dataset
 from geofpe.mapstore import MappingStore
 from geofpe.metrics import (
-    accuracy,
     dbscan,
     load_plain_points,
     load_points_auto,
     stratified_sample,
 )
 from geofpe.synth import SynthConfig, generate_synthetic
+from geofpe.text import (
+    _ENC_TEXT,
+    _PLAIN_TEXT,
+    MAX_FRAC_DIGITS,
+    _enc_reject_reason,
+    _reject_reason,
+    _stops,
+    accuracy,
+)
 from halfwrite import open_failing_on
 from one_file import scan_file, scan_text
 from oracle_coords import decompose, reject_reason
@@ -691,7 +700,7 @@ def test_failed_write_removes_the_earlier_output(tmp_path, monkeypatch, failing)
     assert target.is_file()
 
     (src / "1.txt").write_text("1,t,1.5,2.5\n1,t,1.5\n1,t,3.25,4.75\n1,t,999,0\n")
-    monkeypatch.setattr(mapstore, "open", open_failing_on(target), raising=False)
+    monkeypatch.setattr(geofpe.text, "open", open_failing_on(target), raising=False)
     enc_dir, dec_dir = tmp_path / "enc", tmp_path / "dec"
     store = MappingStore()
     enc_stats = encrypt_dataset(src, enc_dir, CoordinateCipher(KEY), store)
@@ -919,7 +928,7 @@ def test_a_write_failure_mid_slice_keeps_the_ids_dense(tmp_path, monkeypatch):
     for name, text in texts.items():
         (tmp_path / "src" / name).write_bytes(text.encode())
     enc_dir, store = tmp_path / "enc", MappingStore()
-    monkeypatch.setattr(mapstore, "open", open_failing_on(enc_dir / "2.txt"), raising=False)
+    monkeypatch.setattr(geofpe.text, "open", open_failing_on(enc_dir / "2.txt"), raising=False)
     read = []
     monkeypatch.setattr(dataset, "_read", lambda *a: read.extend(_read(*a)) or iter(read))
     stats = encrypt_dataset(tmp_path / "src", enc_dir, CoordinateCipher(KEY), store)
@@ -1193,7 +1202,7 @@ def test_encrypt_and_decrypt_read_a_half_bad_file_in_linear_time(tmp_path, bad):
     stats = encrypt_dataset(tmp_path / "src", tmp_path / "enc", CoordinateCipher(KEY), store)
     assert time.perf_counter() - started < 5
     assert stats.records == stats.parse_errors + stats.dropped == 10_000
-    reason = dataset._reject_reason(bad)
+    reason = _reject_reason(bad)
     assert (tmp_path / "enc" / "1.txt.errors").read_text() == "".join(
         f"{line_no}: {reason}\n" for line_no in range(2, 20_001, 2)
     )
@@ -1279,13 +1288,13 @@ def test_the_whole_text_patterns_accept_what_the_reference_grammar_does(
     # from the pattern's pieces, gives the reference grammar's reason.
     line = f"{vid},{stamp},{lon},{lat}"
     reason = reject_reason(line)
-    assert dataset._reject_reason(line) == reason
+    assert _reject_reason(line) == reason
     accepted = reason is None
-    for pattern, cid_text in ((dataset._PLAIN_TEXT, ""), (dataset._ENC_TEXT, f"{cid},")):
+    for pattern, cid_text in ((_PLAIN_TEXT, ""), (_ENC_TEXT, f"{cid},")):
         assert bool(pattern.fullmatch(f"{cid_text}{line}\n")) == accepted
         head = f"{cid_text}1,t,116.5,39.9\n"
         text = f"{head}{cid_text}{line}"
-        stops = list(dataset._stops(pattern.match, text))
+        stops = list(_stops(pattern.match, text))
         assert stops == ([] if accepted else [(len(head), len(text))])
 
 
@@ -1433,7 +1442,7 @@ def test_load_points_auto_checks_each_encrypted_line(case):
                if line.strip() and not _in_encrypted_layout(line)]
         if bad:
             assert stem not in points
-            assert rejects[stem] == (bad[0][0], dataset._enc_reject_reason(bad[0][1]))
+            assert rejects[stem] == (bad[0][0], _enc_reject_reason(bad[0][1]))
         else:
             assert stem not in rejects
             fields = [line.rstrip("\r\n").split(",") for line in body]

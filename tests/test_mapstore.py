@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geofpe.cipher import KINDS, map_fingerprint
-from geofpe import mapstore
+from geofpe import mapstore, text
 from geofpe.mapstore import Ambiguous, MapFormatError, MapLayout, MappingStore
 
 
@@ -570,7 +570,7 @@ def test_failed_save_keeps_the_earlier_map(tmp_path, monkeypatch):
             raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(
-        mapstore, "open", lambda *a, **kw: HalfWriter(open(*a, **kw)), raising=False
+        text, "open", lambda *a, **kw: HalfWriter(open(*a, **kw)), raising=False
     )
     larger = MappingStore()
     _append(larger, "lon_int", *[(i, i) for i in range(100)])
@@ -612,7 +612,7 @@ def test_failed_save_after_several_chunks_keeps_the_earlier_map(tmp_path, monkey
         writers.append(FailingWriter(open(*a, **kw)))
         return writers[-1]
 
-    monkeypatch.setattr(mapstore, "open", failing_open, raising=False)
+    monkeypatch.setattr(text, "open", failing_open, raising=False)
     larger = MappingStore()
     _append(larger, "lon_int", *[(i, i) for i in range(9)])
     with pytest.raises(OSError, match="No space"):
@@ -921,7 +921,7 @@ def _src_pattern_users(patterns, owner):
 
 def test_no_line_pattern_is_left():
     """No module defines or uses a per-line pattern of the layouts: lines
-    are matched only as whole texts by ``dataset._walk``, and a line where
+    are matched only as whole texts by ``text._walk``, and a line where
     that match stops gets the reference grammar's reason, so one grammar
     decides what every command accepts."""
     uses = [
@@ -948,10 +948,10 @@ def test_no_line_pattern_is_left():
 
 
 def test_walk_is_the_only_whole_text_parser():
-    """Only ``dataset._walk`` walks a file's text with the layouts'
-    whole-text patterns, for encrypt, decrypt and the eval loaders alike; a
-    line where the walk stops goes to the reference grammar's reasons, so
-    the whole-text patterns add no second grammar."""
+    """Only ``text._walk`` walks a file's text with the layouts'
+    whole-text patterns, for encrypt, decrypt, the eval loaders and eval
+    accuracy alike; a line where the walk stops goes to the reference
+    grammar's reasons, so the whole-text patterns add no second grammar."""
     assert _src_pattern_users(_TEXT_PATTERNS, "_walk") == (1, [])
     caught = [
         "def f(text): return _ENC_TEXT.fullmatch(text)",
@@ -1001,6 +1001,37 @@ def test_no_module_imports_threads():
     assert list(_thread_imports(ast.parse("\n".join(caught)))) == [1, 2, 3, 4]
     others = "import os\nfrom . import threading\nimport concurrency\nfrom queue import Queue"
     assert list(_thread_imports(ast.parse(others))) == []
+
+
+def _layer_imports(tree):
+    """The lines of the imports in ``tree``, at any depth, of numpy or of a
+    geofpe module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["geofpe" if node.level else node.module]
+        else:
+            continue
+        if any(name.split(".")[0] in ("numpy", "geofpe") for name in names):
+            yield node.lineno
+
+
+def test_the_text_layer_imports_no_numpy_and_no_other_module():
+    """``geofpe.text`` is the one library module that keygen and eval
+    accuracy load besides ``cli``, so an import of numpy, or of a module
+    that imports it, would load numpy into both."""
+    tree = ast.parse((_SRC / "text.py").read_text(encoding="utf-8"))
+    assert list(_layer_imports(tree)) == []
+    # the lint sees each of these imports, one a line, and passes the others
+    caught = [
+        "import numpy as np", "from numpy import uint8", "from .cipher import KINDS",
+        "from . import dataset", "import os, geofpe.mapstore", "from geofpe.metrics import x",
+        "def f():\n    import numpy",
+    ]
+    assert list(_layer_imports(ast.parse("\n".join(caught)))) == [1, 2, 3, 4, 5, 6, 8]
+    others = "import os\nfrom dataclasses import field\nimport numbers\nfrom re import compile"
+    assert list(_layer_imports(ast.parse(others))) == []
 
 
 @pytest.mark.parametrize("offset", [-1, -5, -29, -38])

@@ -1,18 +1,23 @@
 """Evaluation metrics against analytic values and brute-force oracles."""
 
+import io
 import math
 import random
+import tempfile
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geofpe import metrics
+from geofpe.cipher import CoordinateCipher
+from geofpe.dataset import decrypt_dataset, encrypt_dataset
+from geofpe.mapstore import MappingStore
 from geofpe.metrics import (
     EARTH_RADIUS_KM,
-    accuracy,
     cluster_centroids,
     dbscan,
     haversine,
@@ -22,7 +27,11 @@ from geofpe.metrics import (
     rdr_trajectory,
     relative_errors,
 )
+from geofpe.text import accuracy
+from oracle_accuracy import accuracy as oracle_accuracy
 from oracle_dbscan import dbscan_oracle
+
+KEY = bytes.fromhex("0123456789ABCDEFFEDCBA9876543210")
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +469,91 @@ def test_accuracy_omr_is_point_weighted_fmr_mean(tmp_path):
     ) / sum(f["total"] for f in report["per_file"])
     assert Fraction(report["matched_points"], report["total_points"]) == weighted
     assert report["omr"] == float(weighted)
+
+
+# Lines of an original: accepted ones, ones that encrypt rejects (malformed,
+# out of range, a field too few or too many, a non-ASCII digit), and blank
+# ones.
+_ACC_LINE = st.one_of(
+    st.tuples(st.sampled_from(["1", "2"]), st.sampled_from(["t", "t2"]),
+              st.sampled_from(["1.5", "-0.25", "116.5", "180", "0"]),
+              st.sampled_from(["2.5", "39.9", "-90.0", "0.125"])).map(",".join),
+    st.sampled_from(["1,t,bad", "1,t,181.5,0.5", "1,t,1.5,91", "1,t,+1.5,2.5", "1,t",
+                     "1,t,1.5,2.5,9", "1,t,1.5,\u0662"]),
+    st.sampled_from(["", " ", "\t", "\x0b", "\u3000"]),
+)
+_ACC_TEXT = st.tuples(
+    st.lists(st.tuples(_ACC_LINE, st.sampled_from(["\n", "\r\n", "\r"])), max_size=8),
+    st.sampled_from(["", "1,t,1.5,2.5", "1,t,bad", " "]),  # an unterminated last line
+).map(lambda t: "".join(line + eol for line, eol in t[0]) + t[1])
+_UNDECODABLE = b"1,t,1.5,2.5\n\xff\n"
+# What happens to a decrypted file after decrypt: a line is dropped,
+# altered, added, blank or cut to three fields; or the file becomes
+# undecodable, goes missing, or has no original.
+_ACC_EDIT = st.tuples(
+    st.sampled_from(["1", "2", "3"]),
+    st.sampled_from(["drop", "alter", "add", "blank", "cut", "undecodable", "missing",
+                     "extra"]),
+    st.integers(0, 9),
+)
+
+
+def _edit_decrypted(dec_dir, name, op, k):
+    path = dec_dir / f"{name}.txt"
+    if op == "extra":
+        if not path.exists():
+            path.write_text("1,t,1.5,2.5\n")
+        return
+    if not path.exists():
+        return
+    if op == "missing":
+        path.unlink()
+        return
+    if op == "undecodable":
+        path.write_bytes(_UNDECODABLE)
+        return
+    text = path.read_bytes().decode("utf-8", "surrogateescape")
+    lines = io.StringIO(text, newline="").readlines()
+    at = k % (len(lines) + 1)
+    if op == "add":
+        lines.insert(at, "2,t,1.5,2.5\n")
+    elif op == "blank":
+        lines.insert(at, "\n")
+    elif at < len(lines):
+        line = lines[at]
+        body = line.rstrip("\r\n")
+        if op == "drop":
+            lines.pop(at)
+        elif op == "alter":
+            lines[at] = body + "7" + line[len(body):]
+        elif op == "cut":
+            lines[at] = body.rsplit(",", 1)[0] + line[len(body):]
+    path.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(["1", "2", "3"]),
+                       _ACC_TEXT | st.just(_UNDECODABLE), max_size=3),
+       st.lists(_ACC_EDIT, max_size=3))
+@example({"1": "1,t,1.5,2.5\r1,t,bad\n\n"}, [])
+@example({"1": "1,t,1.5,2.5\n\n"}, [("1", "blank", 1)])
+def test_accuracy_equals_the_line_by_line_oracle(files, edits):
+    # The decrypted tree is decrypt's own output, then edited.  Cutting the
+    # stop line of the first example joins its "\r" and the blank line's
+    # "\n" into one terminator, so the whole comparison fails and the pair
+    # is walked.  In the second, the pair is equal whole with a blank line,
+    # which is no point.
+    with tempfile.TemporaryDirectory() as tmp:
+        orig, enc, dec = (Path(tmp) / name for name in ("orig", "enc", "dec"))
+        orig.mkdir()
+        for name, text in files.items():
+            (orig / f"{name}.txt").write_bytes(text if isinstance(text, bytes) else text.encode())
+        store = MappingStore()
+        encrypt_dataset(orig, enc, CoordinateCipher(KEY), store)
+        decrypt_dataset(enc, dec, store)
+        for name, op, k in edits:
+            _edit_decrypted(dec, name, op, k)
+        assert accuracy(orig, dec) == oracle_accuracy(orig, dec)
 
 
 @given(st.integers(1, 2**53 - 1).flatmap(lambda b: st.tuples(st.integers(0, b), st.just(b))))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geofpe.cipher import MAX_FRAC_DIGITS, fraction_folds, mask_widths, range_folds
+from geofpe.cipher import fraction_folds, mask_widths, range_folds
+from geofpe.text import MAX_FRAC_DIGITS
 from oracle_cipher import fraction_constrain, mask_width, range_constrain, range_type
 
 # (rt, interval) pairs from the five digit-class ranges
